@@ -4,7 +4,7 @@ Measures rows/sec through a :class:`~repro.serving.TransformService` on
 three paths, for both the linear PFR and the KernelPFR:
 
 * **cold**  — one-row-at-a-time loop, every row a cache miss (the naive
-  online pattern the micro-batcher and cache exist to beat);
+  online pattern the cache exists to beat);
 * **batched** — one vectorized bulk call over the same rows;
 * **warm**  — the same one-row loop again, every row now a cache hit.
 
@@ -170,9 +170,8 @@ def test_serving_throughput(tmp_path):
     assert pfr["speedup_batched_vs_cold"] >= 5.0
     assert kpfr["speedup_warm_vs_cold"] >= 10.0
     # Sanity: the warm loops were actually served from cache. Only the N
-    # warm passes hit; cold single-row misses are counted twice (fast-path
-    # get, then the bulk path's get_many), so the expected rate is
-    # 1500 hits / 6900 lookups ≈ 0.22.
+    # warm passes hit, so the expected rate is 1500 hits / 5100 lookups
+    # ≈ 0.29.
     assert kpfr["cache_hit_rate"] > 0.15
     assert pfr["cache_hit_rate"] > 0.15
 

@@ -9,7 +9,8 @@ claim enables:
 2. register it in a versioned on-disk model registry;
 3. stand up a ``TransformService`` and serve a held-out batch through the
    chunked, cached bulk path;
-4. serve concurrent single-row requests through the micro-batcher;
+4. serve concurrent single-row requests from many threads, each checked
+   against the bulk result;
 5. inspect the service counters and registry manifest.
 
 Run:  python examples/serving_pipeline.py
@@ -58,26 +59,23 @@ def main():
         service.transform("pfr-admissions@latest", X[test])
 
         # --- 4. online path: concurrent single-row clients ---------------
-        with service.microbatcher("pfr-admissions", max_wait=0.005) as batcher:
-            rows = X[test][:16]
-            results = [None] * len(rows)
+        rows = X[test][:16]
+        results = [None] * len(rows)
 
-            def client(i):
-                results[i] = batcher.submit(rows[i])
+        def client(i):
+            results[i] = service.transform_one("pfr-admissions", rows[i])
 
-            threads = [
-                threading.Thread(target=client, args=(i,))
-                for i in range(len(rows))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            stats = batcher.stats
-            print(f"micro-batching    : {stats['n_rows']} requests served in "
-                  f"{stats['n_batches']} vectorized calls "
-                  f"(mean batch {stats['mean_batch_size']:.1f})")
-        np.testing.assert_allclose(np.stack(results), Z_test[:16], atol=1e-9)
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(len(rows))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for result, expected in zip(results, Z_test[:16]):
+            np.testing.assert_allclose(result, expected, atol=1e-9)
+        print(f"online rows       : {len(rows)} concurrent single-row "
+              "requests, each equal to its bulk result")
 
         # --- 5. observability --------------------------------------------
         totals = service.stats()["totals"]

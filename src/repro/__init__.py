@@ -50,6 +50,7 @@ from .exceptions import (
     ConvergenceError,
     DatasetError,
     GraphConstructionError,
+    ModelNotFoundError,
     NotFittedError,
     ReproError,
     ValidationError,
@@ -103,6 +104,7 @@ __all__ = [
     "ReproError",
     "NotFittedError",
     "ValidationError",
+    "ModelNotFoundError",
     "ConvergenceError",
     "DatasetError",
     "GraphConstructionError",

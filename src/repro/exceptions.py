@@ -12,6 +12,7 @@ __all__ = [
     "ReproError",
     "NotFittedError",
     "ValidationError",
+    "ModelNotFoundError",
     "ConvergenceError",
     "DatasetError",
     "GraphConstructionError",
@@ -31,6 +32,14 @@ class ValidationError(ReproError, ValueError):
 
     Inherits from :class:`ValueError` so generic callers that guard with
     ``except ValueError`` keep working.
+    """
+
+
+class ModelNotFoundError(ValidationError):
+    """A model registry has no such model, version or promoted version.
+
+    A :class:`ValidationError` subclass, so callers that treat every bad
+    spec alike keep working; the HTTP front end maps it to 404.
     """
 
 

@@ -151,6 +151,11 @@ class Histogram:
 
 
 def _key(name: str, labels: dict) -> tuple:
+    if len(labels) == 1:
+        # The common single-label series (e.g. per-model serving counters,
+        # three per request) needs no sort.
+        ((label, value),) = labels.items()
+        return (str(name), ((str(label), str(value)),))
     return (str(name), tuple(sorted((str(k), str(v)) for k, v in labels.items())))
 
 

@@ -1,4 +1,4 @@
-"""Serving layer: model registry + high-throughput batched transforms.
+"""Serving layer: model registry + cached, validated transforms.
 
 The paper's deployability claim (§3.3) is that a fitted PFR maps unseen
 individuals into the fair representation with no pairwise judgments at
@@ -8,12 +8,11 @@ service. This package operationalizes that claim:
 * :class:`ModelRegistry` — versioned on-disk storage of fitted estimators
   (``register`` / resolve ``name@version`` / ``promote``) with manifests
   recording model type, hyper-parameters, library version, and input schema.
-* :class:`BatchTransformer` / :class:`MicroBatcher` — bulk chunking and
-  online request coalescing so throughput is bounded by the matmul, not
-  per-row python overhead.
 * :class:`LRUCache` — digest-keyed result cache for heavy-tailed traffic.
 * :class:`TransformService` — the thread-safe façade tying the above
-  together, with hit/miss/latency counters.
+  together: every request, one row or a batch, is validated once and
+  served through one cached path to the model's ``Z = X V``, with
+  hit/miss/latency counters.
 * :class:`ServingServer` — a stdlib asyncio HTTP front end over one
   shared service replica (``POST /transform``, model list/show/promote,
   ``/healthz``, Prometheus ``/metrics``), with bounded queues and
@@ -31,15 +30,12 @@ Quickstart::
     Z = service.transform("pfr-admissions@latest", X_new)
 """
 
-from .batching import BatchTransformer, MicroBatcher
 from .cache import LRUCache, matrix_digests, row_digest
 from .http import ServingServer
 from .registry import ModelRecord, ModelRegistry
 from .service import TransformService
 
 __all__ = [
-    "BatchTransformer",
-    "MicroBatcher",
     "LRUCache",
     "row_digest",
     "matrix_digests",

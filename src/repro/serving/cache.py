@@ -7,7 +7,7 @@ of its input row, the projected representation can be cached by a digest of
 the raw feature vector and served without touching the matmul at all.
 
 The cache is a plain ordered-dict LRU guarded by a lock — safe to share
-between the micro-batcher worker thread and synchronous callers.
+between concurrent request threads.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ def matrix_digests(X: np.ndarray) -> list[bytes]:
         raise ValidationError(
             f"matrix_digests expects a 2-D matrix; got ndim={canonical.ndim}"
         )
-    view = canonical.view(np.uint8).reshape(canonical.shape[0], -1)
+    # Each row of a C-contiguous matrix is itself contiguous, so it is
+    # hashed through the buffer protocol without a bytes copy.
     hasher = hashlib.blake2b
-    return [hasher(row.tobytes(), digest_size=16).digest() for row in view]
+    return [hasher(row, digest_size=16).digest() for row in canonical]
 
 
 def _frozen_copy(value):

@@ -74,9 +74,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import unquote
 
-import numpy as np
-
-from ..exceptions import ValidationError
+from ..exceptions import ModelNotFoundError, ValidationError
 from ..obs.export import format_prometheus
 from ..obs.trace import span, trace_enabled
 from .service import TransformService
@@ -117,18 +115,6 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _validation_status(exc: ValidationError) -> int:
-    """Map a service/registry ValidationError to 404 (unknown) or 400."""
-    message = str(exc)
-    if (
-        "unknown model" in message
-        or "has no version" in message
-        or "has no promoted version" in message
-    ):
-        return 404
-    return 400
-
-
 def _record_json(record) -> dict:
     """JSON view of a :class:`~repro.serving.registry.ModelRecord`."""
     return {
@@ -152,27 +138,14 @@ def _parse_json_body(body: bytes) -> dict:
         raise _HttpError(400, "request body must be a JSON object")
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError, not just JSONDecodeError: an integer literal past the
+        # interpreter's digit limit raises a bare ValueError; nesting too
+        # deep to parse raises RecursionError.
         raise _HttpError(400, f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise _HttpError(400, "request body must be a JSON object")
     return payload
-
-
-def _numeric_array(value, *, ndim: int, field: str) -> np.ndarray:
-    """Coerce a JSON value to a float array of the expected rank, or 400."""
-    try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise _HttpError(
-            400, f"{field!r} must be numeric: {exc}"
-        ) from exc
-    if array.ndim != ndim or array.size == 0 and ndim == 2:
-        shape = "a flat array of numbers" if ndim == 1 else (
-            "a non-empty array of equal-length number arrays"
-        )
-        raise _HttpError(400, f"{field!r} must be {shape}")
-    return array
 
 
 class ServingServer:
@@ -490,7 +463,7 @@ class ServingServer:
         except _HttpError as exc:
             status, payload = exc.status, _json_bytes({"error": exc.message})
         except ValidationError as exc:
-            status = _validation_status(exc)
+            status = 404 if isinstance(exc, ModelNotFoundError) else 400
             payload = _json_bytes({"error": str(exc)})
         except Exception as exc:  # worker bug: report, keep serving
             status = 500
@@ -610,11 +583,11 @@ class ServingServer:
                 400, "provide exactly one of 'row' (single) or 'rows' (batch)"
             )
         if has_row:
-            row = _numeric_array(payload["row"], ndim=1, field="row")
-            served_spec, z = self.service.transform_one_versioned(spec, row)
+            served_spec, z = self.service.transform_one_versioned(
+                spec, payload["row"]
+            )
             return {"model": served_spec, "row": z.tolist()}
-        rows = _numeric_array(payload["rows"], ndim=2, field="rows")
-        served_spec, Z = self.service.transform_versioned(spec, rows)
+        served_spec, Z = self.service.transform_versioned(spec, payload["rows"])
         return {"model": served_spec, "rows": Z.tolist()}
 
     def _do_models_list(self) -> dict:

@@ -44,7 +44,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from .._version import __version__
-from ..exceptions import NotFittedError, ValidationError
+from ..exceptions import ModelNotFoundError, NotFittedError, ValidationError
 from ..io import _jsonable_params, atomic_write, load_model, save_model
 
 __all__ = ["ModelRecord", "ModelRegistry"]
@@ -259,7 +259,7 @@ class ModelRegistry:
             with self._dir_lock(model_dir):
                 manifest = self._read_manifest(model_dir)
                 if str(version) not in manifest["versions"]:
-                    raise ValidationError(
+                    raise ModelNotFoundError(
                         f"model {name!r} has no version {version}; available: "
                         f"{sorted(int(v) for v in manifest['versions'])}"
                     )
@@ -291,7 +291,7 @@ class ModelRegistry:
                 else:
                     latest = cached[3]
                 if latest is None:
-                    raise ValidationError(
+                    raise ModelNotFoundError(
                         f"model {name!r} has no promoted version; "
                         "promote one with `repro models promote`"
                     )
@@ -305,7 +305,7 @@ class ModelRegistry:
                     "use <name>, <name>@latest or <name>@<integer>"
                 ) from None
             if str(version) not in manifest["versions"]:
-                raise ValidationError(
+                raise ModelNotFoundError(
                     f"model {name!r} has no version {version}; "
                     f"available: {sorted(int(v) for v in manifest['versions'])}"
                 )
@@ -320,7 +320,7 @@ class ModelRegistry:
             manifest = self._read_manifest(model_dir)
             entry = manifest["versions"].get(str(version))
             if entry is None:
-                raise ValidationError(f"model {name!r} has no version {version}")
+                raise ModelNotFoundError(f"model {name!r} has no version {version}")
             return self._entry_to_record(name, version, entry, manifest)
 
     def load(self, spec: str):
@@ -382,7 +382,7 @@ class ModelRegistry:
                 d.name for d in self.root.iterdir()
                 if (d / _MANIFEST).is_file()
             ) if self.root.is_dir() else []
-            raise ValidationError(
+            raise ModelNotFoundError(
                 f"unknown model {name!r}; registered models: {known or 'none'}"
             )
         return model_dir

@@ -1,12 +1,12 @@
-"""`TransformService` — the façade tying registry, batching and cache together.
+"""`TransformService` — the façade tying registry, model and cache together.
 
 This is the object an online decision-making system would hold: it resolves
 ``name@version`` specs against a :class:`~repro.serving.registry.ModelRegistry`,
-keeps the deserialized estimators warm in memory, routes bulk requests
-through the chunked :class:`~repro.serving.batching.BatchTransformer`,
-serves repeated rows straight from a per-model
-:class:`~repro.serving.cache.LRUCache`, and counts everything so operators
-can see hit rates and throughput.
+keeps the deserialized estimators warm in memory, serves repeated rows
+straight from a per-model :class:`~repro.serving.cache.LRUCache`, and counts
+everything so operators can see hit rates and throughput. Every public
+transform method validates its input once and reaches the model through
+one private request path.
 
 The service is thread-safe: model loading is double-checked under a lock,
 caches lock internally, and the counters are guarded separately, so many
@@ -25,12 +25,32 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..io import load_model
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import span, trace_enabled
-from .batching import BatchTransformer, MicroBatcher
-from .cache import LRUCache, matrix_digests, row_digest
+from ..obs.trace import span
+from .cache import LRUCache, matrix_digests
 from .registry import ModelRegistry, ModelRecord
 
 __all__ = ["TransformService"]
+
+#: Most rows handed to ``model.transform`` at once. Bounds peak memory for
+#: transformers with per-row intermediates — KernelPFR materializes an
+#: ``(n, n_train)`` kernel block.
+_CHUNK_ROWS = 8192
+
+#: Accepted input shape per rank, as request-validation messages name it.
+_SHAPES = {
+    1: "a non-empty 1-D flat array of numbers",
+    2: "a non-empty 2-D array of equal-length number arrays",
+}
+
+
+def _model_transform(model, X: np.ndarray) -> np.ndarray:
+    """``model.transform(X)`` in blocks of at most ``_CHUNK_ROWS`` rows."""
+    if X.shape[0] <= _CHUNK_ROWS:
+        return np.asarray(model.transform(X))
+    return np.concatenate([
+        np.asarray(model.transform(X[start:start + _CHUNK_ROWS]))
+        for start in range(0, X.shape[0], _CHUNK_ROWS)
+    ])
 
 
 @dataclass
@@ -39,7 +59,6 @@ class _ServedModel:
 
     record: ModelRecord
     model: object
-    batcher: BatchTransformer
     cache: LRUCache
     # Drift accounting (None unless the service opted in AND the artifact
     # carries landmark coordinates): a per-row scorer rebuilt from the
@@ -57,11 +76,6 @@ class TransformService:
         A :class:`ModelRegistry` instance, or a path handed to one.
     cache_size:
         Per-model LRU capacity in rows; ``0`` disables result caching.
-    chunk_size:
-        Bulk requests are fed to the model at most this many rows at a
-        time to bound peak memory.
-    max_batch_size, max_wait:
-        Defaults handed to :meth:`microbatcher` instances.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` request accounting lands
         in. Defaults to a private registry per service, so two services
@@ -69,8 +83,9 @@ class TransformService:
         :func:`repro.obs.get_registry` to publish into the process-global
         one instead.
     drift:
-        Opt-in per-request drift accounting. When True, every served
-        batch has up to ``drift_sample`` rows re-scored through
+        Opt-in per-request drift accounting. When True, the rows each
+        request computes (its cache misses) have up to ``drift_sample`` of
+        them re-scored through
         :func:`repro.lifecycle.scorer_for` (parametric map vs.
         graph-smoothing extension over the artifact's landmarks) into a
         per-model :class:`repro.lifecycle.DriftMonitor`; read the
@@ -91,9 +106,6 @@ class TransformService:
         registry,
         *,
         cache_size: int = 100_000,
-        chunk_size: int = 8192,
-        max_batch_size: int = 256,
-        max_wait: float = 0.002,
         metrics: MetricsRegistry | None = None,
         drift: bool = False,
         drift_sample: int = 32,
@@ -104,9 +116,6 @@ class TransformService:
             registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
         )
         self.cache_size = cache_size
-        self.chunk_size = chunk_size
-        self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if drift and drift_sample < 1:
             raise ValidationError(
@@ -134,10 +143,10 @@ class TransformService:
         """Transform a batch of rows through the model resolved from ``spec``.
 
         ``spec`` is ``name``, ``name@latest`` or ``name@<version>``. ``X``
-        is an ``(n, m)`` matrix whose width must match the registered input
-        schema. Cached rows skip the model entirely.
+        is a non-empty ``(n, m)`` matrix whose width must match the
+        registered input schema. Cached rows skip the model entirely.
         """
-        return self._transform_batch(self._served(spec), X)
+        return self.transform_versioned(spec, X)[1]
 
     def transform_versioned(self, spec: str, X) -> tuple[str, np.ndarray]:
         """Like :meth:`transform`, returning ``(resolved_spec, Z)``.
@@ -147,35 +156,18 @@ class TransformService:
         concurrent ``promote`` the label and the rows can never disagree —
         the guarantee an HTTP front end surfaces to its clients.
         """
-        served = self._served(spec)
-        return served.record.spec, self._transform_batch(served, X)
-
-    def _transform_batch(self, served: _ServedModel, X) -> np.ndarray:
-        X = self._checked_matrix(served.record, X)
-        start = time.perf_counter()
-        if trace_enabled():
-            with span("serving.transform", model=served.record.spec,
-                      rows=int(X.shape[0])):
-                result = self._transform_cached(served, X)
-        else:
-            result = self._transform_cached(served, X)
-        self._account(served, X.shape[0], time.perf_counter() - start)
-        self._observe_drift(served, X, result)
-        return result
+        served, X = self._checked(spec, X, "rows")
+        return served.record.spec, self._serve(served, X)
 
     def transform_one(self, spec: str, row) -> np.ndarray:
         """Transform a single 1-D feature row; returns its representation.
 
-        Cache hits take a dedicated fast path (one digest, one lookup) —
-        this is the per-request unit of the heavy-tailed online workload
-        the cache exists for, so its overhead is kept minimal.
-
-        The returned row is **read-only** (hit or miss alike — mutability
-        must not depend on cache state); mutating it raises ``ValueError``
-        instead of corrupting the cached entry. Copy it if you need a
-        scratch buffer.
+        The row is served as a one-row batch, so it shares the cache with
+        :meth:`transform`. The returned row is **read-only** (hit or miss
+        alike — mutability must not depend on cache state); mutating it
+        raises ``ValueError``. Copy it if you need a scratch buffer.
         """
-        return self._transform_one(self._served(spec), row)
+        return self.transform_one_versioned(spec, row)[1]
 
     def transform_one_versioned(self, spec: str, row) -> tuple[str, np.ndarray]:
         """Like :meth:`transform_one`, returning ``(resolved_spec, z)``.
@@ -183,77 +175,10 @@ class TransformService:
         One resolution covers both the label and the computation, exactly
         like :meth:`transform_versioned`.
         """
-        served = self._served(spec)
-        return served.record.spec, self._transform_one(served, row)
-
-    def _transform_one(self, served: _ServedModel, row) -> np.ndarray:
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValidationError(
-                f"transform_one expects a 1-D row; got ndim={row.ndim}"
-            )
-        expected = served.record.n_features_in
-        if expected is not None and row.shape[0] != expected:
-            raise ValidationError(
-                f"schema mismatch for {served.record.spec}: row has "
-                f"{row.shape[0]} features but the registered "
-                f"{served.record.model_type} expects {expected}"
-            )
-        if not self.cache_size:
-            result = self._transform_batch(served, row[None, :])[0]
-            # Freeze the no-cache path too: the documented contract is
-            # that mutability must not depend on cache state, and a row
-            # that is writable only when caching is off would let callers
-            # grow a mutation habit that turns into ValueError (or silent
-            # cache corruption) the day a cache is configured.
-            result.setflags(write=False)
-            return result
-        start = time.perf_counter()
-        key = row_digest(row)
-        hit = served.cache.get(key)
-        if hit is not None:
-            self._account(served, 1, time.perf_counter() - start)
-            # The cache returns a read-only view; a caller that tries to
-            # mutate its result gets a ValueError instead of silently
-            # corrupting the entry for every later request.
-            return hit
-        # Miss: compute here rather than falling back to transform(),
-        # which would re-resolve the spec, re-hash the row, and record a
-        # second miss for the same lookup.
-        result = served.batcher.transform(row[None, :])[0]
-        served.cache.put(key, result)
-        # Score on the miss path only: a cache hit re-serves a row that
-        # was already scored (or deliberately skipped) when computed.
-        self._observe_drift(served, row[None, :], result[None, :])
-        # Freeze the miss result too: hits are read-only cache views, and
-        # a result whose mutability depends on cache state would turn
-        # caller mutation into an intermittent, cache-warmth-dependent
-        # crash instead of a deterministic one.
-        result.setflags(write=False)
-        self._account(served, 1, time.perf_counter() - start)
-        return result
-
-    def microbatcher(self, spec: str, *, max_batch_size: int | None = None,
-                     max_wait: float | None = None) -> MicroBatcher:
-        """A :class:`MicroBatcher` coalescing concurrent single-row requests.
-
-        The returned batcher feeds whole coalesced batches through this
-        service (so caching and accounting still apply), passing ``spec``
-        through verbatim — a bare name or ``@latest`` keeps following
-        promotions exactly like direct :meth:`transform` calls, so the two
-        request paths of one service can never serve different versions.
-        Close it when done.
-        """
-        served = self._served(spec)  # resolve + load eagerly, fail fast
-        batcher = MicroBatcher(
-            lambda X: self.transform(spec, X),
-            max_batch_size=(
-                self.max_batch_size if max_batch_size is None else max_batch_size
-            ),
-            max_wait=self.max_wait if max_wait is None else max_wait,
-            n_features=served.record.n_features_in,
-        )
-        return batcher
+        served, X = self._checked(spec, row, "row")
+        z = self._serve(served, X)[0]
+        z.setflags(write=False)
+        return served.record.spec, z
 
     # ------------------------------------------------------ observability
     def stats(self) -> dict:
@@ -390,7 +315,6 @@ class TransformService:
                 served = _ServedModel(
                     record=record,
                     model=model,
-                    batcher=BatchTransformer(model, chunk_size=self.chunk_size),
                     cache=LRUCache(max_size=self.cache_size),
                     scorer=scorer,
                     monitor=monitor,
@@ -398,59 +322,77 @@ class TransformService:
                 self._models[key] = served
         return served
 
-    @staticmethod
-    def _checked_matrix(record: ModelRecord, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
+    def _checked(self, spec: str, X, field: str) -> tuple[_ServedModel, np.ndarray]:
+        """Validate request input and resolve ``spec``: the one input check.
+
+        ``field`` names the input — ``"row"`` (one 1-D row) or ``"rows"``
+        (a 2-D batch). Coercion and rank are checked before the spec is
+        resolved, so malformed input to an unknown model is still reported
+        as bad input; the width is then checked against the registered
+        schema. Returns the served model and ``X`` as a float64 ``(n, m)``
+        matrix. Finiteness (and any float32 cast) is left to the model's
+        own input check.
+        """
+        ndim = 1 if field == "row" else 2
+        try:
+            X = np.asarray(X, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{field!r} must be numeric: {exc}") from exc
+        if X.ndim != ndim or X.size == 0:
             raise ValidationError(
-                f"X must be a 2-D matrix; got ndim={X.ndim} "
-                "(use transform_one for single rows)"
+                f"{field!r} must be {_SHAPES[ndim]}; got shape {X.shape}"
             )
+        served = self._served(spec)
+        record = served.record
         expected = record.n_features_in
-        if expected is not None and X.shape[1] != expected:
+        if expected is not None and X.shape[-1] != expected:
             raise ValidationError(
-                f"schema mismatch for {record.spec}: X has {X.shape[1]} "
-                f"features but the registered {record.model_type} expects "
-                f"{expected}"
+                f"schema mismatch for {record.spec}: {field!r} has "
+                f"{X.shape[-1]} features but the registered "
+                f"{record.model_type} expects {expected}"
             )
-        return X
+        return served, X.reshape(-1, X.shape[-1])
 
-    def _transform_cached(self, served: _ServedModel, X: np.ndarray) -> np.ndarray:
-        if self.cache_size == 0 or X.shape[0] == 0:
-            return served.batcher.transform(X)
+    def _serve(self, served: _ServedModel, X: np.ndarray) -> np.ndarray:
+        """Serve a validated ``(n, m)`` batch: the one path to the model.
 
-        digests = matrix_digests(X)
-        cached = served.cache.get_many(digests)
-
-        # Unique misses only: duplicated rows inside one request are
-        # computed once, exactly like repeats across requests.
-        miss_rows: list[int] = []
-        miss_slot: dict[bytes, int] = {}
-        for index, (digest, hit) in enumerate(zip(digests, cached)):
-            if hit is None and digest not in miss_slot:
-                miss_slot[digest] = len(miss_rows)
-                miss_rows.append(index)
-
-        if not miss_rows:
-            return np.stack(cached)
-
-        computed = served.batcher.transform(X[miss_rows])
-        # The cache copies on put, so these row views never alias the
-        # `computed` array returned to the caller below, and no row pins
-        # the whole batch in memory past eviction.
-        served.cache.put_many(
-            (digests[index], computed[slot])
-            for slot, index in enumerate(miss_rows)
-        )
-        if len(miss_rows) == X.shape[0]:
-            # Everything missed and no within-request duplicates: `computed`
-            # is already in request order — skip the assembly copy.
-            return computed
-        width = computed.shape[1]
-        out = np.empty((X.shape[0], width), dtype=computed.dtype)
-        for index, (digest, hit) in enumerate(zip(digests, cached)):
-            out[index] = hit if hit is not None else computed[miss_slot[digest]]
-        return out
+        Cached rows skip the model; unique misses (a row repeated inside
+        one request included) are computed once and cached. Only computed
+        rows are scored for drift — a hit re-serves a row that was already
+        scored, or sampled out, when it was computed.
+        """
+        start = time.perf_counter()
+        with span("serving.transform", model=served.record.spec,
+                  rows=X.shape[0]):
+            missed = slice(None)  # the computed rows: all, in request order
+            if not self.cache_size:
+                result = _model_transform(served.model, X)
+            else:
+                digests = matrix_digests(X)
+                cached = served.cache.get_many(digests)
+                rows, slot = [], {}  # first index / computed slot per miss
+                for index, (digest, hit) in enumerate(zip(digests, cached)):
+                    if hit is None and digest not in slot:
+                        slot[digest] = len(rows)
+                        rows.append(index)
+                if len(rows) < X.shape[0]:
+                    missed = rows
+                if rows:
+                    computed = _model_transform(served.model, X[missed])
+                    # The cache copies on put, so the rows returned to the
+                    # caller never alias a cached entry.
+                    served.cache.put_many(zip(slot, computed))
+                if len(rows) == X.shape[0]:
+                    result = computed
+                else:
+                    result = np.array([
+                        computed[slot[digest]] if hit is None else hit
+                        for digest, hit in zip(digests, cached)
+                    ])
+        self._account(served, X.shape[0], time.perf_counter() - start)
+        if served.monitor is not None:
+            self._observe_drift(served, X[missed], result[missed])
+        return result
 
     def _account(self, served: _ServedModel, rows: int, seconds: float) -> None:
         spec = served.record.spec
@@ -459,15 +401,13 @@ class TransformService:
         self.metrics.observe("serving.request_seconds", seconds, model=spec)
 
     def _observe_drift(self, served: _ServedModel, X, Z) -> None:
-        """Fold a stride-sample of a served batch into the drift monitor.
+        """Fold a stride-sample of computed rows into the drift monitor.
 
         Never raises: a scoring failure increments
         ``serving.drift_errors`` and the request succeeds regardless —
         drift accounting is observability, not a serving dependency.
         """
         monitor = served.monitor
-        if monitor is None:
-            return
         n = X.shape[0]
         if n == 0:
             return

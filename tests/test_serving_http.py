@@ -202,6 +202,41 @@ class TestTransformValidation:
         assert status == 400
         assert "JSON object" in body["error"]
 
+    @pytest.mark.parametrize("body", [
+        # An integer too large for float64 (OverflowError on coercion).
+        '{"model": "pfr", "row": [1%s, 1, 2, 3, 4]}' % ("0" * 400),
+        '{"model": "pfr", "rows": [[1%s, 1, 2, 3, 4]]}' % ("0" * 400),
+        # An integer literal past the interpreter's digit limit (json.loads
+        # raises a bare ValueError, not JSONDecodeError).
+        '{"model": "pfr", "row": [%s, 1, 2, 3, 4]}' % ("9" * 5000),
+        # Nesting too deep to parse (RecursionError).
+        '{"model": "pfr", "row": %s1%s}' % ("[" * 100_000, "]" * 100_000),
+    ], ids=["overflow-row", "overflow-rows", "digit-limit", "deep-nesting"])
+    def test_unrepresentable_input_answers_400(self, server, body):
+        status, answer, _ = _call(server, "POST", "/transform", body=body)
+        assert status == 400, answer
+        # The worker survived: the next valid request is served.
+        assert _call(
+            server, "POST", "/transform",
+            payload={"model": "pfr", "row": [1.0] * 5},
+        )[0] == 200
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e400"])
+    @pytest.mark.parametrize("field", ["row", "rows"])
+    def test_non_finite_answers_400(self, server, literal, field):
+        values = f"[{literal}, 1, 2, 3, 4]"
+        if field == "rows":
+            values = f"[[1, 2, 3, 4, 5], {values}]"
+        body = f'{{"model": "pfr", "{field}": {values}}}'
+        status, answer, _ = _call(server, "POST", "/transform", body=body)
+        assert status == 400
+        assert "NaN or infinity" in answer["error"]
+        assert _call(
+            server, "POST", "/transform",
+            payload={"model": "pfr", "rows": [[1.0] * 5]},
+        )[0] == 200
+
     def test_unknown_model_404(self, server):
         status, body, _ = _call(
             server, "POST", "/transform",
@@ -494,6 +529,56 @@ class TestPromoteUnderLoad:
             stop.set()
             flip.join()
         assert not errors
+
+
+class TestOnePath:
+    """Every way into the service serves exactly the artifact's transform."""
+
+    @pytest.fixture(params=["exact", "nystrom"])
+    def registry(self, request, fitted, tmp_path):
+        from repro.graphs import knn_graph
+
+        X, model, _ = fitted
+        if request.param == "nystrom":
+            model = PFR(
+                n_components=2, gamma=0.5, extension="nystrom", landmarks=30
+            ).fit(X, knn_graph(X, n_neighbors=6))
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register("pfr", model)
+        return registry
+
+    def test_all_paths_bitwise_equal_to_loaded_model(self, registry, fitted):
+        from repro.io import load_model
+
+        X = fitted[0][:6] + 0.25
+        loaded = load_model(registry.record("pfr").path)
+        expected_rows = loaded.transform(X)
+        expected_each = [loaded.transform(x[None, :])[0] for x in X]
+
+        # One fresh service per path: a one-row and a many-row matmul may
+        # round differently, and a shared cache would hand one path the
+        # other's rows.
+        Z = TransformService(registry).transform("pfr", X)
+        assert np.array_equal(Z, expected_rows)
+        service = TransformService(registry)
+        for x, expected in zip(X, expected_each):
+            assert np.array_equal(service.transform_one("pfr", x), expected)
+
+        with ServingServer(TransformService(registry), n_workers=2) as srv:
+            status, body, _ = _call(
+                srv, "POST", "/transform",
+                payload={"model": "pfr", "rows": X.tolist()},
+            )
+            assert status == 200
+            assert np.array_equal(np.asarray(body["rows"]), expected_rows)
+        with ServingServer(TransformService(registry), n_workers=2) as srv:
+            for x, expected in zip(X, expected_each):
+                status, body, _ = _call(
+                    srv, "POST", "/transform",
+                    payload={"model": "pfr", "row": x.tolist()},
+                )
+                assert status == 200
+                assert np.array_equal(np.asarray(body["row"]), expected)
 
 
 class TestDriftEndpoint:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import PFR, __version__
-from repro.exceptions import ValidationError
+from repro.exceptions import ModelNotFoundError, ValidationError
 from repro.graphs import pairwise_judgment_graph
 from repro.ml import StandardScaler
 from repro.serving import ModelRegistry
@@ -120,6 +120,22 @@ class TestResolveAndLoad:
         assert registry.resolve("pfr") == ("pfr", 2)
         assert registry.resolve("pfr@latest") == ("pfr", 2)
         assert registry.resolve("pfr@1") == ("pfr", 1)
+
+    def test_not_found_is_typed(self, registry, fitted_pfr):
+        model, _ = fitted_pfr
+        registry.register("pfr", model)
+        registry.register("canary", model, promote=False)
+        for spec, fragment in (
+            ("ghost", "unknown model"),
+            ("pfr@7", "has no version"),
+            ("canary", "no promoted version"),
+        ):
+            with pytest.raises(ModelNotFoundError, match=fragment):
+                registry.resolve(spec)
+        # A malformed selector is bad input, not a missing model.
+        with pytest.raises(ValidationError) as excinfo:
+            registry.resolve("pfr@one")
+        assert not isinstance(excinfo.value, ModelNotFoundError)
 
     def test_unknown_name(self, registry):
         with pytest.raises(ValidationError, match="unknown model"):

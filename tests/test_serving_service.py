@@ -1,6 +1,7 @@
 """Tests for repro.serving.service — the TransformService façade."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro import PFR
 from repro.exceptions import ValidationError
 from repro.graphs import pairwise_judgment_graph
 from repro.serving import ModelRegistry, TransformService
+from repro.serving import service as service_module
 
 
 @pytest.fixture
@@ -66,13 +68,49 @@ class TestTransform:
         with pytest.raises(ValidationError, match="2-D"):
             service.transform("pfr", rng.normal(size=5))
 
-    def test_chunked_bulk_matches(self, setup, rng):
+    def test_chunked_bulk_matches(self, setup, rng, monkeypatch):
         registry, model, _ = setup
-        service = TransformService(registry, chunk_size=7, cache_size=0)
+        monkeypatch.setattr(service_module, "_CHUNK_ROWS", 7)
+        service = TransformService(registry, cache_size=0)
         Xq = rng.normal(size=(40, 5))
         np.testing.assert_allclose(
             service.transform("pfr", Xq), model.transform(Xq)
         )
+        # The model sees blocks of at most _CHUNK_ROWS rows, in order.
+        served = service._models[("pfr", 1)]
+        sizes = []
+
+        def recording(X):
+            sizes.append(X.shape[0])
+            return model.transform(X)
+
+        served.model = SimpleNamespace(transform=recording)
+        np.testing.assert_allclose(
+            service.transform("pfr", Xq), model.transform(Xq)
+        )
+        assert sizes == [7] * 5 + [5]
+
+    @pytest.mark.parametrize("bad", [[10 ** 400, 1, 2, 3, 4], ["a"] * 5,
+                                     {"x": 1}, [[1, 2], 3, 4, 5, 6]])
+    def test_non_numeric_row_is_a_validation_error(self, setup, bad):
+        registry, *_ = setup
+        service = TransformService(registry)
+        with pytest.raises(ValidationError, match="numeric"):
+            service.transform_one("pfr", bad)
+
+    def test_empty_batch_rejected(self, setup):
+        registry, *_ = setup
+        service = TransformService(registry)
+        with pytest.raises(ValidationError, match="non-empty"):
+            service.transform("pfr", np.empty((0, 5)))
+
+    def test_bad_rows_rejected_before_resolution(self, setup):
+        # Malformed input to an unknown model reports the input, not the
+        # model: coercion and rank come before the spec is resolved.
+        registry, *_ = setup
+        service = TransformService(registry)
+        with pytest.raises(ValidationError, match="numeric"):
+            service.transform("ghost", [[1.0, 2.0], [3.0]])
 
 
 class TestCaching:
@@ -141,6 +179,17 @@ class TestCaching:
             with pytest.raises(ValueError):
                 result[0] = -999.0
         np.testing.assert_allclose(service.transform_one("pfr", row), expected)
+
+    def test_transform_one_hits_rows_a_batch_served(self, setup, rng):
+        registry, *_ = setup
+        service = TransformService(registry)
+        Xq = rng.normal(size=(4, 5))
+        Z = service.transform("pfr", Xq)
+        z = service.transform_one("pfr", Xq[2])
+        assert np.array_equal(z, Z[2])
+        cache = service.stats()["models"]["pfr@1"]["cache"]
+        assert cache["misses"] == 4
+        assert cache["hits"] == 1
 
     def test_cache_disabled(self, setup, rng):
         registry, *_ = setup
@@ -340,29 +389,6 @@ class TestNonTransformer:
             service.transform("eo", rng.normal(size=(3, 2)))
 
 
-class TestMicrobatcher:
-    def test_microbatched_results_match(self, setup, rng):
-        registry, model, _ = setup
-        service = TransformService(registry)
-        Xq = rng.normal(size=(16, 5))
-        expected = model.transform(Xq)
-        results = [None] * 16
-        with service.microbatcher("pfr", max_wait=0.02) as batcher:
-            threads = [
-                threading.Thread(
-                    target=lambda i=i: results.__setitem__(
-                        i, batcher.submit(Xq[i])
-                    )
-                )
-                for i in range(16)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        np.testing.assert_allclose(np.stack(results), expected)
-
-
 class TestDriftAccounting:
     """Per-request drift scoring (opt-in) behind the metrics registry."""
 
@@ -418,6 +444,14 @@ class TestDriftAccounting:
         service.transform_one("pfr", row)
         assert service.drift_status()["models"]["pfr@1"]["count"] == count
 
+    def test_partly_cached_batch_scores_only_misses(self, landmark_setup):
+        registry, _, X = landmark_setup
+        service = TransformService(registry, drift=True, drift_sample=64)
+        service.transform("pfr", X[:10])
+        assert service.drift_status()["models"]["pfr@1"]["count"] == 10
+        service.transform("pfr", X[:25])  # 10 hits, 15 computed rows
+        assert service.drift_status()["models"]["pfr@1"]["count"] == 25
+
     def test_batch_sampling_is_bounded(self, landmark_setup, rng):
         registry, _, X = landmark_setup
         service = TransformService(registry, drift=True, drift_sample=8)
@@ -442,7 +476,8 @@ class TestDriftAccounting:
             raise RuntimeError("scorer exploded")
 
         served.scorer = boom
-        Z = service.transform("pfr", X[:4])
+        # Fresh rows: only computed rows are scored, cache hits are not.
+        Z = service.transform("pfr", X[4:8])
         assert np.isfinite(Z).all()
         assert service.metrics.counter_value(
             "serving.drift_errors", model="pfr@1"
