@@ -71,11 +71,11 @@ with ``X`` (training rows), ``w_fair`` (dense fairness adjacency),
 optional ``X_new`` (the arriving batch for ``refresh``) and optional
 ``X_holdout`` (rollback guard).
 
-Every ``experiments`` subcommand and ``transform`` also accept
-``--trace PATH`` (record a JSONL trace of the run via :mod:`repro.obs`,
-readable with ``repro obs summary``) and ``--metrics`` (print the final
-metrics-registry snapshot to stderr). Both are off by default and cost
-nothing when off.
+Every ``experiments`` subcommand, ``transform`` and ``lifecycle
+refresh|watch`` also accept ``--trace PATH`` (record a JSONL trace of
+the run via :mod:`repro.obs`, readable with ``repro obs summary``) and
+``--metrics`` (print the final metrics-registry snapshot to stderr).
+Both are off by default and cost nothing when off.
 """
 
 from __future__ import annotations
@@ -225,6 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="max rows scored per request (default 32)",
     )
 
+    def _obs_flags(sub):
+        sub.add_argument(
+            "--trace", default=None, metavar="PATH",
+            help="append a JSONL trace of this run to PATH (inspect with "
+                 "`repro obs summary PATH`); off by default and free when off",
+        )
+        sub.add_argument(
+            "--metrics", action="store_true",
+            help="print the final metrics snapshot to stderr",
+        )
+
     lifecycle = subparsers.add_parser(
         "lifecycle",
         help="drift detection and incremental landmark refresh "
@@ -284,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
              "when stale (or --force)",
     )
     _lifecycle_model_flags(lc_refresh)
+    _obs_flags(lc_refresh)
     lc_refresh.add_argument("--force", action="store_true",
                             help="refresh even if the drift policy says fresh")
 
@@ -293,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
              "whenever the policy fires",
     )
     _lifecycle_model_flags(lc_watch)
+    _obs_flags(lc_watch)
     lc_watch.add_argument("--incoming", required=True,
                           help="directory to poll for *.npy batch files "
                                "(consumed files are renamed to *.npy.done)")
@@ -307,17 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweeps, tuning and cross-seed repetition (parallelizable)",
     )
     exp_sub = experiments.add_subparsers(dest="experiments_command", required=True)
-
-    def _obs_flags(sub):
-        sub.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="append a JSONL trace of this run to PATH (inspect with "
-                 "`repro obs summary PATH`); off by default and free when off",
-        )
-        sub.add_argument(
-            "--metrics", action="store_true",
-            help="print the final metrics snapshot to stderr",
-        )
 
     def _exp_common(sub):
         sub.add_argument("dataset", choices=["synthetic", "crime", "compas"])
@@ -1266,7 +1268,7 @@ def main(argv=None) -> int:
 
     if args.command == "lifecycle":
         try:
-            return _cmd_lifecycle(args)
+            return _with_obs(args, lambda: _cmd_lifecycle(args))
         except (ReproError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -50,6 +50,7 @@ from ..graphs.knn import (
     knn_cross,
     knn_graph,
     median_heuristic,
+    resolve_bandwidth,
 )
 from ..obs.trace import span
 from .plan import Precomputed, SpectralFitPlan, _stage_digest
@@ -262,7 +263,12 @@ def nystrom_extend(
         ``(m, d)``.
     n_neighbors, bandwidth, exclude:
         Forwarded to :func:`repro.graphs.knn_cross`; ``n_neighbors`` is
-        clamped to the landmark count.
+        clamped to the landmark count. ``bandwidth=None`` re-runs an
+        O(m²) median over the landmarks on *every* call (and needs at
+        least two landmarks); callers extending repeatedly against a
+        fixed landmark set should resolve it once with
+        :func:`repro.graphs.resolve_bandwidth` and pass it explicitly, as
+        :class:`LandmarkPlan` does.
     backend, backend_options, dtype:
         Forwarded to :func:`repro.graphs.knn_cross`. ``dtype=np.float32``
         keeps the extension weights and output float32 (the extension leg
@@ -285,15 +291,10 @@ def nystrom_extend(
             f"Z_landmarks must be (n_landmarks, d) = ({X_landmarks.shape[0]}, d); "
             f"got shape {Z_landmarks.shape}"
         )
-    if bandwidth is None and X_landmarks.shape[0] < 2:
-        # median_heuristic needs at least one pairwise distance; with a
-        # single landmark it degenerates to NaN and the extension would
-        # silently return NaN rows.
-        raise ValidationError(
-            "nystrom_extend with a single landmark cannot resolve a "
-            "heat-kernel bandwidth from the data; pass bandwidth= explicitly"
-        )
     k = min(int(n_neighbors), X_landmarks.shape[0])
+    bandwidth = resolve_bandwidth(
+        X_landmarks, bandwidth, exclude=exclude, dtype=work
+    )
     weights = knn_cross(
         X_new,
         X_landmarks,
@@ -544,6 +545,8 @@ class LandmarkPlan:
         self._pending: list[tuple[np.ndarray, object]] = []
         self._last_fit_point: tuple[float, int] | None = None
         self._baselines: dict[tuple[float, int], dict] = {}
+        # Heat-kernel bandwidth of the landmark set (_landmark_bandwidth).
+        self._bandwidth: float | None = None
 
     @property
     def n_pending(self) -> int:
@@ -732,13 +735,34 @@ class LandmarkPlan:
         )
         return K @ A
 
+    def _landmark_bandwidth(self) -> float:
+        """The extension's heat-kernel bandwidth, resolved at most once.
+
+        The landmark set never changes for a plan, so the O(m²) median
+        :func:`nystrom_extend` would take on every call is taken once. A
+        subplan that built its own landmark graph already took exactly
+        that median; a refresh child receives it from :meth:`refresh`.
+        """
+        if self._bandwidth is None:
+            built = self.subplan._graph
+            if built is not None and built["bandwidth"] is not None:
+                self._bandwidth = built["bandwidth"]
+            else:
+                self._bandwidth = resolve_bandwidth(
+                    self.X_landmarks_,
+                    self.subplan.bandwidth,
+                    exclude=self.subplan.exclude_columns,
+                    dtype=self.subplan._np_dtype,
+                )
+        return self._bandwidth
+
     def _graph_extend(self, X_new, Z_landmarks) -> np.ndarray:
         return nystrom_extend(
             X_new,
             self.X_landmarks_,
             Z_landmarks,
             n_neighbors=min(self.subplan.n_neighbors, len(self.indices_)),
-            bandwidth=self.subplan.bandwidth,
+            bandwidth=self._landmark_bandwidth(),
             exclude=self.subplan.exclude_columns,
             backend=self.subplan.knn_backend,
             backend_options=(
@@ -967,20 +991,22 @@ class LandmarkPlan:
             new_local = np.array([int(np.argmax(d2))], dtype=np.int64)
         X_new_landmarks = X_pending[new_local]
         q_new = X_new_landmarks.shape[0]
+        landmarks = np.vstack([self.X_landmarks_, X_new_landmarks])
 
         # --- incremental data graph: reuse the old m×m block verbatim ----
         W_old = sub.graph["w_x"]
         k = min(sub.n_neighbors, m)
-        bandwidth = sub.bandwidth
+        bandwidth = extension_bandwidth = sub.bandwidth
         if bandwidth is None:
-            bandwidth = float(
-                median_heuristic(
-                    _distance_view(
-                        np.vstack([self.X_landmarks_, X_new_landmarks]),
-                        exclude,
-                    )
+            graph_view = _distance_view(landmarks, exclude)
+            bandwidth = extension_bandwidth = float(median_heuristic(graph_view))
+            if not graph_view.flags.c_contiguous:
+                # The extension's median runs over a C-contiguous view
+                # (resolve_bandwidth); a column subset of the landmarks is
+                # not one and can round differently, so it gets its own.
+                extension_bandwidth = resolve_bandwidth(
+                    landmarks, exclude=exclude, dtype=sub._np_dtype
                 )
-            )
         backend_options = (
             {"seed": sub.knn_seed} if sub.knn_backend == "lsh" else None
         )
@@ -1060,7 +1086,7 @@ class LandmarkPlan:
         child.strategy = self.strategy
         child.seed = self.seed
         child.indices_ = np.concatenate([self.indices_, n + new_local])
-        child.X_landmarks_ = np.vstack([self.X_landmarks_, X_new_landmarks])
+        child.X_landmarks_ = landmarks
         child.subplan = SpectralFitPlan(
             child.X_landmarks_,
             WF_combined,
@@ -1083,6 +1109,7 @@ class LandmarkPlan:
             {"indices": child.indices_},
         )
         child._init_lifecycle_state()
+        child._bandwidth = extension_bandwidth
         child.parent = self
         child._extend_digest = extend_digest
         child._last_fit_point = self._last_fit_point

@@ -51,7 +51,12 @@ import scipy.sparse as sp
 
 from .._validation import check_array, check_symmetric
 from ..exceptions import ValidationError
-from ..graphs.knn import KNN_BACKENDS, knn_graph, median_heuristic
+from ..graphs.knn import (
+    KNN_BACKENDS,
+    knn_graph,
+    median_heuristic,
+    resolve_bandwidth,
+)
 from ..graphs.laplacian import laplacian
 from ..obs.metrics import get_registry
 from ..obs.trace import span
@@ -307,7 +312,11 @@ class SpectralFitPlan:
     # ------------------------------------------------------------- stages
     @property
     def graph(self) -> Precomputed:
-        """Stage 1 — the validated/built graphs ``WX`` and ``WF`` (§3.1–3.2)."""
+        """Stage 1 — the validated/built graphs ``WX`` and ``WF`` (§3.1–3.2).
+
+        Also carries the heat-kernel ``bandwidth`` a built ``WX`` used
+        (``None`` for a precomputed one).
+        """
         if self._graph is None:
             with span("plan.graph", kind=self.kind, n=int(self.X.shape[0])):
                 self._graph = self._graph_stage()
@@ -338,11 +347,16 @@ class SpectralFitPlan:
     def _graph_stage(self) -> Precomputed:
         n = self.X.shape[0]
         w_x = self._w_x_input
+        bandwidth = None
         if w_x is None:
+            bandwidth = resolve_bandwidth(
+                self.X, self.bandwidth, exclude=self.exclude_columns,
+                dtype=self._np_dtype,
+            )
             w_x = knn_graph(
                 self.X,
                 n_neighbors=min(self.n_neighbors, n - 1),
-                bandwidth=self.bandwidth,
+                bandwidth=bandwidth,
                 exclude=self.exclude_columns,
                 backend=self.knn_backend,
                 backend_options=(
@@ -374,7 +388,10 @@ class SpectralFitPlan:
         digest = _stage_digest(
             "graph", params, {"X": self.X, "w_x": w_x, "w_fair": self.w_fair}
         )
-        return Precomputed("graph", digest, {"w_x": w_x, "w_fair": self.w_fair})
+        return Precomputed(
+            "graph", digest,
+            {"w_x": w_x, "w_fair": self.w_fair, "bandwidth": bandwidth},
+        )
 
     def _laplacian_stage(self) -> Precomputed:
         graph = self.graph

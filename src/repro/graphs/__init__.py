@@ -19,7 +19,13 @@ from .fairness import (
     pairwise_judgment_graph,
     subsample_edges,
 )
-from .knn import knn_cross, knn_graph, median_heuristic, pairwise_sq_distances
+from .knn import (
+    knn_cross,
+    knn_graph,
+    median_heuristic,
+    pairwise_sq_distances,
+    resolve_bandwidth,
+)
 from .laplacian import (
     combine_laplacians,
     degree_vector,
@@ -43,6 +49,7 @@ __all__ = [
     "knn_graph",
     "median_heuristic",
     "pairwise_sq_distances",
+    "resolve_bandwidth",
     "combine_laplacians",
     "degree_vector",
     "edge_count",

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .._validation import check_array
-from ..exceptions import GraphConstructionError
+from ..exceptions import GraphConstructionError, ValidationError
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 
@@ -58,6 +58,7 @@ __all__ = [
     "knn_cross",
     "pairwise_sq_distances",
     "median_heuristic",
+    "resolve_bandwidth",
 ]
 
 KNN_BACKENDS = ("exact", "blocked", "lsh")
@@ -121,10 +122,37 @@ def _distance_view(X: np.ndarray, exclude) -> np.ndarray:
     return X[:, keep]
 
 
-def _resolve_bandwidth(bandwidth: float | None, view: np.ndarray) -> float:
-    """Validate the heat-kernel bandwidth, defaulting to the median heuristic."""
+def resolve_bandwidth(X_ref, bandwidth=None, *, exclude=None, dtype=None) -> float:
+    """Heat-kernel bandwidth ``t`` for edges into the reference rows ``X_ref``.
+
+    An explicit ``bandwidth`` is validated and returned. ``None`` selects
+    :func:`median_heuristic` over the distance-relevant columns of
+    ``X_ref`` cast to ``dtype`` (``None`` = float64) — an O(r²) pass over
+    the ``r`` reference rows, bitwise the median :func:`knn_graph` and
+    :func:`knn_cross` take when they are given ``bandwidth=None``. Callers
+    that weight many query batches against one fixed reference set (the
+    landmark plans of :mod:`repro.core.approx`, the drift scorer of
+    :mod:`repro.lifecycle`) resolve it once and pass it explicitly.
+
+    Raises
+    ------
+    ValidationError
+        ``bandwidth=None`` with fewer than two reference rows: the median
+        needs at least one pairwise distance.
+    GraphConstructionError
+        A non-positive ``bandwidth``, or ``exclude`` dropping every column.
+    """
     if bandwidth is None:
-        bandwidth = median_heuristic(view)
+        X_ref = _as_dtype(check_array(X_ref, name="X_ref", dtype=None), dtype)
+        if X_ref.shape[0] < 2:
+            raise ValidationError(
+                f"cannot resolve a heat-kernel bandwidth from {X_ref.shape[0]} "
+                "reference row(s); the median heuristic needs at least two. "
+                "Pass bandwidth= explicitly"
+            )
+        bandwidth = median_heuristic(
+            np.ascontiguousarray(_distance_view(X_ref, exclude))
+        )
     if bandwidth <= 0:
         raise GraphConstructionError(f"bandwidth must be positive; got {bandwidth}")
     return bandwidth
@@ -502,7 +530,7 @@ def knn_graph(
         )
 
     distance_view = np.ascontiguousarray(_distance_view(X, exclude))
-    bandwidth = _resolve_bandwidth(bandwidth, distance_view)
+    bandwidth = resolve_bandwidth(distance_view, bandwidth, dtype=X.dtype)
 
     with span("graphs.knn", backend=backend, n=int(n), k=int(n_neighbors),
               dtype=str(X.dtype)):
@@ -563,6 +591,9 @@ def knn_cross(
     bandwidth:
         Heat-kernel scalar ``t``; ``None`` selects the median heuristic on
         the reference rows so query-side batches cannot shift the scale.
+        That re-runs an O(r²) median over ``X_ref`` on *every* call:
+        callers scoring repeatedly against a fixed reference set should
+        resolve it once with :func:`resolve_bandwidth` and pass it here.
     exclude:
         Column indices to drop before computing distances (the paper
         excludes protected attributes from ``Np``).
@@ -596,7 +627,7 @@ def knn_cross(
 
     query_view = np.ascontiguousarray(_distance_view(X_query, exclude))
     ref_view = np.ascontiguousarray(_distance_view(X_ref, exclude))
-    bandwidth = _resolve_bandwidth(bandwidth, ref_view)
+    bandwidth = resolve_bandwidth(ref_view, bandwidth, dtype=X_ref.dtype)
 
     with span("graphs.knn_cross", backend=backend, q=int(q), r=int(r),
               k=int(n_neighbors), dtype=str(X_query.dtype)):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .core.approx import LandmarkPlan, nystrom_extend, row_agreement
 from .exceptions import ValidationError
-from .graphs.knn import _distance_view, median_heuristic
+from .graphs.knn import resolve_bandwidth
 from .ml.base import clone
 from .obs import span
 from .obs.metrics import MetricsRegistry, get_registry
@@ -74,24 +74,32 @@ def scorer_for(model):
         X_landmarks = getattr(model, "X_fit_", None)
     if X_landmarks is None:
         return None
-    X_landmarks = np.asarray(X_landmarks, dtype=np.float64)
+    # Work in the model's dtype, as LandmarkPlan.score_rows does, so a
+    # float32 model's scores match its plan's bit for bit.
+    work = np.dtype(getattr(model, "dtype", None) or np.float64)
+    X_landmarks = np.asarray(X_landmarks, dtype=work)
     if X_landmarks.ndim != 2 or X_landmarks.shape[0] < 2:
         return None
-    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=np.float64)
+    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=work)
     exclude = getattr(model, "exclude_columns", None)
-    bandwidth = getattr(model, "bandwidth", None)
-    if bandwidth is None:
-        bandwidth = float(median_heuristic(_distance_view(X_landmarks, exclude)))
+    bandwidth = resolve_bandwidth(
+        X_landmarks, getattr(model, "bandwidth", None), exclude=exclude,
+        dtype=work,
+    )
     n_neighbors = min(int(getattr(model, "n_neighbors", 10)), X_landmarks.shape[0])
+    backend = getattr(model, "knn_backend", "exact")
+    backend_options = (
+        {"seed": int(getattr(model, "knn_seed", 0))} if backend == "lsh" else None
+    )
 
     def score(X_rows, Z_rows=None) -> np.ndarray:
-        X_rows = np.asarray(X_rows, dtype=np.float64)
+        X_rows = np.asarray(X_rows, dtype=work)
         if X_rows.ndim == 1:
             X_rows = X_rows[None, :]
         if Z_rows is None:
-            Z_param = np.asarray(model.transform(X_rows), dtype=np.float64)
+            Z_param = np.asarray(model.transform(X_rows), dtype=work)
         else:
-            Z_param = np.asarray(Z_rows, dtype=np.float64)
+            Z_param = np.asarray(Z_rows, dtype=work)
             if Z_param.ndim == 1:
                 Z_param = Z_param[None, :]
         Z_graph = nystrom_extend(
@@ -101,6 +109,9 @@ def scorer_for(model):
             n_neighbors=n_neighbors,
             bandwidth=bandwidth,
             exclude=exclude,
+            backend=backend,
+            backend_options=backend_options,
+            dtype=work,
         )
         return row_agreement(Z_graph, Z_param)
 
@@ -165,11 +176,11 @@ class DriftMonitor:
         scores = np.atleast_1d(np.asarray(scores, dtype=np.float64)).ravel()
         if scores.size == 0:
             return
+        values = scores.tolist()
         with self._lock:
-            self._scores.extend(float(s) for s in scores)
-            self._total += int(scores.size)
-        for s in scores:
-            self.metrics.observe("lifecycle.fidelity", float(s), model=self.name)
+            self._scores.extend(values)
+            self._total += len(values)
+        self.metrics.observe_many("lifecycle.fidelity", values, model=self.name)
         snap = self.snapshot()
         self.metrics.set_gauge(
             "lifecycle.drift_fraction", snap["drift_fraction"], model=self.name
@@ -357,6 +368,9 @@ class LifecycleController:
         self.holdout_tolerance = float(holdout_tolerance)
         self._last_refresh: float | None = None
         self._entry_digest: str | None = None
+        # (plan, holdout_agreement) of the last plan scored on the holdout:
+        # the accepted child of one refresh is the parent of the next.
+        self._holdout_score: tuple[LandmarkPlan, float] | None = None
         self.history: list[dict] = []
         self._lock = threading.Lock()
 
@@ -457,6 +471,18 @@ class LifecycleController:
         with self._lock:
             return self._refresh_locked()
 
+    def _holdout_of(self, plan: LandmarkPlan) -> float | None:
+        """``holdout_agreement`` of ``plan``, reused while it stays live."""
+        if self.holdout is None:
+            return None
+        cached = self._holdout_score
+        if cached is not None and cached[0] is plan:
+            return cached[1]
+        score = holdout_agreement(plan, self.holdout)
+        if plan is self.plan:
+            self._holdout_score = (plan, score)
+        return score
+
     def _refresh_locked(self) -> dict:
         if self.plan.n_pending == 0:
             raise ValidationError(
@@ -466,11 +492,7 @@ class LifecycleController:
         with span("lifecycle.refresh", model=self.name):
             started = time.perf_counter()
             parent = self.plan
-            parent_holdout = (
-                holdout_agreement(parent, self.holdout)
-                if self.holdout is not None
-                else None
-            )
+            parent_holdout = self._holdout_of(parent)
             child = parent.refresh()
             estimator = clone(self.estimator)
             estimator.landmarks = child.n_landmarks
@@ -478,11 +500,7 @@ class LifecycleController:
             estimator.gamma = gamma
             estimator.n_components = d
             child.fit(estimator)
-            child_holdout = (
-                holdout_agreement(child, self.holdout)
-                if self.holdout is not None
-                else None
-            )
+            child_holdout = self._holdout_of(child)
             previous = None
             try:
                 previous = self.registry.record(self.name)
@@ -513,6 +531,7 @@ class LifecycleController:
                 self.metrics.inc("lifecycle.rollbacks", model=self.name)
             else:
                 self.plan = child
+                self._holdout_score = (child, child_holdout)
                 self._entry_digest = entry_digest
                 self.monitor.rebase(child.fidelity_baseline())
             self._last_refresh = time.monotonic()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 
 __all__ = [
     "Histogram",
@@ -49,21 +50,15 @@ _BOUNDS = tuple(
 
 
 def _bucket_index(value: float) -> int:
-    """Deterministic bucket for ``value`` (clamped to the edge buckets)."""
-    if value <= _BOUNDS[0]:
-        return 0
+    """Deterministic bucket for ``value`` (clamped to the edge buckets).
+
+    The first bucket whose bound is ``>= value``, i.e. the unique index
+    with ``_BOUNDS[index-1] < value <= _BOUNDS[index]``; values at or
+    past the last bound land in the overflow bucket.
+    """
     if value >= _BOUNDS[-1]:
         return _N_BUCKETS  # overflow bucket
-    # log10(value) in [_LOW_EXP, _HIGH_EXP); ceil to the first bound >= value.
-    position = (math.log10(value) - _LOW_EXP) * _BUCKETS_PER_DECADE
-    index = int(math.ceil(position)) - 1
-    # Guard float rounding at bucket edges: the invariant is
-    # _BOUNDS[index-1] < value <= _BOUNDS[index].
-    while index > 0 and value <= _BOUNDS[index - 1]:
-        index -= 1
-    while value > _BOUNDS[index]:
-        index += 1
-    return index
+    return bisect_left(_BOUNDS, value)
 
 
 class Histogram:
@@ -84,20 +79,35 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        if value < 0.0 or value != value:  # negative or NaN: clamp to zero
-            value = 0.0
-        self.counts[_bucket_index(value)] += 1
-        self.count += 1
-        # Kahan summation: exact-ish total even for many tiny latencies.
-        y = value - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        self.observe_many((value,))
+
+    def observe_many(self, values) -> None:
+        """Observe each value in order; same state as one :meth:`observe` each."""
+        counts = self.counts
+        total, comp = self._sum, self._comp
+        low, high = self.min, self.max
+        n = 0
+        try:
+            for value in values:
+                value = float(value)
+                if value < 0.0 or value != value:  # negative or NaN: clamp to zero
+                    value = 0.0
+                counts[_bucket_index(value)] += 1
+                n += 1
+                # Kahan summation: exact-ish total even for many tiny latencies.
+                y = value - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+        finally:
+            # A value that fails float() leaves the ones before it recorded.
+            self.count += n
+            self._sum, self._comp = total, comp
+            self.min, self.max = low, high
 
     @property
     def sum(self) -> float:
@@ -193,7 +203,20 @@ class MetricsRegistry:
             histogram = self._histograms.get(key)
             if histogram is None:
                 histogram = self._histograms[key] = Histogram()
-            histogram.observe(value)
+            histogram.observe_many((value,))
+
+    def observe_many(self, name: str, values, /, **labels) -> None:
+        """Record a batch into the histogram ``name{labels}`` under one lock.
+
+        The histogram ends in the state one :meth:`observe` per value, in
+        order, would leave.
+        """
+        key = _key(name, labels)
+        with self._lock:
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = Histogram()
+            histogram.observe_many(values)
 
     # -------------------------------------------------------------- reads
     def counter_value(self, name: str, /, **labels) -> float:

@@ -442,6 +442,25 @@ class TestLifecycleCommands:
         out = capsys.readouterr().out
         assert "v2" in out and "refreshed" in out
 
+    def test_refresh_trace_splits_extend_and_refresh(self, bundle, capsys):
+        from repro.obs import read_trace, summarize_trace
+
+        path, root = bundle
+        trace = root / "lifecycle.jsonl"
+        assert main(
+            [
+                "lifecycle", "refresh", *self._flags(path, root), "--json",
+                "--trace", str(trace),
+            ]
+        ) == 0
+        event = json.loads(capsys.readouterr().out)
+        assert event["refresh"]["version"] == 2
+        stages = summarize_trace(read_trace(trace))["stages"]
+        for name in ("plan.extend", "plan.refresh", "lifecycle.refresh"):
+            assert stages[name]["count"] >= 1, name
+        assert main(["obs", "summary", str(trace)]) == 0
+        assert "plan.refresh" in capsys.readouterr().out
+
     def test_refresh_without_x_new_errors(self, bundle, capsys, tmp_path):
         import numpy as np
 

@@ -13,6 +13,9 @@ The contract under test (``repro.core.approx``):
   survives persistence.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,7 @@ from repro.datasets import simulate_blobs
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph
 from repro.io import load_model, save_model
+from repro.lifecycle import holdout_agreement
 
 PARITY_TOL = 1e-8
 
@@ -476,6 +480,85 @@ class TestStreamingExtend:
         plan, _, in_dist, _ = fitted_plan_setup
         with pytest.raises(ValidationError, match="refresh"):
             plan.extend(in_dist, refresh="sometimes")
+
+
+class TestLandmarkBandwidthReuse:
+    """A plan resolves its landmark bandwidth once and reuses it.
+
+    Every score and extension must stay bitwise equal to the path that
+    re-resolves ``bandwidth=None`` inside :func:`nystrom_extend` on each
+    call, on a root plan and on a refreshed child, whose refresh graph
+    takes its own median over a possibly non-contiguous column view.
+    """
+
+    # sha256 of the root's and the child's stage digests below, captured
+    # before the bandwidth was cached: the cache must never reach them.
+    DIGESTS = {
+        ("float64", None): (
+            "11ebd44c383e2919dfcd96adccaad5fd9cf7f71141699192258e82beefa2e7e7"
+        ),
+        ("float64", (0,)): (
+            "72f135fc5c22aadf2f2aa396418ab96153a626fbf96bc1254912c518cd5318ec"
+        ),
+        ("float32", None): (
+            "f10e1bd9292d9c5fb9bba3df2f89a5a10d69dfe4e127e5cea7be692433939da7"
+        ),
+        ("float32", (0,)): (
+            "0b77cddde2ddbd25895752a1aed7278b8414599922efd113dde2311ac9256580"
+        ),
+    }
+
+    @staticmethod
+    def _reference(plan, estimator, X):
+        """(extension, scores) through nystrom_extend(bandwidth=None)."""
+        sub = plan.subplan
+        extension = nystrom_extend(
+            X,
+            plan.X_landmarks_,
+            estimator.transform(plan.X_landmarks_),
+            n_neighbors=min(sub.n_neighbors, plan.n_landmarks),
+            bandwidth=None,
+            exclude=sub.exclude_columns,
+            dtype=sub._np_dtype,
+        )
+        return extension, row_agreement(extension, estimator.transform(X))
+
+    @pytest.mark.parametrize(
+        "dtype,exclude", list(DIGESTS),
+        ids=["float64", "float64-exclude", "float32", "float32-exclude"],
+    )
+    def test_root_and_child_match_the_uncached_path(self, dtype, exclude):
+        data = simulate_blobs(300, n_features=8, seed=3)
+        w_fair = between_group_quantile_graph(
+            data.side_information, data.s, n_quantiles=6
+        )
+        params = dict(
+            n_components=3, gamma=0.5, extension="nystrom", dtype=dtype,
+            exclude_columns=None if exclude is None else list(exclude),
+        )
+        root_estimator = PFR(landmarks=60, **params)
+        root = LandmarkPlan.for_estimator(root_estimator, data.X, w_fair)
+        root.fit(root_estimator)
+        X = data.X[::4] + 0.5
+        child = root.extend(X + 6.0, refresh="always").plan
+        child_estimator = PFR(landmarks=child.n_landmarks, **params)
+        child.fit(child_estimator)
+
+        for plan, estimator in ((root, root_estimator), (child, child_estimator)):
+            extension, scores = self._reference(plan, estimator, X)
+            np.testing.assert_array_equal(plan.score_rows(X), scores)
+            np.testing.assert_array_equal(plan.extend(X, gamma=0.5, d=3), extension)
+            assert holdout_agreement(plan, X) == float(np.mean(scores))
+            np.testing.assert_array_equal(
+                plan.extend(X, refresh="never").scores, scores
+            )
+        chain = json.dumps(
+            [root.stage_digests(), child.stage_digests()], sort_keys=True
+        )
+        assert (
+            hashlib.sha256(chain.encode()).hexdigest()
+            == self.DIGESTS[(dtype, exclude)]
+        )
 
 
 class TestStreamingRegressions:

@@ -14,7 +14,7 @@ import pytest
 from repro import PFR
 from repro.core import LandmarkPlan
 from repro.exceptions import ValidationError
-from repro.graphs import knn_graph
+from repro.graphs import knn_graph, median_heuristic
 from repro.lifecycle import (
     DriftMonitor,
     LifecycleController,
@@ -140,6 +140,31 @@ class TestScorerFor:
             score(rows), score(rows, estimator.transform(rows)), atol=1e-12
         )
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "exclude,backend", [(None, "exact"), ([0], "exact"), (None, "lsh")],
+        ids=["exact", "exclude", "lsh"],
+    )
+    def test_matches_plan_score_rows_bitwise(self, rng, dtype, exclude, backend):
+        # The serving /drift scorer must agree with the plan it mirrors
+        # bit for bit: same dtype, column view and neighbor backend.
+        X = rng.normal(size=(600, 6))
+        estimator = PFR(
+            n_components=3, gamma=0.5, extension="nystrom", landmarks=128,
+            dtype=dtype, exclude_columns=exclude, knn_backend=backend,
+        )
+        plan = LandmarkPlan.for_estimator(
+            estimator, X, knn_graph(X, n_neighbors=8)
+        )
+        plan.fit(estimator)
+        rows = X[:100] + rng.normal(scale=0.5, size=(100, 6))
+        score = scorer_for(estimator)
+        expected = plan.score_rows(rows)
+        np.testing.assert_array_equal(score(rows), expected)
+        np.testing.assert_array_equal(
+            score(rows, estimator.transform(rows)), expected
+        )
+
     def test_exact_fit_has_no_scorer(self, rng):
         X = rng.normal(size=(60, 4))
         model = PFR(n_components=2).fit(X, knn_graph(X, n_neighbors=5))
@@ -256,6 +281,81 @@ class TestLifecycleController:
         # The parent plan stays live.
         assert controller.plan is plan
         assert controller.status()["rollbacks"] == 1
+
+    def test_per_plan_invariants_are_computed_once(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # The landmark bandwidth median runs once per plan-graph build and
+        # never while scoring; the holdout is scored once for the root and
+        # once per refresh, the accepted child's score carrying over as
+        # the next parent's. Events must still report the true scores.
+        import repro.core.approx as approx_module
+        import repro.graphs.knn as knn_module
+        import repro.lifecycle as lifecycle_module
+
+        X = rng.normal(size=(300, 6))
+        holdout = X[rng.choice(X.shape[0], 80, replace=False)]
+        w_fair = knn_graph(X, n_neighbors=8)
+        calls = {"median": 0, "median_in_scoring": 0, "holdout": 0}
+        scoring = []
+
+        def counted_median(view, **kwargs):
+            calls["median"] += 1
+            calls["median_in_scoring"] += bool(scoring)
+            return median_heuristic(view, **kwargs)
+
+        def counted_holdout(plan, rows):
+            calls["holdout"] += 1
+            return holdout_agreement(plan, rows)
+
+        score_rows = LandmarkPlan.score_rows
+
+        def tracked_score_rows(plan, *args, **kwargs):
+            scoring.append(plan)
+            try:
+                return score_rows(plan, *args, **kwargs)
+            finally:
+                scoring.pop()
+
+        children = []
+        refresh = LandmarkPlan.refresh
+
+        def tracked_refresh(plan, **kwargs):
+            children.append(refresh(plan, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(knn_module, "median_heuristic", counted_median)
+        monkeypatch.setattr(approx_module, "median_heuristic", counted_median)
+        monkeypatch.setattr(lifecycle_module, "holdout_agreement", counted_holdout)
+        monkeypatch.setattr(LandmarkPlan, "score_rows", tracked_score_rows)
+        monkeypatch.setattr(LandmarkPlan, "refresh", tracked_refresh)
+
+        estimator = PFR(
+            n_components=3, gamma=0.5, extension="nystrom", landmarks=80
+        )
+        plan = LandmarkPlan.for_estimator(estimator, X, w_fair)
+        plan.fit(estimator)
+        controller = _controller(
+            plan, estimator, tmp_path, holdout=holdout,
+            policy=RefreshPolicy(min_rows=10**6),
+        )
+        controller.ensure_registered()
+        parents = []
+        # accept, roll back (extreme shift, zero tolerance), accept again
+        for shift, tolerance in ((6.0, np.inf), (50.0, 0.0), (3.0, np.inf)):
+            controller.holdout_tolerance = tolerance
+            controller.ingest(X[rng.integers(0, X.shape[0], size=60)] + shift)
+            parents.append(controller.plan)
+            controller.refresh()
+        assert [e["rolled_back"] for e in controller.history] == [
+            False, True, False,
+        ]
+        assert calls["median"] == 1 + len(children)
+        assert calls["median_in_scoring"] == 0
+        assert calls["holdout"] == 1 + len(children)
+        for event, parent, child in zip(controller.history, parents, children):
+            assert event["holdout_parent"] == holdout_agreement(parent, holdout)
+            assert event["holdout_child"] == holdout_agreement(child, holdout)
 
     def test_status_is_json_serialisable(self, fitted_setup, tmp_path):
         import json

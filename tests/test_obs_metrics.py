@@ -6,6 +6,7 @@ exact total, for counters and for histogram observation counts alike.
 
 import json
 import math
+import random
 import threading
 
 import pytest
@@ -143,6 +144,28 @@ class TestMetricsRegistry:
         assert summary["count"] == 2
         assert summary["sum"] == pytest.approx(0.4)
         assert reg.histogram_summary("never")["count"] == 0
+
+    def test_batched_observe_matches_per_value_observe(self):
+        rnd = random.Random(7)
+        values = [10 ** rnd.uniform(-9, 4) for _ in range(2000)]
+        values += [math.nan, -1.0, -1e-12, 0.0, 1e9] + list(_BOUNDS)
+        rnd.shuffle(values)
+        one, batched = MetricsRegistry(), MetricsRegistry()
+        for chunk in (values[:7], values[7:]):  # a batch onto prior state
+            for value in chunk:
+                one.observe("lat", value, model="m")
+            batched.observe_many("lat", chunk, model="m")
+
+        def state(reg):
+            ((_, hist),) = reg._histograms.items()
+            return (hist.counts, hist.count, hist._sum, hist._comp,
+                    hist.min, hist.max)
+
+        assert state(batched) == state(one)
+        assert batched.snapshot() == one.snapshot()
+        summary = batched.histogram_summary("lat", model="m")
+        assert summary["min"] == 0.0  # NaN and negatives clamp to zero
+        assert summary["count"] == len(values)
 
     def test_reset(self):
         reg = MetricsRegistry()
