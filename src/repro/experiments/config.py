@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 from . import figures
 
-__all__ = ["PaperExperiment", "ExperimentSpec", "EXPERIMENTS", "get_experiment"]
+__all__ = ["PaperExperiment", "EXPERIMENTS", "get_experiment"]
 
 
 @dataclass(frozen=True)
 class PaperExperiment:
     """One reproducible paper experiment (a table or figure of §4).
 
-    Renamed from ``ExperimentSpec`` so the name cannot be confused with
-    the declarative :class:`~repro.experiments.RunSpec` scenario matrix;
-    ``ExperimentSpec`` remains as a deprecated alias.
+    Not to be confused with the declarative
+    :class:`~repro.experiments.RunSpec` scenario matrix.
 
     Attributes
     ----------
@@ -47,10 +46,6 @@ class PaperExperiment:
     driver: object
     expected_shapes: tuple
     bench_module: str
-
-
-#: Deprecated alias (pre-PR-5 name); prefer :class:`PaperExperiment`.
-ExperimentSpec = PaperExperiment
 
 
 EXPERIMENTS = {

@@ -15,6 +15,14 @@ The paper tunes hyper-parameters with 5-fold grid search on the training
 set; :meth:`ExperimentHarness.tune` exposes that machinery, while the
 figure drivers use the paper's reported operating points by default to
 keep regeneration fast and deterministic.
+
+:meth:`ExperimentHarness.run_methods` and
+:meth:`~ExperimentHarness.gamma_sweep` compile onto the one
+experiment-cell executor in :mod:`repro.experiments.spec` (compile →
+skip → dispatch → read back), the same path :func:`run_spec` and the
+``repeat_*`` functions take. :meth:`~ExperimentHarness.tune` is the one
+special case: a grid point is scored over CV folds, so it keeps its own
+``tuned_point`` task, which reads through and writes through the ledger.
 """
 
 from __future__ import annotations
@@ -72,35 +80,12 @@ def cell_task(
     }
 
 
-def _ledger_fetch(ledger, digest: str):
-    """A ledger entry that must exist after dispatch; raise clearly if not.
-
-    The only way it can be missing is external interference (a concurrent
-    ``repro store gc``, manual deletion) between the worker's write-through
-    and the parent's read-back.
-    """
-    entry = ledger.get(digest)
-    if entry is None:
-        raise ValidationError(
-            f"ledger entry {digest[:12]}… vanished from {ledger.root} "
-            "between computation and read-back (concurrent gc or external "
-            "deletion?); re-run to recompute the missing cells"
-        )
-    return entry
+#: Base method names a cell may run, each with an optional "+" suffix (the
+#: side-information augmentation); RunSpec validation reads this list too.
+_BASE_METHODS = ("original", "ifair", "lfr", "pfr", "kpfr", "hardt")
 
 
-# -- executor task functions (module-level so process backends can pickle
-#    them by reference; each is a pure function of (state, task)) ----------
-
-def _run_method_task(state, method):
-    harness, gamma, kwargs = state
-    return harness.run_method(method, gamma=gamma, **kwargs)
-
-
-def _gamma_sweep_task(state, gamma):
-    harness, method, kwargs = state
-    return harness.run_method(method, gamma=gamma, **kwargs)
-
+# -- tune's executor task (module-level so process backends can pickle it)
 
 def _tune_grid_task(state, params):
     harness, method, n_splits, scoring = state
@@ -286,20 +271,6 @@ class ExperimentHarness:
             "method_overrides": self.method_overrides,
         }
 
-    def _cell_task(self, method: str, gamma, C, method_params: dict) -> dict:
-        return cell_task(
-            self.task_fingerprint(), method, gamma, C, method_params
-        )
-
-    def _cell_digest(self, method: str, kwargs: dict) -> str:
-        """Digest of one ``run_method`` call expressed as sweep kwargs."""
-        from ..store import task_digest
-
-        kwargs = dict(kwargs)
-        gamma = kwargs.pop("gamma", 0.5)
-        C = kwargs.pop("C", 1.0)
-        return task_digest(self._cell_task(method, gamma, C, kwargs))
-
     # -- data preparation --------------------------------------------------
 
     def prepare(self) -> "ExperimentHarness":
@@ -464,8 +435,8 @@ class ExperimentHarness:
             return model.fit(X_train, self.y_train, s=self.s_train)
 
         raise ValidationError(
-            f"unknown method {base!r}; use original/ifair/lfr/pfr/kpfr "
-            "(+ optional '+') or hardt"
+            f"unknown method {base!r}; use one of {'/'.join(_BASE_METHODS)} "
+            "with an optional '+'"
         )
 
     def export_model(self, method: str, *, gamma: float = 0.5, **method_params):
@@ -592,7 +563,9 @@ class ExperimentHarness:
             )
         from ..store import decode_method_result, encode_method_result
 
-        task = self._cell_task(method, gamma, C, method_params)
+        task = cell_task(
+            self.task_fingerprint(), method, gamma, C, method_params
+        )
         entry = ledger.get_task(task)
         if entry is None:
             result = self._run_method_direct(
@@ -649,76 +622,46 @@ class ExperimentHarness:
     ) -> dict:
         """Run several methods; returns ``{name: MethodResult}``.
 
-        ``workers`` fans the (independent) methods out across processes —
-        ``None`` runs serially, an int / ``"auto"`` / an
-        :class:`~repro.experiments.parallel.Executor` parallelizes.
-        Results are bitwise identical either way. With a ``store``,
-        already-ledgered methods are skipped before dispatch and the
-        returned dict is rebuilt from ledger queries.
+        Compiles one cell per method onto the executor :func:`run_spec`
+        uses. ``workers=None`` runs serially on this object (its plan
+        cache carries across calls); an int / ``"auto"`` / an
+        :class:`~repro.experiments.parallel.Executor` splits the cells
+        into contiguous parts, one per worker. Results are bitwise
+        identical either way. With a ``store``, ledgered cells are
+        skipped before dispatch and every result is read back.
         """
-        self.prepare()
         methods = list(methods)
-        ledger = self._ledger()
-        if ledger is None:
-            results = get_executor(workers).map(
-                _run_method_task, methods, state=(self, gamma, kwargs)
-            )
-            return dict(zip(methods, results))
-        from ..store import decode_method_result
-
-        digests = [
-            self._cell_digest(m, {**kwargs, "gamma": gamma}) for m in methods
-        ]
-        missing = [
-            m for m, d in zip(methods, digests) if not ledger.contains(d)
-        ]
-        get_executor(workers).map(
-            _run_method_task, missing, state=(self, gamma, kwargs)
-        )
-        return {
-            m: decode_method_result(_ledger_fetch(ledger, d).payload)
-            for m, d in zip(methods, digests)
-        }
+        results = self._run_cells(methods, [gamma], kwargs, workers)
+        return dict(zip(methods, results))
 
     def gamma_sweep(
         self, gammas, *, method: str = "pfr", workers=None, **kwargs
     ) -> list:
         """Evaluate a method across γ values (Figures 4, 7, 10).
 
-        For the PFR family every sweep point reuses a cached
+        Compiles one cell per γ onto the executor :func:`run_spec` uses.
+        For the PFR family every point reuses a cached
         :class:`~repro.core.SpectralFitPlan` — graphs, Laplacians and
         projected objective matrices are built once, and each γ costs one
         mix + eigensolve (plus the downstream classifier). With
-        ``workers`` set, γ points fan out across processes; each worker
-        rebuilds the plan once and sweeps its share of the points against
-        it, and the results are bitwise identical to a serial sweep.
+        ``workers`` set, the γ points split into contiguous parts, one per
+        worker; each worker builds the plan once and sweeps its part, and
+        the results are bitwise identical to a serial sweep.
 
         With a ``store``, completed γ points are skipped before dispatch —
         an interrupted sweep resumes at the missing cells, and widening
         the grid re-pays only the new γ values.
         """
-        self.prepare()
         gammas = [float(g) for g in gammas]
-        ledger = self._ledger()
-        if ledger is None:
-            return get_executor(workers).map(
-                _gamma_sweep_task, gammas, state=(self, method, kwargs)
-            )
-        from ..store import decode_method_result
+        return self._run_cells([method], gammas, kwargs, workers)
 
-        digests = [
-            self._cell_digest(method, {**kwargs, "gamma": g}) for g in gammas
-        ]
-        missing = [
-            g for g, d in zip(gammas, digests) if not ledger.contains(d)
-        ]
-        get_executor(workers).map(
-            _gamma_sweep_task, missing, state=(self, method, kwargs)
-        )
-        return [
-            decode_method_result(_ledger_fetch(ledger, d).payload)
-            for d in digests
-        ]
+    def _run_cells(self, methods, gammas, kwargs: dict, workers) -> list:
+        """Run methods × γ on this harness through the cell executor."""
+        from .spec import _run_calls
+
+        self.prepare()
+        return _run_calls([self], methods, gammas, kwargs,
+                          ledger=self._ledger(), workers=workers)
 
     # -- hyper-parameter tuning (the paper's 5-fold grid search) -----------
 
@@ -749,33 +692,13 @@ class ExperimentHarness:
         # largest — reuses each fold's graphs/Laplacians/projections.
         self._tune_plan_cache = {}
         grid_points = [dict(params) for params in ParameterGrid(param_grid)]
-        ledger = self._ledger()
-        if ledger is None:
-            mean_scores = get_executor(workers).map(
-                _tune_grid_task, grid_points,
-                state=(self, method, n_splits, scoring),
-            )
-        else:
-            # Skip already-ledgered grid points before dispatch, then
-            # rebuild the score vector from ledger queries — a re-run of a
-            # finished (or widened) grid pays only the new points.
-            from ..store import task_digest
-
-            digests = [
-                task_digest(self._grid_point_task(method, p, n_splits, scoring))
-                for p in grid_points
-            ]
-            missing = [
-                p for p, d in zip(grid_points, digests)
-                if not ledger.contains(d)
-            ]
-            get_executor(workers).map(
-                _tune_grid_task, missing, state=(self, method, n_splits, scoring)
-            )
-            mean_scores = [
-                float(_ledger_fetch(ledger, d).payload["mean_score"])
-                for d in digests
-            ]
+        # The one special case outside the spec cell executor: a grid point
+        # scores over CV folds and reads/writes through the ledger itself
+        # (_score_grid_point), so a re-run pays only the new points.
+        mean_scores = get_executor(workers).map(
+            _tune_grid_task, grid_points,
+            state=(self, method, n_splits, scoring),
+        )
         results = []
         best = {"best_params": None, "best_score": -np.inf}
         for params, mean_score in zip(grid_points, mean_scores):

@@ -5,24 +5,28 @@ method (or a whole method set) across seeds — fresh data draw *and* fresh
 split per seed — and aggregates every scalar metric into mean ± std, the
 form reviewers expect.
 
-Seeds are the natural parallel axis: every seed's pipeline (data draw,
-split, graphs, fits, evaluation) is independent of every other's. All
-``repeat_*`` functions accept ``workers`` and fan seeds out across
-processes through :class:`~repro.experiments.parallel.Executor`; each
-worker runs whole seeds, so the per-seed staged-fit reuse (one
-:class:`~repro.core.SpectralFitPlan` per γ-sweep) is preserved, and the
-aggregates are bitwise identical to a serial run.
+Each ``repeat_*`` function is a thin compiler onto the one experiment-cell
+executor in :mod:`repro.experiments.spec` that :func:`run_spec` and
+:meth:`ExperimentHarness.run_methods`/``gamma_sweep`` also use: the
+user's ``dataset_factory`` is called in the parent (so lambdas work even
+with process workers), each seed is one slice, and its (method, γ) cells
+are skipped when the ledger holds them, dispatched slice by slice, and
+read back. Each worker runs whole seeds (split only when there are fewer
+seeds than workers), so the per-seed staged-fit reuse is preserved and
+the aggregates are bitwise identical to a serial run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..store import coerce_ledger
 from .harness import ExperimentHarness
-from .parallel import get_executor, spawn_seeds
+from .parallel import spawn_seeds
+from .spec import AggregateResult, _collect, _run_calls
 
 __all__ = [
     "AggregateResult",
@@ -30,60 +34,6 @@ __all__ = [
     "repeat_methods",
     "repeat_gamma_sweep",
 ]
-
-_METRICS = (
-    "auc",
-    "consistency_wx",
-    "consistency_wf",
-    "parity_gap",
-    "fpr_gap",
-    "fnr_gap",
-)
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Mean ± std of every scalar metric across seeds."""
-
-    method: str
-    dataset: str
-    n_runs: int
-    mean: dict = field(repr=False)
-    std: dict = field(repr=False)
-
-    def format(self, metric: str) -> str:
-        """``"0.712 ± 0.013"`` for one metric."""
-        if metric not in self.mean:
-            raise ValidationError(
-                f"unknown metric {metric!r}; available: {sorted(self.mean)}"
-            )
-        return f"{self.mean[metric]:.3f} ± {self.std[metric]:.3f}"
-
-
-def _collect(results) -> AggregateResult:
-    results = list(results)
-    if not results:
-        raise ValidationError("cannot aggregate an empty result list")
-    rows = [r.summary() for r in results]
-    mean = {m: float(np.mean([row[m] for row in rows])) for m in _METRICS}
-    # Sample std (ddof=1): the error bars describe seed-to-seed
-    # variability estimated from the seeds actually run, the convention of
-    # the mean ± std tables in the paper's lineage (population std
-    # understates the bars by ~22% at the default 3 seeds). A single run
-    # has no spread to estimate — report 0.0, not NaN.
-    if len(rows) > 1:
-        std = {
-            m: float(np.std([row[m] for row in rows], ddof=1)) for m in _METRICS
-        }
-    else:
-        std = {m: 0.0 for m in _METRICS}
-    return AggregateResult(
-        method=results[0].method,
-        dataset=results[0].dataset,
-        n_runs=len(results),
-        mean=mean,
-        std=std,
-    )
 
 
 def _normalize_seeds(seeds) -> tuple[int, ...]:
@@ -111,54 +61,24 @@ def _normalize_seeds(seeds) -> tuple[int, ...]:
     return seeds
 
 
-# -- executor task functions (module-level for process-backend pickling) ---
-
-def _repeat_method_task(state, task):
-    method, gamma, harness_kwargs, method_params = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return harness.run_method(method, gamma=gamma, **method_params)
-
-
-def _repeat_methods_task(state, task):
-    methods, gamma, harness_kwargs = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return [
-        harness.run_method(method, gamma=gamma) for method in methods
-    ]
-
-
-def _repeat_sweep_task(state, task):
-    gammas, method, harness_kwargs, method_params = state
-    seed, dataset = task
-    harness = ExperimentHarness(dataset, seed=seed, **harness_kwargs)
-    return harness.gamma_sweep(gammas, method=method, **method_params)
-
-
-def _harness_kwargs(harness_kwargs: dict | None, store) -> dict:
-    """Merge an explicit ``store`` into the per-seed harness kwargs.
-
-    A ledger is just a root path, so it pickles with the executor state
-    and every worker's harness writes through to the same on-disk store —
-    which is what makes a killed multi-seed run resumable at cell
-    granularity.
-    """
+def _repeat(
+    dataset_factory, seeds, methods, gammas, method_params: dict, *,
+    harness_kwargs, workers, store,
+) -> list:
+    """One per-seed result list per (method, γ) call. Datasets are drawn
+    here, in seed order; each slice is a picklable builder of an unprepared
+    harness, so a worker prepares only the seeds it runs."""
     kwargs = dict(harness_kwargs or {})
     if store is not None:
         kwargs["store"] = store
-    return kwargs
-
-
-def _seed_tasks(dataset_factory, seeds) -> list:
-    """Materialize per-seed datasets in the parent, in seed order.
-
-    The factory is the one argument users routinely pass as a lambda, which
-    a process backend could not pickle; calling it up front keeps the
-    workers' inputs plain data (seed, Dataset) and keeps the draw order
-    identical to a serial run.
-    """
-    return [(seed, dataset_factory(seed)) for seed in seeds]
+    slices = [functools.partial(ExperimentHarness, dataset_factory(seed),
+                                seed=seed, **kwargs) for seed in seeds]
+    results = _run_calls(
+        slices, methods, gammas, method_params,
+        ledger=coerce_ledger(kwargs.get("store")), workers=workers,
+    )
+    calls = len(methods) * len(gammas)
+    return [results[i::calls] for i in range(calls)]
 
 
 def repeat_method(
@@ -197,10 +117,10 @@ def repeat_method(
         per-seed cell is read-through/written-through the ledger, so a
         killed repetition resumes at the missing seeds' cells.
     """
-    seeds = _normalize_seeds(seeds)
-    state = (method, gamma, _harness_kwargs(harness_kwargs, store), method_params)
-    results = get_executor(workers).map(
-        _repeat_method_task, _seed_tasks(dataset_factory, seeds), state=state
+    (results,) = _repeat(
+        dataset_factory, _normalize_seeds(seeds), [method], [gamma],
+        method_params, harness_kwargs=harness_kwargs, workers=workers,
+        store=store,
     )
     return _collect(results)
 
@@ -235,16 +155,12 @@ def repeat_gamma_sweep(
         # per-γ aggregation keys on the value; duplicates would silently
         # merge and double-count n_runs.
         raise ValidationError(f"gammas contains duplicates: {gammas}")
-    state = (
-        tuple(gammas), method, _harness_kwargs(harness_kwargs, store),
-        method_params,
-    )
-    sweeps = get_executor(workers).map(
-        _repeat_sweep_task, _seed_tasks(dataset_factory, seeds), state=state
+    per_gamma = _repeat(
+        dataset_factory, seeds, [method], gammas, method_params,
+        harness_kwargs=harness_kwargs, workers=workers, store=store,
     )
     return {
-        gamma: _collect([sweep[i] for sweep in sweeps])
-        for i, gamma in enumerate(gammas)
+        gamma: _collect(results) for gamma, results in zip(gammas, per_gamma)
     }
 
 
@@ -261,11 +177,9 @@ def repeat_methods(
     """Aggregate several methods on the same per-seed datasets and splits."""
     seeds = _normalize_seeds(seeds)
     methods = tuple(methods)
-    state = (methods, gamma, _harness_kwargs(harness_kwargs, store))
-    per_seed = get_executor(workers).map(
-        _repeat_methods_task, _seed_tasks(dataset_factory, seeds), state=state
+    per_method = _repeat(
+        dataset_factory, seeds, methods, [gamma], {},
+        harness_kwargs=harness_kwargs, workers=workers, store=store,
     )
-    return {
-        method: _collect([row[i] for row in per_seed])
-        for i, method in enumerate(methods)
-    }
+    return {method: _collect(results)
+            for method, results in zip(methods, per_method)}

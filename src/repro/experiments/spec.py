@@ -2,11 +2,13 @@
 
 A :class:`RunSpec` expresses the paper's experiment grids — datasets ×
 methods × γ values × seeds — as data (a dataclass, loadable from YAML or
-JSON), and :func:`run_spec` compiles it into the flat cell list the
-PR-4 :class:`~repro.experiments.parallel.Executor` fans out. Every cell is
-keyed by its content-addressed task digest in a
-:class:`~repro.store.RunLedger`, and completed digests are skipped
-*before* dispatch, which buys three properties for free:
+JSON), and :func:`run_spec` compiles it into a flat cell list. This
+module also holds the one executor of such cells, which
+:meth:`ExperimentHarness.run_methods`/``gamma_sweep`` and the
+``repeat_*`` functions compile onto too. Every cell is keyed by its
+content-addressed task digest in a :class:`~repro.store.RunLedger`, and
+completed digests are skipped *before* dispatch, which buys three
+properties for free:
 
 * **resume** — re-running the spec after an interruption recomputes only
   the cells the crash lost;
@@ -37,24 +39,31 @@ Run it with ``repro experiments run spec.yaml --store DIR`` or
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from ..exceptions import ValidationError
 from ..obs.metrics import get_registry
 from ..obs.trace import emit_metrics, span, trace_enabled
 from ..store import RunLedger, coerce_ledger, decode_method_result, task_digest
 from .builders import WorkloadFactory
-from .harness import ExperimentHarness, cell_task
+from .harness import _BASE_METHODS, ExperimentHarness, cell_task
 from .parallel import get_executor, spawn_seeds
-from .repetition import _collect
 
 __all__ = [
     "RunSpec",
     "RunReport",
+    "AggregateResult",
     "load_run_spec",
     "run_spec",
     "compile_cells",
@@ -78,6 +87,19 @@ _HARNESS_KEYS = frozenset(
         "method_overrides",
     }
 )
+
+
+def _checked(value, key: str, types, what: str, minimum=None):
+    """``value`` if it is a ``types`` instance (never a bool) of at least
+    ``minimum``; otherwise a ValidationError naming the spec field."""
+    if (
+        isinstance(value, bool) or not isinstance(value, types)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ValidationError(
+            f"run spec field {key!r} must be {what}; got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,11 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Validate and normalize a plain-dict (YAML/JSON) spec."""
+        """Validate and normalize a plain-dict (YAML/JSON) spec.
+
+        The one check on specs from outside the program: a malformed field
+        raises a :class:`ValidationError` naming it, before any cell runs.
+        """
         if not isinstance(data, dict):
             raise ValidationError(
                 f"a run spec must be a mapping; got {type(data).__name__}"
@@ -142,11 +168,9 @@ class RunSpec:
 
         name = str(data.get("name", "run"))
 
-        raw_datasets = data.get("datasets")
-        if not raw_datasets:
-            raise ValidationError("run spec needs a non-empty 'datasets' list")
         datasets = []
-        for item in raw_datasets:
+        raw_datasets = data.get("datasets") or []
+        for item in _checked(raw_datasets, "datasets", (list, tuple), "a list"):
             if isinstance(item, str):
                 item = {"name": item}
             if not isinstance(item, dict) or "name" not in item:
@@ -159,11 +183,15 @@ class RunSpec:
                 raise ValidationError(
                     f"unknown dataset fields {extra}; known: ['name', 'scale']"
                 )
-            scale = float(item.get("scale", 1.0))
+            scale = float(_checked(
+                item.get("scale", 1.0), "datasets.scale", numbers.Real, "a number"
+            ))
             # WorkloadFactory validates the name (and pins the scale range
             # check to one place).
             WorkloadFactory(str(item["name"]), scale=scale)
             datasets.append((str(item["name"]), scale))
+        if not datasets:
+            raise ValidationError("run spec needs a non-empty 'datasets' list")
         names = [name for name, _scale in datasets]
         if len(set(names)) != len(names):
             # The report keys results by dataset *name*; two entries for
@@ -171,43 +199,67 @@ class RunSpec:
             # a single row. Express that as two specs instead.
             raise ValidationError(f"datasets contains duplicates: {names}")
 
-        methods = tuple(str(m) for m in data.get("methods") or ())
+        methods = tuple(
+            str(m) for m in _checked(
+                data.get("methods") or [], "methods", (list, tuple), "a list"
+            )
+        )
         if not methods:
             raise ValidationError("run spec needs a non-empty 'methods' list")
         if len(set(methods)) != len(methods):
             raise ValidationError(f"methods contains duplicates: {list(methods)}")
+        for method in methods:
+            if method.removesuffix("+") not in _BASE_METHODS:
+                raise ValidationError(
+                    f"methods names unknown method {method!r}; use one of "
+                    f"{'/'.join(_BASE_METHODS)} with an optional '+'"
+                )
 
-        gammas = tuple(float(g) for g in data.get("gammas", (0.5,)))
+        gammas = tuple(
+            float(_checked(g, "gammas", numbers.Real, "a list of numbers"))
+            for g in _checked(
+                data.get("gammas", (0.5,)), "gammas", (list, tuple), "a list"
+            )
+        )
         if not gammas:
             raise ValidationError("run spec needs at least one gamma")
+        bad = [g for g in gammas if not (math.isfinite(g) and 0.0 <= g <= 1.0)]
+        if bad:
+            raise ValidationError(f"gammas must be finite and in [0, 1]; got {bad}")
         if len(set(gammas)) != len(gammas):
             raise ValidationError(f"gammas contains duplicates: {list(gammas)}")
 
         raw_seeds = data.get("seeds", (0,))
-        if isinstance(raw_seeds, int):
-            if raw_seeds < 1:
-                raise ValidationError(
-                    f"seeds count must be >= 1; got {raw_seeds}"
-                )
-            seeds = spawn_seeds(0, raw_seeds)
-        elif isinstance(raw_seeds, dict):
-            extra = sorted(set(raw_seeds) - {"count", "root"})
+        if isinstance(raw_seeds, (list, tuple)):
+            seeds = tuple(
+                int(_checked(s, "seeds", numbers.Integral,
+                             "a list of non-negative integers", minimum=0))
+                for s in raw_seeds
+            )
+        else:
+            # A count (root 0) or a {count, root} mapping derives the seeds.
+            derive = raw_seeds if isinstance(raw_seeds, dict) else {"count": raw_seeds}
+            extra = sorted(set(derive) - {"count", "root"})
             if extra:
                 raise ValidationError(
                     f"unknown seeds fields {extra}; known: ['count', 'root']"
                 )
-            count = int(raw_seeds.get("count", 0))
+            what = "a list, a count or a {count, root} mapping"
+            count = _checked(derive.get("count", 0), "seeds", numbers.Integral, what)
             if count < 1:
                 raise ValidationError(f"seeds count must be >= 1; got {count}")
-            seeds = spawn_seeds(int(raw_seeds.get("root", 0)), count)
-        else:
-            seeds = tuple(int(s) for s in raw_seeds)
+            root = _checked(
+                derive.get("root", 0), "seeds", numbers.Integral, what, minimum=0
+            )
+            seeds = spawn_seeds(int(root), int(count))
         if not seeds:
             raise ValidationError("run spec needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ValidationError(f"seeds contains duplicates: {list(seeds)}")
 
-        harness = dict(data.get("harness") or {})
+        harness = dict(
+            _checked(data.get("harness") or {}, "harness", dict, "a mapping")
+        )
         bad = sorted(set(harness) - _HARNESS_KEYS)
         if bad:
             raise ValidationError(
@@ -215,8 +267,13 @@ class RunSpec:
             )
 
         method_params = {
-            str(method): dict(params)
-            for method, params in (data.get("method_params") or {}).items()
+            str(method): dict(_checked(
+                params, f"method_params[{method!r}]", dict, "a mapping"
+            ))
+            for method, params in _checked(
+                data.get("method_params") or {}, "method_params", dict,
+                "a mapping",
+            ).items()
         }
         for method, params in method_params.items():
             if method not in methods:
@@ -299,6 +356,64 @@ def load_run_spec(path) -> RunSpec:
     return RunSpec.from_dict(data)
 
 
+_METRICS = (
+    "auc", "consistency_wx", "consistency_wf", "parity_gap", "fpr_gap",
+    "fnr_gap",
+)
+
+
+@dataclass(frozen=True)
+class AggregateResult:
+    """Mean ± std of every scalar metric across seeds."""
+
+    method: str
+    dataset: str
+    n_runs: int
+    mean: dict = field(repr=False)
+    std: dict = field(repr=False)
+
+    def format(self, metric: str) -> str:
+        """``"0.712 ± 0.013"`` for one metric."""
+        if metric not in self.mean:
+            raise ValidationError(
+                f"unknown metric {metric!r}; available: {sorted(self.mean)}"
+            )
+        return f"{self.mean[metric]:.3f} ± {self.std[metric]:.3f}"
+
+
+def _collect(results) -> AggregateResult:
+    results = list(results)
+    if not results:
+        raise ValidationError("cannot aggregate an empty result list")
+    rows = [r.summary() for r in results]
+    mean = {m: float(np.mean([row[m] for row in rows])) for m in _METRICS}
+    # Sample std (ddof=1): the error bars describe seed-to-seed
+    # variability estimated from the seeds actually run, the convention of
+    # the mean ± std tables in the paper's lineage (population std
+    # understates the bars by ~22% at the default 3 seeds). A single run
+    # has no spread to estimate — report 0.0, not NaN.
+    if len(rows) > 1:
+        std = {
+            m: float(np.std([row[m] for row in rows], ddof=1)) for m in _METRICS
+        }
+    else:
+        std = {m: 0.0 for m in _METRICS}
+    return AggregateResult(
+        method=results[0].method,
+        dataset=results[0].dataset,
+        n_runs=len(results),
+        mean=mean,
+        std=std,
+    )
+
+
+def _gamma_key(gamma: float) -> str:
+    """``:g`` when it renders γ exactly (0, 0.25, 1: the historical keys),
+    else the round-trip ``repr``, so distinct γ values never share a key."""
+    text = f"{gamma:g}"
+    return text if float(text) == gamma else repr(float(gamma))
+
+
 @dataclass(frozen=True)
 class RunReport:
     """What one :func:`run_spec` invocation did, rebuilt from the ledger.
@@ -353,7 +468,7 @@ class RunReport:
         """Machine-readable summary (what ``--json`` prints)."""
         aggregates = {}
         for (dataset, method, gamma), agg in self.aggregates.items():
-            key = f"{dataset}/{method}/gamma={gamma:g}"
+            key = f"{dataset}/{method}/gamma={_gamma_key(gamma)}"
             aggregates[key] = {
                 "n_runs": agg.n_runs,
                 "mean": agg.mean,
@@ -440,111 +555,219 @@ def parse_shard(shard) -> tuple[int, int] | None:
     return index, count
 
 
-def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
-    """The spec's flat cell list, in deterministic matrix order.
+def _build_harness(dataset_factory, seed: int, harness_kwargs: dict):
+    """A fresh, unprepared harness for one dataset × seed slice."""
+    return ExperimentHarness(dataset_factory(seed), seed=seed, **harness_kwargs)
 
-    Each cell is a dict of ``dataset``/``scale``/``seed``/``method``/
-    ``gamma``/``digest``/``cached`` (``cached`` is False when no ledger is
-    given). This is the single compilation step shared by :func:`run_spec`
-    and the sharding layer — the digests here are what :func:`shard_of`
-    partitions, so tests can assert cover/disjointness/stability without
-    running anything.
 
-    Materializes each dataset × seed slice once, only to fingerprint it;
-    the arrays are dropped immediately, so memory peaks at one dataset
-    regardless of matrix size.
+def _compile(spec: RunSpec, store=None) -> tuple[list, list, list]:
+    """The spec's slices, cells and report rows, in matrix order.
+
+    Slices are picklable zero-argument harness builders, one per
+    dataset × seed, so workers rebuild the datasets they run instead of
+    receiving them. Each slice is materialized here once, only to
+    fingerprint it, so memory peaks at one dataset.
     """
-    fingerprints = {}
+    harness_kwargs = {**spec.harness, "store": store}
+    slices, fingerprints, index = [], [], {}
     for dataset_name, scale in spec.datasets:
         factory = WorkloadFactory(dataset_name, scale=scale)
         for seed in spec.seeds:
-            harness = ExperimentHarness(
-                factory(seed), seed=seed, **spec.harness
+            index[(dataset_name, seed)] = len(slices)
+            slices.append(
+                functools.partial(_build_harness, factory, seed, harness_kwargs)
             )
-            fingerprints[(dataset_name, scale, seed)] = (
-                harness.task_fingerprint()
-            )
-            del harness
+            fingerprints.append(slices[-1]().task_fingerprint())
 
-    cells = []
+    cells, rows = [], []
     for dataset_name, scale in spec.datasets:
         for method in spec.methods:
             params = dict(spec.method_params.get(method, {}))
             C = float(params.pop("C", 1.0))
             for gamma in spec.gammas:
                 for seed in spec.seeds:
-                    key = (dataset_name, scale, seed)
-                    digest = task_digest(
-                        cell_task(fingerprints[key], method, gamma, C, params)
-                    )
-                    cells.append(
-                        {
-                            "dataset": dataset_name,
-                            "scale": scale,
-                            "seed": seed,
-                            "method": method,
-                            "gamma": gamma,
-                            "digest": digest,
-                            "cached": (
-                                ledger.contains(digest)
-                                if ledger is not None else False
-                            ),
-                        }
-                    )
-    return cells
+                    i = index[(dataset_name, seed)]
+                    cell = _cell(i, method, gamma, C, params, fingerprints[i])
+                    cells.append(cell)
+                    rows.append(dict(
+                        dataset=dataset_name, scale=scale, seed=seed,
+                        method=method, gamma=gamma, digest=cell.digest,
+                        cached=False,
+                    ))
+    return slices, cells, rows
 
 
-# -- executor task function (module-level for process-backend pickling) ----
+def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
+    """The spec's flat cell list, in deterministic matrix order.
 
-def _spec_cell_task(state, task):
-    """Run one cell; harnesses are rebuilt lazily, once per slice.
-
-    ``state`` ships only the harness kwargs and the ledger (a root path) —
-    never materialized datasets — so a worker pays for exactly the
-    dataset × seed slices it executes, rebuilding each deterministically
-    from its :class:`~repro.experiments.WorkloadFactory` and caching the
-    prepared harness in its own copy of ``state`` so every later cell on
-    the same slice reuses the staged fit plans.
+    Each cell is a dict of ``dataset``/``scale``/``seed``/``method``/
+    ``gamma``/``digest``/``cached`` (``cached`` is False when no ledger is
+    given). This is the compilation step :func:`run_spec` executes and the
+    sharding layer partitions — the digests here are what
+    :func:`shard_of` hashes, so tests can assert cover/disjointness/
+    stability without running anything.
     """
-    dataset_name, scale, seed, method, gamma, C, params, digest = task
-    key = (dataset_name, scale, seed)
-    harness = state["harnesses"].get(key)
-    if harness is None:
-        harness = ExperimentHarness(
-            WorkloadFactory(dataset_name, scale=scale)(seed),
-            seed=seed, store=state["store"], **state["harness_kwargs"],
-        )
-        state["harnesses"][key] = harness
-    if not trace_enabled():
-        return harness.run_method(method, gamma=gamma, C=C, **params)
-    attrs = {
-        "digest": digest,
-        "dataset": dataset_name,
-        "method": method,
-        "gamma": float(gamma),
-        "seed": int(seed),
-        "cached": False,
-        "worker": os.getpid(),
-    }
-    if state.get("shard") is not None:
-        # Shard-labeled spans: a merged multi-machine trace stays
-        # attributable to the shard that computed each cell.
-        attrs["shard"] = state["shard"]
-    with span("spec.cell", **attrs):
-        return harness.run_method(method, gamma=gamma, C=C, **params)
+    _slices, _cells, rows = _compile(spec)
+    if ledger is not None:
+        for row in rows:
+            row["cached"] = ledger.contains(row["digest"])
+    return rows
+
+
+# -- the one experiment-cell executor ----------------------------------------
+#
+# run_spec, ExperimentHarness.run_methods/gamma_sweep and repeat_* (and so
+# the figure drivers) all compile to cells and run them through `_execute`.
+
+
+class _Cell(NamedTuple):
+    """One cell: a (method, γ, C, params) call on the slice at ``index``."""
+
+    index: int
+    method: str
+    gamma: float
+    C: float
+    params: dict
+    digest: str | None
+
+
+def _cell(index, method, gamma, C, params, fingerprint=None) -> _Cell:
+    """Build a cell; its digest comes from :func:`cell_task` (None when
+    there is no ledger to key, so a ledger-free run never hashes data)."""
+    digest = None
+    if fingerprint is not None:
+        digest = task_digest(cell_task(fingerprint, method, gamma, C, params))
+    return _Cell(index, method, gamma, C, params, digest)
+
+
+def _task_groups(cells: list, pending: list, executor) -> list:
+    """Pending cell indices grouped into dispatch tasks.
+
+    Each slice's pending cells, in order, form one task; with fewer
+    slices than the executor's worker count W, each slice is split into
+    at most ⌈W / n_slices⌉ contiguous parts. A slice is therefore built,
+    prepared and plan-built at most once per worker that runs it.
+    """
+    by_slice = {}
+    for i in pending:
+        by_slice.setdefault(cells[i].index, []).append(i)
+    workers = 1 if executor.backend == "serial" else executor.resolve_workers()
+    parts = -(-workers // len(by_slice)) if by_slice else 1
+    groups = []
+    for members in by_slice.values():
+        n = min(parts, len(members))
+        groups += [
+            members[k * len(members) // n:(k + 1) * len(members) // n]
+            for k in range(n)
+        ]
+    return groups
+
+
+def _cells_task(state, task):
+    """Run one slice's share of cells, in order (the executor's task)."""
+    index, cells = task
+    harness = state["slices"][index]
+    if not isinstance(harness, ExperimentHarness):
+        # Parts of one slice are contiguous in task order, so one built
+        # slice per worker suffices; drop the previous one first.
+        if state.get("built", (None,))[0] != index:
+            state["built"] = None
+            state["built"] = (index, harness())
+        harness = state["built"][1]
+    results = []
+    for cell in cells:
+        attrs = {
+            "dataset": harness.dataset.name, "method": cell.method,
+            "gamma": float(cell.gamma), "seed": int(harness.seed),
+            "cached": False, "worker": os.getpid(),
+        }
+        if cell.digest is not None:
+            attrs["digest"] = cell.digest
+        if state["shard"] is not None:
+            # Shard-labeled spans: a merged multi-machine trace stays
+            # attributable to the shard that computed each cell.
+            attrs["shard"] = state["shard"]
+        with span("spec.cell", **attrs):
+            results.append(harness.run_method(
+                cell.method, gamma=cell.gamma, C=cell.C, **cell.params
+            ))
+    return results
+
+
+def _execute(
+    slices: list, cells: list, *, ledger, workers=None, shard=None,
+    run_span=None,
+) -> tuple[list, list]:
+    """Skip → dispatch → read back; returns ``(results, cached)`` in cell order.
+
+    With a ledger, cells whose digest is on disk are skipped before
+    dispatch, workers write the rest through their harness's store, and
+    every cell is read back from the ledger — so cold, warm, resumed,
+    serial and parallel runs return the same decoded objects. Without
+    one, the executor's own results come back. ``run_span``, if given,
+    receives the ``total``/``cached``/``computed`` counts once known.
+    """
+    cached = [ledger is not None and ledger.contains(c.digest) for c in cells]
+    pending = [i for i, hit in enumerate(cached) if not hit]
+    if run_span is not None:
+        run_span.set(total=len(cells), cached=len(cells) - len(pending),
+                     computed=len(pending))
+    executor = get_executor(workers)
+    groups = _task_groups(cells, pending, executor)
+    outputs = executor.map(
+        _cells_task,
+        [(cells[group[0]].index, [cells[i] for i in group]) for group in groups],
+        state={"slices": slices, "shard": shard},
+    )
+    if ledger is None:
+        computed = dict(zip(chain(*groups), chain(*outputs)))
+        return [computed[i] for i in range(len(cells))], cached
+    results = []
+    for cell in cells:
+        entry = ledger.get(cell.digest)
+        if entry is None:
+            # Only external interference (a concurrent `repro store gc`,
+            # manual deletion, a worker dying before its write) gets here.
+            raise ValidationError(
+                f"cell {cell.method}/gamma={cell.gamma:g} "
+                f"({cell.digest[:12]}…) is missing from the ledger at "
+                f"{ledger.root} after execution; re-run to recompute the "
+                "missing cells"
+            )
+        results.append(decode_method_result(entry.payload))
+    return results, cached
+
+
+def _run_calls(slices, methods, gammas, kwargs, *, ledger, workers) -> list:
+    """Run methods × γ with the same ``kwargs`` on every slice (the
+    compiler behind ``run_methods``/``gamma_sweep`` and ``repeat_*``);
+    results are slice-major. Slices are fingerprinted only for a ledger."""
+    params = dict(kwargs)
+    C = params.pop("C", 1.0)
+    cells = []
+    for index, harness in enumerate(slices):
+        fingerprint = None
+        if ledger is not None:
+            if not isinstance(harness, ExperimentHarness):
+                harness = harness()
+            fingerprint = harness.task_fingerprint()
+        cells += [_cell(index, method, gamma, C, params, fingerprint)
+                  for method in methods for gamma in gammas]
+    return _execute(slices, cells, ledger=ledger, workers=workers)[0]
 
 
 def run_spec(spec: RunSpec, *, store, workers=None, shard=None) -> RunReport:
     """Execute a :class:`RunSpec` (or one shard of it) through a run ledger.
 
-    Compiles the matrix to cells, skips every digest already in the
-    ledger, fans the missing cells out through the PR-4 executor (workers
-    rebuild each dataset × seed slice's harness lazily from its workload
-    factory and reuse it for every cell of that slice, so the staged-fit
-    γ amortization survives the fan-out without shipping datasets), and
-    rebuilds results and aggregates from ledger queries. Serial and
-    parallel runs — and interrupted-then-resumed runs — are bitwise
-    identical.
+    Compiles the matrix to cells and hands them to the one cell executor
+    shared with :meth:`ExperimentHarness.run_methods`/``gamma_sweep`` and
+    the ``repeat_*`` functions: digests already in the ledger are skipped,
+    the missing cells are dispatched slice by slice (workers rebuild each
+    dataset × seed slice's harness from its workload factory, so no
+    dataset is shipped, and reuse it for every cell of the slice they
+    run), and results and aggregates are rebuilt from ledger queries.
+    Serial and parallel runs — and interrupted-then-resumed runs — are
+    bitwise identical.
 
     Parameters
     ----------
@@ -575,129 +798,77 @@ def run_spec(spec: RunSpec, *, store, workers=None, shard=None) -> RunReport:
             f"RunLedger); got {store!r}"
         )
     shard = parse_shard(shard)
+    shard_label = None if shard is None else f"{shard[0]}/{shard[1]}"
 
     start = time.perf_counter()
     stats_before = ledger.stats()
     span_attrs = {"name": spec.name}
-    if shard is not None:
-        span_attrs["shard"] = f"{shard[0]}/{shard[1]}"
-    run_span = span("spec.run", **span_attrs)
-    run_span.__enter__()
-    try:
-        report = _run_spec_inner(
-            spec, ledger, workers, shard, start, stats_before, run_span
+    if shard_label is not None:
+        span_attrs["shard"] = shard_label
+    with span("spec.run", **span_attrs) as run_span:
+        slices, cells, rows = _compile(spec, ledger)
+        if shard is not None:
+            for row in rows:
+                row["shard"] = shard_of(row["digest"], shard[1])
+            keep = [i for i, row in enumerate(rows) if row["shard"] == shard[0]]
+            cells = [cells[i] for i in keep]
+            rows = [rows[i] for i in keep]
+        results, cached = _execute(
+            slices, cells, ledger=ledger, workers=workers, shard=shard_label,
+            run_span=run_span,
         )
-    except BaseException:
-        run_span.__exit__(ValidationError, None, None)
-        raise
-    run_span.__exit__(None, None, None)
+        for row, hit in zip(rows, cached):
+            row["cached"] = hit
+        results = {
+            (row["dataset"], row["method"], row["gamma"], row["seed"]): result
+            for row, result in zip(rows, results)
+        }
+        # A (dataset, method, γ) group aggregates only when every seed is
+        # present: a shard holding some of a group's seeds must not publish
+        # a partial mean/std — those cells aggregate after the merge.
+        groups = {
+            (dataset, method, gamma): [
+                results.get((dataset, method, gamma, seed))
+                for seed in spec.seeds
+            ]
+            for dataset, _scale in spec.datasets
+            for method in spec.methods
+            for gamma in spec.gammas
+        }
+        aggregates = {
+            key: _collect(group) for key, group in groups.items()
+            if len(spec.seeds) > 1 and None not in group
+        }
+
+        stats_after = ledger.stats()
+        delta = {
+            key: stats_after[key] - stats_before[key]
+            for key in ("hits", "misses", "lookups", "gets", "puts")
+        }
+        delta["hit_rate"] = (
+            delta["hits"] / delta["lookups"] if delta["lookups"] else 0.0
+        )
+        n_cached = sum(cached)
+        telemetry = {
+            "wall_s": time.perf_counter() - start,
+            "cells": {"total": len(rows), "cached": n_cached,
+                      "computed": len(rows) - n_cached},
+            "ledger": delta,
+            "trace_enabled": trace_enabled(),
+        }
+        if shard_label is not None:
+            telemetry["shard"] = shard_label
+            # Shard-labeled metrics: a fleet scraping one registry can
+            # tell the shards' progress apart.
+            registry = get_registry()
+            registry.inc("spec.shard.cells", len(rows),
+                         name=spec.name, shard=shard_label)
+            registry.inc("spec.shard.computed", len(rows) - n_cached,
+                         name=spec.name, shard=shard_label)
     # A self-contained trace: snapshot the parent's counters so `repro
     # obs summary` can report the ledger hit rate without the registry.
     emit_metrics()
-    return report
-
-
-def _run_spec_inner(
-    spec: RunSpec, ledger: RunLedger, workers, shard, start, stats_before,
-    run_span,
-) -> RunReport:
-    cells = compile_cells(spec, ledger=ledger)
-    shard_label = None
-    if shard is not None:
-        index, count = shard
-        shard_label = f"{index}/{count}"
-        for cell in cells:
-            cell["shard"] = shard_of(cell["digest"], count)
-        cells = [cell for cell in cells if cell["shard"] == index]
-    method_call = {}
-    for method in spec.methods:
-        params = dict(spec.method_params.get(method, {}))
-        method_call[method] = (float(params.pop("C", 1.0)), params)
-    pending = [
-        (
-            cell["dataset"], cell["scale"], cell["seed"], cell["method"],
-            cell["gamma"], method_call[cell["method"]][0],
-            method_call[cell["method"]][1], cell["digest"],
-        )
-        for cell in cells
-        if not cell["cached"]
-    ]
-
-    run_span.set(
-        total=len(cells),
-        cached=len(cells) - len(pending),
-        computed=len(pending),
-    )
-    if shard_label is not None:
-        # Shard-labeled metrics: a fleet scraping one registry can tell
-        # the shards' progress apart.
-        registry = get_registry()
-        registry.inc("spec.shard.cells", len(cells),
-                     name=spec.name, shard=shard_label)
-        registry.inc("spec.shard.computed", len(pending),
-                     name=spec.name, shard=shard_label)
-    state = {
-        "harnesses": {},
-        "store": ledger,
-        "harness_kwargs": spec.harness,
-        "shard": shard_label,
-    }
-    get_executor(workers).map(_spec_cell_task, pending, state=state)
-
-    results = {}
-    for cell in cells:
-        entry = ledger.get(cell["digest"])
-        if entry is None:  # pragma: no cover - a worker died before writing
-            raise ValidationError(
-                f"cell {cell['dataset']}/{cell['method']}/gamma="
-                f"{cell['gamma']:g}/seed={cell['seed']} is missing from the "
-                f"ledger at {ledger.root} after execution; re-run the spec "
-                "to resume"
-            )
-        results[
-            (cell["dataset"], cell["method"], cell["gamma"], cell["seed"])
-        ] = decode_method_result(entry.payload)
-
-    aggregates = {}
-    if len(spec.seeds) > 1:
-        for dataset_name, _scale in spec.datasets:
-            for method in spec.methods:
-                for gamma in spec.gammas:
-                    group = [
-                        results[(dataset_name, method, gamma, seed)]
-                        for seed in spec.seeds
-                        if (dataset_name, method, gamma, seed) in results
-                    ]
-                    # A shard holding only some of a group's seeds must
-                    # not publish a partial mean/std — those cells
-                    # aggregate after the merge, where every seed is
-                    # present.
-                    if len(group) == len(spec.seeds):
-                        aggregates[(dataset_name, method, gamma)] = _collect(
-                            group
-                        )
-
-    stats_after = ledger.stats()
-    delta = {
-        key: stats_after[key] - stats_before[key]
-        for key in ("hits", "misses", "lookups", "gets", "puts")
-    }
-    delta["hit_rate"] = (
-        delta["hits"] / delta["lookups"] if delta["lookups"] else 0.0
-    )
-    telemetry = {
-        "wall_s": time.perf_counter() - start,
-        "cells": {
-            "total": len(cells),
-            "cached": sum(1 for cell in cells if cell["cached"]),
-            "computed": sum(1 for cell in cells if not cell["cached"]),
-        },
-        "ledger": delta,
-        "trace_enabled": trace_enabled(),
-    }
-    if shard_label is not None:
-        telemetry["shard"] = shard_label
     return RunReport(
-        spec=spec, cells=cells, results=results, aggregates=aggregates,
+        spec=spec, cells=rows, results=results, aggregates=aggregates,
         telemetry=telemetry,
     )

@@ -123,6 +123,21 @@ class TestRunSpecValidation:
             ({"method_params": {"pfr": {"gamma": 0.3}}}, "gammas' axis"),
             ({"method_params": {"pfr": {"workers": 2}}}, "runtime"),
             ({"bogus": 1}, "bogus"),
+            ({"method_params": {"pfr": 3}}, "method_params"),
+            ({"method_params": [1]}, "method_params"),
+            ({"harness": [1, 2]}, "harness"),
+            ({"gammas": 0.5}, "gammas"),
+            ({"gammas": [float("nan")]}, "gammas"),
+            ({"gammas": [float("nan"), float("nan")]}, "gammas"),
+            ({"gammas": [float("inf")]}, "gammas"),
+            ({"gammas": [1.5]}, "gammas"),
+            ({"gammas": ["0.5"]}, "gammas"),
+            ({"methods": "pfr"}, "methods"),
+            ({"methods": ["nope"]}, "methods"),
+            ({"methods": ["pfr++"]}, "methods"),
+            ({"seeds": [1.7]}, "seeds"),
+            ({"seeds": True}, "seeds"),
+            ({"seeds": [-1]}, "seeds"),
         ],
     )
     def test_rejections(self, patch, message):
