@@ -66,7 +66,14 @@ def kernel_matrix(
             bandwidth = median_heuristic(Y)
         if bandwidth <= 0:
             raise ValidationError(f"bandwidth must be positive; got {bandwidth}")
-        return np.exp(-pairwise_sq_distances(X, Y) / bandwidth)
+        # exp(-d / t) in place in the distance matrix. A bandwidth that
+        # promotes d's dtype (a float64 scalar over float32 distances)
+        # divides into a new array, exactly as the expression would.
+        K = pairwise_sq_distances(X, Y)
+        np.negative(K, out=K)
+        same = np.result_type(K, bandwidth) == K.dtype
+        K = np.divide(K, bandwidth, out=K if same else None)
+        return np.exp(K, out=K)
     if kernel == "poly":
         if degree < 1:
             raise ValidationError(f"degree must be >= 1; got {degree}")

@@ -77,6 +77,12 @@ def pairwise_sq_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndar
     opt-in float32 pipeline; every other dtype is upcast to float64. When
     both ``X`` and ``Y`` are given they must already agree on dtype for
     the float32 path to engage.
+
+    The Gram matrix ``X Yᵀ`` is doubled in place and subtracted in place
+    from ``||x||² + ||y||²``, so at most two ``(n, m)`` arrays are alive at
+    once; the elementwise ops run in the expansion's order, so the values
+    are exactly those of evaluating the expansion term by term. With ``Y`` omitted the matrix is exactly
+    symmetric (``X Xᵀ`` is), which :func:`median_heuristic` relies on.
     """
     X = np.asarray(X)
     Y = X if Y is None else np.asarray(Y)
@@ -88,24 +94,66 @@ def pairwise_sq_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndar
     Y = np.asarray(Y, dtype=work)
     x_sq = np.sum(X * X, axis=1)[:, None]
     y_sq = np.sum(Y * Y, axis=1)[None, :]
-    d = x_sq + y_sq - 2.0 * (X @ Y.T)
+    gram = X @ Y.T
+    gram *= 2.0
+    d = x_sq + y_sq
+    d -= gram
     np.maximum(d, 0.0, out=d)
     return d
+
 
 def median_heuristic(X: np.ndarray, *, sample_size: int = 2000, seed: int = 0) -> float:
     """Median of pairwise squared distances — a standard heat-kernel bandwidth.
 
     For large n the median is estimated on a random subsample so the cost
     stays O(sample_size²).
+
+    The result is exact: bit for bit ``np.median`` over the off-diagonal
+    entries of :func:`pairwise_sq_distances`, in the input's dtype
+    (float32 stays float32, anything else is float64). Because that matrix
+    is exactly symmetric, the off-diagonal multiset is its upper triangle
+    counted twice, so the median is taken from the ``n(n-1)/2`` upper
+    entries alone with one partition. Memory: the ``n × n`` Gram matrix
+    plus an ``n(n-1)/2`` buffer — about ``1.5·n²`` values of the work
+    dtype, with no distance matrix, mask or off-diagonal copy.
+
+    Raises
+    ------
+    ValidationError
+        Fewer than two rows: the median needs at least one pairwise
+        distance.
     """
     X = check_array(X, name="X", dtype=None if np.asarray(X).dtype == np.float32 else np.float64)
     n = X.shape[0]
     if n > sample_size:
         rng = np.random.default_rng(seed)
         X = X[rng.choice(n, size=sample_size, replace=False)]
-    d = pairwise_sq_distances(X)
-    off_diagonal = d[~np.eye(d.shape[0], dtype=bool)]
-    median = float(np.median(off_diagonal))
+        n = X.shape[0]
+    if n < 2:
+        raise ValidationError(
+            f"cannot resolve a heat-kernel bandwidth from {n} row(s); the "
+            "median heuristic needs at least two. Pass bandwidth= explicitly"
+        )
+    sq = np.sum(X * X, axis=1)
+    gram = X @ X.T
+    gram *= 2.0
+    # Row i of the upper triangle, j > i: (sq_i + sq_j) - 2·G_ij, exactly
+    # the entries pairwise_sq_distances computes there.
+    upper = np.empty(n * (n - 1) // 2, dtype=X.dtype)
+    start = 0
+    for i in range(n - 1):
+        row = upper[start:start + n - 1 - i]
+        np.add(sq[i], sq[i + 1:], out=row)
+        np.subtract(row, gram[i, i + 1:], out=row)
+        start += row.size
+    np.maximum(upper, 0.0, out=upper)
+    # The doubled multiset's middle ranks M-1 and M (M = n(n-1)/2) are the
+    # upper triangle's ranks (M-1)//2 and M//2.
+    size = upper.size
+    upper.partition(size // 2)
+    high = upper[size // 2]
+    low = high if size % 2 else upper[: size // 2].max()
+    median = float(np.mean(np.array([low, high], dtype=X.dtype)))
     if median <= 0.0:
         # All points coincide; any positive bandwidth yields the same graph.
         return 1.0
@@ -144,12 +192,6 @@ def resolve_bandwidth(X_ref, bandwidth=None, *, exclude=None, dtype=None) -> flo
     """
     if bandwidth is None:
         X_ref = _as_dtype(check_array(X_ref, name="X_ref", dtype=None), dtype)
-        if X_ref.shape[0] < 2:
-            raise ValidationError(
-                f"cannot resolve a heat-kernel bandwidth from {X_ref.shape[0]} "
-                "reference row(s); the median heuristic needs at least two. "
-                "Pass bandwidth= explicitly"
-            )
         bandwidth = median_heuristic(
             np.ascontiguousarray(_distance_view(X_ref, exclude))
         )

@@ -20,7 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import PFR, KernelPFR, fit_path
+from repro.core import PFR, KernelPFR, LandmarkPlan, fit_path
 from repro.core.approx import embedding_fidelity
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph, knn_graph
@@ -54,6 +54,54 @@ SEED_NYSTROM_DIGESTS = {
 SEED_NYSTROM_COMPONENTS_SHA = (
     "85b1d6369f90799eb0cdcea8026677fa5a8dd5042950d75966f80b811e655f69"
 )
+
+# A refreshed child LandmarkPlan (the baseline problem below, 40 landmarks,
+# then 40 drifted rows folded in by refresh()), captured before the
+# refresh-path median was rewritten: stage digests, the refit's
+# components and float.hex of the extension bandwidth. ``exclude``
+# takes the graph median over a non-contiguous column subset and the
+# extension median over a contiguous copy of it.
+REFRESH_GOLDENS = {
+    "float64": {
+        "params": {},
+        "digests": {
+            "landmarks": "e35ab8ccf0f323396df990f8e5c778436e282298aa14eeb30e4673b1e5e9cedd",
+            "extend": "4b78279b49341e6ee0c88c1e7cee9549362b68f5d9203e4c85e8528dfaaca71e",
+            "graph": "db8c842c096a44173f799b80f4f1dc1e94140c53b4fc1b9e6bc1232fe09db9b3",
+            "laplacian": "fd5b6b4d170506775f567874138e01e1d9b0c28bfe32cf22aa2285519a62ee6b",
+            "projection": "1278fde7312516ac69c499fcdf2fbc118972f8d952e74c0ecbeef78a7029ea85",
+            "solve": "bb4fa64b7c7eb9c027fafc4a51673154c393d6ebfe59e838721067a13f7e6a6c",
+        },
+        "components": "c4792731ae8b6e81a0aa8bf48765b273e812dc02ba40181eb715815913677228",
+        "bandwidth": "0x1.c1a8dcc9038c2p+3",
+    },
+    "exclude": {
+        "params": {"exclude_columns": [5]},
+        "digests": {
+            "landmarks": "bc85136e1d113c908624687b359f26e49588fac471986285b11ead1244e9e834",
+            "extend": "508c15e138ecf4bec2ab034e7bd04bb7d8f3bf4c649d1b3218a147cc45cd3b90",
+            "graph": "1c3c645fa4d69f9599b917e738bfcdcf7d72e0ba7e62544eee4142384c2d084f",
+            "laplacian": "0087bcbb2fa268340acc7e191785835727119d766a290b3989b99e8a151fecf5",
+            "projection": "9c7a56face008ae5facefa604d388aba832a0ea21d2e6594ac7d1237664ad755",
+            "solve": "65a4f60c91efd2c5dec58068ea6b040c186d5daac8dbb1bf6e43668ad392be59",
+        },
+        "components": "7e1c16ed807ba13c8dbe2911276c4b47036597373b2c63ae3ca86fb04d21e789",
+        "bandwidth": "0x1.9ed5e1a17d831p+3",
+    },
+    "float32": {
+        "params": {"dtype": "float32"},
+        "digests": {
+            "landmarks": "47b132356a225d0a5c7b41abf3241296c934d458717444fec76dfcd6c677860c",
+            "extend": "229b835924de5c5c33b9d5734316a31db97370522573e7f86313fb01f03bd8ff",
+            "graph": "49be9d914652031317431ecf9bf4a5b556873220f289d31e02760d49bbcd1646",
+            "laplacian": "d2e9f646615d3f3002d6eabaebc34383aad57988cc28b29220278b8088490035",
+            "projection": "c4b69693f2b58d05f4b710104d8b4fdaa9aa0bae037b9ccc137087dca3916a06",
+            "solve": "54731ec138498ab7a041eeebd04859549520c0f88e3e874811fea5ee991c66d9",
+        },
+        "components": "1228d73675624065114f193bef6e7e573e25d109822d5eee3dc638a307043910",
+        "bandwidth": "0x1.c1a8dc0000000p+3",
+    },
+}
 
 
 def _sha(a) -> str:
@@ -114,6 +162,32 @@ class TestSeedParity:
         k = KernelPFR().get_params()
         assert k["knn_backend"] == "exact"
         assert k["dtype"] == "float64"
+
+
+class TestRefreshGoldens:
+    @pytest.mark.parametrize("config", sorted(REFRESH_GOLDENS))
+    def test_refreshed_child_bitwise(self, baseline, config):
+        X, WF = baseline
+        golden = REFRESH_GOLDENS[config]
+
+        def estimator(landmarks):
+            params = dict(
+                exclude_columns=None, extension="nystrom",
+                landmarks=landmarks, landmark_seed=3,
+            )
+            params.update(golden["params"])
+            return _pfr(**params)
+
+        root = estimator(40)
+        plan = LandmarkPlan.for_estimator(root, X, WF)
+        plan.fit(root)
+        drifted = np.random.default_rng(11).normal(loc=1.5, size=(40, 6))
+        plan.extend(drifted, refresh="never")
+        child = plan.refresh()
+        refit = child.fit(estimator(child.n_landmarks))
+        assert child.stage_digests() == golden["digests"]
+        assert _sha(refit.components_) == golden["components"]
+        assert float(child._landmark_bandwidth()).hex() == golden["bandwidth"]
 
 
 class TestBackendsThroughPFR:

@@ -1,11 +1,162 @@
 """Tests for repro.graphs.knn — the data-similarity graph WX."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import GraphConstructionError
+from repro.core import kernel_matrix
+from repro.exceptions import GraphConstructionError, ValidationError
 from repro.graphs import knn_graph, median_heuristic, pairwise_sq_distances
+
+
+def _reference_sq_distances(X, Y=None):
+    """The out-of-place expansion the in-place kernel must reproduce."""
+    X = np.asarray(X)
+    Y = X if Y is None else np.asarray(Y)
+    work = (
+        np.float32
+        if X.dtype == np.float32 and Y.dtype == np.float32
+        else np.float64
+    )
+    X = np.asarray(X, dtype=work)
+    Y = np.asarray(Y, dtype=work)
+    x_sq = np.sum(X * X, axis=1)[:, None]
+    y_sq = np.sum(Y * Y, axis=1)[None, :]
+    d = x_sq + y_sq - 2.0 * (X @ Y.T)
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def _reference_median(X, *, sample_size=2000, seed=0):
+    """Full distance matrix, off-diagonal mask, ``np.median``."""
+    X = np.asarray(X)
+    if X.dtype != np.float32:
+        X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if n > sample_size:
+        rng = np.random.default_rng(seed)
+        X = X[rng.choice(n, size=sample_size, replace=False)]
+    d = _reference_sq_distances(X)
+    median = float(np.median(d[~np.eye(d.shape[0], dtype=bool)]))
+    return 1.0 if median <= 0.0 else median
+
+
+def _median_cases():
+    """Input families for the bitwise median oracle."""
+    rng = np.random.default_rng(2024)
+    wide = rng.normal(size=(70, 9))
+    cases = {
+        "float64": rng.normal(size=(60, 5)),
+        "float32": rng.normal(size=(60, 5)).astype(np.float32),
+        "scaled": rng.normal(size=(45, 3)) * 1e3,
+        "ties": np.round(rng.normal(size=(80, 2))),
+        "ties_float32": np.round(rng.normal(size=(80, 2))).astype(np.float32),
+        "duplicates": rng.normal(size=(10, 4))[rng.integers(0, 10, size=50)],
+        "n2": rng.normal(size=(2, 3)),
+        "n3": rng.normal(size=(3, 3)),
+        "n3_float32": rng.normal(size=(3, 3)).astype(np.float32),
+        "strided": wide[:, ::2],
+        "column_subset": wide[:, [0, 2, 3, 7]],
+        "column_subset_float32": wide.astype(np.float32)[:, [1, 4, 5]],
+        "fortran": np.asfortranarray(rng.normal(size=(55, 6))),
+        "one_column": rng.normal(size=(40, 1)),
+        "coincident": np.ones((6, 2)),
+    }
+    return [pytest.param(x, id=name) for name, x in cases.items()]
+
+
+MEDIAN_CASES = _median_cases()
+
+
+class TestMedianHeuristicExact:
+    @pytest.mark.parametrize("X", MEDIAN_CASES)
+    def test_bitwise_equal_to_reference(self, X):
+        assert median_heuristic(X) == _reference_median(X)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_subsample_path_bitwise(self, seed):
+        X = np.random.default_rng(seed).normal(size=(300, 4))
+        for sample_size in (2, 3, 57, 299):
+            assert median_heuristic(
+                X, sample_size=sample_size, seed=seed
+            ) == _reference_median(X, sample_size=sample_size, seed=seed)
+
+    def test_many_random_inputs(self):
+        rng = np.random.default_rng(99)
+        for trial in range(60):
+            n = int(rng.integers(2, 90))
+            X = rng.normal(size=(n, int(rng.integers(1, 8))))
+            if trial % 3 == 1:
+                X = np.round(X * 2)
+            if trial % 2:
+                X = X.astype(np.float32)
+            assert median_heuristic(X) == _reference_median(X), trial
+
+    @pytest.mark.parametrize("X", MEDIAN_CASES)
+    def test_distances_exactly_symmetric(self, X):
+        # The upper-triangle median relies on d == d.T bit for bit.
+        d = pairwise_sq_distances(X)
+        assert np.array_equal(d, d.T)
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ValidationError, match="at least two"):
+            median_heuristic(np.ones((1, 3)))
+
+    def test_subsample_to_one_row_rejected(self, rng):
+        with pytest.raises(ValidationError, match="at least two"):
+            median_heuristic(rng.normal(size=(5, 2)), sample_size=1)
+
+    def test_one_row_reference_kernel_rejected(self, rng):
+        # Without a bandwidth the RBF kernel took the median of a one-row
+        # Y, which used to be NaN: an all-NaN kernel, silently.
+        with pytest.raises(ValidationError, match="at least two"):
+            kernel_matrix(rng.normal(size=(4, 3)), rng.normal(size=(1, 3)))
+
+    def test_peak_allocation(self):
+        # The Gram matrix plus the upper-triangle buffer: ~1.5·n² values,
+        # against ~3·n² for distance matrix + mask + off-diagonal copy.
+        n = 1500
+        X = np.random.default_rng(0).normal(size=(n, 8))
+        tracemalloc.start()
+        try:
+            median_heuristic(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * 8
+
+
+class TestInPlaceDistanceKernels:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(17, 5, 4), (5, 17, 4), (1, 9, 3), (9, 1, 3)])
+    def test_cross_distances_bitwise(self, rng, dtype, shape):
+        n, m, f = shape
+        X = rng.normal(size=(n, f)).astype(dtype)
+        Y = rng.normal(size=(m, f)).astype(dtype)
+        d = pairwise_sq_distances(X, Y)
+        ref = _reference_sq_distances(X, Y)
+        assert d.dtype == ref.dtype and np.array_equal(d, ref)
+
+    def test_mixed_dtypes_compute_in_float64(self, rng):
+        X = rng.normal(size=(6, 3)).astype(np.float32)
+        Y = rng.normal(size=(4, 3))
+        d = pairwise_sq_distances(X, Y)
+        assert d.dtype == np.float64
+        assert np.array_equal(d, _reference_sq_distances(X, Y))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "bandwidth", [None, 0.7, np.float64(0.7), np.float32(0.7), 2]
+    )
+    def test_rbf_kernel_bitwise(self, rng, dtype, bandwidth):
+        X = rng.normal(size=(11, 4)).astype(dtype)
+        Y = rng.normal(size=(7, 4)).astype(dtype)
+        t = _reference_median(Y) if bandwidth is None else bandwidth
+        ref = np.exp(-_reference_sq_distances(X, Y) / t)
+        K = kernel_matrix(X, Y, bandwidth=bandwidth)
+        assert K.dtype == ref.dtype and np.array_equal(K, ref)
 
 
 class TestPairwiseDistances:
