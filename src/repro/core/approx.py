@@ -134,6 +134,49 @@ def _min_sq_distances(view: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", delta, delta)
 
 
+def _sq_distances_of_rows(
+    view: np.ndarray, rows: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """``_min_sq_distances(view, center)[rows]``, bit for bit, touching only
+    ``rows``.
+
+    einsum sums each row in the order of the operand's fastest axis, so the
+    gathered rows keep ``view``'s layout: column-major when its row stride
+    is the smaller one. A single gathered row is both C- and F-contiguous
+    and would be summed in C order, so it is padded to two. ``take`` is
+    several times faster than fancy indexing here, for either layout.
+    """
+    if abs(view.strides[0]) < abs(view.strides[1]):
+        padded = rows if rows.size != 1 else np.repeat(rows, 2)
+        sub = view.T.take(padded, axis=1).T
+    else:
+        sub = view.take(rows, axis=0)
+    return _min_sq_distances(sub, center)[: rows.size]
+
+
+def _d2_sample(d2: np.ndarray, total: float, rng) -> int:
+    """``rng.choice(len(d2), p=d2 / total)``, bit for bit and draw for draw.
+
+    numpy's own algorithm (cumulative sum, renormalised by its last entry,
+    then one uniform draw located by a right-sided search) without the
+    O(n) validation passes ``choice`` spends on ``p``; the caller
+    guarantees a finite, positive ``total``.
+    """
+    cdf = d2 / total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# Elkan's lemma (ICML 2003) in squared form: a row x whose nearest centre so
+# far is a cannot get closer to a new centre c when ‖c − a‖² ≥ 4‖x − a‖².
+# The 1e-6 slack dwarfs the ~1e-15 relative rounding of the computed
+# distances. Near the subnormal range rounding is absolute, not relative,
+# so no row is skipped on a landmark-to-landmark distance below the floor.
+_PRUNE_SCALE = 4.0 * (1.0 + 1e-6)
+_PRUNE_FLOOR = 1e-300
+
+
 def select_landmarks(
     X,
     n_landmarks: int,
@@ -208,11 +251,32 @@ def select_landmarks(
 
     chosen = np.empty(n_landmarks, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    # Running minimum squared distance to the chosen set: one O(n·f) update
-    # per new landmark keeps the whole selection O(n·m·f).
+    # Running minimum squared distance to the chosen set. Each new landmark
+    # recomputes only the rows Elkan's bound cannot rule out: ``owner[x]``
+    # is the landmark whose distance ``d2[x]`` holds, and x cannot move
+    # when the new landmark's squared distance to that landmark exceeds
+    # ``bound[x]``. Every skipped row provably keeps its distance, so
+    # ``d2`` matches the full O(n·f) update bit for bit. When the bound
+    # rules out fewer than half the rows (unclustered or high-dimensional
+    # data), one pass over the whole view is cheaper than gathering the
+    # rest (the measured crossover is at 50–60% of the rows, for either
+    # layout), and it is the plain O(n·f) update. The worst case stays
+    # O(n·m·f), plus O(n + i·f) bookkeeping per landmark.
     d2 = _min_sq_distances(view, view[chosen[0]])
+    owner = np.zeros(n, dtype=np.int64)
+    bound = _PRUNE_SCALE * d2 + _PRUNE_FLOOR
+    # The chosen landmarks' coordinates, copied once each: in a column-major
+    # view a row spans f cache lines, and gathering all i of them again per
+    # landmark measured ~1 ms at i = 500, f = 64, as much as the full pass.
+    centers = np.empty((n_landmarks, view.shape[1]))
+    centers[0] = view[chosen[0]]
     for i in range(1, n_landmarks):
         total = float(d2.sum())
+        if not np.isfinite(total):
+            raise ValidationError(
+                "squared distances between rows of X overflow float64; "
+                "rescale X before selecting landmarks"
+            )
         if total <= 0.0:
             # Every remaining point coincides with a landmark; fall back to
             # uniform among the unchosen so selection always completes.
@@ -222,11 +286,28 @@ def select_landmarks(
             )
             break
         if strategy == "kmeans++":
-            next_index = int(rng.choice(n, p=d2 / total))
+            next_index = _d2_sample(d2, total, rng)
         else:  # farthest-point: deterministic argmax after the seeded start
             next_index = int(np.argmax(d2))
         chosen[i] = next_index
-        np.minimum(d2, _min_sq_distances(view, view[next_index]), out=d2)
+        if i == n_landmarks - 1:
+            break
+        center = view[next_index]
+        between = _min_sq_distances(centers[:i], center)
+        centers[i] = center
+        may_move = between[owner] <= bound
+        if 2 * np.count_nonzero(may_move) > n:
+            new = _min_sq_distances(view, center)
+            rows = np.flatnonzero(new < d2)
+            new = new[rows]
+        else:
+            rows = np.flatnonzero(may_move)
+            new = _sq_distances_of_rows(view, rows, center)
+            closer = new < d2[rows]
+            rows, new = rows[closer], new[closer]
+        d2[rows] = new
+        owner[rows] = i
+        bound[rows] = _PRUNE_SCALE * new + _PRUNE_FLOOR
     return np.sort(chosen)
 
 
@@ -928,9 +1009,11 @@ class LandmarkPlan:
     def refresh(self, *, n_new_landmarks: int | None = None) -> "LandmarkPlan":
         """Warm-started refit folding the pending rows into the landmark set.
 
-        Selects new landmarks *from the pending rows only* (O(q·m·f)
-        instead of the cold fit's O(n·m·f) selection over the full
-        training matrix), keeps the parent's landmark data graph block
+        Selects new landmarks *from the pending rows only* (worst case
+        O(q·m·f) instead of the cold fit's O(n·m·f) over the full training
+        matrix; :func:`select_landmarks` recomputes only the rows its
+        triangle-inequality bound cannot rule out, so clustered rows cost
+        far less), keeps the parent's landmark data graph block
         verbatim, and computes only the new-landmark edges via
         :func:`repro.graphs.knn_cross` — the assembled graph is handed to
         the child's :class:`SpectralFitPlan` as a precomputed ``w_x``, so
@@ -972,23 +1055,25 @@ class LandmarkPlan:
         m = len(self.indices_)
         n = self.X.shape[0]
         exclude = sub.exclude_columns
-        if n_new_landmarks >= 2:
-            new_local = select_landmarks(
-                X_pending,
-                n_new_landmarks,
-                strategy=self.strategy,
-                seed=self.seed,
-                exclude=exclude,
-            )
-        else:
-            # A single new landmark: the pending row farthest from the
-            # existing landmark set (greedy farthest-point step).
-            view = _distance_view(X_pending, exclude)
-            landmark_view = _distance_view(self.X_landmarks_, exclude)
-            d2 = np.full(q, np.inf)
-            for row in landmark_view:
-                np.minimum(d2, _min_sq_distances(view, row), out=d2)
-            new_local = np.array([int(np.argmax(d2))], dtype=np.int64)
+        with span("plan.landmarks", strategy=str(self.strategy),
+                  m=int(n_new_landmarks), n=int(q)):
+            if n_new_landmarks >= 2:
+                new_local = select_landmarks(
+                    X_pending,
+                    n_new_landmarks,
+                    strategy=self.strategy,
+                    seed=self.seed,
+                    exclude=exclude,
+                )
+            else:
+                # A single new landmark: the pending row farthest from the
+                # existing landmark set (greedy farthest-point step).
+                view = _distance_view(X_pending, exclude)
+                landmark_view = _distance_view(self.X_landmarks_, exclude)
+                d2 = np.full(q, np.inf)
+                for row in landmark_view:
+                    np.minimum(d2, _min_sq_distances(view, row), out=d2)
+                new_local = np.array([int(np.argmax(d2))], dtype=np.int64)
         X_new_landmarks = X_pending[new_local]
         q_new = X_new_landmarks.shape[0]
         landmarks = np.vstack([self.X_landmarks_, X_new_landmarks])

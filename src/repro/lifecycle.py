@@ -171,11 +171,15 @@ class DriftMonitor:
         self._total = 0
         self._lock = threading.Lock()
 
-    def observe(self, scores) -> None:
-        """Fold a batch of per-row scores into the window (and metrics)."""
+    def observe(self, scores) -> dict:
+        """Fold a batch of per-row scores into the window (and metrics).
+
+        Returns the :meth:`snapshot` taken after the fold, the one the
+        gauges were set from, so callers need not take a second.
+        """
         scores = np.atleast_1d(np.asarray(scores, dtype=np.float64)).ravel()
         if scores.size == 0:
-            return
+            return self.snapshot()
         values = scores.tolist()
         with self._lock:
             self._scores.extend(values)
@@ -188,6 +192,7 @@ class DriftMonitor:
         self.metrics.set_gauge(
             "lifecycle.fidelity_mean", snap["mean"], model=self.name
         )
+        return snap
 
     def snapshot(self) -> dict:
         """Current window statistics as a plain JSON-serialisable dict."""
@@ -445,11 +450,10 @@ class LifecycleController:
             extension = self.plan.extend(
                 X_batch, w_fair_new=w_fair_new, refresh="never"
             )
-            self.monitor.observe(extension.scores)
+            snapshot = self.monitor.observe(extension.scores)
             rows = int(len(extension.scores))
             self.metrics.inc("lifecycle.batches", model=self.name)
             self.metrics.inc("lifecycle.rows", float(rows), model=self.name)
-            snapshot = self.monitor.snapshot()
             event = {
                 "event": "ingest",
                 "rows": rows,

@@ -15,6 +15,7 @@ The contract under test (``repro.core.approx``):
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph
 from repro.io import load_model, save_model
 from repro.lifecycle import holdout_agreement
+from repro.obs.trace import RingBufferSink, add_sink, remove_sink
 
 PARITY_TOL = 1e-8
 
@@ -99,6 +101,295 @@ class TestSelectLandmarks:
             select_landmarks(X, 11)
         with pytest.raises(ValidationError):
             select_landmarks(X, 5, strategy="magic")
+
+
+def _reference_select_landmarks(X, n_landmarks, *, strategy, seed, exclude=None):
+    """The unpruned selection loop: every new landmark recomputes the
+    distance from every row (O(n·f) per landmark), sampling through
+    ``Generator.choice``. Valid inputs only."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    if strategy == "uniform" or n_landmarks == n:
+        return np.sort(rng.choice(n, size=n_landmarks, replace=False))
+    view = X
+    if exclude is not None:
+        view = X[:, np.setdiff1d(np.arange(X.shape[1]), np.asarray(exclude))]
+
+    def sq_distances(center):
+        delta = view - center[None, :]
+        return np.einsum("ij,ij->i", delta, delta)
+
+    chosen = np.empty(n_landmarks, dtype=np.int64)
+    chosen[0] = int(rng.integers(n))
+    d2 = sq_distances(view[chosen[0]])
+    for i in range(1, n_landmarks):
+        total = float(d2.sum())
+        if total <= 0.0:
+            remaining = np.setdiff1d(np.arange(n), chosen[:i])
+            chosen[i:] = rng.choice(remaining, size=n_landmarks - i, replace=False)
+            break
+        if strategy == "kmeans++":
+            next_index = int(rng.choice(n, p=d2 / total))
+        else:
+            next_index = int(np.argmax(d2))
+        chosen[i] = next_index
+        np.minimum(d2, sq_distances(view[next_index]), out=d2)
+    return np.sort(chosen)
+
+
+def _golden_selection_inputs():
+    """(X, exclude, m) per layout/degeneracy the golden digests pin."""
+    rng = np.random.default_rng(2024)
+    centres = rng.normal(scale=6.0, size=(5, 12))
+    X = centres[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 12))
+    ties = rng.integers(0, 3, size=(240, 3)).astype(float)
+    return {
+        "c_order": (X, None, 32),
+        "f_order": (np.asfortranarray(X), None, 32),
+        "exclude": (X, [0], 32),
+        "ties": (ties, None, 32),
+        "duplicates": (np.ones((40, 4)), None, 10),
+    }
+
+
+def _selection_family(count):
+    """Seeded (X, m, strategy, exclude) cases: clustered, tie-heavy,
+    duplicated, far-scaled and float32 data in C, F, strided, reversed and
+    column-subset layouts."""
+    for k in range(count):
+        r = np.random.default_rng(7_000 + k)
+        n, f = int(r.integers(2, 160)), int(r.integers(1, 16))
+        kind = k % 7
+        if kind == 0:
+            X = r.normal(size=(n, f))
+        elif kind == 1:
+            centres = r.normal(scale=8.0, size=(int(r.integers(1, 8)), f))
+            X = centres[r.integers(0, len(centres), n)]
+            X = X + r.normal(scale=0.3, size=(n, f))
+        elif kind == 2:
+            X = r.integers(0, 3, size=(n, f)).astype(float)
+        elif kind == 3:
+            X = np.repeat(r.normal(size=(n // 4 + 1, f)), 4, axis=0)[:n]
+        elif kind == 4:
+            X = r.normal(size=(n, f)).astype(np.float32)
+        elif kind == 5:
+            X = r.normal(size=(n, f)) * 10.0 ** r.uniform(-4, 4, size=f)
+        else:  # far-scaled, down to subnormal squared distances
+            X = r.normal(size=(n, f)) * 10.0 ** float(
+                r.choice([100.0, 150.0, -150.0, -160.0])
+            )
+        layout = k // 7 % 6
+        if layout == 1:
+            X = np.asfortranarray(X)
+        elif layout == 2:
+            X = np.vstack([X, X])[::2]
+        elif layout == 3:
+            X = np.repeat(X, 2, axis=1)[:, ::2]
+        elif layout == 4:
+            X = np.asfortranarray(np.vstack([X, X]))[:n]
+        elif layout == 5:
+            X = X[::-1]
+        exclude = None
+        if f >= 2 and r.random() < 0.4:
+            exclude = sorted(set(r.integers(0, f, size=int(r.integers(1, f))).tolist()))
+        m = int(r.integers(2, n + 1))
+        if r.random() < 0.7:
+            m = max(2, min(m, n // 3))
+        yield X, m, ("kmeans++", "farthest")[k // 42 % 2], exclude
+
+
+class TestSelectLandmarksExact:
+    """Pruned selection is the unpruned loop, bit for bit.
+
+    :func:`select_landmarks` skips rows that Elkan's triangle-inequality
+    bound proves cannot get closer to a new landmark, and samples with an
+    inlined ``Generator.choice``. Neither may change an index or the
+    generator's state after the call.
+    """
+
+    # sha256 of (indices, generator state after the call) per strategy and
+    # input, captured with the unpruned loop before pruning landed.
+    GOLDEN = {
+        "kmeans++/c_order": "1fa3011f8ab670391bd6e4ce64be58abe8d376c90bd5024ce566d691af9a2258",
+        "kmeans++/f_order": "1fa3011f8ab670391bd6e4ce64be58abe8d376c90bd5024ce566d691af9a2258",
+        "kmeans++/exclude": "50dd37ffa9f721399154403c70dcc7880e5019e04a0f7e831241b7b5b6ca5db9",
+        "kmeans++/ties": "9cc0b03cb3ffc0f33c4a58c509dca0b61e86fef560c65ef56a822bd2aa7581ca",
+        "kmeans++/duplicates": "eb613d7a325f21bdc0060f2449758bb88653577f0c41f57dee122127d819c47a",
+        "farthest/c_order": "e4c8debc580f4c96e93a84423ce33320594f2370982d5b5a7a65c0442161fba9",
+        "farthest/f_order": "e4c8debc580f4c96e93a84423ce33320594f2370982d5b5a7a65c0442161fba9",
+        "farthest/exclude": "08d367d599bb97566e323f40ff317513613361f3f7a8b77568b5370a805fd433",
+        "farthest/ties": "bfe8aad29ca76148137620eb1dbd5f30b599cb50b08a2ecf61206dc646e30fd3",
+        "farthest/duplicates": "eb613d7a325f21bdc0060f2449758bb88653577f0c41f57dee122127d819c47a",
+    }
+
+    @pytest.mark.parametrize("key", list(GOLDEN))
+    def test_golden_digests(self, key):
+        strategy, name = key.split("/")
+        X, exclude, m = _golden_selection_inputs()[name]
+        rng = np.random.default_rng(3)
+        indices = select_landmarks(X, m, strategy=strategy, seed=rng, exclude=exclude)
+        state = json.dumps(rng.bit_generator.state, sort_keys=True)
+        payload = np.asarray(indices, dtype="<i8").tobytes() + state.encode()
+        assert hashlib.sha256(payload).hexdigest() == self.GOLDEN[key]
+
+    def test_matches_unpruned_reference(self):
+        for case, (X, m, strategy, exclude) in enumerate(_selection_family(168)):
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            got = select_landmarks(X, m, strategy=strategy, seed=ours, exclude=exclude)
+            want = _reference_select_landmarks(
+                X, m, strategy=strategy, seed=theirs, exclude=exclude
+            )
+            np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
+            assert ours.bit_generator.state == theirs.bit_generator.state, case
+
+    def test_pruned_and_full_updates_match_reference(self, monkeypatch):
+        # Clustered rows are mostly ruled out and take the gathered update;
+        # isotropic 48-dimensional rows are almost never ruled out and take
+        # the full pass. Both must be the unpruned loop, bit for bit.
+        from repro.core import approx
+
+        gathered = []
+        gather = approx._sq_distances_of_rows
+
+        def counting(view, rows, center):
+            gathered.append(rows.size)
+            return gather(view, rows, center)
+
+        monkeypatch.setattr(approx, "_sq_distances_of_rows", counting)
+        rng = np.random.default_rng(5)
+        centres = rng.normal(scale=8.0, size=(6, 12))
+        clustered = centres[rng.integers(0, 6, 1500)] + rng.normal(size=(1500, 12))
+        isotropic = rng.normal(size=(1500, 48))
+        m = 60
+        for X, exclude, full in (
+            (clustered, None, False),
+            (clustered, [0], False),
+            (isotropic, None, True),
+            (isotropic, [0], True),
+        ):
+            for strategy in ("kmeans++", "farthest"):
+                gathered.clear()
+                ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+                got = select_landmarks(
+                    X, m, strategy=strategy, seed=ours, exclude=exclude
+                )
+                want = _reference_select_landmarks(
+                    X, m, strategy=strategy, seed=theirs, exclude=exclude
+                )
+                np.testing.assert_array_equal(got, want)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                full_passes = m - 2 - len(gathered)
+                assert (full_passes > len(gathered)) == full, (strategy, full_passes)
+
+    # Seeds whose subnormal squared distances (rows at ~1e-160) round with
+    # an absolute, not relative, error: pruning them with the relative
+    # slack alone picks different landmarks.
+    @pytest.mark.parametrize("seed", [278, 1048, 1056, 1484, 1590, 1668])
+    def test_subnormal_distances_match_reference(self, seed):
+        r = np.random.default_rng(seed)
+        n, f = int(r.integers(2, 120)), int(r.integers(1, 6))
+        scale = 10.0 ** r.uniform(-163, -154)
+        X = r.normal(size=(n, f)) * scale
+        if seed % 2:
+            X = r.integers(0, 4, size=(n, f)) * scale
+            X = X + r.normal(size=(n, f)) * scale * 1e-3
+        m = int(r.integers(2, n + 1))
+        strategy = ("kmeans++", "farthest")[seed % 2]
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            select_landmarks(X, m, strategy=strategy, seed=ours),
+            _reference_select_landmarks(X, m, strategy=strategy, seed=theirs),
+        )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_row_subset_distances_are_bitwise(self):
+        # einsum rounds by layout: a row subset must be summed like the
+        # full view it came from, a lone row included.
+        from repro.core.approx import _min_sq_distances, _sq_distances_of_rows
+
+        rng = np.random.default_rng(23)
+        for f in (1, 4, 9, 13, 33):
+            base = rng.normal(size=(101, 2 * f + 1))
+            base *= 10.0 ** rng.uniform(-3, 3, size=2 * f + 1)
+            for view in (
+                np.ascontiguousarray(base[:, :f]),
+                np.asfortranarray(base[:, :f]),
+                base[:, np.arange(f)],
+                base[::2, ::2][:, :f],
+                np.asfortranarray(base)[3:90, :f],
+                base[::-1, :f],
+            ):
+                center = view[7]
+                full = _min_sq_distances(view, center)
+                for size in (0, 1, 2, 5, 40):
+                    rows = np.sort(rng.choice(view.shape[0], size, replace=False))
+                    np.testing.assert_array_equal(
+                        _sq_distances_of_rows(view, rows, center), full[rows]
+                    )
+
+    def test_inlined_sampler_matches_generator_choice(self):
+        from repro.core.approx import _d2_sample
+
+        source = np.random.default_rng(17)
+        for case in range(300):
+            n = int(source.integers(1, 400))
+            d2 = source.random(n) * 10.0 ** source.uniform(-200, 200)
+            d2[source.random(n) < source.uniform(0, 0.9)] = 0.0
+            d2[int(source.integers(n))] += 1.0 if case % 3 else 1e-300
+            total = float(d2.sum())
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(3):
+                assert _d2_sample(d2, total, ours) == int(
+                    theirs.choice(n, p=d2 / total)
+                ), case
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", ["kmeans++", "farthest"])
+    def test_overflowing_distances_rejected(self, strategy):
+        # Finite rows whose squared distances overflow float64: k-means++
+        # used to leak numpy's "Probabilities contain NaN", farthest to
+        # return the argmax over all-inf distances.
+        X = np.random.default_rng(0).normal(size=(50, 3)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="overflow"):
+                select_landmarks(X, 5, strategy=strategy, seed=0)
+
+    def test_refresh_selection_is_traced_inside_plan_refresh(self):
+        data = simulate_blobs(300, n_features=5, seed=11)
+        w_fair = between_group_quantile_graph(
+            data.side_information, data.s, n_quantiles=6
+        )
+        drifted = data.X[::5] + 6.0
+
+        def refreshed_digests():
+            estimator = PFR(
+                n_components=3, gamma=0.5, extension="nystrom", landmarks=80
+            )
+            plan = LandmarkPlan.for_estimator(estimator, data.X, w_fair)
+            plan.fit(estimator)
+            plan.extend(drifted, refresh="never")
+            return plan.refresh().stage_digests()
+
+        untraced = refreshed_digests()
+        sink = RingBufferSink()
+        add_sink(sink)
+        try:
+            traced = refreshed_digests()
+        finally:
+            remove_sink(sink)
+        assert traced == untraced
+        spans = [r for r in sink.records() if r["type"] == "span"]
+        refresh = [r for r in spans if r["name"] == "plan.refresh"]
+        assert len(refresh) == 1
+        inner = [
+            r for r in spans
+            if r["name"] == "plan.landmarks"
+            and r["parent_id"] == refresh[0]["span_id"]
+        ]
+        assert len(inner) == 1
+        assert inner[0]["attrs"]["n"] == drifted.shape[0]
 
 
 class TestParityAtFullBudget:

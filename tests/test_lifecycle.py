@@ -89,6 +89,11 @@ class TestDriftMonitor:
             "lifecycle.fidelity", model="m"
         )["count"] == 2
 
+    def test_observe_returns_its_snapshot(self):
+        monitor = DriftMonitor(window=4, floor=0.5, metrics=MetricsRegistry())
+        assert monitor.observe([0.9, 0.2, 0.1]) == monitor.snapshot()
+        assert monitor.observe([]) == monitor.snapshot()
+
     def test_invalid_window_rejected(self):
         with pytest.raises(ValidationError, match="window"):
             DriftMonitor(window=0, metrics=MetricsRegistry())
@@ -356,6 +361,34 @@ class TestLifecycleController:
         for event, parent, child in zip(controller.history, parents, children):
             assert event["holdout_parent"] == holdout_agreement(parent, holdout)
             assert event["holdout_child"] == holdout_agreement(child, holdout)
+
+    def test_one_drift_snapshot_per_ingest(
+        self, fitted_setup, tmp_path, rng, monkeypatch
+    ):
+        # observe() hands ingest the snapshot its gauges were set from, so
+        # an ingest copies the score window and takes its quantiles once.
+        plan, estimator, X = fitted_setup
+        controller = _controller(
+            plan, estimator, tmp_path, policy=RefreshPolicy(min_rows=10**6)
+        )
+        controller.ensure_registered()
+        calls = []
+        snapshot = DriftMonitor.snapshot
+
+        def counted_snapshot(monitor):
+            calls.append(monitor)
+            return snapshot(monitor)
+
+        monkeypatch.setattr(DriftMonitor, "snapshot", counted_snapshot)
+        for shift in (0.0, 6.0, 6.0):
+            event = controller.ingest(
+                X[rng.integers(0, X.shape[0], size=40)] + shift
+            )
+            assert len(calls) == 1
+            calls.clear()
+            assert event["drift_fraction"] == snapshot(
+                controller.monitor
+            )["drift_fraction"]
 
     def test_status_is_json_serialisable(self, fitted_setup, tmp_path):
         import json
