@@ -175,7 +175,15 @@ def check_symmetric(W, *, name: str = "W", tol: float = 1e-10, dtype=np.float64)
         if diff.nnz and diff.max() > tol:
             raise ValidationError(f"{name} must be symmetric (max asymmetry {diff.max():.3g})")
         return W
-    asym = np.max(np.abs(W - W.T)) if W.size else 0.0
+    # Row blocks of about 2**18 entries: the check's temporary stays a few
+    # MB instead of two n×n arrays. check_array has rejected NaN, so the
+    # blocks' maxima combine exactly into the whole matrix's.
+    n = W.shape[0]
+    rows = max(1, 2**18 // max(n, 1))
+    asym = 0.0
+    for start in range(0, n, rows):
+        diff = W[start:start + rows] - W[:, start:start + rows].T
+        asym = max(asym, np.max(np.abs(diff, out=diff)))
     if asym > tol:
         raise ValidationError(f"{name} must be symmetric (max asymmetry {asym:.3g})")
     return W

@@ -198,6 +198,16 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         The output dtype follows the fitted model — float32 models
         kernelize and project in float32.
         """
+        return self._kernel_rows(X) @ self.alphas_
+
+    def _kernel_rows(self, X) -> np.ndarray:
+        """``K(X, X_fit_)``: the half of :meth:`transform` that γ leaves alone.
+
+        Only ``alphas_`` depends on γ, so a γ-sweep over one plan can keep
+        these rows and pay one product per point. Passing ``X_fit_`` itself
+        computes ``K(X, X)`` through a symmetric product, which differs in
+        the last bits from the general product an equal copy would take.
+        """
         check_is_fitted(self, "alphas_")
         X = check_array(X, name="X", dtype=self.alphas_.dtype)
         if X.shape[1] != self.n_features_in_:
@@ -205,7 +215,7 @@ class KernelPFR(BaseEstimator, TransformerMixin):
                 f"X has {X.shape[1]} features; KernelPFR was fitted with "
                 f"{self.n_features_in_}"
             )
-        K_new = kernel_matrix(
+        return kernel_matrix(
             X,
             self.X_fit_,
             kernel=self.kernel,
@@ -213,7 +223,6 @@ class KernelPFR(BaseEstimator, TransformerMixin):
             degree=self.degree,
             coef0=self.coef0,
         )
-        return K_new @ self.alphas_
 
     def fit_transform(self, X, w_fair=None, **fit_params):
         """Fit on ``(X, w_fair)`` and return the transformed training data."""

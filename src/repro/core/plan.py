@@ -344,26 +344,35 @@ class SpectralFitPlan:
         """Largest latent dimensionality this plan can solve for."""
         return int(self.projection["d_max"])
 
-    def _graph_stage(self) -> Precomputed:
+    def _adopt_graph_stages(self, other) -> bool:
+        """Reuse ``other``'s graph (and Laplacian) stage if it is this plan's.
+
+        Plans over the very same input arrays (compared by identity) and
+        the same graph settings build byte-identical graph stages with
+        equal digests — a linear and a kernel plan on one training matrix,
+        say — so the second plan takes the first one's instead of building
+        the k-NN graph again. The Laplacian stage comes along when both
+        plans use the same Laplacian flavor. Returns whether the graph
+        stage was adopted; a plan that already built its own keeps it.
+        """
+        if (
+            not isinstance(other, SpectralFitPlan)
+            or self._graph is not None
+            or other.X is not self.X
+            or other.w_fair is not self.w_fair
+            or other._w_x_input is not self._w_x_input
+            or other._graph_params() != self._graph_params()
+        ):
+            return False
+        self._graph = other.graph
+        if other.normalized_laplacian == self.normalized_laplacian:
+            self._laplacians = other.laplacians
+        return True
+
+    def _graph_params(self) -> dict:
+        """The graph stage's digest parameters: every setting that shapes
+        its output besides the input arrays."""
         n = self.X.shape[0]
-        w_x = self._w_x_input
-        bandwidth = None
-        if w_x is None:
-            bandwidth = resolve_bandwidth(
-                self.X, self.bandwidth, exclude=self.exclude_columns,
-                dtype=self._np_dtype,
-            )
-            w_x = knn_graph(
-                self.X,
-                n_neighbors=min(self.n_neighbors, n - 1),
-                bandwidth=bandwidth,
-                exclude=self.exclude_columns,
-                backend=self.knn_backend,
-                backend_options=(
-                    {"seed": self.knn_seed} if self.knn_backend == "lsh" else None
-                ),
-                dtype=self._np_dtype,
-            )
         params = {"precomputed_wx": self._w_x_input is not None}
         if self._w_x_input is None:
             # The k-NN settings influence the output only when the graph is
@@ -385,8 +394,31 @@ class SpectralFitPlan:
                 params["knn_seed"] = self.knn_seed
         if self.dtype != "float64":
             params["dtype"] = self.dtype
+        return params
+
+    def _graph_stage(self) -> Precomputed:
+        n = self.X.shape[0]
+        w_x = self._w_x_input
+        bandwidth = None
+        if w_x is None:
+            bandwidth = resolve_bandwidth(
+                self.X, self.bandwidth, exclude=self.exclude_columns,
+                dtype=self._np_dtype,
+            )
+            w_x = knn_graph(
+                self.X,
+                n_neighbors=min(self.n_neighbors, n - 1),
+                bandwidth=bandwidth,
+                exclude=self.exclude_columns,
+                backend=self.knn_backend,
+                backend_options=(
+                    {"seed": self.knn_seed} if self.knn_backend == "lsh" else None
+                ),
+                dtype=self._np_dtype,
+            )
         digest = _stage_digest(
-            "graph", params, {"X": self.X, "w_x": w_x, "w_fair": self.w_fair}
+            "graph", self._graph_params(),
+            {"X": self.X, "w_x": w_x, "w_fair": self.w_fair},
         )
         return Precomputed(
             "graph", digest,
@@ -557,11 +589,18 @@ class SpectralFitPlan:
     # -------------------------------------------------------------- solve
     def _mixed(self, gamma: float) -> np.ndarray:
         proj = self.projection
-        M = (1.0 - gamma) * proj["M_x"] + gamma * proj["M_f"]
+        # (1-γ)·M_x + γ·M_f, then 0.5·(M + Mᵀ) and M + ridge·I, in two
+        # buffers: the same elementwise operations as those expressions,
+        # so the same bits, without their r×r temporaries.
+        M = np.multiply(proj["M_x"], 1.0 - gamma)
+        scratch = np.multiply(proj["M_f"], gamma)
+        M += scratch
         if proj["symmetrize_mix"]:
-            M = 0.5 * (M + M.T)
+            np.add(M, M.T, out=scratch)
+            scratch *= 0.5
+            M = scratch
         if proj["mix_ridge"]:
-            M = M + proj["mix_ridge"] * np.eye(M.shape[0], dtype=M.dtype)
+            M += proj["mix_ridge"] * np.eye(M.shape[0], dtype=M.dtype)
         return M
 
     @staticmethod

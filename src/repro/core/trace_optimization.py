@@ -261,10 +261,15 @@ def smallest_eigenvectors(
 
     if solver == "dense":
         dense = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=work)
-        dense = check_symmetric(0.5 * (dense + dense.T), name="M", dtype=work)
+        # 0.5·(M + Mᵀ) in one temporary. It is exactly symmetric, so its
+        # transpose (Fortran order, LAPACK's layout) holds the same values
+        # and eigh can work in it in place instead of copying it.
+        sym = np.add(dense, dense.T)
+        sym *= 0.5
+        sym = check_symmetric(sym, name="M", dtype=work)
         with span("core.eig", solver="dense", k=int(k), d=int(d), dtype=str(work)):
             eigenvalues, eigenvectors = scipy.linalg.eigh(
-                dense, subset_by_index=(0, d - 1)
+                sym.T, overwrite_a=True, subset_by_index=(0, d - 1)
             )
     else:
         if d >= k - 1:

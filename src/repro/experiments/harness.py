@@ -27,6 +27,7 @@ special case: a grid point is scored over CV folds, so it keeps its own
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +39,13 @@ from ..baselines import (
     MaskedRepresentation,
     SideInformationAugmenter,
 )
-from ..core import PFR, plan_for_estimator
+from ..core import PFR, SpectralFitPlan, plan_for_estimator
 from ..datasets.base import Dataset
 from ..exceptions import ValidationError
 from ..graphs import knn_graph
-from ..metrics import consistency, group_auc, group_rates, restrict_graph
+from ..metrics import group_auc, group_rates, restrict_graph
 from ..metrics.group import GroupRates
+from ..metrics.individual import _consistency_edges, _consistency_from_edges
 from ..ml import (
     LogisticRegression,
     StandardScaler,
@@ -83,6 +85,14 @@ def cell_task(
 #: Base method names a cell may run, each with an optional "+" suffix (the
 #: side-information augmentation); RunSpec validation reads this list too.
 _BASE_METHODS = ("original", "ifair", "lfr", "pfr", "kpfr", "hardt")
+
+#: Base methods whose result γ does not shape: _fit_base_estimator hands
+#: γ only to pfr and kpfr, and Hardt's post-processor never reads it.
+_GAMMA_FREE_METHODS = ("original", "ifair", "lfr", "hardt")
+
+#: The methods tune() scores. Its folds never apply the "+" augmentation,
+#: so a "+" method is rejected instead of being scored as its base method.
+_TUNE_METHODS = ("original", "pfr", "ifair", "lfr")
 
 
 # -- tune's executor task (module-level so process backends can pickle it)
@@ -187,6 +197,31 @@ class ExperimentHarness:
         only their new cells. Results are bitwise identical with or
         without a store, serial or parallel. ``None`` (default) keeps
         everything in memory, as before.
+
+    Notes
+    -----
+    A harness is one dataset × seed slice, and it computes the slice's
+    γ-independent work once, however many γ cells it runs:
+
+    - one fit plan per structural configuration (graphs, Laplacians,
+      projected objective matrices), so each γ pays only the mix and the
+      eigensolve; plans over the same training matrix share one graph and
+      Laplacian stage, so ``pfr`` and ``kpfr`` build ``WX`` once;
+    - per ``kpfr`` plan, the Gram rows ``K(X_train, X_fit)`` and
+      ``K(X_test, X_fit)``, so each γ's transform is one product with its
+      dual coefficients — ``n_train·n_fit + n_test·n_fit`` float64 values
+      (22 MB for Crime at full scale, 1,395 training rows);
+    - one evaluation per γ-free method (``original``, ``ifair``, ``lfr``,
+      ``hardt`` and their ``+`` variants) and (``C``, parameters): every γ
+      cell gets a copy, and with a ``store`` still its own ledger entry;
+    - the ``+`` augmentation of the inputs;
+    - the edges of the test-set graphs ``WX`` and ``WF`` that every cell
+      scores consistency against. Assigning another graph to
+      ``W_x_test`` or ``W_fair_test`` after :meth:`prepare` rebuilds them
+      and re-evaluates the γ-free methods against it.
+
+    These caches live as long as the harness and are dropped when it is
+    pickled (see :meth:`__getstate__`).
     """
 
     def __init__(
@@ -216,28 +251,34 @@ class ExperimentHarness:
         self.method_overrides = method_overrides or {}
         self.store = store
         self._prepared = False
-        # Staged-fit reuse (repro.core.plan / repro.core.approx): γ-sweeps
-        # and repeated run_method calls share one fit plan (Spectral- or
-        # LandmarkPlan) per structural configuration, so only the γ-mix +
-        # eigensolve re-run per point.
+        # The slice's γ-independent work, each piece computed once: fit
+        # plans (Spectral- or LandmarkPlan) per structural configuration,
+        # so only the γ-mix + eigensolve re-run per point; each kpfr plan's
+        # Gram rows under (*plan key, "gram"); the "+"-augmented inputs
+        # under ("augmented",); each γ-free method's result under
+        # ("result", method, C, params). The test graphs' scoring edges
+        # sit beside them, with the graphs they were prepared from.
         self._plan_cache: dict = {}
         self._tune_plan_cache: dict = {}
+        self._scoring_cache: tuple | None = None
 
     def __getstate__(self):
         """Pickle without the staged-fit plan caches.
 
         The caches are pure derived state (rebuildable from the training
         matrix + structural hyper-parameters) and can hold n×n kernel
-        matrices, so shipping them to worker processes would dominate the
-        fan-out cost. Each worker rebuilds its plans lazily — once per
-        (fold, structural-params) key — and then reuses them for every
-        task it handles, preserving the sweep amortization per process.
+        matrices and Gram rows, so shipping them to worker processes would
+        dominate the fan-out cost. Each worker rebuilds its plans lazily —
+        once per (fold, structural-params) key — and then reuses them for
+        every task it handles, preserving the sweep amortization per
+        process.
         The ``store`` attribute itself ships (a ledger is just a root
         path), so workers write through to the same on-disk ledger.
         """
         state = self.__dict__.copy()
         state["_plan_cache"] = {}
         state["_tune_plan_cache"] = {}
+        state["_scoring_cache"] = None
         return state
 
     # -- run-ledger plumbing (repro.store) ---------------------------------
@@ -343,6 +384,19 @@ class ExperimentHarness:
             augmenter.transform(X_test),
         )
 
+    def _augmented_inputs(self):
+        """The "+"-augmented ``X_train`` and ``X_test``, built once.
+
+        A kpfr+ plan keeps the training matrix it was built from as the
+        model's ``X_fit_``, and ``K(X_fit_, X_fit_)`` differs in the last
+        bits from ``K(equal copy, X_fit_)``: every cell must pass that very
+        matrix, or a cell's bits would depend on the cells run before it.
+        """
+        key = ("augmented",)
+        if key not in self._plan_cache:
+            self._plan_cache[key] = self._augmented(self.X_train, self.X_test)
+        return self._plan_cache[key]
+
     def _representation(self, method: str, *, gamma: float, method_params: dict):
         """Train-representation + test-representation for a method name."""
         augment = method.endswith("+")
@@ -362,13 +416,23 @@ class ExperimentHarness:
             return Z_train, Z_test
 
         if augment:
-            X_train, X_test = self._augmented(X_train, X_test)
+            X_train, X_test = self._augmented_inputs()
 
         model = self._fit_base_estimator(
             base, X_train, gamma=gamma, augment=augment,
             method_params=method_params,
         )
-        return model.transform(X_train), model.transform(X_test)
+        if base != "kpfr":
+            return model.transform(X_train), model.transform(X_test)
+        # transform is K(rows, X_fit_) @ alphas_, and only alphas_ depends
+        # on γ: each plan's kernel rows are computed once per harness.
+        key = (*self._plan_key(model, base, augment, method_params), "gram")
+        if key not in self._plan_cache:
+            self._plan_cache[key] = (
+                model._kernel_rows(X_train), model._kernel_rows(X_test),
+            )
+        K_train, K_test = self._plan_cache[key]
+        return K_train @ model.alphas_, K_test @ model.alphas_
 
     def _fit_base_estimator(
         self, base: str, X_train, *, gamma: float, method_params: dict,
@@ -514,28 +578,53 @@ class ExperimentHarness:
         :class:`~repro.core.LandmarkPlan` (chosen by
         :func:`~repro.core.plan_for_estimator`).
         """
-        key = (
+        key = self._plan_key(model, base, augment, method_params)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = plan_for_estimator(model, X_train, self.W_fair_train)
+            if isinstance(plan, SpectralFitPlan):
+                # pfr and kpfr on one X build the same WX: build it once.
+                for other in self._plan_cache.values():
+                    if plan._adopt_graph_stages(other):
+                        break
+            self._plan_cache[key] = plan
+        plan.fit(model)
+
+    @staticmethod
+    def _plan_key(model, base, augment, method_params) -> tuple:
+        """The plan-cache key of a PFR-family model's structural config."""
+        return (
             base,
             augment,
             repr(sorted(method_params.items())),
             getattr(model, "extension", "exact"),
             getattr(model, "landmarks", None),
         )
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = plan_for_estimator(model, X_train, self.W_fair_train)
-            self._plan_cache[key] = plan
-        plan.fit(model)
 
     # -- evaluation --------------------------------------------------------
 
+    def _scoring_edges(self) -> tuple:
+        """The edges of ``W_x_test`` and ``W_fair_test``, prepared once.
+
+        They are rebuilt as soon as either attribute holds another graph
+        than the one they came from, so a graph swapped in after
+        :meth:`prepare` (an elicited ``WF``, say) is what later cells score.
+        """
+        graphs = (self.W_x_test, self.W_fair_test)
+        cached = self._scoring_cache
+        if cached is None or any(a is not b for a, b in zip(cached[0], graphs)):
+            cached = (graphs, tuple(_consistency_edges(W) for W in graphs))
+            self._scoring_cache = cached
+        return cached[1]
+
     def _evaluate(self, method, y_score, y_pred) -> MethodResult:
+        edges_x, edges_fair = self._scoring_edges()
         return MethodResult(
             method=method,
             dataset=self.dataset.name,
             auc=roc_auc_score(self.y_test, y_score),
-            consistency_wx=consistency(y_pred, self.W_x_test),
-            consistency_wf=consistency(y_pred, self.W_fair_test),
+            consistency_wx=_consistency_from_edges(y_pred, edges_x),
+            consistency_wf=_consistency_from_edges(y_pred, edges_fair),
             rates=group_rates(self.y_test, y_pred, self.s_test),
             auc_by_group=group_auc(self.y_test, y_score, self.s_test),
         )
@@ -579,7 +668,28 @@ class ExperimentHarness:
     def _run_method_direct(
         self, method: str, *, gamma: float, C: float, method_params: dict
     ) -> MethodResult:
-        """The ledger-free evaluation path (reference semantics)."""
+        """The ledger-free evaluation path (reference semantics).
+
+        A γ-free method is evaluated once per (method, C, params) and
+        scoring graphs; each call returns its own copy of that result.
+        """
+        if method.rstrip("+") not in _GAMMA_FREE_METHODS:
+            return self._compute_method(
+                method, gamma=gamma, C=C, method_params=method_params
+            )
+        key = ("result", method, float(C), repr(sorted(method_params.items())))
+        edges = self._scoring_edges()
+        cached = self._plan_cache.get(key)
+        if cached is None or cached[0] is not edges:
+            cached = (edges, self._compute_method(
+                method, gamma=gamma, C=C, method_params=method_params
+            ))
+            self._plan_cache[key] = cached
+        return copy.deepcopy(cached[1])
+
+    def _compute_method(
+        self, method: str, *, gamma: float, C: float, method_params: dict
+    ) -> MethodResult:
         if method.rstrip("+") == "hardt":
             return self._run_hardt(augment=method.endswith("+"), C=C)
 
@@ -685,7 +795,14 @@ class ExperimentHarness:
         point and the harness seed, so the search result is bitwise
         identical to a serial search. Each worker keeps its own fold-plan
         cache, so the γ axis of the grid stays nearly free per process.
+
+        Tunable methods: ``original``, ``pfr``, ``ifair`` and ``lfr``.
         """
+        if method not in _TUNE_METHODS:
+            raise ValidationError(
+                f"tune() does not support method {method!r}; use one of "
+                f"{'/'.join(_TUNE_METHODS)}"
+            )
         self.prepare()
         # Fresh staged-fit cache per search: fold plans are keyed by (fold
         # rows, structural params), so the γ axis of the grid — usually its
@@ -769,16 +886,15 @@ class ExperimentHarness:
     def _tune_fold(self, method, params, gamma, C, fit_rows, val_rows, scoring):
         """Score one CV fold: representation and classifier trained on the
         fit part, scored on the validation part."""
-        base = method.rstrip("+")
         X_fit, X_val = self.X_train[fit_rows], self.X_train[val_rows]
         y_fit, y_val = self.y_train[fit_rows], self.y_train[val_rows]
         s_fit = self.s_train[fit_rows]
 
-        if base == "original":
+        if method == "original":
             masker = MaskedRepresentation(protected_columns=self.protected)
-            Z_fit, Z_val = masker.fit_transform(X_fit), None
+            Z_fit = masker.fit_transform(X_fit)
             Z_val = masker.transform(X_val)
-        elif base == "pfr":
+        elif method == "pfr":
             model = PFR(
                 n_components=min(self.n_components_, X_fit.shape[1]),
                 gamma=gamma,
@@ -799,20 +915,19 @@ class ExperimentHarness:
                 self._tune_plan_cache[key] = plan
             plan.fit(model)
             Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
-        elif base == "ifair":
+        elif method == "ifair":
             defaults = {"n_prototypes": 10, "max_iter": 100, "seed": self.seed}
             defaults.update(params)
             model = IFair(protected_columns=self.protected, **defaults)
             Z_fit = model.fit_transform(X_fit)
             Z_val = model.transform(X_val)
-        elif base == "lfr":
+        else:
+            assert method == "lfr", method  # tune() admits _TUNE_METHODS only
             defaults = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed}
             defaults.update(params)
             model = LFR(**defaults)
             model.fit(X_fit, y_fit, s=s_fit)
             Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
-        else:
-            raise ValidationError(f"tune() does not support method {method!r}")
 
         scaler = StandardScaler().fit(Z_fit)
         Z_fit, Z_val = scaler.transform(Z_fit), scaler.transform(Z_val)

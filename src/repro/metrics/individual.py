@@ -12,6 +12,8 @@ when every connected pair disagrees maximally.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -39,24 +41,55 @@ def consistency(y_pred, W) -> float:
         Consistency in [0, 1]. By convention an *empty* graph yields 1.0
         (no constraints to violate).
     """
+    return _consistency_from_edges(y_pred, _consistency_edges(W))
+
+
+class _Edges(NamedTuple):
+    """The off-diagonal edges of a similarity graph, ready for scoring."""
+
+    n_nodes: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    total: float
+    negative: bool
+
+
+def _consistency_edges(W) -> _Edges:
+    """Validate ``W`` and extract the edges :func:`consistency` scores.
+
+    Scoring many predictions against one graph prepares it once here and
+    then calls :func:`_consistency_from_edges` per prediction.
+    """
+    W = sp.coo_matrix(check_symmetric(W, name="W"))
+    off_diag = W.row != W.col
+    weights = W.data[off_diag]
+    return _Edges(
+        n_nodes=W.shape[0],
+        rows=W.row[off_diag],
+        cols=W.col[off_diag],
+        weights=weights,
+        total=weights.sum(),
+        negative=bool(weights.size and weights.min() < 0),
+    )
+
+
+def _consistency_from_edges(y_pred, edges: _Edges) -> float:
+    """:func:`consistency` against a graph prepared by
+    :func:`_consistency_edges`."""
     y = column_or_1d(y_pred, name="y_pred", dtype=np.float64)
     if np.any(y < 0) or np.any(y > 1):
         raise ValidationError("y_pred entries must lie in [0, 1]")
-    W = check_symmetric(W, name="W")
-    if W.shape[0] != len(y):
+    if edges.n_nodes != len(y):
         raise ValidationError(
-            f"W has {W.shape[0]} nodes but y_pred has {len(y)} entries"
+            f"W has {edges.n_nodes} nodes but y_pred has {len(y)} entries"
         )
-
-    W = sp.coo_matrix(W)
-    off_diag = W.row != W.col
-    weights = W.data[off_diag]
-    if weights.size == 0 or weights.sum() == 0:
+    if edges.total == 0:
         return 1.0
-    if weights.min() < 0:
+    if edges.negative:
         raise ValidationError("W must be non-negative")
-    disagreements = np.abs(y[W.row[off_diag]] - y[W.col[off_diag]])
-    return float(1.0 - (disagreements @ weights) / weights.sum())
+    disagreements = np.abs(y[edges.rows] - y[edges.cols])
+    return float(1.0 - (disagreements @ edges.weights) / edges.total)
 
 
 def restrict_graph(W, indices) -> sp.csr_matrix:

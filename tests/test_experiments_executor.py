@@ -10,11 +10,15 @@ code on a malformed spec).
 
 import json
 import multiprocessing
+import pickle
 import time
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import SpectralFitPlan
+from repro.core.plan import Precomputed
 from repro.experiments import (
     AggregateResult,
     Executor,
@@ -27,7 +31,8 @@ from repro.experiments import (
     run_spec,
 )
 from repro.experiments import spec as spec_module
-from repro.store import RunLedger
+from repro.ml.base import clone
+from repro.store import RunLedger, encode_method_result
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -178,6 +183,113 @@ class TestOneDigestAcrossEntryPoints:
             assert aggregate == report.aggregates[("synthetic", "pfr", gamma)]
 
         assert len(ledger.ls()) == entries
+
+
+_HOIST_SPEC = {
+    "name": "hoists",
+    "datasets": [{"name": "synthetic", "scale": 0.2}],
+    "methods": ["original", "original+", "hardt", "ifair", "lfr+", "pfr",
+                "pfr+", "kpfr", "kpfr+"],
+    "gammas": [0.0, 0.25, 1.0],
+    "seeds": [0, 1],
+    "harness": {
+        "n_components": 2,
+        "method_overrides": {"ifair": {"max_iter": 20},
+                             "lfr": {"max_iter": 20}},
+    },
+}
+
+
+def _encoded(result) -> str:
+    return json.dumps(encode_method_result(result), sort_keys=True)
+
+
+def _reference_mixed(proj, gamma):
+    """SpectralFitPlan._mixed as plain expressions."""
+    M = (1.0 - gamma) * proj["M_x"] + gamma * proj["M_f"]
+    if proj["symmetrize_mix"]:
+        M = 0.5 * (M + M.T)
+    if proj["mix_ridge"]:
+        M = M + proj["mix_ridge"] * np.eye(M.shape[0], dtype=M.dtype)
+    return M
+
+
+class TestSliceHoistsAreBitwise:
+    """A slice computes its γ-independent work once — one graph stage per
+    training matrix, one Gram block per kpfr plan, one evaluation per
+    γ-free method — and every cell must still equal, bit for bit, the
+    same cell run alone on a fresh harness."""
+
+    def test_cold_run_spec_equals_fresh_harness_cells(self, tmp_path):
+        spec = RunSpec.from_dict(_HOIST_SPEC)
+        report = run_spec(spec, store=tmp_path)
+        factory = WorkloadFactory("synthetic", scale=0.2)
+        for seed in spec.seeds:
+            data = factory(seed)
+            for method in spec.methods:
+                for gamma in spec.gammas:
+                    fresh = ExperimentHarness(
+                        data, seed=seed, **spec.harness
+                    ).run_method(method, gamma=gamma)
+                    stored = report.results[("synthetic", method, gamma, seed)]
+                    assert _encoded(stored) == _encoded(fresh), (
+                        method, gamma, seed
+                    )
+
+    def test_shared_graph_stage_keeps_plan_digests(self):
+        harness = ExperimentHarness(
+            WorkloadFactory("synthetic", scale=0.2)(0), seed=0, n_components=2
+        ).prepare()
+        models = {
+            base: harness._fit_base_estimator(
+                base, harness.X_train, gamma=0.5, method_params={}
+            )
+            for base in ("pfr", "kpfr")
+        }
+        plans = {key[0]: plan for key, plan in harness._plan_cache.items()
+                 if key[0] in models}
+        assert plans["kpfr"].graph is plans["pfr"].graph
+        assert plans["kpfr"].laplacians is plans["pfr"].laplacians
+        for model in models.values():
+            alone = clone(model).fit(harness.X_train, harness.W_fair_train)
+            assert model.plan_digests_ == alone.plan_digests_
+
+    def test_pickled_sweep_carries_no_gram_rows(self):
+        harness = ExperimentHarness(
+            WorkloadFactory("synthetic", scale=0.2)(0), seed=0, n_components=2
+        )
+        harness.gamma_sweep([0.0, 1.0], method="kpfr")
+        gram = [value for key, value in harness._plan_cache.items()
+                if key[-1] == "gram"]
+        assert len(gram) == 1
+        payload = pickle.dumps(harness)
+        assert gram[0][0].tobytes() not in payload
+        assert pickle.loads(payload)._plan_cache == {}
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("symmetrize, ridge", [(True, 0.0), (False, 0.0),
+                                                   (True, 1e-3)])
+    def test_mixed_matches_reference_bits(self, gamma, symmetrize, ridge):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((8, 5))
+        plan = SpectralFitPlan(X, np.zeros((8, 8)))
+        M_x = rng.standard_normal((5, 5))
+        M_f = rng.standard_normal((5, 5))
+        # Negative M_x against -0.0 in M_f: at γ = 1 the mix keeps -0.0.
+        M_x[0, 1] = M_x[1, 0] = -1.0
+        M_f[0, 1] = M_f[1, 0] = -0.0
+        plan._projection = Precomputed("projection", "test", {
+            "M_x": M_x, "M_f": M_f, "symmetrize_mix": symmetrize,
+            "mix_ridge": ridge,
+        })
+        got = plan._mixed(gamma)
+        want = _reference_mixed(plan.projection, gamma)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if gamma == 1.0:
+            # The ridge's + 0.0 off the diagonal turns -0.0 into +0.0.
+            assert got[0, 1] == 0.0
+            assert np.signbit(got[0, 1]) == (ridge == 0.0)
 
 
 class TestReportJsonKeys:

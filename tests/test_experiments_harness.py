@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.experiments import ExperimentHarness, within_group_ranking_scores
-from repro.metrics import restrict_graph
+from repro.metrics import consistency, restrict_graph
 
 
 @pytest.fixture
@@ -97,6 +98,33 @@ class TestRunMethod:
         b = ExperimentHarness(small_admissions, seed=3, n_components=2)
         assert a.run_method("pfr").auc == b.run_method("pfr").auc
 
+    @pytest.mark.parametrize("graph", ["W_x_test", "W_fair_test"])
+    def test_graph_swapped_after_prepare_scores_later_cells(
+        self, harness, graph
+    ):
+        # Elicited-graph workflows assign their own WF after prepare();
+        # later cells, including a γ-free method already evaluated once,
+        # must score consistency against the new graph.
+        before = {m: harness.run_method(m) for m in ("original", "pfr")}
+        predictions = []
+        evaluate = harness._evaluate
+
+        def spy(method, y_score, y_pred):
+            predictions.append(y_pred)
+            return evaluate(method, y_score, y_pred)
+
+        harness._evaluate = spy
+        n = len(harness.test_idx)
+        W = np.random.default_rng(0).random((n, n))
+        W = sp.csr_matrix(np.triu(W, 1) + np.triu(W, 1).T)
+        setattr(harness, graph, W)
+        field = "consistency_wx" if graph == "W_x_test" else "consistency_wf"
+        for method in ("original", "pfr"):
+            result = harness.run_method(method)
+            assert getattr(result, field) == consistency(predictions[-1], W)
+            assert getattr(result, field) != getattr(before[method], field)
+        assert len(predictions) == 2
+
 
 class TestGammaSweep:
     def test_sweep_length(self, harness):
@@ -109,6 +137,22 @@ class TestGammaSweep:
         sweep = harness.gamma_sweep([0.0, 0.9])
         assert sweep[1].consistency_wf > sweep[0].consistency_wf
         assert sweep[1].auc > sweep[0].auc
+
+    def test_kpfr_plus_embedding_independent_of_cell_order(self):
+        # kpfr+'s X_fit_ is the augmented training matrix. Augmenting anew
+        # per cell handed later cells an equal copy, and K(copy, X) differs
+        # in the last bits from K(X, X): a γ point's embedding depended on
+        # whether a sweep ran it first.
+        from repro.experiments import WorkloadFactory
+
+        data = WorkloadFactory("synthetic", scale=0.1)(1)
+        swept = ExperimentHarness(data, seed=1)
+        swept.run_method("kpfr+", gamma=0.0)
+        second = swept._representation("kpfr+", gamma=0.5, method_params={})
+        fresh = ExperimentHarness(data, seed=1).prepare()
+        first = fresh._representation("kpfr+", gamma=0.5, method_params={})
+        for got, want in zip(second, first):
+            assert got.tobytes() == want.tobytes()
 
     def test_plan_reuse_matches_fresh_harness(self, small_admissions):
         # The sweep reuses one cached SpectralFitPlan across γ points; the
@@ -140,6 +184,15 @@ class TestTune:
     def test_tune_rejects_hardt(self, harness):
         with pytest.raises(ValidationError, match="does not support"):
             harness.tune("hardt", {"C": [1.0]})
+
+    @pytest.mark.parametrize("method", ["pfr+", "original+"])
+    def test_tune_rejects_augmented_methods(self, harness, method):
+        # The folds never apply the "+" augmentation, so a "+" method used
+        # to return (and ledger) its base method's score.
+        with pytest.raises(
+            ValidationError, match="use one of original/pfr/ifair/lfr"
+        ):
+            harness.tune(method, {"gamma": [0.5], "C": [1.0]}, n_splits=3)
 
 
 class TestRankingScores:

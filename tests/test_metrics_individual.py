@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.metrics import consistency, restrict_graph
+from repro.metrics.individual import _consistency_edges, _consistency_from_edges
 
 
 def graph(*edges, n):
@@ -71,6 +72,27 @@ class TestConsistency:
         W = graph((0, 1, -1.0), n=2)
         with pytest.raises(ValidationError, match="non-negative"):
             consistency([0, 1], W)
+
+    def test_prepared_edges_score_like_the_graph(self, rng):
+        W = rng.random((12, 12))
+        W = 0.5 * (W + W.T)
+        edges = _consistency_edges(sp.csr_matrix(W))
+        for _ in range(5):
+            y = rng.random(12)
+            assert _consistency_from_edges(y, edges) == consistency(y, W)
+
+    def test_prepared_edges_keep_every_check(self):
+        with pytest.raises(ValidationError, match="nodes"):
+            _consistency_from_edges([0, 1], _consistency_edges(np.zeros((3, 3))))
+        negative = _consistency_edges(graph((0, 1, -1.0), n=2))
+        with pytest.raises(ValidationError, match="non-negative"):
+            _consistency_from_edges([0, 1], negative)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            _consistency_from_edges([0, 2], negative)
+        empty = _consistency_edges(np.zeros((3, 3)))
+        assert _consistency_from_edges([0, 1, 0], empty) == 1.0
+        with pytest.raises(ValidationError, match="symmetric"):
+            _consistency_edges(np.triu(np.ones((3, 3))))
 
 
 class TestRestrictGraph:

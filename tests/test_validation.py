@@ -190,6 +190,28 @@ class TestSquareSymmetric:
         with pytest.raises(ValidationError, match="symmetric"):
             check_symmetric(W)
 
+    def test_dense_check_allocates_one_temporary(self):
+        import tracemalloc
+
+        W = np.random.default_rng(0).random((1000, 1000))
+        W = W + W.T
+        tracemalloc.start()
+        try:
+            check_symmetric(W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * W.nbytes
+
+    def test_large_asymmetric_rejected_with_max_asymmetry(self):
+        W = np.zeros((1000, 1000))
+        W[10, 990] = 0.5
+        W[990, 10] = -0.25
+        with pytest.raises(
+            ValidationError, match=r"W must be symmetric \(max asymmetry 0.75\)"
+        ):
+            check_symmetric(W)
+
     def test_sparse_symmetric_ok(self):
         W = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         out = check_symmetric(W)
