@@ -5,10 +5,9 @@ Usage::
     python -m repro --version
     python -m repro list
     python -m repro run figure2 [--scale 0.5] [--seed 0] [--output out.txt]
-    python -m repro run all --scale 0.25
+    python -m repro run all --output EXPERIMENTS.md
     python -m repro report crime [--scale 0.5]
 
-    python -m repro experiments list
     python -m repro experiments run spec.yaml [--store DIR] [--workers 4]
                                               [--shard I/K]
     python -m repro experiments sweep DATASET [--method pfr] [--workers 4] [--store DIR]
@@ -40,9 +39,12 @@ Usage::
     python -m repro obs summary trace.jsonl [--json]
     python -m repro obs tail trace.jsonl [-n 20]
 
-``run`` executes the experiment's driver, prints the ASCII rendering, and
-optionally writes it to a file. ``list`` shows every experiment with the
-qualitative shapes the reproduction is expected to exhibit. The
+``run`` regenerates the experiment and prints its section of the
+paper-vs-measured record: the paper's claims with the tier-1 tests that
+pin them, the known deviations, and the ASCII rendering of the measured
+values; ``--output`` also writes it to a file, and ``run all --output
+EXPERIMENTS.md`` regenerates the committed record. ``list`` shows every
+experiment with its claims. The
 ``experiments`` family runs γ-sweeps, the grid-search tuning protocol,
 cross-seed repetition, and whole declarative scenario matrices
 (``experiments run spec.yaml``), with ``--workers`` fanning the
@@ -341,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit machine-readable JSON instead of a table")
         _obs_flags(sub)
 
-    exp_sub.add_parser(
-        "list", help="list the paper-experiment registry (tables/figures)"
-    )
-
     run_spec_cmd = exp_sub.add_parser(
         "run", help="execute a declarative RunSpec (YAML/JSON scenario matrix)"
     )
@@ -489,10 +487,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(experiment_id: str, *, scale: float, seed: int) -> str:
-    spec = get_experiment(experiment_id)
-    result = spec.driver(scale=scale, seed=seed)
-    return result.render()
+def _cmd_list(args) -> int:
+    for spec in EXPERIMENTS.values():
+        print(f"{spec.experiment_id:10s} [{spec.dataset:9s}] {spec.title}")
+        for claim in spec.claims:
+            marker = " [deviation]" if claim.deviation else ""
+            print(f"             - {claim.text}{marker}")
+    return 0
+
+
+def _cmd_run(args) -> int:
+    from .experiments.config import render_record
+
+    targets = (
+        list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    )
+    experiments = [get_experiment(target) for target in targets]
+    results = [
+        spec.driver(scale=args.scale, seed=args.seed) for spec in experiments
+    ]
+    command = (
+        f"python -m repro run {args.experiment} --scale {args.scale} "
+        f"--seed {args.seed}"
+    )
+    if args.output:
+        command += f" --output {args.output}"
+    text = render_record(experiments, results, command=command)
+    print(text)
+    if args.output:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
+def _cmd_report(args) -> int:
+    from .experiments.summary import workload_report
+
+    text = workload_report(args.dataset, scale=args.scale, seed=args.seed)
+    print(text)
+    if args.output:
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    return 0
 
 
 def _registry(args):
@@ -881,15 +915,6 @@ def _cmd_experiments(args) -> int:
     from .experiments.builders import WorkloadFactory
     from .experiments.report import render_table
 
-    if args.experiments_command == "list":
-        # The paper-experiment registry (repro.experiments.PaperExperiment).
-        print(render_table(
-            ["id", "dataset", "title", "benchmark"],
-            [[spec.experiment_id, spec.dataset, spec.title, spec.bench_module]
-             for spec in EXPERIMENTS.values()],
-        ))
-        return 0
-
     workers = _parse_workers(args.workers)
 
     if args.experiments_command == "run":
@@ -1177,13 +1202,7 @@ def _cmd_transform(args) -> int:
         np.savetxt(args.output, Z, delimiter=",", fmt="%.12g")
         print(f"wrote {Z.shape[0]} x {Z.shape[1]} representation to {args.output}")
     else:
-        try:
-            np.savetxt(sys.stdout, Z, delimiter=",", fmt="%.12g")
-        except BrokenPipeError:
-            # Downstream consumer (e.g. `| head`) closed the pipe; that is
-            # its prerogative, not an error. Redirect stdout so the
-            # interpreter's shutdown flush doesn't raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        np.savetxt(sys.stdout, Z, delimiter=",", fmt="%.12g")
     return 0
 
 
@@ -1232,99 +1251,42 @@ def _with_obs(args, command):
     return code
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "report": _cmd_report,
+    "models": _cmd_models,
+    "serve": _cmd_serve,
+    "lifecycle": _cmd_lifecycle,
+    "experiments": _cmd_experiments,
+    "store": _cmd_store,
+    "transform": _cmd_transform,
+    "obs": _cmd_obs,
+}
+
+# The commands that take --trace/--metrics through _with_obs (``serve``
+# traces into its own service registry instead).
+_OBSERVED = ("lifecycle", "experiments", "transform")
+
+
 def main(argv=None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    The one error boundary of the CLI: library errors, bad values and
+    file-system errors print ``error: ...`` and exit 2; a downstream
+    consumer closing the pipe (e.g. ``| head``) exits 0.
+    """
     args = build_parser().parse_args(argv)
-
-    if args.command == "list":
-        for spec in EXPERIMENTS.values():
-            print(f"{spec.experiment_id:10s} [{spec.dataset:9s}] {spec.title}")
-            for shape in spec.expected_shapes:
-                print(f"             - {shape}")
-        return 0
-
-    if args.command == "report":
-        from .experiments.summary import workload_report
-
-        text = workload_report(args.dataset, scale=args.scale, seed=args.seed)
-        print(text)
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        return 0
-
-    if args.command == "models":
-        try:
-            return _cmd_models(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "serve":
-        try:
-            return _cmd_serve(args)
-        except (ReproError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "lifecycle":
-        try:
-            return _with_obs(args, lambda: _cmd_lifecycle(args))
-        except (ReproError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "experiments":
-        try:
-            return _with_obs(args, lambda: _cmd_experiments(args))
-        except (ReproError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except BrokenPipeError:
-            # Downstream consumer (e.g. `| head`) closed the pipe; redirect
-            # stdout so the interpreter's shutdown flush doesn't raise too.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-
-    if args.command == "store":
-        try:
-            return _cmd_store(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "transform":
-        try:
-            return _with_obs(args, lambda: _cmd_transform(args))
-        except (ReproError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "obs":
-        try:
-            return _cmd_obs(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except BrokenPipeError:
-            # Downstream consumer (e.g. `| head`) closed the pipe; redirect
-            # stdout so the interpreter's shutdown flush doesn't raise too.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
-
-    targets = (
-        list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    )
+    command = _COMMANDS[args.command]
     try:
-        renders = [
-            _run_one(target, scale=args.scale, seed=args.seed)
-            for target in targets
-        ]
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        if args.command in _OBSERVED:
+            return _with_obs(args, lambda: command(args))
+        return command(args)
+    except BrokenPipeError:
+        # Redirect stdout so the interpreter's shutdown flush doesn't
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    text = "\n\n".join(renders)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    return 0

@@ -71,7 +71,9 @@ class PFR(BaseEstimator, TransformerMixin):
         ``VᵀV = I`` via the standard eigenproblem. The two equations in the
         paper are inconsistent; ``"v"`` is pathological when X has (near-)
         collinear columns because the smallest eigenvectors then live in
-        X's null space where the objective is trivially zero. See DESIGN.md.
+        X's null space where the objective is trivially zero; see
+        ``TestAblationClaims::test_default_formulation_beats_literal_eq6``
+        in ``tests/test_paper_claims.py`` for the utility it costs.
     ridge:
         Regularization added to ``XᵀX`` in the ``"z"`` mode to keep the
         generalized problem well-posed for rank-deficient X.

@@ -178,7 +178,7 @@ def simulate_crime(
             "n_reviews": n_reviews,
             "substitution": (
                 "latent-factor synthetic population calibrated to Table 1; "
-                "see DESIGN.md"
+                "see the simulate_crime docstring"
             ),
         },
     )

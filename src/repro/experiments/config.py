@@ -1,18 +1,49 @@
-"""Registry of the paper's experiments (the per-experiment index of DESIGN.md).
+"""Registry of the paper's experiments, and the record generated from it.
 
 Each entry ties a table/figure of the paper to the driver that regenerates
-it, the workload it runs on, and the qualitative claims ("shapes") the
-reproduction is expected to exhibit. Benchmarks and EXPERIMENTS.md are both
-generated from this registry so the three stay in sync.
+it, the workload it runs on, and the paper's qualitative claims about it.
+Every claim either names the tier-1 test that pins it or records how the
+default-scale run deviates from it. ``repro run all --output
+EXPERIMENTS.md`` renders this registry, with the measured values, into
+the committed paper-vs-measured record (:func:`render_record`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._version import __version__
+from ..exceptions import ValidationError
 from . import figures
 
-__all__ = ["PaperExperiment", "EXPERIMENTS", "get_experiment"]
+__all__ = [
+    "Claim",
+    "PaperExperiment",
+    "EXPERIMENTS",
+    "get_experiment",
+    "render_record",
+]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative claim of the paper about an experiment.
+
+    Exactly one of ``test`` and ``deviation`` is set. ``test`` is the id
+    of the tier-1 test that pins the claim
+    (``tests/<file>.py::<Class>::<test>``); ``deviation`` says what the
+    default-scale run shows instead of the claim.
+    """
+
+    text: str
+    test: str | None = None
+    deviation: str | None = None
+
+    def __post_init__(self):
+        if (self.test is None) == (self.deviation is None):
+            raise ValidationError(
+                f"claim {self.text!r} needs exactly one of test and deviation"
+            )
 
 
 @dataclass(frozen=True)
@@ -33,19 +64,25 @@ class PaperExperiment:
     driver:
         Zero-argument-friendly callable ``f(*, seed, scale, ...)`` from
         :mod:`repro.experiments.figures`.
-    expected_shapes:
-        The qualitative claims the reproduction should reproduce (checked
-        by the integration tests and recorded in EXPERIMENTS.md).
-    bench_module:
-        The benchmark file that regenerates the experiment.
+    claims:
+        The paper's qualitative claims, as :class:`Claim` entries.
     """
 
     experiment_id: str
     title: str
     dataset: str
     driver: object
-    expected_shapes: tuple
-    bench_module: str
+    claims: tuple
+
+
+class UnknownExperimentError(ValidationError, KeyError):
+    """No paper experiment has this id (a ``KeyError`` too, like a dict)."""
+
+    __str__ = Exception.__str__
+
+
+def _pinned(text: str, test: str) -> Claim:
+    return Claim(text, test=f"tests/test_paper_claims.py::{test}")
 
 
 EXPERIMENTS = {
@@ -55,11 +92,13 @@ EXPERIMENTS = {
         "all",
         figures.table1,
         (
-            "synthetic: 600 individuals, 300/300, base rates ≈ 0.51/0.48",
-            "crime: 1993 communities, 1423/570, base rates ≈ 0.35/0.86",
-            "compas: 8803 offenders, 4218/4585, base rates ≈ 0.41/0.55",
+            _pinned("synthetic: 600 individuals, 300/300, base rates ≈ "
+                    "0.51/0.48", "TestTable1::test_statistics_match_paper"),
+            _pinned("crime: 1993 communities, 1423/570, base rates ≈ "
+                    "0.35/0.86", "TestTable1::test_statistics_match_paper"),
+            _pinned("compas: 8803 offenders, 4218/4585, base rates ≈ "
+                    "0.41/0.55", "TestTable1::test_statistics_match_paper"),
         ),
-        "benchmarks/bench_table1_datasets.py",
     ),
     "figure1": PaperExperiment(
         "figure1",
@@ -67,11 +106,19 @@ EXPERIMENTS = {
         "synthetic",
         figures.figure1,
         (
-            "original: groups separated (cross-group distance ratio > 1)",
-            "ifair/lfr/pfr: groups well-mixed (ratio ≈ 1)",
-            "pfr only: deserving individuals of both groups aligned",
+            _pinned("original: groups separated (cross-group distance "
+                    "ratio > 1.05)",
+                    "TestFigure1Claims::test_original_groups_separated"),
+            _pinned("lfr/pfr: groups mixed (ratio at least 0.2 below the "
+                    "original's)",
+                    "TestFigure1Claims::test_learned_representations_mix_groups"),
+            _pinned("pfr only: deserving individuals of both groups aligned",
+                    "TestFigure1Claims::test_pfr_aligns_deserving_individuals"),
+            Claim("ifair: groups well-mixed",
+                  deviation="with untuned defaults iFair keeps the "
+                            "non-protected SAT shift, so its ratio stays "
+                            "near the original's"),
         ),
-        "benchmarks/bench_fig1_representations.py",
     ),
     "figure2": PaperExperiment(
         "figure2",
@@ -79,11 +126,19 @@ EXPERIMENTS = {
         "synthetic",
         figures.figure2,
         (
-            "PFR wins Consistency(WF) by a wide margin",
-            "PFR AUC >= other learned representations",
-            "all methods reach high Consistency(WX)",
+            _pinned("PFR beats Original (by > 0.1) and LFR on "
+                    "Consistency(WF)",
+                    "TestFigure2Claims::test_pfr_wins_consistency_wf"),
+            _pinned("PFR's AUC is on par with Original's and LFR's "
+                    "(within 0.02) or better",
+                    "TestFigure2Claims::test_pfr_best_auc_among_fair_methods"),
+            _pinned("all methods reach high Consistency(WX) (> 0.6)",
+                    "TestFigure2Claims::test_all_methods_high_consistency_wx"),
+            Claim("PFR wins Consistency(WF) by a wide margin",
+                  deviation="iFair scores higher than PFR on this simulator"),
+            Claim("PFR achieves by far the best AUC",
+                  deviation="iFair's AUC is higher than PFR's"),
         ),
-        "benchmarks/bench_fig2_synthetic_tradeoff.py",
     ),
     "figure3": PaperExperiment(
         "figure3",
@@ -91,10 +146,19 @@ EXPERIMENTS = {
         "synthetic",
         figures.figure3,
         (
-            "original: substantial parity and error-rate gaps",
-            "pfr: near-equal positive rates and error rates, comparable to hardt",
+            _pinned("original: substantial positive-rate gap (> 0.2)",
+                    "TestFigure3Claims::test_original_has_substantial_gaps"),
+            _pinned("pfr: smaller positive-rate and FNR gaps than original",
+                    "TestFigure3Claims::"
+                    "test_pfr_improves_group_fairness_over_original"),
+            _pinned("hardt: balanced error rates (FPR gap < 0.15, FNR gap "
+                    "< 0.25)",
+                    "TestFigure3Claims::test_hardt_balances_error_rates"),
+            Claim("pfr: near-equal positive rates and error rates, "
+                  "comparable to hardt",
+                  deviation="PFR's gaps are below the original's but above "
+                            "Hardt's"),
         ),
-        "benchmarks/bench_fig3_synthetic_group_fairness.py",
     ),
     "figure4": PaperExperiment(
         "figure4",
@@ -102,11 +166,14 @@ EXPERIMENTS = {
         "synthetic",
         figures.figure4,
         (
-            "gamma ↑ ⇒ Consistency(WF) ↑",
-            "gamma ↑ ⇒ Consistency(WX) ↓",
-            "gamma ↑ ⇒ AUC ↑ (fairness graph aligned with ground truth)",
+            _pinned("gamma ↑ ⇒ Consistency(WF) ↑ (by > 0.2)",
+                    "TestFigure4Claims::test_consistency_wf_increases"),
+            _pinned("gamma ↑ ⇒ Consistency(WX) ↓",
+                    "TestFigure4Claims::test_consistency_wx_decreases"),
+            _pinned("gamma ↑ ⇒ AUC ↑ (by > 0.05; fairness graph aligned "
+                    "with ground truth)",
+                    "TestFigure4Claims::test_auc_increases_with_gamma"),
         ),
-        "benchmarks/bench_fig4_synthetic_gamma.py",
     ),
     "figure5": PaperExperiment(
         "figure5",
@@ -114,10 +181,20 @@ EXPERIMENTS = {
         "crime",
         figures.figure5,
         (
-            "PFR wins Consistency(WF)",
-            "PFR pays some AUC and Consistency(WX) relative to Original+",
+            _pinned("PFR beats Original+ and iFair+ on Consistency(WF)",
+                    "TestFigure5Claims::"
+                    "test_pfr_beats_unconstrained_baselines_on_wf"),
+            _pinned("PFR pays some AUC relative to Original+",
+                    "TestFigure5Claims::test_pfr_pays_some_auc"),
+            _pinned("every AUC is informative (> 0.55; PFR's > 0.6)",
+                    "TestFigure5Claims::test_all_aucs_informative"),
+            Claim("PFR wins Consistency(WF)",
+                  deviation="LFR+ scores slightly higher than PFR at scale "
+                            "1.0; PFR wins outright at the tier-1 scale 0.35"),
+            Claim("PFR pays some Consistency(WX) relative to Original+",
+                  deviation="PFR's Consistency(WX) is higher than "
+                            "Original+'s"),
         ),
-        "benchmarks/bench_fig5_crime_tradeoff.py",
     ),
     "figure6": PaperExperiment(
         "figure6",
@@ -125,10 +202,22 @@ EXPERIMENTS = {
         "crime",
         figures.figure6,
         (
-            "PFR: near-equal positive rates across groups",
-            "PFR error-rate balance comparable to Hardt+",
+            _pinned("PFR's positive-rate gap is below Original+'s and "
+                    "iFair+'s",
+                    "TestFigure6Claims::test_pfr_beats_baselines_on_parity"),
+            _pinned("PFR's mean FPR/FNR gap is within 0.1 of Hardt+'s and "
+                    "under 0.4× the unconstrained baselines'",
+                    "TestFigure6Claims::"
+                    "test_pfr_error_balance_comparable_to_hardt"),
+            _pinned("Original+ is heavily biased (positive-rate gap > 0.4)",
+                    "TestFigure6Claims::test_original_heavily_biased"),
+            Claim("PFR: near-equal positive rates across groups",
+                  deviation="PFR narrows Original+'s positive-rate gap a lot "
+                            "but does not close it"),
+            Claim("PFR equalizes FPR as well as Hardt+",
+                  deviation="PFR keeps a larger FPR gap than Hardt+ on this "
+                            "extreme-base-rate workload"),
         ),
-        "benchmarks/bench_fig6_crime_group_fairness.py",
     ),
     "figure7": PaperExperiment(
         "figure7",
@@ -136,10 +225,18 @@ EXPERIMENTS = {
         "crime",
         figures.figure7,
         (
-            "gamma ↑ ⇒ Consistency(WF) ↑, Consistency(WX) ↓",
-            "gamma ↑ ⇒ overall AUC ↓ while the group AUC gap narrows",
+            _pinned("gamma ↑ ⇒ Consistency(WF) ↑",
+                    "TestFigure7Claims::test_consistency_wf_increases"),
+            _pinned("gamma ↑ ⇒ overall AUC ↓",
+                    "TestFigure7Claims::test_overall_auc_decreases"),
+            _pinned("gamma ↑ ⇒ protected-group AUC ↑",
+                    "TestFigure7Claims::test_protected_auc_improves"),
+            _pinned("gamma ↑ ⇒ group AUC gap narrows",
+                    "TestFigure7Claims::test_protected_auc_gap_narrows"),
+            Claim("gamma ↑ ⇒ Consistency(WX) ↓",
+                  deviation="Consistency(WX) dips at mid gamma but ends "
+                            "higher at gamma = 1 than at gamma = 0"),
         ),
-        "benchmarks/bench_fig7_crime_gamma.py",
     ),
     "figure8": PaperExperiment(
         "figure8",
@@ -147,11 +244,16 @@ EXPERIMENTS = {
         "compas",
         figures.figure8,
         (
-            "PFR comparable to other learned representations on AUC and "
-            "individual fairness (§4.3.3: 'performs similarly')",
-            "PFR beats the unconstrained baselines on Consistency(WF)",
+            _pinned("PFR's Consistency(WF) is within 0.08 of every other "
+                    "method or better (§4.3.3: 'performs similarly')",
+                    "TestFigure8Claims::"
+                    "test_pfr_individual_fairness_similar_or_better"),
+            _pinned("PFR beats Original+ and iFair+ on Consistency(WF)",
+                    "TestFigure8Claims::"
+                    "test_pfr_beats_unconstrained_baselines_on_wf"),
+            _pinned("PFR's AUC is within 0.05 of Original+'s or better",
+                    "TestFigure8Claims::test_pfr_auc_comparable"),
         ),
-        "benchmarks/bench_fig8_compas_tradeoff.py",
     ),
     "figure9": PaperExperiment(
         "figure9",
@@ -159,9 +261,17 @@ EXPERIMENTS = {
         "compas",
         figures.figure9,
         (
-            "PFR: near-equal positive rates and error rates, as good as Hardt+",
+            _pinned("PFR: near-equal positive rates (gap < 0.12)",
+                    "TestFigure9Claims::test_pfr_near_equal_positive_rates"),
+            _pinned("PFR's worst error-rate gap is within 0.05 of Hardt+'s",
+                    "TestFigure9Claims::test_pfr_as_good_as_hardt"),
+            _pinned("PFR's mean error-rate gap is within 0.05 of Hardt+'s",
+                    "TestFigure9Claims::"
+                    "test_pfr_mean_error_balance_as_good_as_hardt"),
+            _pinned("PFR's positive-rate gap is below Original+'s and "
+                    "iFair+'s",
+                    "TestFigure9Claims::test_pfr_beats_unconstrained_baselines"),
         ),
-        "benchmarks/bench_fig9_compas_group_fairness.py",
     ),
     "figure10": PaperExperiment(
         "figure10",
@@ -169,10 +279,21 @@ EXPERIMENTS = {
         "compas",
         figures.figure10,
         (
-            "gamma ↑ ⇒ Consistency(WF) ↑, Consistency(WX) ↓",
-            "gamma ↑ ⇒ overall AUC ↓, protected-group AUC gap narrows",
+            _pinned("gamma ↑ ⇒ Consistency(WF) ↑",
+                    "TestFigure10Claims::test_consistency_wf_increases"),
+            _pinned("gamma ↑ ⇒ Consistency(WX) ↓",
+                    "TestFigure10Claims::test_consistency_wx_decreases"),
+            _pinned("gamma ↑ ⇒ positive-rate gap shrinks",
+                    "TestFigure10Claims::test_parity_improves_with_gamma"),
+            _pinned("gamma ↑ ⇒ group AUC gap widens by at most 0.02",
+                    "TestFigure10Claims::test_group_auc_gap_does_not_widen"),
+            Claim("gamma ↑ ⇒ overall AUC ↓",
+                  deviation="overall AUC is higher at gamma = 1 than at "
+                            "gamma = 0"),
+            Claim("gamma ↑ ⇒ protected-group AUC gap narrows",
+                  deviation="the gap widens slightly, within the 0.02 the "
+                            "pinned claim allows"),
         ),
-        "benchmarks/bench_fig10_compas_gamma.py",
     ),
 }
 
@@ -180,7 +301,39 @@ EXPERIMENTS = {
 def get_experiment(experiment_id: str) -> PaperExperiment:
     """Look up an experiment by its paper identifier."""
     if experiment_id not in EXPERIMENTS:
-        raise KeyError(
+        raise UnknownExperimentError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[experiment_id]
+
+
+def render_record(experiments, results, *, command: str) -> str:
+    """The paper-vs-measured record: one Markdown section per experiment.
+
+    ``results`` holds one :class:`~repro.experiments.FigureResult` per
+    entry of ``experiments``, and ``command`` is the CLI invocation that
+    produced them (it carries the scale and seed). The text holds no
+    timestamp, host or git sha, so equal inputs give equal bytes.
+    """
+    lines = [
+        "# Paper experiments: claims and measured values",
+        "",
+        f"Generated by `{command}` with repro {__version__}. Do not edit "
+        "by hand.",
+        "",
+        "Each claim names the tier-1 test that pins it; the tests of the "
+        "slower workloads run the same figures at reduced scale. A "
+        "deviation is a claim of the paper that the default run (scale "
+        "1.0, seed 0) does not reproduce.",
+    ]
+    for spec, result in zip(experiments, results):
+        lines += ["", f"## {spec.experiment_id}: {spec.title}", "",
+                  "Pinned claims:", ""]
+        lines += [f"- {c.text} (`{c.test}`)" for c in spec.claims if c.test]
+        deviations = [c for c in spec.claims if c.deviation]
+        if deviations:
+            lines += ["", "Deviations:", ""]
+            lines += [f"- {c.text} — {c.deviation}" for c in deviations]
+        rendered = [line.rstrip() for line in result.render().splitlines()]
+        lines += ["", "```text", *rendered, "```"]
+    return "\n".join(lines)

@@ -6,7 +6,8 @@ paper plots and whose ``text`` is an ASCII rendering. Dataset sizes default
 to the paper's (Table 1) and can be scaled down with ``scale`` for quick
 runs; all functions are deterministic in ``seed``.
 
-Figure → experiment map (see DESIGN.md §4 for the full index):
+Figure → experiment map (the registry in :mod:`repro.experiments.config`
+adds each figure's claims; EXPERIMENTS.md records the measured values):
 
 * ``table1``  — dataset statistics.
 * ``figure1`` — learned 2-D representations on the synthetic workload.

@@ -3,8 +3,8 @@
 The execution environment has no plotting stack, so every figure is
 reproduced as its underlying *data series* plus an ASCII rendering good
 enough to eyeball the paper's qualitative claims (who wins, where the
-curves cross). Benchmarks print these renderings; EXPERIMENTS.md records
-the numbers.
+curves cross). ``repro run`` prints these renderings, and EXPERIMENTS.md,
+which ``repro run all --output EXPERIMENTS.md`` regenerates, records them.
 """
 
 from __future__ import annotations

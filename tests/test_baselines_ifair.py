@@ -44,8 +44,10 @@ class TestGradient:
 class TestFit:
     def test_transform_preserves_dimensionality(self, grouped_data):
         X, _ = grouped_data
-        Z = IFair(n_prototypes=5, max_iter=40, seed=0).fit_transform(X)
+        model = IFair(n_prototypes=5, max_iter=40, seed=0)
+        Z = model.fit_transform(X)
         assert Z.shape == X.shape
+        assert model.prototypes_.shape == (5, X.shape[1])
 
     def test_fit_reduces_loss(self, grouped_data):
         X, _ = grouped_data

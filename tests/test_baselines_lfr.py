@@ -47,7 +47,9 @@ class TestFit:
 
     def test_transform_shape_and_simplex(self, grouped_problem):
         X, y, s = grouped_problem
-        U = LFR(n_prototypes=6, seed=0).fit(X, y, s=s).transform(X)
+        model = LFR(n_prototypes=6, seed=0).fit(X, y, s=s)
+        assert model.prototypes_.shape == (6, X.shape[1])
+        U = model.transform(X)
         assert U.shape == (len(X), 6)
         np.testing.assert_allclose(U.sum(axis=1), 1.0, atol=1e-10)
         assert U.min() >= 0.0

@@ -35,6 +35,15 @@ class TestList:
         assert "table1" in out
         for i in range(1, 11):
             assert f"figure{i}" in out
+        assert "[deviation]" in out
+
+    def test_experiments_list_subcommand_removed(self, capsys):
+        # `repro list` prints the whole registry; the old
+        # `repro experiments list` duplicate is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "list"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRun:
@@ -48,6 +57,29 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Consistency(WF)" in out
         assert "pfr" in out
+
+    def test_run_prints_the_record_section(self, capsys):
+        assert main(["run", "table1", "--scale", "0.05", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "`python -m repro run table1 --scale 0.05 --seed 3`" in out
+        assert "## table1: " in out
+        assert "tests/test_paper_claims.py::TestTable1::" in out
+        assert "```text\n== table1: " in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "figure2", "--scale", "2"],
+            ["run", "all", "--scale", "0"],
+            ["report", "crime", "--scale", "0"],
+        ],
+    )
+    def test_bad_scale_is_a_clean_error(self, argv, capsys):
+        # Regression: a ValidationError from the figure code escaped main() as a
+        # traceback with exit 1.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scale" in err
 
     def test_run_writes_output_file(self, tmp_path, capsys):
         target = tmp_path / "render.txt"
@@ -132,16 +164,6 @@ class TestVersionFlag:
         out = capsys.readouterr().out
         from repro._version import __version__
         assert out.strip() == f"repro {__version__}"
-
-
-class TestExperimentsList:
-    def test_lists_paper_experiment_registry(self, capsys):
-        assert main(["experiments", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out
-        for i in range(1, 11):
-            assert f"figure{i}" in out
-        assert "benchmarks/bench_fig4_synthetic_gamma.py" in out
 
 
 class TestExperimentsRunSpec:

@@ -5,6 +5,9 @@ series the paper plots, and render. The *qualitative shape* assertions that
 constitute the actual reproduction check live in test_paper_claims.py.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,8 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.builders import _scaled
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTable1:
@@ -94,8 +99,40 @@ class TestRegistry:
             assert spec.title
             assert spec.dataset in ("all", "synthetic", "crime", "compas")
             assert callable(spec.driver)
-            assert spec.expected_shapes
-            assert spec.bench_module.startswith("benchmarks/")
+            assert spec.claims
+            assert all(claim.text for claim in spec.claims)
+
+    def test_pinned_tests_exist(self):
+        # Every claim's test id (tests/<file>.py::<Class>::<test>) names a
+        # test method that exists, so EXPERIMENTS.md never cites a dead id.
+        pinned = {
+            claim.test
+            for spec in EXPERIMENTS.values()
+            for claim in spec.claims
+            if claim.test
+        }
+        assert pinned
+        existing = set()
+        for path in {test_id.split("::")[0] for test_id in pinned}:
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            existing |= {
+                f"{path}::{node.name}::{item.name}"
+                for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            }
+        assert not pinned - existing, sorted(pinned - existing)
+
+    def test_committed_record_lists_every_claim(self):
+        # EXPERIMENTS.md is generated by `repro run all --output
+        # EXPERIMENTS.md`; a registry edit without a regeneration fails here.
+        record = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        for spec in EXPERIMENTS.values():
+            assert f"## {spec.experiment_id}: {spec.title}\n" in record
+            for claim in spec.claims:
+                assert claim.text in record
+                assert (claim.test or claim.deviation) in record
 
     def test_get_experiment(self):
         assert get_experiment("figure2").dataset == "synthetic"
@@ -103,6 +140,16 @@ class TestRegistry:
     def test_get_unknown(self):
         with pytest.raises(KeyError, match="unknown experiment"):
             get_experiment("figure99")
+        with pytest.raises(ValidationError, match="unknown experiment"):
+            get_experiment("figure99")
+
+    def test_claim_needs_exactly_one_of_test_and_deviation(self):
+        from repro.experiments import Claim
+
+        with pytest.raises(ValidationError, match="exactly one"):
+            Claim("shape")
+        with pytest.raises(ValidationError, match="exactly one"):
+            Claim("shape", test="tests/x.py::A::b", deviation="differs")
 
     def test_drivers_match_registry(self):
         import repro.experiments.figures as figures

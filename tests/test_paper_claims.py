@@ -3,18 +3,46 @@
 Each test pins one claim from the evaluation section, on a moderately
 scaled-down workload so the whole module stays fast. These are the
 reproduction's acceptance tests: if they pass, the shapes of every table
-and figure hold. Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+and figure hold. The registry (``repro.experiments.config``) names the
+test behind each claim, and EXPERIMENTS.md records the claims next to the
+measured values. The ablation tests at the end pin the repository's own
+design choices (dimensionality, formulation, kernel, graph granularity,
+judge noise, sparse judgments, the γ frontier).
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import figure1, figure2, figure3, figure4, table1
-from repro.experiments.figures import (
-    _gamma_sweep_figure,
-    _group_fairness_figure,
-    _tradeoff_figure,
-    REAL_METHODS,
+from repro.core import PFR, KernelPFR
+from repro.experiments import (
+    ExperimentHarness,
+    figure1,
+    figure2,
+    figure3,
+    figure4,
+    figure5,
+    figure6,
+    figure7,
+    figure8,
+    figure9,
+    figure10,
+    make_workload,
+    table1,
+    tradeoff_frontier,
+    workload_harness,
+)
+from repro.graphs import (
+    equivalence_class_graph,
+    likert_judgments,
+    pairwise_judgment_graph,
+    subsample_edges,
+)
+from repro.metrics import restrict_graph
+from repro.ml import (
+    LogisticRegression,
+    StandardScaler,
+    roc_auc_score,
+    train_test_split,
 )
 
 SEED = 0
@@ -32,45 +60,41 @@ def fig3():
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figure4(scale=1.0, seed=SEED, gammas=(0.0, 0.3, 0.6, 0.9))
+    return figure4(scale=1.0, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return _tradeoff_figure("figure5", "crime", REAL_METHODS, seed=SEED, scale=0.35)
+    return figure5(scale=0.35, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return _group_fairness_figure(
-        "figure6", "crime", REAL_METHODS + ("hardt+",), seed=SEED, scale=0.35
-    )
+    return figure6(scale=0.35, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def fig7():
-    return _gamma_sweep_figure(
-        "figure7", "crime", seed=SEED, scale=0.35, gammas=(0.0, 0.5, 1.0)
-    )
+    return figure7(scale=0.35, seed=SEED, gammas=(0.0, 0.5, 1.0))
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return _tradeoff_figure("figure8", "compas", REAL_METHODS, seed=SEED, scale=0.25)
+    return figure8(scale=0.25, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def fig9():
-    return _group_fairness_figure(
-        "figure9", "compas", REAL_METHODS + ("hardt+",), seed=SEED, scale=0.25
-    )
+    return figure9(scale=0.25, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def fig10():
-    return _gamma_sweep_figure(
-        "figure10", "compas", seed=SEED, scale=0.25, gammas=(0.0, 0.5, 1.0)
-    )
+    return figure10(scale=0.25, seed=SEED, gammas=(0.0, 0.5, 1.0))
+
+
+def _mean_error_gap(rates):
+    return 0.5 * (rates.gap("fpr") + rates.gap("fnr"))
 
 
 class TestTable1:
@@ -198,6 +222,11 @@ class TestFigure5Claims:
         )
         assert results["pfr"].consistency_wf > best_baseline
 
+    def test_pfr_beats_unconstrained_baselines_on_wf(self, fig5):
+        results = fig5.data["results"]
+        for method in ("original+", "ifair+"):
+            assert results["pfr"].consistency_wf > results[method].consistency_wf
+
     def test_pfr_pays_some_auc(self, fig5):
         # "The improvement in individual fairness regarding WF comes with a
         #  drop in utility"
@@ -207,6 +236,7 @@ class TestFigure5Claims:
     def test_all_aucs_informative(self, fig5):
         for result in fig5.data["results"].values():
             assert result.auc > 0.55
+        assert fig5.data["results"]["pfr"].auc > 0.6
 
 
 class TestFigure6Claims:
@@ -228,20 +258,12 @@ class TestFigure6Claims:
         #  FPR gap on the extreme-base-rate Crime workload is recorded in
         #  EXPERIMENTS.md.
         results = fig6.data["results"]
-        pfr_mean = 0.5 * (
-            results["pfr"].rates.gap("fpr") + results["pfr"].rates.gap("fnr")
-        )
-        hardt_mean = 0.5 * (
-            results["hardt+"].rates.gap("fpr")
-            + results["hardt+"].rates.gap("fnr")
-        )
-        assert pfr_mean <= hardt_mean + 0.1
+        pfr_mean = _mean_error_gap(results["pfr"].rates)
+        assert pfr_mean <= _mean_error_gap(results["hardt+"].rates) + 0.1
         # Versus the unconstrained baselines the improvement is an order of
         # magnitude.
         for method in ("original+", "ifair+"):
-            baseline = results[method].rates
-            baseline_mean = 0.5 * (baseline.gap("fpr") + baseline.gap("fnr"))
-            assert pfr_mean < 0.4 * baseline_mean
+            assert pfr_mean < 0.4 * _mean_error_gap(results[method].rates)
 
     def test_original_heavily_biased(self, fig6):
         original = fig6.data["results"]["original+"].rates
@@ -250,6 +272,10 @@ class TestFigure6Claims:
 
 class TestFigure7Claims:
     """Crime: γ sweep."""
+
+    def test_consistency_wf_increases(self, fig7):
+        series = fig7.data["series"]["consistency_wf"]
+        assert series[-1] > series[0]
 
     def test_overall_auc_decreases(self, fig7):
         series = fig7.data["series"]["auc_any"]
@@ -314,6 +340,13 @@ class TestFigure9Claims:
         )
         assert pfr_worst <= hardt_worst + 0.05
 
+    def test_pfr_mean_error_balance_as_good_as_hardt(self, fig9):
+        results = fig9.data["results"]
+        assert (
+            _mean_error_gap(results["pfr"].rates)
+            <= _mean_error_gap(results["hardt+"].rates) + 0.05
+        )
+
     def test_pfr_beats_unconstrained_baselines(self, fig9):
         results = fig9.data["results"]
         for method in ("original+", "ifair+"):
@@ -338,10 +371,168 @@ class TestFigure10Claims:
         sweep = fig10.data["sweep"]
         assert (
             sweep[-1].rates.gap("positive_rate")
-            < sweep[0].rates.gap("positive_rate") + 1e-9
+            < sweep[0].rates.gap("positive_rate")
         )
 
     def test_group_auc_gap_does_not_widen(self, fig10):
         s0 = fig10.data["series"]["auc_s0"]
         s1 = fig10.data["series"]["auc_s1"]
         assert abs(s0[-1] - s1[-1]) <= abs(s0[0] - s1[0]) + 0.02
+
+
+def _rings(n_per_ring=150, seed=0):
+    """Two noisy concentric rings: linearly inseparable classes."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0, 2 * np.pi, size=2 * n_per_ring)
+    radii = np.concatenate(
+        [rng.normal(1.0, 0.08, n_per_ring), rng.normal(3.0, 0.08, n_per_ring)]
+    )
+    X = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    return X, (radii > 2.0).astype(np.int64)
+
+
+def _downstream_auc(model, X_train, y_train, X_test, y_test, w_fair):
+    """Fit ``model`` on the training rows, then score a logistic regression."""
+    scaler = StandardScaler().fit(model.fit(X_train, w_fair).transform(X_train))
+    classifier = LogisticRegression().fit(
+        scaler.transform(model.transform(X_train)), y_train
+    )
+    scores = classifier.predict_proba(scaler.transform(model.transform(X_test)))
+    return roc_auc_score(y_test, scores[:, 1])
+
+
+@pytest.fixture(scope="module")
+def crime_ablation():
+    return make_workload("crime", seed=SEED, scale=0.35)
+
+
+@pytest.fixture(scope="module")
+def synthetic_ablation():
+    return make_workload("synthetic", seed=SEED, scale=1.0)
+
+
+class TestAblationClaims:
+    """The repository's own design choices, measured on the paper's workloads."""
+
+    def test_latent_dimensionality(self, crime_ablation):
+        # Full-dimensional PFR is a rotation: its parity gap stays large,
+        # while the compressed operating point (d=2) closes most of it.
+        # Utility grows with d (more of the input is preserved).
+        results = {
+            d: ExperimentHarness(crime_ablation, seed=SEED, n_components=d)
+            .run_method("pfr", gamma=1.0)
+            for d in (1, 2, 25)
+        }
+        assert (
+            results[2].rates.gap("positive_rate")
+            < results[25].rates.gap("positive_rate")
+        )
+        assert results[25].auc > results[1].auc
+
+    def test_default_formulation_beats_literal_eq6(self, crime_ablation):
+        # The default (Eq. 5's ZZᵀ=I constraint with trace-balanced graph
+        # terms) against the literal Eq. 6 reading (VᵀV=I, no balancing),
+        # whose null-space pathology shows up as a large AUC loss.
+        auc = {
+            constraint: ExperimentHarness(
+                crime_ablation, seed=SEED, n_components=2
+            ).run_method(
+                "pfr", gamma=0.8, constraint=constraint, rescale=rescale
+            ).auc
+            for constraint, rescale in (("z", "objective"), ("v", "none"))
+        }
+        assert auc["z"] > auc["v"] + 0.05
+
+    def test_kernel_pfr_beats_linear_on_rings(self):
+        X, y = _rings()
+        train, test = train_test_split(
+            np.arange(len(y)), test_size=0.3, stratify=y, seed=0
+        )
+        w_fair = pairwise_judgment_graph(
+            [(i, i + 1) for i in range(0, len(train) - 1, 2)], n=len(train)
+        )
+
+        def auc(model):
+            return _downstream_auc(
+                model, X[train], y[train], X[test], y[test], w_fair
+            )
+
+        linear = auc(PFR(n_components=2, gamma=0.3, n_neighbors=8))
+        rbf = auc(KernelPFR(n_components=8, gamma=0.3, n_neighbors=8,
+                            kernel="rbf"))
+        # Degree-2 polynomials of 2 features span only 6 monomials, so the
+        # kernel rank caps the component count at 6.
+        poly = auc(KernelPFR(n_components=5, gamma=0.3, n_neighbors=8,
+                             kernel="poly", degree=2))
+        assert rbf > linear + 0.2
+        assert poly > linear + 0.1
+
+    def test_noisy_judges_degrade_gracefully(self, synthetic_ablation):
+        # Likert judges of the simulator's ground-truth suitability (the
+        # distance above the group's own admission threshold), from
+        # reliable to noisy: reliable judges give high utility, and the
+        # pipeline keeps an informative AUC even with badly noisy judges.
+        data = synthetic_ablation
+        suitability = data.X[:, 0] + data.X[:, 1] - np.where(
+            data.s == 0, 210.0, 200.0
+        )
+        aucs = []
+        for noise in (0.0, 0.05, 0.1, 0.2, 0.4):
+            levels = likert_judgments(
+                suitability, n_levels=5, judge_noise=noise, coverage=0.9,
+                seed=1,
+            )
+            w_fair = equivalence_class_graph(levels, mask=levels != -1)
+            harness = ExperimentHarness(data, seed=SEED, n_components=2)
+            harness.prepare()
+            harness.W_fair_full = w_fair
+            harness.W_fair_train = restrict_graph(w_fair, harness.train_idx)
+            harness.W_fair_test = restrict_graph(w_fair, harness.test_idx)
+            result = harness.run_method("pfr", gamma=0.9)
+            assert 0.0 <= result.consistency_wf <= 1.0
+            aucs.append(result.auc)
+        assert aucs[0] > 0.9
+        assert all(np.isfinite(auc) and auc > 0.6 for auc in aucs)
+
+    def test_quantile_granularity(self, synthetic_ablation):
+        # Every fairness-graph granularity stays strongly utile and far
+        # below the unconstrained parity gap (~0.5 on this workload).
+        for q in (2, 4, 10, 25, 50):
+            result = ExperimentHarness(
+                synthetic_ablation, seed=SEED, n_quantiles=q, n_components=2
+            ).run_method("pfr", gamma=0.9)
+            assert result.auc > 0.9
+            assert result.rates.gap("positive_rate") < 0.3
+            assert result.consistency_wf > 0.5
+
+    def test_sparse_judgments(self, synthetic_ablation):
+        # The paper's sparse-elicitation premise: with 10% of the fairness
+        # graph's edges PFR keeps most of its utility.
+        harness = ExperimentHarness(synthetic_ablation, seed=SEED,
+                                    n_components=2).prepare()
+        aucs = {}
+        for fraction in (1.0, 0.3, 0.1, 0.03):
+            model = PFR(n_components=2, gamma=0.9,
+                        exclude_columns=harness.protected)
+            aucs[fraction] = _downstream_auc(
+                model, harness.X_train, harness.y_train, harness.X_test,
+                harness.y_test,
+                subsample_edges(harness.W_fair_train, fraction, seed=1),
+            )
+        assert all(np.isfinite(auc) for auc in aucs.values())
+        assert aucs[0.1] > aucs[1.0] - 0.15
+
+    def test_gamma_frontier_is_a_tradeoff(self):
+        # PFR's (AUC, Consistency(WF)) Pareto frontier over γ is a genuine
+        # curve: sorted by AUC, consistency falls as AUC rises.
+        out = tradeoff_frontier(
+            workload_harness("crime", seed=SEED, scale=0.35),
+            "pfr",
+            grid={"gamma": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]},
+        )
+        frontier = [result for _, result in out["frontier"]]
+        assert 2 <= len(frontier) <= len(out["results"])
+        aucs = [result.auc for result in frontier]
+        consistencies = [result.consistency_wf for result in frontier]
+        assert aucs == sorted(aucs)
+        assert consistencies == sorted(consistencies, reverse=True)
