@@ -10,9 +10,7 @@ Usage::
 
     python -m repro experiments run spec.yaml [--store DIR] [--workers 4]
                                               [--shard I/K]
-    python -m repro experiments sweep DATASET [--method pfr] [--workers 4] [--store DIR]
     python -m repro experiments tune DATASET [--methods original,pfr] [--store DIR]
-    python -m repro experiments repeat DATASET [--seeds 0,1,2] [--store DIR]
 
     python -m repro store ls [--store DIR] [--kind method_result]
     python -m repro store gc [--store DIR] [--kind K] [--older-than-days D]
@@ -45,13 +43,14 @@ pin them, the known deviations, and the ASCII rendering of the measured
 values; ``--output`` also writes it to a file, and ``run all --output
 EXPERIMENTS.md`` regenerates the committed record. ``list`` shows every
 experiment with its claims. The
-``experiments`` family runs γ-sweeps, the grid-search tuning protocol,
-cross-seed repetition, and whole declarative scenario matrices
-(``experiments run spec.yaml``), with ``--workers`` fanning the
-independent fits out across processes (results are bitwise identical to
-serial) and ``--store`` routing every cell through the content-addressed
-run ledger (:mod:`repro.store`) — interrupted runs resume and extended
-grids pay only their new cells. The ``store`` family inspects and
+``experiments`` family runs declarative scenario matrices
+(``experiments run spec.yaml``; a γ-sweep is a one-seed spec, a
+cross-seed repetition a one-γ spec) and the grid-search tuning protocol
+(``experiments tune``), with ``--workers`` fanning the independent fits
+out across processes (results are bitwise identical to serial) and
+``--store`` routing every cell through the content-addressed run ledger
+(:mod:`repro.store`) — interrupted runs resume and extended grids pay
+only their new cells. The ``store`` family inspects and
 maintains that ledger. The ``models`` family manages the versioned model
 registry (:mod:`repro.serving`) and ``transform`` pushes a CSV of feature
 rows through a registered model.
@@ -319,29 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiments = subparsers.add_parser(
         "experiments",
-        help="sweeps, tuning and cross-seed repetition (parallelizable)",
+        help="scenario matrices (sweeps, cross-seed repetition) and tuning "
+             "(parallelizable)",
     )
     exp_sub = experiments.add_subparsers(dest="experiments_command", required=True)
-
-    def _exp_common(sub):
-        sub.add_argument("dataset", choices=["synthetic", "crime", "compas"])
-        sub.add_argument("--scale", type=float, default=1.0,
-                         help="dataset-size fraction in (0, 1] (default 1.0)")
-        sub.add_argument("--seed", type=int, default=0, help="generator seed")
-        sub.add_argument(
-            "--workers", default=None,
-            help="process fan-out: a count or 'auto' (default: serial); "
-                 "results are bitwise identical to a serial run",
-        )
-        sub.add_argument(
-            "--store", default=None,
-            help="run-ledger directory: completed cells are skipped and "
-                 "new ones persisted, so interrupted runs resume "
-                 "(default: no persistence)",
-        )
-        sub.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON instead of a table")
-        _obs_flags(sub)
 
     run_spec_cmd = exp_sub.add_parser(
         "run", help="execute a declarative RunSpec (YAML/JSON scenario matrix)"
@@ -366,36 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
                               help="emit the machine-readable run report")
     _obs_flags(run_spec_cmd)
 
-    sweep = exp_sub.add_parser(
-        "sweep", help="γ-sweep one method on a workload"
-    )
-    _exp_common(sweep)
-    sweep.add_argument("--method", default="pfr",
-                       help="harness method name (default pfr)")
-    sweep.add_argument("--gammas", default="0.0,0.1,0.3,0.5,0.7,0.9,1.0",
-                       help="comma-separated γ values")
-
     tune = exp_sub.add_parser(
         "tune", help="5-fold grid search (the paper's tuning protocol)"
     )
-    _exp_common(tune)
+    tune.add_argument("dataset", choices=["synthetic", "crime", "compas"])
+    tune.add_argument("--scale", type=float, default=1.0,
+                      help="dataset-size fraction in (0, 1] (default 1.0)")
+    tune.add_argument("--seed", type=int, default=0, help="generator seed")
+    tune.add_argument(
+        "--workers", default=None,
+        help="process fan-out: a count or 'auto' (default: serial); "
+             "results are bitwise identical to a serial run",
+    )
+    tune.add_argument(
+        "--store", default=None,
+        help="run-ledger directory: scored grid points are skipped and new "
+             "ones persisted, so interrupted searches resume "
+             "(default: no persistence)",
+    )
+    tune.add_argument("--json", action="store_true",
+                      help="emit machine-readable JSON instead of a table")
     tune.add_argument("--methods", default="original,pfr",
                       help="comma-separated methods to tune")
     tune.add_argument("--splits", type=int, default=5,
                       help="cross-validation folds (default 5)")
-
-    repeat = exp_sub.add_parser(
-        "repeat", help="cross-seed repetition with mean ± std error bars"
-    )
-    _exp_common(repeat)
-    repeat.add_argument("--methods", default="original,pfr",
-                        help="comma-separated methods to aggregate")
-    repeat.add_argument("--seeds", default="0,1,2",
-                        help="comma-separated seeds, or a count to derive "
-                             "that many via SeedSequence.spawn rooted at "
-                             "--seed")
-    repeat.add_argument("--gamma", type=float, default=0.5,
-                        help="γ forwarded to every method (default 0.5)")
+    _obs_flags(tune)
 
     store = subparsers.add_parser(
         "store", help="inspect and maintain the content-addressed run ledger"
@@ -650,11 +625,15 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .obs import get_registry
     from .serving import ServingServer, TransformService
 
+    # The process registry, so /metrics exports every series this process
+    # counts (ledger, eig, knn, merge, lifecycle), not only serving's.
     service = TransformService(
         _registry(args),
         cache_size=args.cache_size,
+        metrics=get_registry(),
         drift=args.drift,
         drift_floor=args.drift_floor,
         drift_sample=args.drift_sample,
@@ -676,13 +655,7 @@ def _cmd_serve(args) -> int:
             "Ctrl-C to stop",
             flush=True,
         )
-        if args.trace:
-            from .obs import tracing
-
-            with tracing(args.trace, registry=service.metrics):
-                threading_event_wait()
-        else:
-            threading_event_wait()
+        threading_event_wait()
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
@@ -911,8 +884,7 @@ def _csv(text: str) -> list[str]:
 
 
 def _cmd_experiments(args) -> int:
-    from .experiments import repeat_methods, tune_methods, workload_harness
-    from .experiments.builders import WorkloadFactory
+    from .experiments import tune_methods, workload_harness
     from .experiments.report import render_table
 
     workers = _parse_workers(args.workers)
@@ -955,92 +927,24 @@ def _cmd_experiments(args) -> int:
             ))
         return 0
 
-    store = getattr(args, "store", None)
-
-    if args.experiments_command == "sweep":
-        harness = workload_harness(
-            args.dataset, seed=args.seed, scale=args.scale, store=store
-        )
-        gammas = [float(g) for g in _csv(args.gammas)]
-        results = harness.gamma_sweep(
-            gammas, method=args.method, workers=workers
-        )
-        rows = [r.summary() for r in results]
-        payload = [
-            {"gamma": gamma, **row} for gamma, row in zip(gammas, rows)
-        ]
-        if args.json:
-            print(json.dumps(payload, indent=2))
-            return 0
-        print(render_table(
-            ["gamma", "AUC", "Cons(WF)", "Cons(WX)", "parity", "FPR gap",
-             "FNR gap"],
-            [[entry["gamma"], entry["auc"], entry["consistency_wf"],
-              entry["consistency_wx"], entry["parity_gap"], entry["fpr_gap"],
-              entry["fnr_gap"]] for entry in payload],
-        ))
-        return 0
-
-    if args.experiments_command == "tune":
-        harness = workload_harness(
-            args.dataset, seed=args.seed, scale=args.scale, store=store
-        )
-        tuned = tune_methods(
-            harness,
-            methods=tuple(_csv(args.methods)),
-            n_splits=args.splits,
-            workers=workers,
-        )
-        if args.json:
-            print(json.dumps(tuned, indent=2, sort_keys=True))
-            return 0
-        print(render_table(
-            ["method", "best score", "best params"],
-            [[method, out["best_score"],
-              json.dumps(out["best_params"], sort_keys=True)]
-             for method, out in tuned.items()],
-        ))
-        return 0
-
-    # repeat
-    from .experiments import spawn_seeds
-
-    seed_parts = _csv(args.seeds)
-    if len(seed_parts) == 1:
-        # A lone count derives that many seeds, rooted at --seed so the
-        # flag steers repeat exactly like it steers sweep and tune.
-        count = int(seed_parts[0])
-        seeds = spawn_seeds(args.seed, count) if count > 0 else ()
-    else:
-        # Includes the empty case: repetition's validation owns the error.
-        seeds = tuple(int(part) for part in seed_parts)
-    aggregates = repeat_methods(
-        WorkloadFactory(args.dataset, scale=args.scale),
-        tuple(_csv(args.methods)),
-        seeds=seeds,
-        gamma=args.gamma,
+    # tune
+    harness = workload_harness(
+        args.dataset, seed=args.seed, scale=args.scale, store=args.store
+    )
+    tuned = tune_methods(
+        harness,
+        methods=tuple(_csv(args.methods)),
+        n_splits=args.splits,
         workers=workers,
-        store=store,
     )
     if args.json:
-        print(json.dumps(
-            {
-                method: {
-                    "n_runs": agg.n_runs,
-                    "mean": agg.mean,
-                    "std": agg.std,
-                }
-                for method, agg in aggregates.items()
-            },
-            indent=2,
-            sort_keys=True,
-        ))
+        print(json.dumps(tuned, indent=2, sort_keys=True))
         return 0
     print(render_table(
-        ["method", "runs", "AUC", "Cons(WF)", "Cons(WX)", "parity gap"],
-        [[method, agg.n_runs, agg.format("auc"), agg.format("consistency_wf"),
-          agg.format("consistency_wx"), agg.format("parity_gap")]
-         for method, agg in aggregates.items()],
+        ["method", "best score", "best params"],
+        [[method, out["best_score"],
+          json.dumps(out["best_params"], sort_keys=True)]
+         for method, out in tuned.items()],
     ))
     return 0
 
@@ -1264,9 +1168,8 @@ _COMMANDS = {
     "obs": _cmd_obs,
 }
 
-# The commands that take --trace/--metrics through _with_obs (``serve``
-# traces into its own service registry instead).
-_OBSERVED = ("lifecycle", "experiments", "transform")
+# The commands that take --trace/--metrics through _with_obs.
+_OBSERVED = ("serve", "lifecycle", "experiments", "transform")
 
 
 def main(argv=None) -> int:

@@ -86,8 +86,8 @@ class WorkloadFactory:
     The ``repeat_*`` functions take a per-seed dataset factory; a lambda
     works, but this frozen dataclass is a declarative, picklable
     equivalent that survives process boundaries and round-trips through
-    configuration — the CLI's ``experiments repeat`` builds one from its
-    arguments.
+    configuration — :func:`~repro.experiments.run_spec` builds one per
+    ``datasets`` entry of a spec.
     """
 
     name: str

@@ -16,13 +16,15 @@ set; :meth:`ExperimentHarness.tune` exposes that machinery, while the
 figure drivers use the paper's reported operating points by default to
 keep regeneration fast and deterministic.
 
-:meth:`ExperimentHarness.run_methods` and
-:meth:`~ExperimentHarness.gamma_sweep` compile onto the one
+:meth:`ExperimentHarness.run_method`, :meth:`~ExperimentHarness.run_methods`
+and :meth:`~ExperimentHarness.gamma_sweep` compile onto the one
 experiment-cell executor in :mod:`repro.experiments.spec` (compile →
-skip → dispatch → read back), the same path :func:`run_spec` and the
-``repeat_*`` functions take. :meth:`~ExperimentHarness.tune` is the one
-special case: a grid point is scored over CV folds, so it keeps its own
-``tuned_point`` task, which reads through and writes through the ledger.
+skip → dispatch → put → read back), the same path :func:`run_spec` and
+the ``repeat_*`` functions take; that executor is the only reader and
+writer of ``method_result`` ledger entries. :meth:`~ExperimentHarness.tune`
+is the one special case: a grid point is scored over CV folds, so it
+keeps its own ``tuned_point`` task, which reads through and writes
+through the ledger.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ def cell_task(
 ) -> dict:
     """Canonical run-ledger task descriptor of one ``run_method`` cell.
 
-    The single definition of a cell's identity, shared by the harness
-    (read/write-through) and the spec runner (pre-dispatch skip) — the
-    two must agree byte-for-byte or cache hits silently stop happening.
+    The single definition of a cell's identity: the cell executor builds
+    it once per cell, skips the cell when its digest is on disk, and
+    otherwise puts the computed result under it.
     """
     return {
         "kind": "method_result",
@@ -190,13 +192,14 @@ class ExperimentHarness:
         search the paper runs (``tune()`` reproduces the search itself).
     store:
         A run-ledger directory or :class:`~repro.store.RunLedger`. When
-        set, every ``run_method`` cell and every tuned grid point is
-        read-through/written-through the content-addressed ledger: a cell
-        whose task digest is already on disk is decoded instead of
-        recomputed, so interrupted sweeps resume and extended grids pay
-        only their new cells. Results are bitwise identical with or
+        set, the cells of :meth:`run_method`, :meth:`run_methods` and
+        :meth:`gamma_sweep` go through the content-addressed ledger in the
+        cell executor (a cell whose task digest is on disk is decoded
+        instead of recomputed, so interrupted sweeps resume and extended
+        grids pay only their new cells), and :meth:`tune` reads and writes
+        its grid points there. Results are bitwise identical with or
         without a store, serial or parallel. ``None`` (default) keeps
-        everything in memory, as before.
+        everything in memory.
 
     Notes
     -----
@@ -273,7 +276,8 @@ class ExperimentHarness:
         every task it handles, preserving the sweep amortization per
         process.
         The ``store`` attribute itself ships (a ledger is just a root
-        path), so workers write through to the same on-disk ledger.
+        path), so :meth:`tune`'s workers write through to the same
+        on-disk ledger.
         """
         state = self.__dict__.copy()
         state["_plan_cache"] = {}
@@ -535,9 +539,7 @@ class ExperimentHarness:
             "gamma": float(gamma),
             "params": merged,
         }
-        from ..store import task_digest
-
-        cached = ledger.get(task_digest(task))
+        cached = ledger.get_task(task)
         if cached is not None and cached.has_model:
             return cached
         model = self._fit_base_estimator(
@@ -639,36 +641,17 @@ class ExperimentHarness:
         ``hardt+`` (equalized-odds post-processing on the original
         representation).
 
-        With a ``store`` configured, the cell is read-through/written-
-        through the run ledger: a digest hit decodes the persisted result
-        instead of recomputing, and a miss is persisted the moment it
-        completes — so a killed sweep loses at most the cell in flight.
+        One cell through the executor :func:`run_spec` uses, so with a
+        ``store`` a ledgered cell is decoded instead of recomputed and a
+        computed one is persisted before it is read back.
         """
-        self.prepare()
-        ledger = self._ledger()
-        if ledger is None:
-            return self._run_method_direct(
-                method, gamma=gamma, C=C, method_params=method_params
-            )
-        from ..store import decode_method_result, encode_method_result
-
-        task = cell_task(
-            self.task_fingerprint(), method, gamma, C, method_params
-        )
-        entry = ledger.get_task(task)
-        if entry is None:
-            result = self._run_method_direct(
-                method, gamma=gamma, C=C, method_params=method_params
-            )
-            entry = ledger.put(task, encode_method_result(result))
-        # Decode even freshly-computed cells so every path — cold, warm,
-        # resumed, parallel — returns the identical round-tripped object.
-        return decode_method_result(entry.payload)
+        return self._run_cells([method], [gamma], {**method_params, "C": C},
+                               None)[0]
 
     def _run_method_direct(
         self, method: str, *, gamma: float, C: float, method_params: dict
     ) -> MethodResult:
-        """The ledger-free evaluation path (reference semantics).
+        """Evaluate one cell, with no ledger (what the executor runs).
 
         A γ-free method is evaluated once per (method, C, params) and
         scoring graphs; each call returns its own copy of that result.

@@ -113,9 +113,10 @@ def repeat_method(
         Fan seeds out across processes (``None`` = serial); results are
         bitwise identical either way.
     store:
-        Run-ledger directory or :class:`~repro.store.RunLedger`; every
-        per-seed cell is read-through/written-through the ledger, so a
-        killed repetition resumes at the missing seeds' cells.
+        Run-ledger directory or :class:`~repro.store.RunLedger`; per-seed
+        cells already in the ledger are skipped and the rest persisted as
+        they complete, so a killed repetition resumes at the missing
+        seeds' cells.
     """
     (results,) = _repeat(
         dataset_factory, _normalize_seeds(seeds), [method], [gamma],

@@ -2,12 +2,15 @@
 
 A :class:`RunSpec` expresses the paper's experiment grids — datasets ×
 methods × γ values × seeds — as data (a dataclass, loadable from YAML or
-JSON), and :func:`run_spec` compiles it into a flat cell list. This
+JSON), and :func:`run_spec` compiles it into a flat cell list. A
+γ-sweep is a one-seed spec and a cross-seed repetition a one-γ spec, so
+``repro experiments run`` is the CLI's one entry point for both. This
 module also holds the one executor of such cells, which
-:meth:`ExperimentHarness.run_methods`/``gamma_sweep`` and the
-``repeat_*`` functions compile onto too. Every cell is keyed by its
-content-addressed task digest in a :class:`~repro.store.RunLedger`, and
-completed digests are skipped *before* dispatch, which buys three
+:meth:`ExperimentHarness.run_method`/``run_methods``/``gamma_sweep`` and
+the ``repeat_*`` functions compile onto too; it is the only code that
+reads or writes a ``method_result`` ledger entry. Every cell is keyed by
+its content-addressed task digest in a :class:`~repro.store.RunLedger`,
+and completed digests are skipped *before* dispatch, which buys three
 properties for free:
 
 * **resume** — re-running the spec after an interruption recomputes only
@@ -21,7 +24,7 @@ Aggregates (mean ± std across seeds) are rebuilt from ledger queries, so
 an interrupted-and-resumed run is bitwise identical to an uninterrupted
 one, serial or parallel.
 
-Example spec (YAML)::
+Example spec (YAML), a three-seed γ-sweep of two methods::
 
     name: compas-gamma-sweep
     datasets:
@@ -55,7 +58,13 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..obs.metrics import get_registry
 from ..obs.trace import emit_metrics, span, trace_enabled
-from ..store import RunLedger, coerce_ledger, decode_method_result, task_digest
+from ..store import (
+    RunLedger,
+    coerce_ledger,
+    decode_method_result,
+    encode_method_result,
+    task_digest,
+)
 from .builders import WorkloadFactory
 from .harness import _BASE_METHODS, ExperimentHarness, cell_task
 from .parallel import get_executor, spawn_seeds
@@ -465,7 +474,14 @@ class RunReport:
         return self.n_cached / self.n_total if self.cells else 0.0
 
     def to_json(self) -> dict:
-        """Machine-readable summary (what ``--json`` prints)."""
+        """Machine-readable summary (what ``--json`` prints): the cells,
+        each with its result's ``summary()`` metrics, and the aggregates."""
+        cells = [
+            {**cell, "summary": self.results[
+                (cell["dataset"], cell["method"], cell["gamma"], cell["seed"])
+            ].summary()}
+            for cell in self.cells
+        ]
         aggregates = {}
         for (dataset, method, gamma), agg in self.aggregates.items():
             key = f"{dataset}/{method}/gamma={_gamma_key(gamma)}"
@@ -480,7 +496,7 @@ class RunReport:
             "cached": self.n_cached,
             "computed": self.n_computed,
             "hit_rate": self.hit_rate,
-            "cells": self.cells,
+            "cells": cells,
             "aggregates": aggregates,
             "telemetry": self.telemetry,
         }
@@ -560,7 +576,7 @@ def _build_harness(dataset_factory, seed: int, harness_kwargs: dict):
     return ExperimentHarness(dataset_factory(seed), seed=seed, **harness_kwargs)
 
 
-def _compile(spec: RunSpec, store=None) -> tuple[list, list, list]:
+def _compile(spec: RunSpec) -> tuple[list, list, list]:
     """The spec's slices, cells and report rows, in matrix order.
 
     Slices are picklable zero-argument harness builders, one per
@@ -568,14 +584,13 @@ def _compile(spec: RunSpec, store=None) -> tuple[list, list, list]:
     receiving them. Each slice is materialized here once, only to
     fingerprint it, so memory peaks at one dataset.
     """
-    harness_kwargs = {**spec.harness, "store": store}
     slices, fingerprints, index = [], [], {}
     for dataset_name, scale in spec.datasets:
         factory = WorkloadFactory(dataset_name, scale=scale)
         for seed in spec.seeds:
             index[(dataset_name, seed)] = len(slices)
             slices.append(
-                functools.partial(_build_harness, factory, seed, harness_kwargs)
+                functools.partial(_build_harness, factory, seed, spec.harness)
             )
             fingerprints.append(slices[-1]().task_fingerprint())
 
@@ -616,28 +631,34 @@ def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
 
 # -- the one experiment-cell executor ----------------------------------------
 #
-# run_spec, ExperimentHarness.run_methods/gamma_sweep and repeat_* (and so
-# the figure drivers) all compile to cells and run them through `_execute`.
+# run_spec, ExperimentHarness.run_method/run_methods/gamma_sweep and
+# repeat_* (and so the figure drivers) all compile to cells and run them
+# through `_execute`, the only code that reads or writes a method_result
+# ledger entry.
 
 
 class _Cell(NamedTuple):
-    """One cell: a (method, γ, C, params) call on the slice at ``index``."""
+    """One cell: a (method, γ, C, params) call on the slice at ``index``,
+    with its ledger task and that task's digest (both None without a
+    ledger)."""
 
     index: int
     method: str
     gamma: float
     C: float
     params: dict
+    task: dict | None
     digest: str | None
 
 
 def _cell(index, method, gamma, C, params, fingerprint=None) -> _Cell:
-    """Build a cell; its digest comes from :func:`cell_task` (None when
-    there is no ledger to key, so a ledger-free run never hashes data)."""
-    digest = None
+    """Build a cell; its task comes from :func:`cell_task` (None when there
+    is no ledger to key, so a ledger-free run never hashes data)."""
+    task = digest = None
     if fingerprint is not None:
-        digest = task_digest(cell_task(fingerprint, method, gamma, C, params))
-    return _Cell(index, method, gamma, C, params, digest)
+        task = cell_task(fingerprint, method, gamma, C, params)
+        digest = task_digest(task)
+    return _Cell(index, method, gamma, C, params, task, digest)
 
 
 def _task_groups(cells: list, pending: list, executor) -> list:
@@ -664,7 +685,12 @@ def _task_groups(cells: list, pending: list, executor) -> list:
 
 
 def _cells_task(state, task):
-    """Run one slice's share of cells, in order (the executor's task)."""
+    """Run one slice's share of cells, in order (the executor's task).
+
+    With a ledger each result is persisted the moment it completes (so a
+    killed run loses at most the cell in flight) and ``None`` comes back
+    in its place: :func:`_execute` reads every cell back from the ledger.
+    """
     index, cells = task
     harness = state["slices"][index]
     if not isinstance(harness, ExperimentHarness):
@@ -674,6 +700,8 @@ def _cells_task(state, task):
             state["built"] = None
             state["built"] = (index, harness())
         harness = state["built"][1]
+    harness.prepare()
+    ledger = state["ledger"]
     results = []
     for cell in cells:
         attrs = {
@@ -688,9 +716,14 @@ def _cells_task(state, task):
             # attributable to the shard that computed each cell.
             attrs["shard"] = state["shard"]
         with span("spec.cell", **attrs):
-            results.append(harness.run_method(
-                cell.method, gamma=cell.gamma, C=cell.C, **cell.params
-            ))
+            result = harness._run_method_direct(
+                cell.method, gamma=cell.gamma, C=cell.C,
+                method_params=cell.params,
+            )
+            if ledger is not None:
+                ledger.put(cell.task, encode_method_result(result))
+                result = None
+        results.append(result)
     return results
 
 
@@ -701,11 +734,11 @@ def _execute(
     """Skip → dispatch → read back; returns ``(results, cached)`` in cell order.
 
     With a ledger, cells whose digest is on disk are skipped before
-    dispatch, workers write the rest through their harness's store, and
-    every cell is read back from the ledger — so cold, warm, resumed,
-    serial and parallel runs return the same decoded objects. Without
-    one, the executor's own results come back. ``run_span``, if given,
-    receives the ``total``/``cached``/``computed`` counts once known.
+    dispatch, workers put the rest, and every cell is read back from the
+    ledger — so cold, warm, resumed, serial and parallel runs return the
+    same decoded objects. Without one, the executor's own results come
+    back. ``run_span``, if given, receives the ``total``/``cached``/
+    ``computed`` counts once known.
     """
     cached = [ledger is not None and ledger.contains(c.digest) for c in cells]
     pending = [i for i, hit in enumerate(cached) if not hit]
@@ -717,7 +750,7 @@ def _execute(
     outputs = executor.map(
         _cells_task,
         [(cells[group[0]].index, [cells[i] for i in group]) for group in groups],
-        state={"slices": slices, "shard": shard},
+        state={"slices": slices, "shard": shard, "ledger": ledger},
     )
     if ledger is None:
         computed = dict(zip(chain(*groups), chain(*outputs)))
@@ -806,7 +839,7 @@ def run_spec(spec: RunSpec, *, store, workers=None, shard=None) -> RunReport:
     if shard_label is not None:
         span_attrs["shard"] = shard_label
     with span("spec.run", **span_attrs) as run_span:
-        slices, cells, rows = _compile(spec, ledger)
+        slices, cells, rows = _compile(spec)
         if shard is not None:
             for row in rows:
                 row["shard"] = shard_of(row["digest"], shard[1])

@@ -186,11 +186,11 @@ class TransformService:
 
         Returns ``{"models": {spec: {...}}, "totals": {...}}``. Every
         model entry carries the original counters (``requests``, ``rows``,
-        ``seconds``, ``rows_per_second``, ``cache``) plus the derived
-        rates computed *here, once* from the latency histogram —
-        ``rows_per_sec``, ``mean_latency_s`` and a ``latency`` summary
-        with deterministic p50/p90/p99 — so callers stop re-deriving them
-        (each subtly differently) from raw totals. ``seconds`` is the
+        ``seconds``, ``cache``) plus the derived rates computed *here,
+        once* from the latency histogram — ``rows_per_sec``,
+        ``mean_latency_s`` and a ``latency`` summary with deterministic
+        p50/p90/p99 — so callers stop re-deriving them (each subtly
+        differently) from raw totals. ``seconds`` is the
         histogram's Kahan-compensated sum, so it no longer drifts the way
         the old ``+=`` accumulator did under millions of tiny requests.
         """
@@ -215,8 +215,6 @@ class TransformService:
                 "requests": requests,
                 "rows": rows,
                 "seconds": seconds,
-                # Back-compat alias of rows_per_sec (pre-obs key).
-                "rows_per_second": rows_per_sec,
                 "rows_per_sec": rows_per_sec,
                 "mean_latency_s": latency["mean"],
                 "latency": latency,

@@ -111,8 +111,10 @@ class RunLedger:
         """Hit/miss and latency accounting for *this process's* use of
         this ledger root.
 
-        Returns ``hits``/``misses``/``lookups``/``hit_rate`` (both
-        :meth:`contains` and :meth:`get` count as lookups), ``gets``,
+        Returns ``hits``/``misses``/``lookups``/``hit_rate`` (only cache
+        decisions count as lookups: :meth:`contains` and
+        :meth:`get_task`; a plain :meth:`get` by digest, such as the cell
+        executor's read-back, counts under ``gets`` alone), ``gets``,
         ``puts``, ``gc_runs``, and ``read_seconds``/``write_seconds``
         histogram summaries (count/sum/mean/p50/p90/p99). Counters are
         per-process: worker processes accumulate their own (visible in a
@@ -223,7 +225,6 @@ class RunLedger:
             raw = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             get_registry().inc("ledger.gets", root=str(self.root))
-            self._account_lookup(False)
             return None
         registry = get_registry()
         root = str(self.root)
@@ -231,7 +232,6 @@ class RunLedger:
         registry.observe(
             "ledger.read_seconds", time.perf_counter() - start, root=root
         )
-        self._account_lookup(True)
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -242,8 +242,10 @@ class RunLedger:
         return self._entry_from_dict(data, path)
 
     def get_task(self, task: dict) -> LedgerEntry | None:
-        """Shorthand for ``get(task_digest(task))``."""
-        return self.get(task_digest(task))
+        """``get(task_digest(task))``, counted as a cache lookup."""
+        entry = self.get(task_digest(task))
+        self._account_lookup(entry is not None)
+        return entry
 
     def load_model(self, digest: str):
         """Deserialize the fitted estimator attached to ``digest``."""

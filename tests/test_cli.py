@@ -95,21 +95,104 @@ class TestRun:
         assert "unknown experiment" in err
 
 
+def _write_spec(tmp_path, name: str, **fields) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, **fields}))
+    return str(path)
+
+
+#: What `experiments sweep synthetic --scale 0.2 --gammas 0,0.5,1` ran: a
+#: one-seed spec at workload_harness's synthetic operating point.
+_SWEEP_SPEC = dict(
+    datasets=[{"name": "synthetic", "scale": 0.2}], methods=["pfr"],
+    gammas=[0.0, 0.5, 1.0], seeds=[0], harness={"n_components": 2},
+)
+#: What `experiments repeat synthetic --scale 0.2 --methods original,pfr
+#: --seeds 0,1` ran: a one-γ spec on the default harness.
+_REPEAT_SPEC = dict(
+    datasets=[{"name": "synthetic", "scale": 0.2}],
+    methods=["original", "pfr"], gammas=[0.5], seeds=[0, 1],
+)
+
+
+def _without_cached(cells):
+    return [{k: v for k, v in cell.items() if k != "cached"} for cell in cells]
+
+
 class TestExperiments:
-    def test_sweep_table_and_json_agree(self, capsys):
-        argv = ["experiments", "sweep", "synthetic", "--scale", "0.2",
-                "--gammas", "0.0,0.9"]
+    @pytest.mark.parametrize("command", ["sweep", "repeat"])
+    def test_folded_subcommands_are_gone(self, command, capsys):
+        # A sweep is a one-seed spec and a repetition a one-γ spec, both
+        # run by `experiments run`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", command, "synthetic", "--scale", "0.2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_sweep_spec_cells_equal_gamma_sweep(self, tmp_path, capsys):
+        from repro.experiments import workload_harness
+
+        spec = _write_spec(tmp_path, "sweep", **_SWEEP_SPEC)
+        argv = ["experiments", "run", spec, "--json"]
+        assert main(argv + ["--store", str(tmp_path / "a")]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        expected = workload_harness(
+            "synthetic", seed=0, scale=0.2
+        ).gamma_sweep(_SWEEP_SPEC["gammas"])
+        assert [cell["gamma"] for cell in cold["cells"]] == [0.0, 0.5, 1.0]
+        assert [cell["summary"] for cell in cold["cells"]] == [
+            result.summary() for result in expected
+        ]
+        # --workers and a warm store change nothing but `cached`.
+        assert main(argv + ["--store", str(tmp_path / "b"),
+                            "--workers", "2"]) == 0
+        parallel = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--store", str(tmp_path / "a")]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["cached"] == warm["total"] == 3
+        for other in (parallel, warm):
+            assert _without_cached(other["cells"]) == _without_cached(
+                cold["cells"]
+            )
+            assert other["aggregates"] == cold["aggregates"] == {}
+
+    def test_store_warmed_by_gamma_sweep_serves_the_spec(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments import workload_harness
+
+        store = str(tmp_path / "ledger")
+        workload_harness(
+            "synthetic", seed=0, scale=0.2, store=store
+        ).gamma_sweep(_SWEEP_SPEC["gammas"])
+        spec = _write_spec(tmp_path, "sweep", **_SWEEP_SPEC)
+        assert main(["experiments", "run", spec, "--store", store]) == 0
+        assert "3 cells — 3 cached, 0 computed" in capsys.readouterr().out
+
+    def test_repeat_spec_aggregates_equal_repeat_methods(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments import WorkloadFactory, repeat_methods
+
+        store = str(tmp_path / "ledger")
+        expected = repeat_methods(
+            WorkloadFactory("synthetic", scale=0.2), ("original", "pfr"),
+            seeds=(0, 1), gamma=0.5, store=store,
+        )
+        spec = _write_spec(tmp_path, "repeat", **_REPEAT_SPEC)
+        argv = ["experiments", "run", spec, "--store", store]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cached"] == payload["total"] == 4
+        for method, aggregate in expected.items():
+            assert payload["aggregates"][f"synthetic/{method}/gamma=0.5"] == {
+                "n_runs": aggregate.n_runs,
+                "mean": aggregate.mean,
+                "std": aggregate.std,
+            }
         assert main(argv) == 0
         table = capsys.readouterr().out
-        assert "gamma" in table and "0.900" in table
-
-        assert main(argv + ["--json", "--workers", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [entry["gamma"] for entry in payload] == [0.0, 0.9]
-        # --workers must not change the numbers (determinism guarantee).
-        assert all(
-            f"{entry['auc']:.3f}" in table for entry in payload
-        )
+        assert "original" in table and "±" in table
 
     def test_tune_reports_operating_points(self, capsys):
         assert main(
@@ -120,38 +203,17 @@ class TestExperiments:
         assert set(payload) == {"pfr"}
         assert {"best_params", "best_score", "results"} <= set(payload["pfr"])
 
-    def test_repeat_reports_error_bars(self, capsys):
-        assert main(
-            ["experiments", "repeat", "synthetic", "--scale", "0.2",
-             "--methods", "original", "--seeds", "0,1", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "original" in out and "±" in out
-
-    def test_repeat_seed_count_form_roots_at_seed(self, capsys):
-        argv = ["experiments", "repeat", "synthetic", "--scale", "0.2",
-                "--methods", "original", "--seeds", "2", "--json"]
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["original"]["n_runs"] == 2
-        # --seed is the spawn root for the derived seeds, so it must steer
-        # repeat just like it steers sweep and tune.
-        assert main(argv + ["--seed", "1"]) == 0
-        reseeded = json.loads(capsys.readouterr().out)
-        assert reseeded["original"]["n_runs"] == 2
-        assert reseeded["original"]["mean"] != payload["original"]["mean"]
-
-    def test_empty_seeds_is_a_clean_error(self, capsys):
-        assert main(
-            ["experiments", "repeat", "synthetic", "--scale", "0.2",
-             "--seeds", ","]
-        ) == 2
-        assert "two seeds" in capsys.readouterr().err
+    def test_empty_seeds_is_a_clean_error(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path, "empty", **{**_REPEAT_SPEC, "seeds": []})
+        assert main([
+            "experiments", "run", spec, "--store", str(tmp_path / "ledger")
+        ]) == 2
+        assert "at least one seed" in capsys.readouterr().err
 
     def test_invalid_workers_is_a_clean_error(self, capsys):
         assert main(
-            ["experiments", "sweep", "synthetic", "--scale", "0.2",
-             "--gammas", "0.5", "--workers", "lots"]
+            ["experiments", "tune", "synthetic", "--scale", "0.2",
+             "--methods", "pfr", "--workers", "lots"]
         ) == 2
         assert "error" in capsys.readouterr().err
 
@@ -266,18 +328,38 @@ class TestExperimentsRunSpec:
         assert "shard index" in capsys.readouterr().err
 
 
-class TestSweepWithStore:
-    def test_sweep_persists_and_resumes(self, tmp_path, capsys):
-        store = str(tmp_path / "ledger")
-        argv = ["experiments", "sweep", "synthetic", "--scale", "0.3",
-                "--gammas", "0.0,0.5", "--store", store, "--json"]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        from repro.store import RunLedger
-        assert len(RunLedger(store).ls(kind="method_result")) == 2
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
+class TestServe:
+    def test_metrics_exports_the_process_registry(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Series emitted through get_registry() (ledger, eig, knn, merge,
+        # lifecycle) must reach `repro serve`'s /metrics, not only the
+        # serving layer's own.
+        import re
+        import urllib.request
+
+        from repro import cli
+        from repro.obs import get_registry
+
+        scraped = {}
+
+        def scrape():
+            banner = capsys.readouterr().out
+            url = re.search(r"http://[\d.]+:\d+", banner).group(0)
+            get_registry().inc("ledger.hits", root="serve-cli-test")
+            with urllib.request.urlopen(url + "/metrics", timeout=10) as response:
+                scraped["body"] = response.read().decode("utf-8")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "threading_event_wait", scrape)
+        assert main([
+            "serve", "--registry", str(tmp_path / "registry"),
+            "--port", "0", "--workers", "2",
+        ]) == 0
+        assert 'repro_ledger_hits_total{root="serve-cli-test"} 1' in (
+            scraped["body"]
+        )
+        assert "repro_http_max_queue" in scraped["body"]
 
 
 class TestStoreCommands:

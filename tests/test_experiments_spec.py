@@ -43,8 +43,9 @@ def _sweep_spec():
 
 
 def _interrupt_after(monkeypatch, n_cells: int):
-    """Patch run_method to die after ``n_cells`` successful cells."""
-    original = ExperimentHarness.run_method
+    """Patch the executor's per-cell evaluation to die after ``n_cells``
+    successful cells."""
+    original = ExperimentHarness._run_method_direct
     calls = {"n": 0}
 
     def failing(self, *args, **kwargs):
@@ -53,7 +54,7 @@ def _interrupt_after(monkeypatch, n_cells: int):
         calls["n"] += 1
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ExperimentHarness, "run_method", failing)
+    monkeypatch.setattr(ExperimentHarness, "_run_method_direct", failing)
 
 
 def _assert_same_aggregates(a, b):

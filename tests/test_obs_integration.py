@@ -188,20 +188,35 @@ class TestTracingChangesNothing:
 class TestLedgerStats:
     def test_counts_and_latencies(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger")
-        entry = ledger.put({"kind": "method_result", "task": 1}, {"out": 1})
+        task = {"kind": "method_result", "task": 1}
+        entry = ledger.put(task, {"out": 1})
         digest = entry.digest
         assert ledger.contains(digest)          # hit
         assert not ledger.contains("0" * 64)    # miss
-        assert ledger.get(digest) is not None   # hit
+        assert ledger.get(digest) is not None   # a read, not a lookup
+        assert ledger.get_task(task) is not None  # hit
         stats = ledger.stats()
         assert stats["puts"] == 1
         assert stats["hits"] == 2
         assert stats["misses"] == 1
         assert stats["lookups"] == 3
         assert stats["hit_rate"] == pytest.approx(2 / 3)
-        assert stats["gets"] == 1
+        assert stats["gets"] == 2
         assert stats["write_seconds"]["count"] == 1
-        assert stats["read_seconds"]["count"] == 1
+        assert stats["read_seconds"]["count"] == 2
+
+    def test_run_hit_rate_counts_cache_decisions_only(self, tmp_path):
+        # A cold run decides every cell is missing and a warm one that
+        # every cell is cached; the read-back of each cell is no decision.
+        spec = RunSpec.from_dict(_SPEC)
+        cold = run_spec(spec, store=tmp_path / "ledger")
+        warm = run_spec(spec, store=tmp_path / "ledger")
+        assert cold.n_cached == 0
+        assert cold.telemetry["ledger"]["hit_rate"] == 0.0
+        assert cold.telemetry["ledger"]["lookups"] == cold.n_total
+        assert cold.telemetry["ledger"]["puts"] == cold.n_total
+        assert warm.telemetry["ledger"]["hit_rate"] == 1.0
+        assert warm.telemetry["ledger"]["lookups"] == warm.n_total
 
     def test_two_roots_are_independent_series(self, tmp_path):
         a = RunLedger(tmp_path / "a")
@@ -251,7 +266,7 @@ class TestServingStatsRegression:
         assert entry["mean_latency_s"] == pytest.approx(
             entry["seconds"] / entry["requests"]
         )
-        assert entry["rows_per_second"] == entry["rows_per_sec"]  # back-compat
+        assert "rows_per_second" not in entry
         latency = entry["latency"]
         assert latency["count"] == 3
         assert latency["p50"] <= latency["p99"] <= latency["max"]

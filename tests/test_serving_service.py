@@ -247,7 +247,7 @@ class TestLifecycle:
         assert entry["rows"] == 8
         assert entry["model_type"] == "PFR"
         assert entry["seconds"] > 0
-        assert entry["rows_per_second"] > 0
+        assert entry["rows_per_sec"] > 0
         assert stats["totals"]["rows"] == 8
 
     def test_concurrent_transforms(self, setup, rng):
