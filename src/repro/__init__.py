@@ -70,6 +70,13 @@ from .metrics import (
 )
 
 from ._version import __version__
+from ._blas import apply_policy as _apply_blas_policy
+
+# Every entry point (CLI, `repro serve`, the library API, the lifecycle
+# controller, process workers) passes through here: numpy's OpenBLAS pool
+# gets one thread so its spinning workers stop taking CPU from scipy's
+# LAPACK pool. OPENBLAS_NUM_THREADS and friends override it (see _blas).
+_apply_blas_policy()
 
 
 def __getattr__(name):

@@ -1019,6 +1019,7 @@ def _cmd_store(args) -> int:
                         "kind": e.kind,
                         "created_at": e.created_at,
                         "library_version": e.library_version,
+                        "blas": e.blas,
                         "has_model": e.has_model,
                     }
                     for e in entries

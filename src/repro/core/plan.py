@@ -629,6 +629,17 @@ class SpectralFitPlan:
         clear eigengap, and performs (and memoizes) a dedicated solve when
         it would split a degenerate cluster — so every answer matches an
         independent ``fit()`` at that operating point.
+
+        A cluster wider than ``d`` at the bottom of the spectrum makes the
+        problem ill-posed, and no slicing rule can help: the eigensolver
+        returns *some* basis of the cluster's subspace, picked by
+        rounding. Kernel PFR on crime at γ = 1.0 is such a case: its
+        kernel has full rank (1395 of 1395), so the fairness graph's null
+        space puts 318 of the γ = 1 mix's 1395 eigenvalues (seed 2) below
+        1e-10 times the largest, at about 1e-18, against d = 8.
+        The returned basis, and every metric downstream, then depends on
+        the BLAS thread count (seed 2's AUC reads 0.538 with numpy's pool
+        at 2 threads and 0.614 at 1).
         """
         gamma = float(gamma)
         if not 0.0 <= gamma <= 1.0:

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .._blas import pool_sizes
 from .._version import __version__
 from ..exceptions import ValidationError
 from ..io import atomic_write, load_model, read_header, save_model
@@ -63,7 +64,10 @@ class LedgerEntry:
 
     ``parent`` links an incremental refit to the entry it was warm-started
     from (``None`` for root fits) — the refresh lineage the lifecycle
-    layer records and :meth:`RunLedger.lineage` walks.
+    layer records and :meth:`RunLedger.lineage` walks. ``blas`` holds the
+    writer's OpenBLAS pool sizes (``{"numpy": 1, "scipy": 2}``; ``None``
+    for entries written before the field existed), so bits produced under
+    different BLAS settings are never mixed silently.
     """
 
     digest: str
@@ -75,6 +79,7 @@ class LedgerEntry:
     has_model: bool = False
     path: str = ""
     parent: str | None = None
+    blas: dict | None = None
 
 
 class RunLedger:
@@ -167,7 +172,8 @@ class RunLedger:
         entry this cell was incrementally derived from (a warm-started
         landmark refresh); it is stored as entry metadata — *not* part of
         the task — so the content address stays a pure function of the
-        task while ``verify``/``gc`` still see the lineage.
+        task while ``verify``/``gc`` still see the lineage. The writing
+        process's BLAS pool sizes are stored as metadata the same way.
         """
         if not isinstance(payload, dict):
             raise ValidationError(
@@ -196,6 +202,7 @@ class RunLedger:
             "payload": payload,
             "created_at": time.time(),
             "library_version": __version__,
+            "blas": pool_sizes(),
             "has_model": model is not None,
         }
         if parent is not None:
@@ -539,6 +546,7 @@ class RunLedger:
             parent=(
                 str(data["parent"]) if data.get("parent") is not None else None
             ),
+            blas=data.get("blas"),
         )
 
 

@@ -125,9 +125,11 @@ def _entry_content_key(data: dict) -> str:
     """The merge-equality view of an entry: everything that *means* something.
 
     ``created_at`` is wall-clock noise and differs between two honest
-    writers of the same cell; everything else — task, payload, kind,
-    model flag, parent link, library version — must agree for two entries
-    under one digest to be the same result.
+    writers of the same cell, and ``blas`` (the writer's BLAS pool sizes)
+    is provenance: two writers whose payloads agree wrote the same result
+    whatever their pools. Everything else — task, payload, kind, model
+    flag, parent link, library version — must agree for two entries under
+    one digest to be the same result.
     """
     return canonical_json(
         {

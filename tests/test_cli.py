@@ -360,6 +360,11 @@ class TestServe:
             scraped["body"]
         )
         assert "repro_http_max_queue" in scraped["body"]
+        # The BLAS pool sizes `import repro` settled on, one gauge per pool.
+        from repro._blas import pool_sizes
+
+        for pool, n in pool_sizes().items():
+            assert f'repro_blas_threads{{pool="{pool}"}} {n}\n' in scraped["body"]
 
 
 class TestStoreCommands:
@@ -383,6 +388,9 @@ class TestStoreCommands:
         assert main(["store", "ls", "--store", str(populated), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["kind"] == "method_result"
+        from repro._blas import pool_sizes
+
+        assert payload[0]["blas"] == pool_sizes()
 
     def test_ls_empty(self, tmp_path, capsys):
         assert main(["store", "ls", "--store", str(tmp_path / "void")]) == 0

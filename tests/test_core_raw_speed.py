@@ -108,8 +108,7 @@ def _sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def baseline():
+def baseline_problem():
     """The fixed problem every seed digest above was captured on."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(120, 6))
@@ -117,6 +116,11 @@ def baseline():
     scores = rng.random(120)
     WF = between_group_quantile_graph(scores, groups, n_quantiles=4)
     return X, WF
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return baseline_problem()
 
 
 def _pfr(**kw):
@@ -164,30 +168,37 @@ class TestSeedParity:
         assert k["dtype"] == "float64"
 
 
+def refreshed_child(X, WF, params):
+    """Digests, components and bandwidth of the refreshed child that
+    ``REFRESH_GOLDENS[config]`` pins, for that config's ``params``."""
+
+    def estimator(landmarks):
+        return _pfr(**{
+            "exclude_columns": None, "extension": "nystrom",
+            "landmarks": landmarks, "landmark_seed": 3, **params,
+        })
+
+    root = estimator(40)
+    plan = LandmarkPlan.for_estimator(root, X, WF)
+    plan.fit(root)
+    drifted = np.random.default_rng(11).normal(loc=1.5, size=(40, 6))
+    plan.extend(drifted, refresh="never")
+    child = plan.refresh()
+    refit = child.fit(estimator(child.n_landmarks))
+    return {
+        "params": params,
+        "digests": child.stage_digests(),
+        "components": _sha(refit.components_),
+        "bandwidth": float(child._landmark_bandwidth()).hex(),
+    }
+
+
 class TestRefreshGoldens:
     @pytest.mark.parametrize("config", sorted(REFRESH_GOLDENS))
     def test_refreshed_child_bitwise(self, baseline, config):
         X, WF = baseline
         golden = REFRESH_GOLDENS[config]
-
-        def estimator(landmarks):
-            params = dict(
-                exclude_columns=None, extension="nystrom",
-                landmarks=landmarks, landmark_seed=3,
-            )
-            params.update(golden["params"])
-            return _pfr(**params)
-
-        root = estimator(40)
-        plan = LandmarkPlan.for_estimator(root, X, WF)
-        plan.fit(root)
-        drifted = np.random.default_rng(11).normal(loc=1.5, size=(40, 6))
-        plan.extend(drifted, refresh="never")
-        child = plan.refresh()
-        refit = child.fit(estimator(child.n_landmarks))
-        assert child.stage_digests() == golden["digests"]
-        assert _sha(refit.components_) == golden["components"]
-        assert float(child._landmark_bandwidth()).hex() == golden["bandwidth"]
+        assert refreshed_child(X, WF, golden["params"]) == golden
 
 
 class TestBackendsThroughPFR:

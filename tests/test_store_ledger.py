@@ -194,6 +194,31 @@ class TestRunLedger:
         assert [e.kind for e in ledger.ls(kind="a")] == ["a"]
         assert RunLedger(tmp_path / "empty").ls() == []
 
+    def test_blas_pool_sizes_stored_as_metadata(self, tmp_path):
+        from repro._blas import pool_sizes
+
+        ledger = RunLedger(tmp_path)
+        task = _task()
+        entry = ledger.put(task, {"x": 1})
+        # Provenance next to library_version, outside the content address.
+        assert entry.blas == pool_sizes()
+        assert ledger.get(entry.digest).blas == pool_sizes()
+        assert entry.digest == task_digest(task)
+        assert "blas" not in entry.task
+
+    def test_entry_without_blas_field_still_loads(self, tmp_path):
+        # Entries written before the field existed read back with blas=None.
+        ledger = RunLedger(tmp_path)
+        entry = ledger.put(_task(), {"x": 1})
+        path = ledger._object_path(entry.digest)
+        data = json.loads(path.read_text())
+        del data["blas"]
+        path.write_text(json.dumps(data))
+        old = ledger.get(entry.digest)
+        assert old.blas is None and old.payload == {"x": 1}
+        assert ledger.get_task(_task()).digest == entry.digest
+        assert ledger.verify()["problems"] == []
+
     def test_pickles_to_root_only(self, tmp_path):
         ledger = RunLedger(tmp_path)
         clone = pickle.loads(pickle.dumps(ledger))

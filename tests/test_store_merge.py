@@ -167,6 +167,28 @@ class TestConflicts:
         assert report.conflicts[0]["source"] == str(src.root)
         assert dest.get(entry.digest).payload == {"x": 1}
 
+    def test_differing_blas_metadata_dedupes(self, stores):
+        # The writer's BLAS pool sizes are provenance, not content: the
+        # same payload written under other pools (or before the field
+        # existed) is the same result.
+        dest, src = stores
+        entry = dest.put(_task(1), {"x": 1})
+        src.put(_task(1), {"x": 1})
+        fresh = src.put(_task(2), {"x": 2})
+        for digest, blas in ((entry.digest, {"numpy": 7, "scipy": 7}),
+                             (fresh.digest, None)):
+            path = src.root / "objects" / digest[:2] / f"{digest}.json"
+            data = json.loads(path.read_text())
+            if blas is None:
+                del data["blas"]
+            else:
+                data["blas"] = blas
+            path.write_text(json.dumps(data))
+        report = merge_stores(dest, src)
+        assert report.n_conflicts == 0
+        assert len(report.deduped) == 1 and len(report.copied) == 1
+        assert dest.get(entry.digest).blas == entry.blas
+
     def test_torn_dest_entry_healed_by_source(self, stores):
         dest, src = stores
         entry = src.put(_task(1), {"x": 1})
