@@ -151,25 +151,24 @@ def check_random_state(seed) -> np.random.Generator:
     raise ValidationError(f"cannot use {seed!r} to seed a random Generator")
 
 
-def check_square(W, *, name: str = "W", dtype=np.float64):
+def check_square(W, *, name: str = "W"):
     """Validate that ``W`` is a square 2-D matrix (dense or sparse).
 
-    ``dtype=None`` keeps the input dtype (the float32 pipeline relies on
-    this); the default coerces dense input to float64 as before.
+    Dense input is coerced to float64; sparse input keeps its dtype.
     """
     if sp.issparse(W):
         if W.shape[0] != W.shape[1]:
             raise ValidationError(f"{name} must be square; got shape {W.shape}")
         return W.tocsr()
-    W = check_array(W, name=name, dtype=dtype)
+    W = check_array(W, name=name)
     if W.shape[0] != W.shape[1]:
         raise ValidationError(f"{name} must be square; got shape {W.shape}")
     return W
 
 
-def check_symmetric(W, *, name: str = "W", tol: float = 1e-10, dtype=np.float64):
+def check_symmetric(W, *, name: str = "W", tol: float = 1e-10):
     """Validate that ``W`` is square and symmetric within ``tol``."""
-    W = check_square(W, name=name, dtype=dtype)
+    W = check_square(W, name=name)
     if sp.issparse(W):
         diff = abs(W - W.T)
         if diff.nnz and diff.max() > tol:

@@ -597,16 +597,6 @@ def _cmd_models(args) -> int:
             # Nyström fits solve on m landmarks yet serve arbitrary rows;
             # surface that so operators know the model's fidelity regime.
             print(f"landmarks:       {record.landmarks} (nystrom extension)")
-        params = record.params or {}
-        numeric = [
-            f"{key}={params[key]}"
-            for key in ("dtype", "knn_backend", "knn_seed", "eig_solver")
-            if key in params
-        ]
-        if numeric:
-            # The raw-speed knobs: anything approximate or reduced-precision
-            # about this model's numerics, at a glance.
-            print(f"numerics:        {' '.join(numeric)}")
         print(f"artifact:        {record.path}")
         print(f"all_versions:    {versions}")
         print(f"params:          {json.dumps(record.params, sort_keys=True)}")

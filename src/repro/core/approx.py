@@ -45,7 +45,6 @@ import scipy.sparse as sp
 from .._validation import check_array, check_random_state, check_symmetric
 from ..exceptions import ValidationError
 from ..graphs.knn import (
-    KNN_BACKENDS,
     _distance_view,
     knn_cross,
     knn_graph,
@@ -54,14 +53,12 @@ from ..graphs.knn import (
 )
 from ..obs.trace import span
 from .plan import Precomputed, SpectralFitPlan, _stage_digest
-from .trace_optimization import EIG_SOLVERS
 
 __all__ = [
     "LANDMARK_STRATEGIES",
     "LandmarkPlan",
     "PlanExtension",
     "check_extension_params",
-    "check_numeric_params",
     "embedding_fidelity",
     "nystrom_extend",
     "plan_for_estimator",
@@ -97,34 +94,6 @@ def check_extension_params(estimator) -> None:
         raise ValidationError(
             f"unknown landmark strategy {estimator.landmark_strategy!r}; "
             f"use one of {LANDMARK_STRATEGIES}"
-        )
-
-
-def check_numeric_params(estimator) -> None:
-    """Validate the raw-speed hyper-parameters shared by PFR and KernelPFR.
-
-    ``knn_backend`` must name a :data:`repro.graphs.knn.KNN_BACKENDS`
-    implementation, ``eig_solver`` a
-    :data:`repro.core.trace_optimization.EIG_SOLVERS` entry, and ``dtype``
-    must resolve to float32 or float64.
-    """
-    if estimator.knn_backend not in KNN_BACKENDS:
-        raise ValidationError(
-            f"knn_backend must be one of {KNN_BACKENDS}; "
-            f"got {estimator.knn_backend!r}"
-        )
-    if estimator.eig_solver not in EIG_SOLVERS:
-        raise ValidationError(
-            f"eig_solver must be one of {EIG_SOLVERS}; "
-            f"got {estimator.eig_solver!r}"
-        )
-    try:
-        dtype_name = np.dtype(estimator.dtype).name
-    except TypeError as exc:
-        raise ValidationError(f"unrecognized dtype {estimator.dtype!r}") from exc
-    if dtype_name not in ("float64", "float32"):
-        raise ValidationError(
-            f"dtype must be 'float64' or 'float32'; got {estimator.dtype!r}"
         )
 
 
@@ -319,9 +288,6 @@ def nystrom_extend(
     n_neighbors: int = 10,
     bandwidth: float | None = None,
     exclude=None,
-    backend: str = "exact",
-    backend_options: dict | None = None,
-    dtype=None,
 ) -> np.ndarray:
     """Graph-smoothing Nyström extension of a landmark embedding.
 
@@ -350,10 +316,6 @@ def nystrom_extend(
         fixed landmark set should resolve it once with
         :func:`repro.graphs.resolve_bandwidth` and pass it explicitly, as
         :class:`LandmarkPlan` does.
-    backend, backend_options, dtype:
-        Forwarded to :func:`repro.graphs.knn_cross`. ``dtype=np.float32``
-        keeps the extension weights and output float32 (the extension leg
-        of the float32 pipeline); ``None`` computes in float64 as before.
 
     Returns
     -------
@@ -361,30 +323,22 @@ def nystrom_extend(
         Extended embedding; a query with all-zero weights (heat-kernel
         underflow) falls back to its single nearest landmark's embedding.
     """
-    work = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
-    X_new = check_array(X_new, name="X_new", dtype=work)
-    X_landmarks = check_array(
-        X_landmarks, name="X_landmarks", min_samples=1, dtype=work
-    )
-    Z_landmarks = np.asarray(Z_landmarks, dtype=work)
+    X_new = check_array(X_new, name="X_new")
+    X_landmarks = check_array(X_landmarks, name="X_landmarks", min_samples=1)
+    Z_landmarks = np.asarray(Z_landmarks, dtype=np.float64)
     if Z_landmarks.ndim != 2 or Z_landmarks.shape[0] != X_landmarks.shape[0]:
         raise ValidationError(
             f"Z_landmarks must be (n_landmarks, d) = ({X_landmarks.shape[0]}, d); "
             f"got shape {Z_landmarks.shape}"
         )
     k = min(int(n_neighbors), X_landmarks.shape[0])
-    bandwidth = resolve_bandwidth(
-        X_landmarks, bandwidth, exclude=exclude, dtype=work
-    )
+    bandwidth = resolve_bandwidth(X_landmarks, bandwidth, exclude=exclude)
     weights = knn_cross(
         X_new,
         X_landmarks,
         n_neighbors=k,
         bandwidth=bandwidth,
         exclude=exclude,
-        backend=backend,
-        backend_options=backend_options,
-        dtype=work,
     )
     mass = np.asarray(weights.sum(axis=1)).ravel()
     degenerate = mass <= 0.0
@@ -396,12 +350,9 @@ def nystrom_extend(
             n_neighbors=1,
             bandwidth=bandwidth,
             exclude=exclude,
-            backend=backend,
-            backend_options=backend_options,
-            dtype=work,
             binary=True,
         )
-        out = np.zeros((X_new.shape[0], Z_landmarks.shape[1]), dtype=work)
+        out = np.zeros((X_new.shape[0], Z_landmarks.shape[1]))
         out[~degenerate] = (
             (weights[~degenerate] @ Z_landmarks) / mass[~degenerate][:, None]
         )
@@ -553,18 +504,7 @@ class LandmarkPlan:
         exclude_columns=None,
         **structural,
     ):
-        # Cast to the pipeline dtype before selection so the landmark digest
-        # (which hashes X) and the seeded selection both see the dtype the
-        # subplan will compute in. Unknown dtype strings fall through to the
-        # subplan's validation below.
-        plan_dtype = structural.get("dtype", "float64")
-        try:
-            np_dtype = np.dtype(plan_dtype)
-        except TypeError:
-            np_dtype = np.dtype(np.float64)
-        if np_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            np_dtype = np.dtype(np.float64)
-        X = check_array(X, name="X", min_samples=2, dtype=np_dtype)
+        X = check_array(X, name="X", min_samples=2)
         n = X.shape[0]
         w_fair = check_symmetric(w_fair, name="w_fair")
         if w_fair.shape[0] != n:
@@ -677,14 +617,10 @@ class LandmarkPlan:
                 rescale=estimator.rescale,
                 constraint=estimator.constraint,
                 ridge=estimator.ridge,
-                eig_solver=estimator.eig_solver,
                 kernel=estimator.kernel,
                 kernel_bandwidth=estimator.kernel_bandwidth,
                 degree=estimator.degree,
                 coef0=estimator.coef0,
-                knn_backend=estimator.knn_backend,
-                knn_seed=estimator.knn_seed,
-                dtype=estimator.dtype,
                 **landmark_kwargs,
             )
         if isinstance(estimator, PFR):
@@ -700,10 +636,6 @@ class LandmarkPlan:
                 rescale=estimator.rescale,
                 constraint=estimator.constraint,
                 ridge=estimator.ridge,
-                eig_solver=estimator.eig_solver,
-                knn_backend=estimator.knn_backend,
-                knn_seed=estimator.knn_seed,
-                dtype=estimator.dtype,
                 **landmark_kwargs,
             )
         raise ValidationError(
@@ -833,7 +765,6 @@ class LandmarkPlan:
                     self.X_landmarks_,
                     self.subplan.bandwidth,
                     exclude=self.subplan.exclude_columns,
-                    dtype=self.subplan._np_dtype,
                 )
         return self._bandwidth
 
@@ -845,13 +776,6 @@ class LandmarkPlan:
             n_neighbors=min(self.subplan.n_neighbors, len(self.indices_)),
             bandwidth=self._landmark_bandwidth(),
             exclude=self.subplan.exclude_columns,
-            backend=self.subplan.knn_backend,
-            backend_options=(
-                {"seed": self.subplan.knn_seed}
-                if self.subplan.knn_backend == "lsh"
-                else None
-            ),
-            dtype=self.subplan._np_dtype,
         )
 
     def score_rows(self, X_rows, *, gamma=None, d=None) -> np.ndarray:
@@ -869,9 +793,7 @@ class LandmarkPlan:
         what collapses. This is the lifecycle layer's drift signal.
         """
         gamma, d = self._resolve_point(gamma, d)
-        X_rows = check_array(
-            X_rows, name="X_rows", dtype=self.subplan._np_dtype
-        )
+        X_rows = check_array(X_rows, name="X_rows")
         if X_rows.shape[1] != self.X.shape[1]:
             raise ValidationError(
                 f"X_rows has {X_rows.shape[1]} features but the plan was "
@@ -969,7 +891,7 @@ class LandmarkPlan:
                 "that was never fit(); the lifecycle extend(X_new) mode "
                 "requires a fitted operating point"
             )
-        X_new = check_array(X_new, name="X_new", dtype=self.subplan._np_dtype)
+        X_new = check_array(X_new, name="X_new")
         if X_new.shape[1] != self.X.shape[1]:
             raise ValidationError(
                 f"X_new has {X_new.shape[1]} features but the plan was "
@@ -1089,21 +1011,13 @@ class LandmarkPlan:
                 # The extension's median runs over a C-contiguous view
                 # (resolve_bandwidth); a column subset of the landmarks is
                 # not one and can round differently, so it gets its own.
-                extension_bandwidth = resolve_bandwidth(
-                    landmarks, exclude=exclude, dtype=sub._np_dtype
-                )
-        backend_options = (
-            {"seed": sub.knn_seed} if sub.knn_backend == "lsh" else None
-        )
+                extension_bandwidth = resolve_bandwidth(landmarks, exclude=exclude)
         cross = knn_cross(
             X_new_landmarks,
             self.X_landmarks_,
             n_neighbors=k,
             bandwidth=bandwidth,
             exclude=exclude,
-            backend=sub.knn_backend,
-            backend_options=backend_options,
-            dtype=sub._np_dtype,
         )
         if q_new >= 2:
             W_new = knn_graph(
@@ -1111,12 +1025,9 @@ class LandmarkPlan:
                 n_neighbors=min(k, q_new - 1),
                 bandwidth=bandwidth,
                 exclude=exclude,
-                backend=sub.knn_backend,
-                backend_options=backend_options,
-                dtype=sub._np_dtype,
             )
         else:
-            W_new = sp.csr_matrix((1, 1), dtype=sub._np_dtype)
+            W_new = sp.csr_matrix((1, 1))
         W_combined = sp.bmat(
             [
                 [sp.csr_matrix(W_old), sp.csr_matrix(cross).T],
@@ -1210,10 +1121,6 @@ class LandmarkPlan:
             rescale=sub.rescale,
             constraint=sub.constraint,
             ridge=sub.ridge,
-            eig_solver=sub.eig_solver,
-            knn_backend=sub.knn_backend,
-            knn_seed=sub.knn_seed,
-            dtype=sub.dtype,
         )
         if sub.kind == "linear":
             kwargs["normalized_laplacian"] = sub.normalized_laplacian

@@ -22,7 +22,7 @@ from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
 from ..graphs.knn import median_heuristic, pairwise_sq_distances
 from ..ml.base import BaseEstimator, TransformerMixin
-from .approx import check_extension_params, check_numeric_params, plan_for_estimator
+from .approx import check_extension_params, plan_for_estimator
 
 __all__ = ["KernelPFR", "kernel_matrix"]
 
@@ -40,21 +40,12 @@ def kernel_matrix(
 
     Supported kernels: ``"linear"`` (x·y), ``"rbf"``
     (``exp(-||x-y||²/t)``, ``t`` = median heuristic when unset) and
-    ``"poly"`` (``(x·y + coef0)^degree``).
-
-    When both inputs are float32 the kernel is computed in (and returned
-    as) float32 — the kernel leg of the opt-in float32 pipeline; every
-    other dtype combination computes in float64 as before.
+    ``"poly"`` (``(x·y + coef0)^degree``), computed in float64.
     """
     X = check_array(X, name="X", dtype=None)
     Y = X if Y is None else check_array(Y, name="Y", dtype=None)
-    work = (
-        np.float32
-        if (X.dtype == np.float32 and Y.dtype == np.float32)
-        else np.float64
-    )
-    X = np.asarray(X, dtype=work)
-    Y = np.asarray(Y, dtype=work)
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(
             f"X and Y have different feature counts: {X.shape[1]} vs {Y.shape[1]}"
@@ -66,13 +57,10 @@ def kernel_matrix(
             bandwidth = median_heuristic(Y)
         if bandwidth <= 0:
             raise ValidationError(f"bandwidth must be positive; got {bandwidth}")
-        # exp(-d / t) in place in the distance matrix. A bandwidth that
-        # promotes d's dtype (a float64 scalar over float32 distances)
-        # divides into a new array, exactly as the expression would.
+        # exp(-d / t) in place in the distance matrix.
         K = pairwise_sq_distances(X, Y)
         np.negative(K, out=K)
-        same = np.result_type(K, bandwidth) == K.dtype
-        K = np.divide(K, bandwidth, out=K if same else None)
+        np.divide(K, bandwidth, out=K)
         return np.exp(K, out=K)
     if kernel == "poly":
         if degree < 1:
@@ -125,15 +113,11 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         exclude_columns=None,
         rescale: str = "objective",
         constraint: str = "z",
-        eig_solver: str = "dense",
         ridge: float = 1e-8,
         extension: str = "exact",
         landmarks: int | None = None,
         landmark_strategy: str = "kmeans++",
         landmark_seed: int = 0,
-        knn_backend: str = "exact",
-        knn_seed: int = 0,
-        dtype: str = "float64",
     ):
         self.n_components = n_components
         self.gamma = gamma
@@ -146,15 +130,11 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         self.exclude_columns = exclude_columns
         self.rescale = rescale
         self.constraint = constraint
-        self.eig_solver = eig_solver
         self.ridge = ridge
         self.extension = extension
         self.landmarks = landmarks
         self.landmark_strategy = landmark_strategy
         self.landmark_seed = landmark_seed
-        self.knn_backend = knn_backend
-        self.knn_seed = knn_seed
-        self.dtype = dtype
 
     def _kernel(self, X, Y) -> np.ndarray:
         return kernel_matrix(
@@ -175,8 +155,7 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         operating points on the same data, build the plan once — see
         :func:`repro.core.fit_path`.
         """
-        X = check_array(X, name="X", min_samples=2, dtype=None)
-        check_numeric_params(self)
+        X = check_array(X, name="X", min_samples=2)
         check_extension_params(self)
         n = X.shape[0]
         if self.extension == "nystrom":
@@ -193,11 +172,7 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         return plan.fit(self)
 
     def transform(self, X) -> np.ndarray:
-        """Project points through the kernel: ``Z = K(X, X_fit) A``.
-
-        The output dtype follows the fitted model — float32 models
-        kernelize and project in float32.
-        """
+        """Project points through the kernel: ``Z = K(X, X_fit) A``."""
         return self._kernel_rows(X) @ self.alphas_
 
     def _kernel_rows(self, X) -> np.ndarray:
@@ -209,7 +184,7 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         the last bits from the general product an equal copy would take.
         """
         check_is_fitted(self, "alphas_")
-        X = check_array(X, name="X", dtype=self.alphas_.dtype)
+        X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValidationError(
                 f"X has {X.shape[1]} features; KernelPFR was fitted with "

@@ -23,13 +23,17 @@ import numpy as np
 from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
 from ..ml.base import BaseEstimator, TransformerMixin
-from .approx import check_extension_params, check_numeric_params, plan_for_estimator
+from .approx import check_extension_params, plan_for_estimator
 
 __all__ = ["PFR"]
 
 
 class PFR(BaseEstimator, TransformerMixin):
     """Pairwise Fair Representation learner (linear variant).
+
+    The fit computes in float64 throughout: an exact k-NN graph
+    (:mod:`repro.graphs.knn`) and a dense LAPACK eigensolve
+    (:mod:`repro.core.trace_optimization`), as in the paper.
 
     Parameters
     ----------
@@ -77,12 +81,6 @@ class PFR(BaseEstimator, TransformerMixin):
     ridge:
         Regularization added to ``XᵀX`` in the ``"z"`` mode to keep the
         generalized problem well-posed for rank-deficient X.
-    eig_solver:
-        ``"auto"``, ``"dense"`` (LAPACK, the paper's choice), ``"sparse"``
-        (Lanczos), ``"lobpcg"`` or ``"randomized"`` — forwarded to the
-        trace-optimization layer (see the solver table in
-        :mod:`repro.core.trace_optimization`; the generalized problem is
-        solved dense except for lobpcg's native support).
     extension:
         ``"exact"`` (default) solves the paper's eigenproblem over all n
         training rows. ``"nystrom"`` solves it on ``landmarks`` selected
@@ -98,19 +96,6 @@ class PFR(BaseEstimator, TransformerMixin):
     landmark_seed:
         Seed for the landmark selection (fits stay pure functions of the
         constructor arguments and the data).
-    knn_backend:
-        Neighbor-search backend for the internal ``WX`` build — ``"exact"``
-        (default), ``"blocked"`` or ``"lsh"`` (see the backend table in
-        :mod:`repro.graphs.knn`). Ignored when ``fit`` receives a
-        precomputed ``w_x``.
-    knn_seed:
-        Seed for the ``"lsh"`` backend's hash tables (deterministic
-        approximate graphs); ignored by the exact backends.
-    dtype:
-        ``"float64"`` (default) or ``"float32"`` — the arithmetic dtype of
-        the whole fit pipeline (graph, Laplacian, projection, solve) and of
-        ``transform`` outputs. float32 halves memory traffic at a small,
-        `embedding_fidelity`-gated accuracy cost.
 
     Attributes
     ----------
@@ -155,14 +140,10 @@ class PFR(BaseEstimator, TransformerMixin):
         rescale: str = "objective",
         constraint: str = "z",
         ridge: float = 1e-8,
-        eig_solver: str = "auto",
         extension: str = "exact",
         landmarks: int | None = None,
         landmark_strategy: str = "kmeans++",
         landmark_seed: int = 0,
-        knn_backend: str = "exact",
-        knn_seed: int = 0,
-        dtype: str = "float64",
     ):
         self.n_components = n_components
         self.gamma = gamma
@@ -173,14 +154,10 @@ class PFR(BaseEstimator, TransformerMixin):
         self.rescale = rescale
         self.constraint = constraint
         self.ridge = ridge
-        self.eig_solver = eig_solver
         self.extension = extension
         self.landmarks = landmarks
         self.landmark_strategy = landmark_strategy
         self.landmark_seed = landmark_seed
-        self.knn_backend = knn_backend
-        self.knn_seed = knn_seed
-        self.dtype = dtype
 
     def _validate_hyper_parameters(self, n_features: int) -> None:
         if not 1 <= self.n_components <= n_features:
@@ -200,7 +177,6 @@ class PFR(BaseEstimator, TransformerMixin):
             )
         if self.ridge < 0:
             raise ValidationError(f"ridge must be non-negative; got {self.ridge}")
-        check_numeric_params(self)
         check_extension_params(self)
 
     def fit(self, X, w_fair, *, w_x=None):
@@ -226,19 +202,15 @@ class PFR(BaseEstimator, TransformerMixin):
             constructor's ``n_neighbors`` / ``bandwidth`` /
             ``exclude_columns``.
         """
-        X = check_array(X, name="X", min_samples=2, dtype=None)
+        X = check_array(X, name="X", min_samples=2)
         self._validate_hyper_parameters(X.shape[1])
         plan = plan_for_estimator(self, X, w_fair, w_x=w_x)
         return plan.fit(self)
 
     def transform(self, X) -> np.ndarray:
-        """Project (possibly unseen) individuals: ``Z = X V``, shape ``(n, d)``.
-
-        The output dtype follows the fitted components — float32 models
-        transform in (and return) float32.
-        """
+        """Project (possibly unseen) individuals: ``Z = X V``, shape ``(n, d)``."""
         check_is_fitted(self, "components_")
-        X = check_array(X, name="X", dtype=self.components_.dtype)
+        X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValidationError(
                 f"X has {X.shape[1]} features; PFR was fitted with {self.n_features_in_}"

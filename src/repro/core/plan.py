@@ -51,23 +51,36 @@ import scipy.sparse as sp
 
 from .._validation import check_array, check_symmetric
 from ..exceptions import ValidationError
-from ..graphs.knn import (
-    KNN_BACKENDS,
-    knn_graph,
-    median_heuristic,
-    resolve_bandwidth,
-)
+from ..graphs.knn import knn_graph, median_heuristic, resolve_bandwidth
 from ..graphs.laplacian import laplacian
 from ..obs.metrics import get_registry
 from ..obs.trace import span
 from .trace_optimization import (
-    EIG_SOLVERS,
     objective_matrix,
     sign_normalize,
     smallest_eigenvectors,
 )
 
 __all__ = ["Precomputed", "SpectralFitPlan", "fit_path"]
+
+# Numeric options PFR and KernelPFR took up to 1.1.0, each with the values
+# that selected the one path left: the exact k-NN graph, the dense LAPACK
+# solve and float64. None accepts any value: knn_seed seeded only the
+# removed approximate k-NN backend.
+RETIRED_PARAMS = {
+    "eig_solver": ("auto", "dense"),
+    "knn_backend": ("exact",),
+    "knn_seed": None,
+    "dtype": ("float64",),
+}
+
+
+def retired_param_message(name: str) -> str:
+    """Why ``name``, a :data:`RETIRED_PARAMS` key, is no longer taken."""
+    return (
+        f"{name!r} is a retired numeric option: PFR and KernelPFR always "
+        "build the exact k-NN graph and solve dense in float64"
+    )
 
 
 def _hash_array(digest, array) -> None:
@@ -162,14 +175,10 @@ class SpectralFitPlan:
         rescale: str = "objective",
         constraint: str = "z",
         ridge: float = 1e-8,
-        eig_solver: str = "auto",
         kernel: str = "rbf",
         kernel_bandwidth: float | None = None,
         degree: int = 3,
         coef0: float = 1.0,
-        knn_backend: str = "exact",
-        knn_seed: int = 0,
-        dtype: str = "float64",
     ):
         if kind not in ("linear", "kernel"):
             raise ValidationError(f"kind must be 'linear' or 'kernel'; got {kind!r}")
@@ -184,39 +193,17 @@ class SpectralFitPlan:
             )
         if ridge < 0:
             raise ValidationError(f"ridge must be non-negative; got {ridge}")
-        if eig_solver not in EIG_SOLVERS:
-            raise ValidationError(
-                f"eig_solver must be one of {EIG_SOLVERS}; got {eig_solver!r}"
-            )
-        if knn_backend not in KNN_BACKENDS:
-            raise ValidationError(
-                f"knn_backend must be one of {KNN_BACKENDS}; got {knn_backend!r}"
-            )
-        try:
-            dtype = np.dtype(dtype).name
-        except TypeError as exc:
-            raise ValidationError(f"unrecognized dtype {dtype!r}") from exc
-        if dtype not in ("float64", "float32"):
-            raise ValidationError(
-                f"dtype must be 'float64' or 'float32'; got {dtype!r}"
-            )
-        np_dtype = np.dtype(dtype)
 
-        X = check_array(X, name="X", min_samples=2, dtype=np_dtype)
+        X = check_array(X, name="X", min_samples=2)
         n = X.shape[0]
-        w_fair = check_symmetric(w_fair, name="w_fair", dtype=np_dtype)
-        # Sparse inputs keep their dtype on the default path (digest
-        # stability); only the opt-in float32 pipeline casts them down.
-        if sp.issparse(w_fair) and np_dtype == np.float32 and w_fair.dtype != np_dtype:
-            w_fair = w_fair.astype(np_dtype)
+        # Sparse graphs keep their dtype: it enters the graph digest.
+        w_fair = check_symmetric(w_fair, name="w_fair")
         if w_fair.shape[0] != n:
             raise ValidationError(
                 f"w_fair has {w_fair.shape[0]} nodes but X has {n} samples"
             )
         if w_x is not None:
-            w_x = check_symmetric(w_x, name="w_x", dtype=np_dtype)
-            if sp.issparse(w_x) and np_dtype == np.float32 and w_x.dtype != np_dtype:
-                w_x = w_x.astype(np_dtype)
+            w_x = check_symmetric(w_x, name="w_x")
             if w_x.shape[0] != n:
                 raise ValidationError(
                     f"w_x has {w_x.shape[0]} nodes but X has {n} samples"
@@ -232,15 +219,10 @@ class SpectralFitPlan:
         self.rescale = rescale
         self.constraint = constraint
         self.ridge = ridge
-        self.eig_solver = eig_solver
         self.kernel = kernel
         self.kernel_bandwidth = kernel_bandwidth
         self.degree = degree
         self.coef0 = coef0
-        self.knn_backend = knn_backend
-        self.knn_seed = int(knn_seed)
-        self.dtype = dtype
-        self._np_dtype = np_dtype
 
         self._w_x_input = w_x
         # Set by LandmarkPlan on its internal subplan: an exact plan must
@@ -278,14 +260,10 @@ class SpectralFitPlan:
                 rescale=estimator.rescale,
                 constraint=estimator.constraint,
                 ridge=estimator.ridge,
-                eig_solver=estimator.eig_solver,
                 kernel=estimator.kernel,
                 kernel_bandwidth=estimator.kernel_bandwidth,
                 degree=estimator.degree,
                 coef0=estimator.coef0,
-                knn_backend=estimator.knn_backend,
-                knn_seed=estimator.knn_seed,
-                dtype=estimator.dtype,
             )
         if isinstance(estimator, PFR):
             return cls(
@@ -300,10 +278,6 @@ class SpectralFitPlan:
                 rescale=estimator.rescale,
                 constraint=estimator.constraint,
                 ridge=estimator.ridge,
-                eig_solver=estimator.eig_solver,
-                knn_backend=estimator.knn_backend,
-                knn_seed=estimator.knn_seed,
-                dtype=estimator.dtype,
             )
         raise ValidationError(
             f"for_estimator expects a PFR or KernelPFR; got {type(estimator).__name__}"
@@ -387,13 +361,6 @@ class SpectralFitPlan:
                     else tuple(int(c) for c in self.exclude_columns)
                 ),
             )
-            # New knobs enter the digest only when they leave the historical
-            # default — default-path digests must stay byte-stable vs. seed.
-            if self.knn_backend != "exact":
-                params["backend"] = self.knn_backend
-                params["knn_seed"] = self.knn_seed
-        if self.dtype != "float64":
-            params["dtype"] = self.dtype
         return params
 
     def _graph_stage(self) -> Precomputed:
@@ -402,19 +369,13 @@ class SpectralFitPlan:
         bandwidth = None
         if w_x is None:
             bandwidth = resolve_bandwidth(
-                self.X, self.bandwidth, exclude=self.exclude_columns,
-                dtype=self._np_dtype,
+                self.X, self.bandwidth, exclude=self.exclude_columns
             )
             w_x = knn_graph(
                 self.X,
                 n_neighbors=min(self.n_neighbors, n - 1),
                 bandwidth=bandwidth,
                 exclude=self.exclude_columns,
-                backend=self.knn_backend,
-                backend_options=(
-                    {"seed": self.knn_seed} if self.knn_backend == "lsh" else None
-                ),
-                dtype=self._np_dtype,
             )
         digest = _stage_digest(
             "graph", self._graph_params(),
@@ -694,24 +655,14 @@ class SpectralFitPlan:
         proj = self.projection
         M = self._mixed(gamma)
         if proj["B"] is not None:
-            # smallest_eigenvectors solves B-problems dense except for
-            # lobpcg's native generalized support; randomized documents the
-            # dense fallback.
-            return smallest_eigenvectors(M, d, B=proj["B"], solver=self.eig_solver)
+            return smallest_eigenvectors(M, d, B=proj["B"])
         whiten = proj["whiten"]
         if whiten is not None:
             # Pre-whitened generalized problem (kernel ZZᵀ = I): solve the
-            # standard problem, then map back to B-orthonormal vectors. The
-            # iterative solvers apply here too; "auto"/"sparse" keep the
-            # historical dense subset solve (the whitened mix is dense).
-            solver = (
-                self.eig_solver
-                if self.eig_solver in ("lobpcg", "randomized")
-                else "dense"
-            )
-            eigenvalues, U = smallest_eigenvectors(M, d, solver=solver)
+            # standard problem, then map back to B-orthonormal vectors.
+            eigenvalues, U = smallest_eigenvectors(M, d)
             return eigenvalues, sign_normalize(U * whiten[:, None])
-        return smallest_eigenvectors(M, d, solver=self.eig_solver)
+        return smallest_eigenvectors(M, d)
 
     # ---------------------------------------------------------- estimators
     def fit(self, estimator):
@@ -781,8 +732,6 @@ class SpectralFitPlan:
             "rescale": self.rescale,
             "constraint": self.constraint,
             "ridge": self.ridge,
-            "eig_solver": self.eig_solver,
-            "dtype": self.dtype,
         }
         if self._w_x_input is None:
             params.update(
@@ -793,8 +742,6 @@ class SpectralFitPlan:
                     if self.exclude_columns is None
                     else tuple(int(c) for c in self.exclude_columns)
                 ),
-                knn_backend=self.knn_backend,
-                knn_seed=self.knn_seed,
             )
         if self.kind == "linear":
             params["normalized_laplacian"] = self.normalized_laplacian
@@ -824,10 +771,6 @@ class SpectralFitPlan:
             value = getattr(estimator, name, None)
             if name == "exclude_columns" and value is not None:
                 value = tuple(int(c) for c in value)
-            if name == "dtype" and value is not None:
-                value = np.dtype(value).name
-            if name == "knn_seed" and value is not None:
-                value = int(value)
             if value != expected:
                 raise ValidationError(
                     f"estimator is structurally incompatible with this plan: "
@@ -840,9 +783,9 @@ class SpectralFitPlan:
 
         Keys: ``graph``, ``laplacian``, ``projection``, ``solve``. The
         ``solve`` digest fingerprints the solver configuration (constraint,
-        rescale, ridge, eigensolver) on top of the projection digest; it
-        deliberately excludes γ and ``d``, which are per-estimator and
-        already recorded as hyper-parameters in registry manifests.
+        rescale, ridge) on top of the projection digest; it deliberately
+        excludes γ and ``d``, which are per-estimator and already recorded
+        as hyper-parameters in registry manifests.
         """
         projection = self.projection
         solve = _stage_digest(
@@ -852,7 +795,10 @@ class SpectralFitPlan:
                 "constraint": self.constraint,
                 "rescale": self.rescale,
                 "ridge": self.ridge,
-                "eig_solver": self.eig_solver,
+                # The retired eig_solver option's default for each kind
+                # (PFR "auto", KernelPFR "dense"), kept as a constant so
+                # every solve digest stays byte-stable across its removal.
+                "eig_solver": "auto" if self.kind == "linear" else "dense",
                 "upstream": projection.digest,
             },
         )

@@ -41,7 +41,7 @@ from ..baselines import (
     MaskedRepresentation,
     SideInformationAugmenter,
 )
-from ..core import PFR, SpectralFitPlan, plan_for_estimator
+from ..core import PFR, KernelPFR, SpectralFitPlan, plan_for_estimator
 from ..datasets.base import Dataset
 from ..exceptions import ValidationError
 from ..graphs import knn_graph
@@ -84,9 +84,22 @@ def cell_task(
     }
 
 
+#: Each base method's estimator and the constructor arguments
+#: _fit_base_estimator passes it itself (hardt's post-processor sits on
+#: original's predictor). A cell's method params may set any other
+#: argument of that estimator, plus the classifier's C.
+_METHOD_ESTIMATORS = {
+    "original": (MaskedRepresentation, {"protected_columns"}),
+    "ifair": (IFair, {"protected_columns"}),
+    "lfr": (LFR, set()),
+    "pfr": (PFR, {"n_components", "gamma", "n_neighbors", "exclude_columns"}),
+    "kpfr": (KernelPFR, {"n_components", "gamma", "exclude_columns"}),
+    "hardt": (EqualizedOddsPostProcessor, {"seed"}),
+}
+
 #: Base method names a cell may run, each with an optional "+" suffix (the
 #: side-information augmentation); RunSpec validation reads this list too.
-_BASE_METHODS = ("original", "ifair", "lfr", "pfr", "kpfr", "hardt")
+_BASE_METHODS = tuple(_METHOD_ESTIMATORS)
 
 #: Base methods whose result γ does not shape: _fit_base_estimator hands
 #: γ only to pfr and kpfr, and Hardt's post-processor never reads it.
@@ -471,8 +484,6 @@ class ExperimentHarness:
 
         if base == "kpfr":
             # Kernelized PFR (§3.3.4) — the paper's future-work extension.
-            from ..core import KernelPFR
-
             params = {"kernel": "rbf", "n_neighbors": self.n_neighbors}
             params.update(self._landmark_params(len(self.train_idx)))
             params.update(method_params)

@@ -66,7 +66,8 @@ from ..store import (
     task_digest,
 )
 from .builders import WorkloadFactory
-from .harness import _BASE_METHODS, ExperimentHarness, cell_task
+from ..core.plan import RETIRED_PARAMS, retired_param_message
+from .harness import _BASE_METHODS, _METHOD_ESTIMATORS, ExperimentHarness, cell_task
 from .parallel import get_executor, spawn_seeds
 
 __all__ = [
@@ -300,6 +301,7 @@ class RunSpec:
                     "gamma is the spec's 'gammas' axis and workers/store "
                     "are runtime arguments"
                 )
+            _check_method_param_keys(method, params)
 
         return cls(
             name=name,
@@ -327,6 +329,27 @@ class RunSpec:
                 for method, params in self.method_params.items()
             },
         }
+
+
+def _check_method_param_keys(method: str, params: dict) -> None:
+    """Reject a ``method_params`` key the method's estimator does not take.
+
+    The keys a cell may set are its estimator's constructor arguments,
+    less those the harness passes itself, plus the classifier's ``C``.
+    """
+    estimator, fixed = _METHOD_ESTIMATORS[method.removesuffix("+")]
+    allowed = (set(estimator._param_names()) - fixed) | {"C"}
+    unknown = sorted(set(params) - allowed)
+    retired = [key for key in unknown if key in RETIRED_PARAMS]
+    if retired:
+        raise ValidationError(
+            f"method_params[{method!r}]: {retired_param_message(retired[0])}"
+        )
+    if unknown:
+        raise ValidationError(
+            f"method_params[{method!r}] sets unknown keys {unknown}; "
+            f"{method} takes {sorted(allowed)}"
+        )
 
 
 def load_run_spec(path) -> RunSpec:

@@ -68,7 +68,7 @@ def laplacian(W, *, normalized: bool = False) -> sp.csr_matrix:
     positive = degrees > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])
     D_inv_sqrt = sp.diags(inv_sqrt)
-    # Match W's dtype so the float32 pipeline's Laplacian stays float32.
+    # Match W's dtype: an integer fairness graph keeps its dtype here.
     identity_like = sp.diags((degrees > 0).astype(W.dtype))
     return (identity_like - D_inv_sqrt @ W @ D_inv_sqrt).tocsr()
 

@@ -41,6 +41,7 @@ from .baselines import (
     SideInformationAugmenter,
 )
 from .core import PFR, KernelPFR
+from .core.plan import RETIRED_PARAMS, retired_param_message
 from .exceptions import ValidationError
 from .ml import LogisticRegression, StandardScaler
 
@@ -307,8 +308,11 @@ def load_model(path):
         header = _validated_header(archive, path)
         type_name = header["model_type"]
         cls, fitted_attributes = _REGISTRY[type_name]
+        params = dict(header["params"])
+        if cls in (PFR, KernelPFR):
+            _drop_retired_params(params, path)
 
-        model = cls(**header["params"])
+        model = cls(**params)
         for name in _ARRAY_PARAMS.get(type_name, ()):
             if f"_none_param__{name}" in archive:
                 setattr(model, name, None)
@@ -337,6 +341,23 @@ def load_model(path):
                 if key.startswith("attr__")
             })
     return model
+
+
+def _drop_retired_params(params: dict, path: Path) -> None:
+    """Remove the retired numeric options from a PFR-family header's params.
+
+    Every 1.1.0 artifact records all four. One that names the path every
+    fit now takes loads as before; any other value is refused rather than
+    served through a different path.
+    """
+    for name, surviving in RETIRED_PARAMS.items():
+        if name not in params:
+            continue
+        value = params.pop(name)
+        if surviving is not None and value not in surviving:
+            raise ValidationError(
+                f"{path} records {name}={value!r}; {retired_param_message(name)}"
+            )
 
 
 def _open_archive(path: Path):

@@ -74,32 +74,24 @@ def scorer_for(model):
         X_landmarks = getattr(model, "X_fit_", None)
     if X_landmarks is None:
         return None
-    # Work in the model's dtype, as LandmarkPlan.score_rows does, so a
-    # float32 model's scores match its plan's bit for bit.
-    work = np.dtype(getattr(model, "dtype", None) or np.float64)
-    X_landmarks = np.asarray(X_landmarks, dtype=work)
+    X_landmarks = np.asarray(X_landmarks, dtype=np.float64)
     if X_landmarks.ndim != 2 or X_landmarks.shape[0] < 2:
         return None
-    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=work)
+    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=np.float64)
     exclude = getattr(model, "exclude_columns", None)
     bandwidth = resolve_bandwidth(
-        X_landmarks, getattr(model, "bandwidth", None), exclude=exclude,
-        dtype=work,
+        X_landmarks, getattr(model, "bandwidth", None), exclude=exclude
     )
     n_neighbors = min(int(getattr(model, "n_neighbors", 10)), X_landmarks.shape[0])
-    backend = getattr(model, "knn_backend", "exact")
-    backend_options = (
-        {"seed": int(getattr(model, "knn_seed", 0))} if backend == "lsh" else None
-    )
 
     def score(X_rows, Z_rows=None) -> np.ndarray:
-        X_rows = np.asarray(X_rows, dtype=work)
+        X_rows = np.asarray(X_rows, dtype=np.float64)
         if X_rows.ndim == 1:
             X_rows = X_rows[None, :]
         if Z_rows is None:
-            Z_param = np.asarray(model.transform(X_rows), dtype=work)
+            Z_param = np.asarray(model.transform(X_rows), dtype=np.float64)
         else:
-            Z_param = np.asarray(Z_rows, dtype=work)
+            Z_param = np.asarray(Z_rows, dtype=np.float64)
             if Z_param.ndim == 1:
                 Z_param = Z_param[None, :]
         Z_graph = nystrom_extend(
@@ -109,9 +101,6 @@ def scorer_for(model):
             n_neighbors=n_neighbors,
             bandwidth=bandwidth,
             exclude=exclude,
-            backend=backend,
-            backend_options=backend_options,
-            dtype=work,
         )
         return row_agreement(Z_graph, Z_param)
 

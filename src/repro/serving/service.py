@@ -328,8 +328,7 @@ class TransformService:
         resolved, so malformed input to an unknown model is still reported
         as bad input; the width is then checked against the registered
         schema. Returns the served model and ``X`` as a float64 ``(n, m)``
-        matrix. Finiteness (and any float32 cast) is left to the model's
-        own input check.
+        matrix. Finiteness is left to the model's own input check.
         """
         ndim = 1 if field == "row" else 2
         try:

@@ -37,7 +37,7 @@ from repro.experiments import (
 from repro.graphs import knn_graph
 from repro.serving import ModelRegistry, TransformService
 from repro.store import RunLedger, encode_method_result
-from test_core_raw_speed import REFRESH_GOLDENS, baseline_problem, refreshed_child
+from test_core_plan import REFRESH_GOLDENS, baseline_problem, refreshed_child
 
 pytestmark = pytest.mark.skipif(
     set(_blas.pool_sizes()) != {"numpy", "scipy"},

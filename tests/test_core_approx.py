@@ -785,18 +785,8 @@ class TestLandmarkBandwidthReuse:
     # sha256 of the root's and the child's stage digests below, captured
     # before the bandwidth was cached: the cache must never reach them.
     DIGESTS = {
-        ("float64", None): (
-            "11ebd44c383e2919dfcd96adccaad5fd9cf7f71141699192258e82beefa2e7e7"
-        ),
-        ("float64", (0,)): (
-            "72f135fc5c22aadf2f2aa396418ab96153a626fbf96bc1254912c518cd5318ec"
-        ),
-        ("float32", None): (
-            "f10e1bd9292d9c5fb9bba3df2f89a5a10d69dfe4e127e5cea7be692433939da7"
-        ),
-        ("float32", (0,)): (
-            "0b77cddde2ddbd25895752a1aed7278b8414599922efd113dde2311ac9256580"
-        ),
+        None: "11ebd44c383e2919dfcd96adccaad5fd9cf7f71141699192258e82beefa2e7e7",
+        (0,): "72f135fc5c22aadf2f2aa396418ab96153a626fbf96bc1254912c518cd5318ec",
     }
 
     @staticmethod
@@ -810,21 +800,17 @@ class TestLandmarkBandwidthReuse:
             n_neighbors=min(sub.n_neighbors, plan.n_landmarks),
             bandwidth=None,
             exclude=sub.exclude_columns,
-            dtype=sub._np_dtype,
         )
         return extension, row_agreement(extension, estimator.transform(X))
 
-    @pytest.mark.parametrize(
-        "dtype,exclude", list(DIGESTS),
-        ids=["float64", "float64-exclude", "float32", "float32-exclude"],
-    )
-    def test_root_and_child_match_the_uncached_path(self, dtype, exclude):
+    @pytest.mark.parametrize("exclude", list(DIGESTS), ids=["default", "exclude"])
+    def test_root_and_child_match_the_uncached_path(self, exclude):
         data = simulate_blobs(300, n_features=8, seed=3)
         w_fair = between_group_quantile_graph(
             data.side_information, data.s, n_quantiles=6
         )
         params = dict(
-            n_components=3, gamma=0.5, extension="nystrom", dtype=dtype,
+            n_components=3, gamma=0.5, extension="nystrom",
             exclude_columns=None if exclude is None else list(exclude),
         )
         root_estimator = PFR(landmarks=60, **params)
@@ -848,7 +834,7 @@ class TestLandmarkBandwidthReuse:
         )
         assert (
             hashlib.sha256(chain.encode()).hexdigest()
-            == self.DIGESTS[(dtype, exclude)]
+            == self.DIGESTS[exclude]
         )
 
 

@@ -22,7 +22,7 @@ def spd_matrix(rng):
 
 class TestSmallestEigenvectors:
     def test_matches_numpy(self, spd_matrix):
-        values, vectors = smallest_eigenvectors(spd_matrix, 4, solver="dense")
+        values, vectors = smallest_eigenvectors(spd_matrix, 4)
         reference = np.sort(np.linalg.eigvalsh(spd_matrix))[:4]
         np.testing.assert_allclose(values, reference, atol=1e-9)
 
@@ -38,59 +38,23 @@ class TestSmallestEigenvectors:
         values, _ = smallest_eigenvectors(spd_matrix, 6)
         assert np.all(np.diff(values) >= -1e-12)
 
-    def test_sparse_solver_agrees_with_dense(self, rng):
+    def test_sparse_input_solved_as_dense(self, rng):
         A = rng.normal(size=(60, 60))
-        M = sp.csr_matrix(A @ A.T + 0.5 * np.eye(60))
-        dense_vals, _ = smallest_eigenvectors(M, 3, solver="dense")
-        sparse_vals, _ = smallest_eigenvectors(M, 3, solver="sparse")
-        np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-6)
+        M = A @ A.T + 0.5 * np.eye(60)
+        sparse_vals, sparse_vecs = smallest_eigenvectors(sp.csr_matrix(M), 3)
+        dense_vals, dense_vecs = smallest_eigenvectors(M, 3)
+        np.testing.assert_array_equal(sparse_vals, dense_vals)
+        np.testing.assert_array_equal(sparse_vecs, dense_vecs)
 
-    def test_sparse_falls_back_when_d_too_large(self, spd_matrix):
-        M = sp.csr_matrix(spd_matrix)
-        values, _ = smallest_eigenvectors(M, 11, solver="sparse")
-        reference = np.sort(np.linalg.eigvalsh(spd_matrix))[:11]
-        np.testing.assert_allclose(values, reference, atol=1e-8)
-
-    def test_sparse_path_keeps_operator_sparse(self, rng, monkeypatch):
-        # Regression: the Lanczos branch once materialized a shifted copy
-        # of the operator (and coerced dense input through an extra sparse
-        # conversion). The spectral shift must now be applied implicitly —
-        # toarray() on the input must never be called on the sparse path.
-        X = rng.normal(size=(400, 4))
-        from repro.graphs import knn_graph
-
-        L = laplacian(knn_graph(X, n_neighbors=5))
-
-        def forbidden(self, *args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("sparse solver densified the operator")
-
-        monkeypatch.setattr(sp.csr_matrix, "toarray", forbidden)
-        monkeypatch.setattr(sp.csc_matrix, "toarray", forbidden)
-        values, vectors = smallest_eigenvectors(L, 4, solver="sparse")
-        assert values.shape == (4,) and vectors.shape == (400, 4)
-
-    def test_sparse_and_dense_eigenpairs_agree_on_laplacian(self, rng):
-        # Full regression for the solver pair on the operator family PFR
-        # actually feeds it: graph Laplacians with a degenerate smallest
-        # eigenvalue per connected component. Eigenvalues and (up to the
-        # deterministic sign convention) eigenvectors must agree.
-        X = rng.normal(size=(300, 5))
-        from repro.graphs import knn_graph
-
-        L = laplacian(knn_graph(X, n_neighbors=6))
-        dense_vals, dense_vecs = smallest_eigenvectors(L, 4, solver="dense")
-        sparse_vals, sparse_vecs = smallest_eigenvectors(L, 4, solver="sparse")
-        np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-9)
-        np.testing.assert_allclose(
-            np.abs(sparse_vecs), np.abs(dense_vecs), atol=1e-7
-        )
-
-    def test_sparse_path_accepts_dense_input(self, rng):
-        A = rng.normal(size=(50, 50))
-        M = A @ A.T + 0.5 * np.eye(50)
-        dense_vals, _ = smallest_eigenvectors(M, 3, solver="dense")
-        sparse_vals, _ = smallest_eigenvectors(M, 3, solver="sparse")
-        np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-8)
+    def test_sparse_integer_input(self):
+        # Regression: a sparse integer matrix densified to an integer
+        # array, and the in-place symmetrization raised a numpy casting
+        # error instead of solving.
+        M = sp.csr_matrix(np.diag([3, 1, 2]))
+        values, vectors = smallest_eigenvectors(M, 2, B=sp.identity(3, dtype=int))
+        np.testing.assert_allclose(values, [1.0, 2.0])
+        values, _ = smallest_eigenvectors(M, 2)
+        np.testing.assert_allclose(values, [1.0, 2.0])
 
     def test_generalized_problem(self, rng):
         A = rng.normal(size=(10, 10))
@@ -116,10 +80,6 @@ class TestSmallestEigenvectors:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="square"):
             smallest_eigenvectors(np.ones((3, 4)), 1)
-
-    def test_unknown_solver(self, spd_matrix):
-        with pytest.raises(ValidationError, match="solver"):
-            smallest_eigenvectors(spd_matrix, 2, solver="quantum")
 
     def test_deterministic_signs(self, spd_matrix):
         _, V1 = smallest_eigenvectors(spd_matrix, 4)

@@ -7,6 +7,7 @@ and at ``workers=2``.
 """
 
 import json
+import re
 
 import pytest
 
@@ -148,6 +149,56 @@ class TestRunSpecValidation:
     def test_non_mapping(self):
         with pytest.raises(ValidationError, match="mapping"):
             RunSpec.from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("pfr", {"knn_backnd": "exact"}),
+            ("pfr+", {"n_prototypes": 5}),
+            ("ifair", {"protected_columns": [0]}),
+            ("original", {"landmarks": 10}),
+        ],
+    )
+    def test_method_params_key_not_taken_by_the_estimator(self, method, params):
+        # Such a key used to load and then kill run_spec with a bare
+        # TypeError from the estimator's constructor.
+        spec = {**_SPEC, "methods": [method], "method_params": {method: params}}
+        key = next(iter(params))
+        match = re.escape(f"[{method!r}]") + f".*{key!r}"
+        with pytest.raises(ValidationError, match=match):
+            RunSpec.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("knn_backend", "lsh"),
+            ("knn_backend", "blocked"),
+            ("knn_backend", "exact"),
+            ("knn_seed", 0),
+            ("dtype", "float32"),
+            ("eig_solver", "sparse"),
+            ("eig_solver", "lobpcg"),
+            ("eig_solver", "randomized"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["pfr", "kpfr"])
+    def test_retired_numeric_option_named(self, method, key, value):
+        spec = {**_SPEC, "methods": [method],
+                "method_params": {method: {"C": 1.0, key: value}}}
+        with pytest.raises(ValidationError, match=f"{key!r} is a retired"):
+            RunSpec.from_dict(spec)
+
+    def test_estimator_arguments_and_C_accepted(self):
+        spec = RunSpec.from_dict({
+            **_SPEC, "methods": ["pfr", "kpfr", "lfr", "hardt"],
+            "method_params": {
+                "pfr": {"C": 10.0, "rescale": "degree", "constraint": "v"},
+                "kpfr": {"kernel": "poly", "n_neighbors": 5},
+                "lfr": {"n_prototypes": 5, "seed": 3},
+                "hardt": {"C": 0.5},
+            },
+        })
+        assert spec.method_params["kpfr"] == {"kernel": "poly", "n_neighbors": 5}
 
     def test_to_dict_roundtrip(self):
         spec = RunSpec.from_dict(_SPEC)

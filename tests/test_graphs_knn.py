@@ -12,16 +12,14 @@ from repro.graphs import knn_graph, median_heuristic, pairwise_sq_distances
 
 
 def _reference_sq_distances(X, Y=None):
-    """The out-of-place expansion the in-place kernel must reproduce."""
+    """The out-of-place expansion the in-place kernel must reproduce.
+
+    Every input dtype, float32 included, is computed in float64.
+    """
     X = np.asarray(X)
     Y = X if Y is None else np.asarray(Y)
-    work = (
-        np.float32
-        if X.dtype == np.float32 and Y.dtype == np.float32
-        else np.float64
-    )
-    X = np.asarray(X, dtype=work)
-    Y = np.asarray(Y, dtype=work)
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
     x_sq = np.sum(X * X, axis=1)[:, None]
     y_sq = np.sum(Y * Y, axis=1)[None, :]
     d = x_sq + y_sq - 2.0 * (X @ Y.T)
@@ -31,9 +29,7 @@ def _reference_sq_distances(X, Y=None):
 
 def _reference_median(X, *, sample_size=2000, seed=0):
     """Full distance matrix, off-diagonal mask, ``np.median``."""
-    X = np.asarray(X)
-    if X.dtype != np.float32:
-        X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n > sample_size:
         rng = np.random.default_rng(seed)
@@ -274,3 +270,47 @@ class TestKnnGraph:
     def test_exclude_everything_rejected(self, rng):
         with pytest.raises(GraphConstructionError, match="every feature"):
             knn_graph(rng.normal(size=(10, 2)), n_neighbors=2, exclude=[0, 1])
+
+
+def _graph_bytes(W) -> tuple:
+    W = W.tocsr()
+    return (W.data.tobytes(), W.indices.tobytes(), W.indptr.tobytes())
+
+
+class TestKnnEdgeCases:
+    def test_k_equals_one(self, rng):
+        X = rng.normal(size=(25, 4))
+        W = knn_graph(X, n_neighbors=1)
+        assert np.diff(W.tocsr().indptr).min() >= 1
+        assert np.abs(W.diagonal()).max() == 0.0
+
+    def test_exclude_drops_columns_from_metric(self, rng):
+        # The excluded column is pure noise; graphs with and without it
+        # must be identical once it is excluded.
+        base = rng.normal(size=(40, 4))
+        noisy = np.column_stack([base, rng.normal(scale=50.0, size=40)])
+        W_base = knn_graph(base, n_neighbors=3)
+        W_excl = knn_graph(noisy, n_neighbors=3, exclude=[4])
+        assert _graph_bytes(W_base) == _graph_bytes(W_excl)
+
+    def test_duplicate_rows_self_excluded(self):
+        # Regression: with many coincident rows the self-point used to
+        # survive distance-based filtering and silently shrink degrees.
+        X = np.repeat(np.arange(6.0)[:, None], 5, axis=0) @ np.ones((1, 3))
+        W = knn_graph(X, n_neighbors=4, binary=True)
+        assert np.abs(W.diagonal()).max() == 0.0
+        assert np.diff(W.tocsr().indptr).min() >= 4
+
+    def test_all_identical_rows(self):
+        X = np.ones((10, 3))
+        W = knn_graph(X, n_neighbors=3, binary=True)
+        assert np.abs(W.diagonal()).max() == 0.0
+        assert np.diff(W.tocsr().indptr).min() >= 3
+
+    def test_float32_input_builds_float64_graph(self, rng):
+        X = rng.normal(size=(30, 3))
+        W = knn_graph(X.astype(np.float32), n_neighbors=3)
+        assert W.dtype == np.float64
+        assert _graph_bytes(W) == _graph_bytes(
+            knn_graph(X.astype(np.float32).astype(np.float64), n_neighbors=3)
+        )

@@ -21,6 +21,7 @@ from repro.exceptions import ValidationError
 from repro.graphs import pairwise_judgment_graph
 from repro.io import read_header, supported_model_types
 from repro.ml import LogisticRegression, StandardScaler
+from repro.serving import ModelRegistry, TransformService
 
 
 @pytest.fixture
@@ -278,6 +279,94 @@ class TestVersionStamp:
         np.testing.assert_allclose(
             restored.side_information, model.side_information
         )
+
+
+# The four numeric options every 1.1.0 PFR/KernelPFR header records, at
+# the defaults that selected the one path fits still take.
+_V110_NUMERIC_PARAMS = {
+    "PFR": {"eig_solver": "auto", "knn_backend": "exact", "knn_seed": 0,
+            "dtype": "float64"},
+    "KernelPFR": {"eig_solver": "dense", "knn_backend": "exact", "knn_seed": 0,
+                  "dtype": "float64"},
+}
+
+
+def _with_v110_params(path, **overrides):
+    """Give an artifact's header the 1.1.0 numeric keys (plus overrides)."""
+
+    def mutate(header):
+        header["params"].update(_V110_NUMERIC_PARAMS[header["model_type"]])
+        header["params"].update(overrides)
+
+    _rewrite_header(path, mutate)
+    return path
+
+
+class TestRetiredNumericOptions:
+    @pytest.fixture
+    def models(self, rng):
+        X = rng.normal(size=(60, 4))
+        WF = pairwise_judgment_graph([(0, 1), (5, 9), (12, 30), (40, 41)], n=60)
+        models = {
+            "pfr": PFR(n_components=2, gamma=0.7, n_neighbors=4),
+            "kpfr": KernelPFR(n_components=2, n_neighbors=4),
+            "nystrom": KernelPFR(
+                n_components=2, n_neighbors=4, extension="nystrom", landmarks=20
+            ),
+        }
+        # Unseen rows: transforming X itself would take K(X_fit_, X_fit_)'s
+        # symmetric product, which a loaded copy of X_fit_ does not.
+        rows = rng.normal(size=(25, 4))
+        return rows, {name: model.fit(X, WF) for name, model in models.items()}
+
+    @pytest.mark.parametrize("name", ["pfr", "kpfr", "nystrom"])
+    def test_v110_header_loads_and_serves_same_rows(self, models, tmp_path, name):
+        X, fitted = models
+        model = fitted[name]
+        path = _with_v110_params(save_model(model, tmp_path / name))
+        assert set(_V110_NUMERIC_PARAMS["PFR"]) <= set(read_header(path)["params"])
+        expected = model.transform(X)
+        np.testing.assert_array_equal(load_model(path).transform(X), expected)
+
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.register(name, model)
+        _with_v110_params(record.path)
+        fresh = ModelRegistry(tmp_path / "registry")
+        assert fresh.resolve(f"{name}@latest") == (name, 1)
+        np.testing.assert_array_equal(
+            fresh.load(f"{name}@latest").transform(X), expected
+        )
+        np.testing.assert_array_equal(
+            TransformService(fresh).transform(f"{name}@latest", X), expected
+        )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("knn_backend", "lsh"),
+            ("knn_backend", "blocked"),
+            ("dtype", "float32"),
+            ("eig_solver", "sparse"),
+            ("eig_solver", "lobpcg"),
+            ("eig_solver", "randomized"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["pfr", "nystrom"])
+    def test_retired_value_refused(self, models, tmp_path, name, key, value):
+        _, fitted = models
+        path = _with_v110_params(
+            save_model(fitted[name], tmp_path / name), **{key: value}
+        )
+        with pytest.raises(ValidationError, match=f"{key}={value!r}"):
+            load_model(path)
+
+    def test_retired_value_refused_through_registry(self, models, tmp_path):
+        _, fitted = models
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.register("kpfr", fitted["kpfr"])
+        _with_v110_params(record.path, dtype="float32")
+        with pytest.raises(ValidationError, match="dtype='float32'"):
+            registry.load("kpfr@latest")
 
 
 class TestErrors:

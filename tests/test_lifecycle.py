@@ -145,18 +145,14 @@ class TestScorerFor:
             score(rows), score(rows, estimator.transform(rows)), atol=1e-12
         )
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize(
-        "exclude,backend", [(None, "exact"), ([0], "exact"), (None, "lsh")],
-        ids=["exact", "exclude", "lsh"],
-    )
-    def test_matches_plan_score_rows_bitwise(self, rng, dtype, exclude, backend):
+    @pytest.mark.parametrize("exclude", [None, [0]], ids=["default", "exclude"])
+    def test_matches_plan_score_rows_bitwise(self, rng, exclude):
         # The serving /drift scorer must agree with the plan it mirrors
-        # bit for bit: same dtype, column view and neighbor backend.
+        # bit for bit: same column view and bandwidth.
         X = rng.normal(size=(600, 6))
         estimator = PFR(
             n_components=3, gamma=0.5, extension="nystrom", landmarks=128,
-            dtype=dtype, exclude_columns=exclude, knn_backend=backend,
+            exclude_columns=exclude,
         )
         plan = LandmarkPlan.for_estimator(
             estimator, X, knn_graph(X, n_neighbors=8)
