@@ -1,241 +1,16 @@
-"""Tests for the pluggable k-NN backends in repro.graphs.knn.
+"""Dtype contract of the k-NN distance path in repro.graphs.
 
-The contract under test: ``backend="exact"`` and ``backend="blocked"``
-produce **bitwise-identical** graphs (the blocked path replicates the
-KD-tree's distance arithmetic), while ``backend="lsh"`` is approximate
-but seeded, deterministic, and structurally well-formed, with measured
-recall high enough on clustered data to be useful.
+Graphs are built from one exact float64 path: a float32 operand paired
+with a float64 one is upcast, never computed in the narrower type.
 """
 
 import numpy as np
-import pytest
-import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.exceptions import GraphConstructionError
-from repro.graphs import knn_cross, knn_graph, pairwise_sq_distances
-from repro.graphs.knn import KNN_BACKENDS
-
-
-def _graph_bytes(W) -> tuple:
-    W = W.tocsr()
-    return (W.data.tobytes(), W.indices.tobytes(), W.indptr.tobytes())
-
-
-def _data(seed: int, n: int, m: int = 6) -> np.ndarray:
-    return np.random.default_rng(seed).normal(size=(n, m))
-
-
-class TestBackendRegistry:
-    def test_backends_exported(self):
-        assert KNN_BACKENDS == ("exact", "blocked", "lsh")
-
-    def test_unknown_backend_rejected(self, rng):
-        X = rng.normal(size=(20, 3))
-        with pytest.raises(GraphConstructionError, match="backend"):
-            knn_graph(X, n_neighbors=3, backend="annoy")
-
-    def test_unknown_backend_option_rejected(self, rng):
-        X = rng.normal(size=(20, 3))
-        with pytest.raises(GraphConstructionError, match="option"):
-            knn_graph(X, n_neighbors=3, backend="lsh", backend_options={"tables": 4})
-
-    def test_bad_dtype_rejected(self, rng):
-        X = rng.normal(size=(20, 3))
-        with pytest.raises(GraphConstructionError, match="dtype"):
-            knn_graph(X, n_neighbors=3, dtype="float16")
-
-
-class TestExactVsBlocked:
-    def test_bitwise_identical_graph(self, rng):
-        X = rng.normal(size=(150, 8))
-        exact = knn_graph(X, n_neighbors=7, backend="exact")
-        blocked = knn_graph(X, n_neighbors=7, backend="blocked")
-        assert _graph_bytes(exact) == _graph_bytes(blocked)
-
-    def test_bitwise_identical_with_exclude(self, rng):
-        X = rng.normal(size=(90, 6))
-        exact = knn_graph(X, n_neighbors=5, exclude=[1, 4], backend="exact")
-        blocked = knn_graph(X, n_neighbors=5, exclude=[1, 4], backend="blocked")
-        assert _graph_bytes(exact) == _graph_bytes(blocked)
-
-    def test_bitwise_identical_tiny_blocks(self, rng):
-        # Force many blocks so the block boundary logic is exercised.
-        X = rng.normal(size=(64, 5))
-        exact = knn_graph(X, n_neighbors=4, backend="exact")
-        blocked = knn_graph(
-            X, n_neighbors=4, backend="blocked", backend_options={"block_entries": 256}
-        )
-        assert _graph_bytes(exact) == _graph_bytes(blocked)
-
-    def test_bitwise_identical_cross(self, rng):
-        X = rng.normal(size=(40, 5))
-        Y = rng.normal(size=(70, 5))
-        exact = knn_cross(X, Y, n_neighbors=6, backend="exact")
-        blocked = knn_cross(X, Y, n_neighbors=6, backend="blocked")
-        assert exact.data.tobytes() == blocked.data.tobytes()
-        assert exact.indices.tobytes() == blocked.indices.tobytes()
-
-    def test_bitwise_identical_binary(self, rng):
-        X = rng.normal(size=(60, 4))
-        exact = knn_graph(X, n_neighbors=3, binary=True, backend="exact")
-        blocked = knn_graph(X, n_neighbors=3, binary=True, backend="blocked")
-        assert _graph_bytes(exact) == _graph_bytes(blocked)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(5, 50), k=st.integers(1, 4))
-    def test_bitwise_identical_property(self, seed, n, k):
-        X = _data(seed, n)
-        k = min(k, n - 1)
-        exact = knn_graph(X, n_neighbors=k, backend="exact")
-        blocked = knn_graph(X, n_neighbors=k, backend="blocked")
-        assert _graph_bytes(exact) == _graph_bytes(blocked)
-
-
-def _recall(approx, exact) -> float:
-    """Fraction of exact edges recovered by the approximate graph."""
-    a = set(zip(*approx.nonzero()))
-    e = list(zip(*exact.nonzero()))
-    return sum(1 for edge in e if edge in a) / max(len(e), 1)
-
-
-class TestLshBackend:
-    def test_well_formed(self, rng):
-        X = rng.normal(size=(120, 6))
-        W = knn_graph(X, n_neighbors=5, backend="lsh", backend_options={"seed": 0})
-        assert sp.issparse(W) and W.shape == (120, 120)
-        assert (abs(W - W.T) > 0).nnz == 0
-        assert np.abs(W.diagonal()).max() == 0.0
-        degrees = np.diff(W.tocsr().indptr)
-        assert degrees.min() >= 5  # symmetrization only adds edges
-
-    def test_deterministic_given_seed(self, rng):
-        X = rng.normal(size=(80, 5))
-        opts = {"seed": 3, "n_tables": 6}
-        a = knn_graph(X, n_neighbors=4, backend="lsh", backend_options=opts)
-        b = knn_graph(X, n_neighbors=4, backend="lsh", backend_options=opts)
-        assert _graph_bytes(a) == _graph_bytes(b)
-
-    def test_recall_on_clustered_data(self):
-        rng = np.random.default_rng(0)
-        centers = rng.normal(scale=8.0, size=(6, 10))
-        X = np.concatenate(
-            [center + rng.normal(size=(60, 10)) for center in centers]
-        )
-        exact = knn_graph(X, n_neighbors=5, backend="exact", binary=True)
-        approx = knn_graph(
-            X,
-            n_neighbors=5,
-            backend="lsh",
-            binary=True,
-            backend_options={"seed": 0, "n_tables": 12},
-        )
-        assert _recall(approx, exact) >= 0.9
-
-    def test_more_tables_no_worse_recall_floor(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(200, 8))
-        exact = knn_graph(X, n_neighbors=4, backend="exact", binary=True)
-        many = knn_graph(
-            X,
-            n_neighbors=4,
-            backend="lsh",
-            binary=True,
-            backend_options={"seed": 0, "n_tables": 16},
-        )
-        assert _recall(many, exact) >= 0.5
-
-    def test_cross_lsh_well_formed(self, rng):
-        X = rng.normal(size=(30, 5))
-        Y = rng.normal(size=(90, 5))
-        C = knn_cross(X, Y, n_neighbors=4, backend="lsh", backend_options={"seed": 0})
-        assert C.shape == (30, 90)
-        assert np.all(np.diff(C.tocsr().indptr) == 4)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 5_000), n=st.integers(6, 40), k=st.integers(1, 3))
-    def test_well_formed_property(self, seed, n, k):
-        X = _data(seed, n)
-        k = min(k, n - 1)
-        W = knn_graph(
-            X, n_neighbors=k, backend="lsh", backend_options={"seed": seed % 7}
-        )
-        assert (abs(W - W.T) > 0).nnz == 0
-        assert np.abs(W.diagonal()).max() == 0.0
-        assert np.diff(W.tocsr().indptr).min() >= k
-
-
-class TestEdgeCases:
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_k_equals_one(self, rng, backend):
-        X = rng.normal(size=(25, 4))
-        opts = {"seed": 0} if backend == "lsh" else None
-        W = knn_graph(X, n_neighbors=1, backend=backend, backend_options=opts)
-        assert np.diff(W.tocsr().indptr).min() >= 1
-        assert np.abs(W.diagonal()).max() == 0.0
-
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_exclude_drops_columns_from_metric(self, rng, backend):
-        # The excluded column is pure noise; graphs with and without it
-        # must be identical once it is excluded.
-        base = rng.normal(size=(40, 4))
-        noisy = np.column_stack([base, rng.normal(scale=50.0, size=40)])
-        opts = {"seed": 0} if backend == "lsh" else None
-        W_base = knn_graph(base, n_neighbors=3, backend=backend, backend_options=opts)
-        W_excl = knn_graph(
-            noisy, n_neighbors=3, exclude=[4], backend=backend, backend_options=opts
-        )
-        assert _graph_bytes(W_base) == _graph_bytes(W_excl)
-
-    @pytest.mark.parametrize("backend", ("exact", "blocked"))
-    def test_duplicate_rows_self_excluded(self, backend):
-        # Regression: with many coincident rows the self-point used to
-        # survive distance-based filtering and silently shrink degrees.
-        X = np.repeat(np.arange(6.0)[:, None], 5, axis=0) @ np.ones((1, 3))
-        W = knn_graph(X, n_neighbors=4, backend=backend, binary=True)
-        assert np.abs(W.diagonal()).max() == 0.0
-        assert np.diff(W.tocsr().indptr).min() >= 4
-
-    def test_all_identical_rows(self):
-        X = np.ones((10, 3))
-        W = knn_graph(X, n_neighbors=3, binary=True)
-        assert np.abs(W.diagonal()).max() == 0.0
-        assert np.diff(W.tocsr().indptr).min() >= 3
+from repro.graphs import pairwise_sq_distances
 
 
 class TestDtypePipeline:
-    def test_pairwise_sq_distances_preserves_float32(self, rng):
-        # Regression: the expansion formula used to upcast to float64.
-        X = rng.normal(size=(20, 4)).astype(np.float32)
-        assert pairwise_sq_distances(X).dtype == np.float32
-        assert pairwise_sq_distances(X, X[:5]).dtype == np.float32
-
     def test_pairwise_sq_distances_mixed_dtypes_upcast(self, rng):
         X32 = rng.normal(size=(10, 3)).astype(np.float32)
         X64 = rng.normal(size=(8, 3))
         assert pairwise_sq_distances(X32, X64).dtype == np.float64
-
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_graph_weights_float32(self, rng, backend):
-        X = rng.normal(size=(60, 5))
-        opts = {"seed": 0} if backend == "lsh" else None
-        W = knn_graph(
-            X, n_neighbors=4, backend=backend, backend_options=opts, dtype="float32"
-        )
-        assert W.dtype == np.float32
-
-    def test_float32_close_to_float64(self, rng):
-        X = rng.normal(size=(80, 6))
-        W64 = knn_graph(X, n_neighbors=5)
-        W32 = knn_graph(X, n_neighbors=5, dtype="float32")
-        assert W32.nnz == W64.nnz
-        np.testing.assert_allclose(
-            W32.toarray(), W64.toarray(), rtol=1e-4, atol=1e-5
-        )
-
-    def test_default_dtype_is_float64(self, rng):
-        X = rng.normal(size=(30, 3)).astype(np.float32)
-        # Historical behavior: without an explicit dtype the graph is built
-        # (and returned) in float64 regardless of the input dtype.
-        assert knn_graph(X, n_neighbors=3).dtype == np.float64
