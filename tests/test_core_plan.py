@@ -347,3 +347,132 @@ class TestRefreshGoldens:
         X, WF = baseline
         golden = REFRESH_GOLDENS[config]
         assert refreshed_child(X, WF, golden["params"]) == golden
+
+
+# Captured before the structural hyper-parameters moved into one table:
+# the stage digests and the sha256 of ``components_``/``alphas_`` for each
+# non-default structural combination on the baseline problem. Kernel
+# configs extend ``KernelPFR(n_components=3, gamma=0.25, n_neighbors=5)``,
+# linear ones ``_pfr()``; ``w_x`` marks a precomputed data graph.
+STRUCTURAL_GOLDENS = {
+    "kernel-z-objective": {
+        "params": {"constraint": "z", "rescale": "objective"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "6baef9457ad6b4a671d340bb7b082534e7f6838982bddacd520cb427181011e0",
+            "solve": "868da984bbcebf588852a32ebedef244100e459aad67ba87f2bdb4f36751b186",
+        },
+        "fitted": "d4df3379760d61c9855333cd06725489d2bcbde8a91a93957025face5aa3db7e",
+    },
+    "kernel-z-degree": {
+        "params": {"constraint": "z", "rescale": "degree"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "4f8d4e50987ebcb7fef3d28190679066eb1ef0c149075114253561c759855f3d",
+            "solve": "dcc1347c38ad22c9729b031c1189032141a595de99b66301ad035800dcd8804c",
+        },
+        "fitted": "474a16e187b47f9c387a32ebac8184e0da7509a2008d1959ce4fce0a4d2c4f40",
+    },
+    "kernel-z-none": {
+        "params": {"constraint": "z", "rescale": "none"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "af6466fc407b4e5c5f308b8c9c70148e243028a5de70aa32f03af5482f364003",
+            "solve": "9b962a20bce432600e04d94d0dd0ab60d23f9db37fc79ccd43c38ea1564c0596",
+        },
+        "fitted": "136bde1af9da0f7e6107936382c8e7847b3d5135d63a514a8352cd092c997cdd",
+    },
+    "kernel-v-objective": {
+        "params": {"constraint": "v", "rescale": "objective"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "a3ac6978973f749d05281d1014e8c2ebdba26848017b789ebbd799c0159e0995",
+            "solve": "0e3d60fb9fe0b30d537e0284f0ebee7217dcee3632291f80b4c1775e40f151d1",
+        },
+        "fitted": "3f0377971d63f2cc0a9594c0376376ae293c5f48a54fe974050612a577f8415a",
+    },
+    "kernel-v-degree": {
+        "params": {"constraint": "v", "rescale": "degree"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "eb4437a89a599b9dc4341e837a6afc3ab9fe0a8cb35edfd2dbc39399a4ac3450",
+            "solve": "591ac49d166720c368db0f2f348d7a7cb3fa213840b61e2670b8feb3020e90fe",
+        },
+        "fitted": "2051401eb7e4930ae16656e32512169cd8f09ff7c4866fca2651d0ed7bad93a4",
+    },
+    "kernel-v-none": {
+        "params": {"constraint": "v", "rescale": "none"},
+        "digests": {
+            "graph": "b3879fadf7c21ab77265cd8a98b89f96a2a47114b648fc113b521515a8566047",
+            "laplacian": "7ba4fa074f53b4c2baea35a5b8562142073ea11eb193853e30bdce928dff4677",
+            "projection": "bc9a056e31e36b652dba24a3fd05cdc1a8691e5ad5ed306445664ad09b42c4b8",
+            "solve": "9dbf222f14a4c8f7206f9771327738c6a2ca15532471c6b6d1720164122cebdb",
+        },
+        "fitted": "df14efc9f106c6cf296c053b1c177cb098323ef4d762e9ff8789c93224571827",
+    },
+    "linear-normalized": {
+        "params": {"normalized_laplacian": True},
+        "digests": {
+            "graph": "a398c7f04f5598d5995a4c7792835c55d960ae5701a50c9a44ea50df60034b84",
+            "laplacian": "e14a72f91d3ebb7fd8484ce8e64da1c0bcf0be26ff55180f08475c41388a18b5",
+            "projection": "adccf9fbff6f182615058a16ffd77285e87ef7784ed4b139ee9b7f529e3b6eed",
+            "solve": "826cdd905385e41e609c2a42be92b5c2f3f66f4b8a891e0f3c5ccc27f5d351da",
+        },
+        "fitted": "838351817f57ccfd2b6cd9f8a2fcd6b2d8d45f1fe47c278209d20c80c6aff3dd",
+    },
+    "linear-v": {
+        "params": {"constraint": "v"},
+        "digests": {
+            "graph": "a398c7f04f5598d5995a4c7792835c55d960ae5701a50c9a44ea50df60034b84",
+            "laplacian": "ff9e29cab79c81558e268fbc8d437c6d5bd4607482ed12bc50c9e2371a296ca9",
+            "projection": "a2492c878475c227ff9d7e00d9aa4fd29ddfbf7b690f8217178eb46facfdd503",
+            "solve": "11010f8e8a48355a342eb24dc54f44f98f7f0a80ce9918eadd4c98f27d92fbc6",
+        },
+        "fitted": "69203d6fa3ead248d5796e974054d6ddbf8ed62d9e19e2234d02d57e54514305",
+    },
+    "linear-precomputed-wx": {
+        "params": {"exclude_columns": None},
+        "w_x": True,
+        "digests": {
+            "graph": "c677743e62a405a6c73d18853e1a13a6b17f3c70aa834d75cc8acba4aee698e4",
+            "laplacian": "4b485384b3f9b312d11f1032f1ebd5195e611b98574aa1ba5d3b5fa0abc8b77c",
+            "projection": "52d1f3a12fe175716b17df29db4b10a7c477d6fb0d30ab8cbf2adbd36c307dd5",
+            "solve": "0766f16e9b974860cc6f05b404b5af9f34d4e6569ae3dbce7e84edb8130d2b93",
+        },
+        "fitted": "00d492ebf5e5d4a6e54d8d24a2857bc37ba124bd445632fce048331622830d84",
+    },
+    "kernel-nystrom": {
+        "params": {"extension": "nystrom", "landmarks": 40, "landmark_seed": 3},
+        "digests": {
+            "landmarks": "217f9b185f9ac8ca825f5c46dfc65cbc3f4442a89c85a790a14040970650c6a3",
+            "graph": "f06faa7cdbe232d27f0ffb832b2b189f4f95db1ddb92eacb18a904882069e5f3",
+            "laplacian": "c820b86f96ef6ad6cfaf076a536e855cd6aa7bc8997db4a39a3a2ed19d3cd5a7",
+            "projection": "db67a55008f88b3b533e74a4d0d2d685d030183e9486fb8ccce7b28f8d6f09f2",
+            "solve": "2b33abb805733493c7481e4277c485ea2ba617a0dea4218bf8d87f03a504a423",
+        },
+        "fitted": "c320cc5ca9ed4ef12f98f090ebf0a2104b3636d6e20a94a1c4fbaec2bd005311",
+    },
+}
+
+
+def _structural_estimator(config):
+    params = STRUCTURAL_GOLDENS[config]["params"]
+    if config.startswith("kernel"):
+        return KernelPFR(n_components=3, gamma=0.25, n_neighbors=5, **params)
+    return _pfr(**params)
+
+
+class TestStructuralGoldens:
+    @pytest.mark.parametrize("config", sorted(STRUCTURAL_GOLDENS))
+    def test_fit_bitwise(self, baseline, config):
+        X, WF = baseline
+        golden = STRUCTURAL_GOLDENS[config]
+        w_x = knn_graph(X, n_neighbors=5) if golden.get("w_x") else None
+        model = _structural_estimator(config).fit(X, WF, w_x=w_x)
+        assert model.plan_digests_ == golden["digests"]
+        assert _sha(_fitted_basis(model)) == golden["fitted"]
