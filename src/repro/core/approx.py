@@ -52,7 +52,16 @@ from ..graphs.knn import (
     resolve_bandwidth,
 )
 from ..obs.trace import span
-from .plan import Precomputed, SpectralFitPlan, _stage_digest
+from .plan import (
+    _LANDMARK,
+    Precomputed,
+    SpectralFitPlan,
+    _check_inputs,
+    _check_integer,
+    _check_match,
+    _plan_kwargs,
+    _stage_digest,
+)
 
 __all__ = [
     "LANDMARK_STRATEGIES",
@@ -74,8 +83,9 @@ _EXTENSIONS = ("exact", "nystrom")
 def check_extension_params(estimator) -> None:
     """Validate an estimator's ``extension``/``landmark*`` hyper-parameters.
 
-    Shared by ``PFR`` and ``KernelPFR``: ``extension`` must be ``"exact"``
-    or ``"nystrom"``; the nystrom mode additionally needs an integer
+    The one check of these values for ``PFR`` and ``KernelPFR``, run when
+    their plan is built: ``extension`` must be ``"exact"`` or
+    ``"nystrom"``; the nystrom mode additionally needs an integer
     ``landmarks >= 2`` and a known ``landmark_strategy``.
     """
     if estimator.extension not in _EXTENSIONS:
@@ -84,12 +94,7 @@ def check_extension_params(estimator) -> None:
         )
     if estimator.extension == "exact":
         return
-    if estimator.landmarks is None:
-        raise ValidationError("extension='nystrom' requires landmarks=<int>")
-    if int(estimator.landmarks) < 2:
-        raise ValidationError(
-            f"landmarks must be >= 2; got {estimator.landmarks}"
-        )
+    _check_integer("landmarks", estimator.landmarks, 2)
     if estimator.landmark_strategy not in LANDMARK_STRATEGIES:
         raise ValidationError(
             f"unknown landmark strategy {estimator.landmark_strategy!r}; "
@@ -487,8 +492,15 @@ class LandmarkPlan:
     the plan then reproduces the exact :class:`SpectralFitPlan` solve to
     machine precision (locked down by ``tests/test_core_approx.py``).
 
-    Parameters are :class:`SpectralFitPlan`'s plus the landmark knobs;
-    build instances via :meth:`for_estimator` in user code.
+    Parameters are :class:`SpectralFitPlan`'s plus the landmark knobs
+    ``n_landmarks``, ``strategy`` and ``seed``. Build instances through
+    :func:`plan_for_estimator` (or :meth:`for_estimator`), the one map from
+    an estimator to its plan: the table ``_LANDMARK`` in
+    :mod:`repro.core.plan` maps the estimator's ``landmarks``,
+    ``landmark_strategy`` and ``landmark_seed`` onto these knobs, and
+    ``_STRUCTURAL`` supplies the rest. The knobs are validated once, by
+    :func:`check_extension_params`; the structural values by the
+    landmark subproblem's :class:`SpectralFitPlan`.
     """
 
     def __init__(
@@ -504,20 +516,8 @@ class LandmarkPlan:
         exclude_columns=None,
         **structural,
     ):
-        X = check_array(X, name="X", min_samples=2)
+        X, w_fair, w_x = _check_inputs(X, w_fair, w_x)
         n = X.shape[0]
-        w_fair = check_symmetric(w_fair, name="w_fair")
-        if w_fair.shape[0] != n:
-            raise ValidationError(
-                f"w_fair has {w_fair.shape[0]} nodes but X has {n} samples"
-            )
-        if w_x is not None:
-            w_x = check_symmetric(w_x, name="w_x")
-            if w_x.shape[0] != n:
-                raise ValidationError(
-                    f"w_x has {w_x.shape[0]} nodes but X has {n} samples"
-                )
-
         self.X = X
         self.n_landmarks = int(n_landmarks)
         self.strategy = strategy
@@ -542,10 +542,6 @@ class LandmarkPlan:
             exclude_columns=exclude_columns,
             **structural,
         )
-        # Tell the subplan its estimators legitimately carry
-        # extension="nystrom" (SpectralFitPlan otherwise rejects them so a
-        # bare exact plan can never silently fit a landmark estimator).
-        self.subplan._landmark_driver = True
         self._landmark_digest = _stage_digest(
             "landmarks",
             {
@@ -583,64 +579,19 @@ class LandmarkPlan:
         ``landmarks``; its γ and ``n_components`` stay free sweep axes,
         exactly as with :meth:`SpectralFitPlan.for_estimator`.
         """
-        from .kernel_pfr import KernelPFR
-        from .pfr import PFR
-
-        if getattr(estimator, "extension", "exact") != "nystrom":
+        structural = _plan_kwargs(estimator)
+        check_extension_params(estimator)
+        if estimator.extension != "nystrom":
             raise ValidationError(
                 "LandmarkPlan.for_estimator needs an estimator with "
-                f"extension='nystrom'; got {getattr(estimator, 'extension', 'exact')!r}"
+                f"extension='nystrom'; got {estimator.extension!r}"
             )
-        if estimator.landmarks is None:
-            raise ValidationError(
-                "extension='nystrom' requires landmarks=<int>; got None"
-            )
-        landmark_kwargs = dict(
-            n_landmarks=int(estimator.landmarks),
-            strategy=estimator.landmark_strategy,
-            seed=estimator.landmark_seed,
-        )
+        knobs = {arg: getattr(estimator, name) for name, arg in _LANDMARK.items()}
         # n is the capacity ceiling: asking for more landmarks than rows
         # degrades gracefully to the exact solve.
         n = check_array(X, name="X", min_samples=2).shape[0]
-        landmark_kwargs["n_landmarks"] = min(landmark_kwargs["n_landmarks"], n)
-
-        if isinstance(estimator, KernelPFR):
-            return cls(
-                X,
-                w_fair,
-                kind="kernel",
-                w_x=w_x,
-                n_neighbors=estimator.n_neighbors,
-                bandwidth=estimator.bandwidth,
-                exclude_columns=estimator.exclude_columns,
-                rescale=estimator.rescale,
-                constraint=estimator.constraint,
-                ridge=estimator.ridge,
-                kernel=estimator.kernel,
-                kernel_bandwidth=estimator.kernel_bandwidth,
-                degree=estimator.degree,
-                coef0=estimator.coef0,
-                **landmark_kwargs,
-            )
-        if isinstance(estimator, PFR):
-            return cls(
-                X,
-                w_fair,
-                kind="linear",
-                w_x=w_x,
-                n_neighbors=estimator.n_neighbors,
-                bandwidth=estimator.bandwidth,
-                exclude_columns=estimator.exclude_columns,
-                normalized_laplacian=estimator.normalized_laplacian,
-                rescale=estimator.rescale,
-                constraint=estimator.constraint,
-                ridge=estimator.ridge,
-                **landmark_kwargs,
-            )
-        raise ValidationError(
-            f"for_estimator expects a PFR or KernelPFR; got {type(estimator).__name__}"
-        )
+        knobs["n_landmarks"] = min(int(knobs["n_landmarks"]), n)
+        return cls(X, w_fair, w_x=w_x, **knobs, **structural)
 
     # ---------------------------------------------------------- delegation
     @property
@@ -677,8 +628,18 @@ class LandmarkPlan:
         and prepends the ``landmarks`` stage digest to ``plan_digests_``.
         Returns the estimator.
         """
-        self._check_landmark_match(estimator)
-        self.subplan.fit(estimator)
+        if getattr(estimator, "extension", "exact") != "nystrom":
+            raise ValidationError(
+                "LandmarkPlan fits estimators with extension='nystrom'; "
+                f"got extension={getattr(estimator, 'extension', 'exact')!r}"
+            )
+        wanted = {name: getattr(estimator, name) for name in _LANDMARK}
+        # Clamped to n, as for_estimator clamps it.
+        wanted["landmarks"] = min(int(wanted["landmarks"]), self.X.shape[0])
+        _check_match(
+            {name: getattr(self, arg) for name, arg in _LANDMARK.items()}, wanted
+        )
+        self.subplan._populate(estimator)
         estimator.landmark_indices_ = self.indices_.copy()
         estimator.landmark_X_ = self.X_landmarks_.copy()
         estimator.plan_digests_ = self.stage_digests()
@@ -732,12 +693,6 @@ class LandmarkPlan:
         from .kernel_pfr import kernel_matrix
 
         proj = self.subplan.projection
-        if proj["whiten"] is not None:
-            A = proj["kernel_basis"] @ (
-                V / np.sqrt(proj["kernel_spectrum"])[:, None]
-            )
-        else:
-            A = V
         K = kernel_matrix(
             X_rows,
             self.X_landmarks_,
@@ -746,7 +701,7 @@ class LandmarkPlan:
             degree=self.subplan.degree,
             coef0=self.subplan.coef0,
         )
-        return K @ A
+        return K @ self.subplan._duals(V)
 
     def _landmark_bandwidth(self) -> float:
         """The extension's heat-kernel bandwidth, resolved at most once.
@@ -1088,10 +1043,8 @@ class LandmarkPlan:
             WF_combined,
             kind=sub.kind,
             w_x=W_combined,
-            exclude_columns=exclude,
-            **self._structural_kwargs(),
+            **sub._structural_params(),
         )
-        child.subplan._landmark_driver = True
         child._landmark_digest = _stage_digest(
             "landmarks",
             {
@@ -1110,28 +1063,6 @@ class LandmarkPlan:
         child._extend_digest = extend_digest
         child._last_fit_point = self._last_fit_point
         return child
-
-    def _structural_kwargs(self) -> dict:
-        """The subplan's structural hyper-parameters as constructor kwargs
-        (``exclude_columns`` excluded — callers pass it positionally)."""
-        sub = self.subplan
-        kwargs = dict(
-            n_neighbors=sub.n_neighbors,
-            bandwidth=sub.bandwidth,
-            rescale=sub.rescale,
-            constraint=sub.constraint,
-            ridge=sub.ridge,
-        )
-        if sub.kind == "linear":
-            kwargs["normalized_laplacian"] = sub.normalized_laplacian
-        else:
-            kwargs.update(
-                kernel=sub.kernel,
-                kernel_bandwidth=sub.kernel_bandwidth,
-                degree=sub.degree,
-                coef0=sub.coef0,
-            )
-        return kwargs
 
     # ------------------------------------------------------------ digests
     def stage_digests(self) -> dict:
@@ -1154,39 +1085,18 @@ class LandmarkPlan:
         digests.update(self.subplan.stage_digests())
         return digests
 
-    # ------------------------------------------------------------ internal
-    def _check_landmark_match(self, estimator) -> None:
-        if getattr(estimator, "extension", "exact") != "nystrom":
-            raise ValidationError(
-                "LandmarkPlan fits estimators with extension='nystrom'; "
-                f"got extension={getattr(estimator, 'extension', 'exact')!r}"
-            )
-        wanted = min(int(estimator.landmarks), self.X.shape[0])
-        if wanted != self.n_landmarks:
-            raise ValidationError(
-                f"estimator wants {wanted} landmarks but this plan selected "
-                f"{self.n_landmarks}"
-            )
-        for name, mine in (
-            ("landmark_strategy", self.strategy),
-            ("landmark_seed", self.seed),
-        ):
-            value = getattr(estimator, name)
-            if value != mine:
-                raise ValidationError(
-                    f"estimator is incompatible with this landmark plan: "
-                    f"{name}={value!r} differs from the plan's {mine!r}"
-                )
-
 
 def plan_for_estimator(estimator, X, w_fair, *, w_x=None):
     """The fit plan an estimator's configuration calls for.
 
-    ``extension="nystrom"`` estimators get a :class:`LandmarkPlan`;
-    everything else the exact :class:`~repro.core.SpectralFitPlan`. This is
-    the single dispatch point used by ``PFR.fit``/``KernelPFR.fit``,
-    :func:`repro.core.fit_path` and the experiment harness's plan caches.
+    The one map from an estimator to its plan: ``extension="nystrom"``
+    estimators get a :class:`LandmarkPlan`, everything else the exact
+    :class:`~repro.core.SpectralFitPlan`, each built from the structural
+    table in :mod:`repro.core.plan`. ``PFR.fit``/``KernelPFR.fit``,
+    :func:`repro.core.fit_path` and the experiment harness's plan caches
+    all build their plans here.
     """
     if getattr(estimator, "extension", "exact") == "nystrom":
         return LandmarkPlan.for_estimator(estimator, X, w_fair, w_x=w_x)
+    check_extension_params(estimator)
     return SpectralFitPlan.for_estimator(estimator, X, w_fair, w_x=w_x)

@@ -22,7 +22,7 @@ from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
 from ..graphs.knn import median_heuristic, pairwise_sq_distances
 from ..ml.base import BaseEstimator, TransformerMixin
-from .approx import check_extension_params, plan_for_estimator
+from .approx import plan_for_estimator
 
 __all__ = ["KernelPFR", "kernel_matrix"]
 
@@ -155,21 +155,7 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         operating points on the same data, build the plan once — see
         :func:`repro.core.fit_path`.
         """
-        X = check_array(X, name="X", min_samples=2)
-        check_extension_params(self)
-        n = X.shape[0]
-        if self.extension == "nystrom":
-            # The eigenproblem runs on the landmark rows only, so they are
-            # the capacity ceiling for the latent dimensionality.
-            n = min(n, int(self.landmarks))
-        if not 1 <= self.n_components <= n:
-            raise ValidationError(
-                f"n_components must be in [1, n={n}]; got {self.n_components}"
-            )
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1]; got {self.gamma}")
-        plan = plan_for_estimator(self, X, w_fair, w_x=w_x)
-        return plan.fit(self)
+        return plan_for_estimator(self, X, w_fair, w_x=w_x).fit(self)
 
     def transform(self, X) -> np.ndarray:
         """Project points through the kernel: ``Z = K(X, X_fit) A``."""

@@ -23,7 +23,7 @@ import numpy as np
 from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
 from ..ml.base import BaseEstimator, TransformerMixin
-from .approx import check_extension_params, plan_for_estimator
+from .approx import plan_for_estimator
 
 __all__ = ["PFR"]
 
@@ -159,26 +159,6 @@ class PFR(BaseEstimator, TransformerMixin):
         self.landmark_strategy = landmark_strategy
         self.landmark_seed = landmark_seed
 
-    def _validate_hyper_parameters(self, n_features: int) -> None:
-        if not 1 <= self.n_components <= n_features:
-            raise ValidationError(
-                f"n_components must be in [1, m={n_features}]; got {self.n_components}"
-            )
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1]; got {self.gamma}")
-        if self.constraint not in ("z", "v"):
-            raise ValidationError(
-                f"constraint must be 'z' (ZZᵀ=I, Eq. 5) or 'v' (VᵀV=I, Eq. 6); "
-                f"got {self.constraint!r}"
-            )
-        if self.rescale not in ("objective", "degree", "none"):
-            raise ValidationError(
-                f"rescale must be 'objective', 'degree' or 'none'; got {self.rescale!r}"
-            )
-        if self.ridge < 0:
-            raise ValidationError(f"ridge must be non-negative; got {self.ridge}")
-        check_extension_params(self)
-
     def fit(self, X, w_fair, *, w_x=None):
         """Learn the fair basis ``V`` from data and a fairness graph.
 
@@ -202,10 +182,7 @@ class PFR(BaseEstimator, TransformerMixin):
             constructor's ``n_neighbors`` / ``bandwidth`` /
             ``exclude_columns``.
         """
-        X = check_array(X, name="X", min_samples=2)
-        self._validate_hyper_parameters(X.shape[1])
-        plan = plan_for_estimator(self, X, w_fair, w_x=w_x)
-        return plan.fit(self)
+        return plan_for_estimator(self, X, w_fair, w_x=w_x).fit(self)
 
     def transform(self, X) -> np.ndarray:
         """Project (possibly unseen) individuals: ``Z = X V``, shape ``(n, d)``."""

@@ -36,6 +36,16 @@ loop by well over the 3× acceptance floor (see
 Every stage also carries a SHA-256 digest chained from its inputs, giving
 each fitted estimator an auditable provenance trail (``plan_digests_``)
 that the serving registry records in its manifests.
+
+:func:`repro.core.plan_for_estimator` is the one map from an estimator to
+its plan. It reads the estimator's structural hyper-parameters — the
+names in ``_STRUCTURAL`` for its kind, plus ``_LANDMARK`` for nystrom
+fits — and a plan's ``fit`` checks an estimator against the same table.
+Each value is validated once: ``extension`` and the landmark knobs by
+:func:`repro.core.approx.check_extension_params`; ``X``, ``w_fair`` and
+``w_x`` by ``_check_inputs``; the other structural values by the
+:class:`SpectralFitPlan` constructor; ``n_components`` by :meth:`fit`;
+γ by :meth:`SpectralFitPlan.solve`.
 """
 
 from __future__ import annotations
@@ -81,6 +91,95 @@ def retired_param_message(name: str) -> str:
         f"{name!r} is a retired numeric option: PFR and KernelPFR always "
         "build the exact k-NN graph and solve dense in float64"
     )
+
+
+# The k-NN data graph's settings (§3.1); a precomputed w_x leaves them unused.
+_KNN = ("n_neighbors", "bandwidth", "exclude_columns")
+
+# The structural hyper-parameters of each plan kind: the estimator
+# attributes, named as the SpectralFitPlan arguments, that fix the plan.
+# γ and n_components are not here: they are the sweep axes.
+_STRUCTURAL = {
+    "linear": (*_KNN, "normalized_laplacian", "rescale", "constraint", "ridge"),
+    "kernel": (*_KNN, "rescale", "constraint", "ridge",
+               "kernel", "kernel_bandwidth", "degree", "coef0"),
+}
+
+# A nystrom estimator's landmark knobs -> the LandmarkPlan arguments.
+_LANDMARK = {
+    "landmarks": "n_landmarks",
+    "landmark_strategy": "strategy",
+    "landmark_seed": "seed",
+}
+
+
+def _estimator_kind(estimator) -> str | None:
+    """The plan kind that fits ``estimator``; ``None`` for other objects."""
+    from .kernel_pfr import KernelPFR
+    from .pfr import PFR
+
+    if isinstance(estimator, KernelPFR):
+        return "kernel"
+    return "linear" if isinstance(estimator, PFR) else None
+
+
+def _plan_kwargs(estimator) -> dict:
+    """``kind`` and the structural values: a plan's arguments for ``estimator``."""
+    kind = _estimator_kind(estimator)
+    if kind is None:
+        raise ValidationError(
+            f"for_estimator expects a PFR or KernelPFR; got {type(estimator).__name__}"
+        )
+    structural = {name: getattr(estimator, name) for name in _STRUCTURAL[kind]}
+    return {"kind": kind, **structural}
+
+
+def _columns(columns):
+    """``exclude_columns`` as it enters comparisons and digests."""
+    return None if columns is None else tuple(int(c) for c in columns)
+
+
+def _check_match(expected: dict, values: dict) -> None:
+    """Raise unless an estimator's ``values`` equal the plan's ``expected``."""
+    for name, mine in expected.items():
+        value = values[name]
+        if name == "exclude_columns":
+            value, mine = _columns(value), _columns(mine)
+        if value != mine:
+            raise ValidationError(
+                f"estimator is structurally incompatible with this plan: "
+                f"{name}={value!r} differs from the plan's {mine!r}"
+            )
+
+
+def _check_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int; a ValidationError naming ``name`` unless it is an
+    integer (numpy integer scalars included) in ``[low, high]``."""
+    try:
+        integral = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bounds}; got {value!r}")
+    return int(value)
+
+
+def _check_inputs(X, w_fair, w_x=None):
+    """Validated ``(X, w_fair, w_x)``: every plan's training inputs."""
+    X = check_array(X, name="X", min_samples=2)
+    n = X.shape[0]
+
+    def graph(W, name):
+        # Sparse graphs keep their dtype: it enters the graph digest.
+        W = check_symmetric(W, name=name)
+        if W.shape[0] != n:
+            raise ValidationError(
+                f"{name} has {W.shape[0]} nodes but X has {n} samples"
+            )
+        return W
+
+    return X, graph(w_fair, "w_fair"), None if w_x is None else graph(w_x, "w_x")
 
 
 def _hash_array(digest, array) -> None:
@@ -180,8 +279,13 @@ class SpectralFitPlan:
         degree: int = 3,
         coef0: float = 1.0,
     ):
-        if kind not in ("linear", "kernel"):
+        if kind not in _STRUCTURAL:
             raise ValidationError(f"kind must be 'linear' or 'kernel'; got {kind!r}")
+        _check_integer("n_neighbors", n_neighbors, 1)
+        if not isinstance(normalized_laplacian, (bool, np.bool_)):
+            raise ValidationError(
+                f"normalized_laplacian must be a bool; got {normalized_laplacian!r}"
+            )
         if rescale not in ("objective", "degree", "none"):
             raise ValidationError(
                 f"rescale must be 'objective', 'degree' or 'none'; got {rescale!r}"
@@ -191,23 +295,9 @@ class SpectralFitPlan:
                 f"constraint must be 'z' (ZZᵀ=I, Eq. 5) or 'v' (VᵀV=I, Eq. 6); "
                 f"got {constraint!r}"
             )
-        if ridge < 0:
+        if not ridge >= 0:
             raise ValidationError(f"ridge must be non-negative; got {ridge}")
-
-        X = check_array(X, name="X", min_samples=2)
-        n = X.shape[0]
-        # Sparse graphs keep their dtype: it enters the graph digest.
-        w_fair = check_symmetric(w_fair, name="w_fair")
-        if w_fair.shape[0] != n:
-            raise ValidationError(
-                f"w_fair has {w_fair.shape[0]} nodes but X has {n} samples"
-            )
-        if w_x is not None:
-            w_x = check_symmetric(w_x, name="w_x")
-            if w_x.shape[0] != n:
-                raise ValidationError(
-                    f"w_x has {w_x.shape[0]} nodes but X has {n} samples"
-                )
+        X, w_fair, w_x = _check_inputs(X, w_fair, w_x)
 
         self.X = X
         self.w_fair = w_fair
@@ -225,9 +315,6 @@ class SpectralFitPlan:
         self.coef0 = coef0
 
         self._w_x_input = w_x
-        # Set by LandmarkPlan on its internal subplan: an exact plan must
-        # not silently fit an estimator that asked for extension="nystrom".
-        self._landmark_driver = False
         self._graph: Precomputed | None = None
         self._laplacians: Precomputed | None = None
         self._projection: Precomputed | None = None
@@ -245,43 +332,7 @@ class SpectralFitPlan:
         The estimator's γ and ``n_components`` are ignored — those are the
         sweep axes the plan exists to make cheap.
         """
-        from .kernel_pfr import KernelPFR
-        from .pfr import PFR
-
-        if isinstance(estimator, KernelPFR):
-            return cls(
-                X,
-                w_fair,
-                kind="kernel",
-                w_x=w_x,
-                n_neighbors=estimator.n_neighbors,
-                bandwidth=estimator.bandwidth,
-                exclude_columns=estimator.exclude_columns,
-                rescale=estimator.rescale,
-                constraint=estimator.constraint,
-                ridge=estimator.ridge,
-                kernel=estimator.kernel,
-                kernel_bandwidth=estimator.kernel_bandwidth,
-                degree=estimator.degree,
-                coef0=estimator.coef0,
-            )
-        if isinstance(estimator, PFR):
-            return cls(
-                X,
-                w_fair,
-                kind="linear",
-                w_x=w_x,
-                n_neighbors=estimator.n_neighbors,
-                bandwidth=estimator.bandwidth,
-                exclude_columns=estimator.exclude_columns,
-                normalized_laplacian=estimator.normalized_laplacian,
-                rescale=estimator.rescale,
-                constraint=estimator.constraint,
-                ridge=estimator.ridge,
-            )
-        raise ValidationError(
-            f"for_estimator expects a PFR or KernelPFR; got {type(estimator).__name__}"
-        )
+        return cls(X, w_fair, w_x=w_x, **_plan_kwargs(estimator))
 
     # ------------------------------------------------------------- stages
     @property
@@ -355,11 +406,7 @@ class SpectralFitPlan:
             params.update(
                 n_neighbors=int(min(self.n_neighbors, n - 1)),
                 bandwidth=self.bandwidth,
-                exclude_columns=(
-                    None
-                    if self.exclude_columns is None
-                    else tuple(int(c) for c in self.exclude_columns)
-                ),
+                exclude_columns=_columns(self.exclude_columns),
             )
         return params
 
@@ -429,19 +476,21 @@ class SpectralFitPlan:
         trace = np.trace(M)
         return M / trace if trace > 0 else M
 
+    def _rescaled_pair(self, quadratic_form, lap: Precomputed):
+        """``quadratic_form`` of ``L_x`` and of ``L_f``, under the rescale mode."""
+
+        def rescaled(L):
+            if self.rescale == "degree":
+                return quadratic_form(self._scaled_laplacian(L))
+            M = quadratic_form(L)
+            return self._trace_normalized(M) if self.rescale == "objective" else M
+
+        return rescaled(lap["L_x"]), rescaled(lap["L_f"])
+
     def _linear_projection(self, lap: Precomputed) -> dict:
         X = self.X
         m = X.shape[1]
-        L_x, L_f = lap["L_x"], lap["L_f"]
-        if self.rescale == "objective":
-            M_x = self._trace_normalized(objective_matrix(X, L_x))
-            M_f = self._trace_normalized(objective_matrix(X, L_f))
-        elif self.rescale == "degree":
-            M_x = objective_matrix(X, self._scaled_laplacian(L_x))
-            M_f = objective_matrix(X, self._scaled_laplacian(L_f))
-        else:
-            M_x = objective_matrix(X, L_x)
-            M_f = objective_matrix(X, L_f)
+        M_x, M_f = self._rescaled_pair(lambda L: objective_matrix(X, L), lap)
         data = {"M_x": M_x, "M_f": M_f, "d_max": m, "mix_ridge": 0.0,
                 "symmetrize_mix": False, "whiten": None,
                 "fitted_bandwidth": None}
@@ -471,8 +520,6 @@ class SpectralFitPlan:
             degree=self.degree,
             coef0=self.coef0,
         )
-        L_x, L_f = lap["L_x"], lap["L_f"]
-
         if self.constraint == "z":
             # Work in K's principal subspace: with K = U S Uᵀ and feature
             # coordinates Φ = U_r √S_r, kernel PFR reduces to *linear* PFR
@@ -486,19 +533,7 @@ class SpectralFitPlan:
             U = U[:, keep]
             rank = int(keep.sum())
             Phi = U * np.sqrt(S)  # (n, r): K = Phi Phiᵀ
-
-            def projected(L):
-                M_part = Phi.T @ (L @ Phi)
-                if self.rescale == "objective":
-                    return self._trace_normalized(M_part)
-                return M_part
-
-            if self.rescale == "degree":
-                M_x = Phi.T @ (self._scaled_laplacian(L_x) @ Phi)
-                M_f = Phi.T @ (self._scaled_laplacian(L_f) @ Phi)
-            else:
-                M_x = projected(L_x)
-                M_f = projected(L_f)
+            M_x, M_f = self._rescaled_pair(lambda L: Phi.T @ (L @ Phi), lap)
             # The ZZᵀ = I constraint matrix B = diag(S) + ridge·c·I is
             # diagonal, so the generalized problem M v = λ B v whitens to a
             # *standard* one once: C = B^{-1/2} M B^{-1/2}, v = B^{-1/2} u.
@@ -522,18 +557,7 @@ class SpectralFitPlan:
             }
 
         # constraint == "v": the verbatim Equation 8 operator K L K.
-        def projected_v(L):
-            M_part = K @ (L @ K)
-            if self.rescale == "objective":
-                return self._trace_normalized(M_part)
-            return M_part
-
-        if self.rescale == "degree":
-            M_x = K @ (self._scaled_laplacian(L_x) @ K)
-            M_f = K @ (self._scaled_laplacian(L_f) @ K)
-        else:
-            M_x = projected_v(L_x)
-            M_f = projected_v(L_f)
+        M_x, M_f = self._rescaled_pair(lambda L: K @ (L @ K), lap)
         # K L K is rank-deficient whenever K is; a tiny ridge keeps the
         # eigensolver away from the exact null space.
         return {
@@ -602,9 +626,12 @@ class SpectralFitPlan:
         the BLAS thread count (seed 2's AUC reads 0.538 with numpy's pool
         at 2 threads and 0.614 at 1).
         """
-        gamma = float(gamma)
-        if not 0.0 <= gamma <= 1.0:
-            raise ValidationError(f"gamma must be in [0, 1]; got {gamma}")
+        try:
+            gamma = float(gamma)
+        except (TypeError, ValueError):
+            pass  # not a number: rejected below
+        if not isinstance(gamma, float) or not 0.0 <= gamma <= 1.0:
+            raise ValidationError(f"gamma must be in [0, 1]; got {gamma!r}")
         proj = self.projection
         d = int(d)
         d_max = int(proj["d_max"])
@@ -668,114 +695,63 @@ class SpectralFitPlan:
     def fit(self, estimator):
         """Populate ``estimator``'s fitted state from this plan (thin driver).
 
-        The estimator must be structurally compatible (same graph, rescale,
-        constraint and kernel configuration); only its ``gamma`` and
-        ``n_components`` select the operating point. Returns the estimator.
+        The estimator must hold the plan's value of every structural name
+        (``_STRUCTURAL``); only its ``gamma`` and ``n_components`` select
+        the operating point. Returns the estimator.
         """
-        from .kernel_pfr import KernelPFR
-        from .pfr import PFR
-
-        if self.kind == "linear":
-            if not isinstance(estimator, PFR):
-                raise ValidationError(
-                    f"a linear plan fits PFR estimators; got {type(estimator).__name__}"
-                )
-            self._check_structural_match(estimator)
-            estimator._validate_hyper_parameters(self.X.shape[1])
-            eigenvalues, V = self.solve(estimator.gamma, estimator.n_components)
-            estimator.components_ = V
-            estimator.eigenvalues_ = eigenvalues
-            estimator.n_features_in_ = self.X.shape[1]
-            estimator.plan_digests_ = self.stage_digests()
-            # Documented contract: None for exact fits (LandmarkPlan.fit
-            # overwrites these with the selected indices and rows).
-            estimator.landmark_indices_ = None
-            estimator.landmark_X_ = None
-            return estimator
-
-        if not isinstance(estimator, KernelPFR):
-            raise ValidationError(
-                f"a kernel plan fits KernelPFR estimators; got {type(estimator).__name__}"
-            )
-        self._check_structural_match(estimator)
-        n = self.X.shape[0]
-        if not 1 <= estimator.n_components <= n:
-            raise ValidationError(
-                f"n_components must be in [1, n={n}]; got {estimator.n_components}"
-            )
-        if not 0.0 <= estimator.gamma <= 1.0:
-            raise ValidationError(
-                f"gamma must be in [0, 1]; got {estimator.gamma}"
-            )
-        proj = self.projection
-        eigenvalues, V = self.solve(estimator.gamma, estimator.n_components)
-        if self.constraint == "z":
-            # Z = Phi V = K (U S^{-1/2} V): fold the basis change into the
-            # duals, exactly as the in-place fit does.
-            U = proj["kernel_basis"]
-            S = proj["kernel_spectrum"]
-            A = U @ (V / np.sqrt(S)[:, None])
-        else:
-            A = V
-        estimator._fitted_bandwidth = proj["fitted_bandwidth"]
-        estimator.alphas_ = A
-        estimator.eigenvalues_ = eigenvalues
-        estimator.X_fit_ = self.X
-        estimator.n_features_in_ = self.X.shape[1]
-        estimator.plan_digests_ = self.stage_digests()
-        estimator.landmark_indices_ = None
-        estimator.landmark_X_ = None
-        return estimator
-
-    def _structural_params(self) -> dict:
-        params = {
-            "rescale": self.rescale,
-            "constraint": self.constraint,
-            "ridge": self.ridge,
-        }
-        if self._w_x_input is None:
-            params.update(
-                n_neighbors=self.n_neighbors,
-                bandwidth=self.bandwidth,
-                exclude_columns=(
-                    None
-                    if self.exclude_columns is None
-                    else tuple(int(c) for c in self.exclude_columns)
-                ),
-            )
-        if self.kind == "linear":
-            params["normalized_laplacian"] = self.normalized_laplacian
-        else:
-            params.update(
-                kernel=self.kernel,
-                kernel_bandwidth=self.kernel_bandwidth,
-                degree=self.degree,
-                coef0=self.coef0,
-            )
-        return params
-
-    def _check_structural_match(self, estimator) -> None:
-        if (
-            getattr(estimator, "extension", "exact") == "nystrom"
-            and not self._landmark_driver
-        ):
+        if getattr(estimator, "extension", "exact") == "nystrom":
             raise ValidationError(
                 "estimator has extension='nystrom'; fit it through "
                 "repro.core.LandmarkPlan (or plan_for_estimator), not a "
                 "bare SpectralFitPlan"
             )
-        mine = self._structural_params()
-        for name, expected in mine.items():
-            if name == "normalized_laplacian" and self.kind == "kernel":
-                continue
-            value = getattr(estimator, name, None)
-            if name == "exclude_columns" and value is not None:
-                value = tuple(int(c) for c in value)
-            if value != expected:
-                raise ValidationError(
-                    f"estimator is structurally incompatible with this plan: "
-                    f"{name}={value!r} differs from the plan's {expected!r}"
-                )
+        return self._populate(estimator)
+
+    def _populate(self, estimator):
+        """:meth:`fit` without its nystrom guard (``LandmarkPlan.fit``'s step)."""
+        if _estimator_kind(estimator) != self.kind:
+            wanted = "PFR" if self.kind == "linear" else "KernelPFR"
+            raise ValidationError(
+                f"a {self.kind} plan fits {wanted} estimators; "
+                f"got {type(estimator).__name__}"
+            )
+        expected = self._structural_params()
+        if self._w_x_input is not None:
+            for name in _KNN:
+                del expected[name]
+        _check_match(expected, {name: getattr(estimator, name) for name in expected})
+        # d is bounded by the features (linear) or the rows (kernel; the
+        # landmark rows of a nystrom fit).
+        bound = self.X.shape[1] if self.kind == "linear" else self.X.shape[0]
+        d = _check_integer("n_components", estimator.n_components, 1, bound)
+        eigenvalues, V = self.solve(estimator.gamma, d)
+        if self.kind == "linear":
+            estimator.components_ = V
+        else:
+            estimator._fitted_bandwidth = self.projection["fitted_bandwidth"]
+            estimator.alphas_ = self._duals(V)
+            estimator.X_fit_ = self.X
+        estimator.eigenvalues_ = eigenvalues
+        estimator.n_features_in_ = self.X.shape[1]
+        estimator.plan_digests_ = self.stage_digests()
+        # Documented contract: None for exact fits (LandmarkPlan.fit
+        # overwrites these with the selected indices and rows).
+        estimator.landmark_indices_ = None
+        estimator.landmark_X_ = None
+        return estimator
+
+    def _duals(self, V: np.ndarray) -> np.ndarray:
+        """Kernel PFR's dual coefficients ``A`` (``Z = K A``) for solved ``V``."""
+        proj = self.projection
+        if proj["whiten"] is None:
+            return V  # constraint 'v': solve() returns the duals
+        # Constraint 'z': Z = Φ V = K (U S^{-1/2} V), so the basis change
+        # folds into the duals.
+        return proj["kernel_basis"] @ (V / np.sqrt(proj["kernel_spectrum"])[:, None])
+
+    def _structural_params(self) -> dict:
+        """The plan's value of each structural name of its kind."""
+        return {name: getattr(self, name) for name in _STRUCTURAL[self.kind]}
 
     # ------------------------------------------------------------ digests
     def stage_digests(self) -> dict:

@@ -275,6 +275,21 @@ class RunSpec:
             raise ValidationError(
                 f"unknown harness fields {bad}; known: {sorted(_HARNESS_KEYS)}"
             )
+        overrides = _checked(
+            harness.get("method_overrides") or {}, "harness.method_overrides",
+            dict, "a mapping",
+        )
+        for method, params in overrides.items():
+            if method not in _BASE_METHODS:
+                raise ValidationError(
+                    f"harness.method_overrides names unknown method {method!r}; "
+                    f"use one of {'/'.join(_BASE_METHODS)}"
+                )
+            # Overrides reach the estimator's constructor, C included.
+            _check_method_param_keys(method, _checked(
+                params, f"harness.method_overrides[{method!r}]", dict,
+                "a mapping",
+            ), field="harness.method_overrides", classifier_keys=())
 
         method_params = {
             str(method): dict(_checked(
@@ -331,23 +346,27 @@ class RunSpec:
         }
 
 
-def _check_method_param_keys(method: str, params: dict) -> None:
-    """Reject a ``method_params`` key the method's estimator does not take.
+def _check_method_param_keys(
+    method: str, params: dict, *, field: str = "method_params",
+    classifier_keys=("C",),
+) -> None:
+    """Reject a ``field`` key the method's estimator does not take.
 
-    The keys a cell may set are its estimator's constructor arguments,
-    less those the harness passes itself, plus the classifier's ``C``.
+    The keys ``params`` may set are its estimator's constructor arguments,
+    less those the harness passes itself, plus ``classifier_keys``: a
+    cell's ``method_params`` hand ``C`` to the classifier.
     """
     estimator, fixed = _METHOD_ESTIMATORS[method.removesuffix("+")]
-    allowed = (set(estimator._param_names()) - fixed) | {"C"}
+    allowed = (set(estimator._param_names()) - fixed) | set(classifier_keys)
     unknown = sorted(set(params) - allowed)
     retired = [key for key in unknown if key in RETIRED_PARAMS]
     if retired:
         raise ValidationError(
-            f"method_params[{method!r}]: {retired_param_message(retired[0])}"
+            f"{field}[{method!r}]: {retired_param_message(retired[0])}"
         )
     if unknown:
         raise ValidationError(
-            f"method_params[{method!r}] sets unknown keys {unknown}; "
+            f"{field}[{method!r}] sets unknown keys {unknown}; "
             f"{method} takes {sorted(allowed)}"
         )
 

@@ -123,7 +123,15 @@ def _distance_view(X: np.ndarray, exclude) -> np.ndarray:
     """Columns entering the neighborhood distances (protected ones dropped)."""
     if exclude is None:
         return X
-    keep = np.setdiff1d(np.arange(X.shape[1]), np.asarray(exclude, dtype=int))
+    exclude = np.asarray(exclude, dtype=int)
+    width = X.shape[1]
+    outside = exclude[(exclude < 0) | (exclude >= width)]
+    if outside.size:
+        raise GraphConstructionError(
+            f"exclude columns {outside.tolist()} are out of range for "
+            f"{width} feature columns"
+        )
+    keep = np.setdiff1d(np.arange(width), exclude)
     if keep.size == 0:
         raise GraphConstructionError("exclude removes every feature column")
     return X[:, keep]
@@ -147,7 +155,8 @@ def resolve_bandwidth(X_ref, bandwidth=None, *, exclude=None) -> float:
         ``bandwidth=None`` with fewer than two reference rows: the median
         needs at least one pairwise distance.
     GraphConstructionError
-        A non-positive ``bandwidth``, or ``exclude`` dropping every column.
+        A non-positive ``bandwidth``, or ``exclude`` naming a column
+        outside ``X_ref`` or dropping every column.
     """
     if bandwidth is None:
         X_ref = check_array(X_ref, name="X_ref")

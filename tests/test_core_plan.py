@@ -10,10 +10,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import PFR, KernelPFR, LandmarkPlan, SpectralFitPlan, fit_path
-from repro.core.plan import Precomputed
+from repro.core import (
+    PFR,
+    KernelPFR,
+    LandmarkPlan,
+    SpectralFitPlan,
+    fit_path,
+    plan_for_estimator,
+)
+from repro.core.plan import _LANDMARK, _STRUCTURAL, Precomputed
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph, knn_graph
+from repro.ml.base import clone
 
 
 def _workload(rng, n=36, m=6):
@@ -476,3 +484,114 @@ class TestStructuralGoldens:
         model = _structural_estimator(config).fit(X, WF, w_x=w_x)
         assert model.plan_digests_ == golden["digests"]
         assert _sha(_fitted_basis(model)) == golden["fitted"]
+
+
+# A valid value differing from the templates below, per constructor name.
+_OTHER_VALUE = {
+    "n_neighbors": 7,
+    "bandwidth": 2.0,
+    "exclude_columns": [4],
+    "normalized_laplacian": True,
+    "rescale": "none",
+    "constraint": "v",
+    "ridge": 1e-6,
+    "kernel": "poly",
+    "kernel_bandwidth": 3.0,
+    "degree": 2,
+    "coef0": 0.5,
+    "landmarks": 30,
+    "landmark_strategy": "uniform",
+    "landmark_seed": 4,
+}
+# Constructor names a plan leaves free or dispatches on.
+_NOT_STRUCTURAL = {"gamma", "n_components", "extension"}
+
+
+def _constructor_names(cls, *, landmark):
+    names = sorted(set(cls._param_names()) - _NOT_STRUCTURAL)
+    return [name for name in names if name.startswith("landmark") == landmark]
+
+
+def _mismatch_cases():
+    cases = []
+    for cls in (PFR, KernelPFR):
+        for extension in ("exact", "nystrom"):
+            names = _constructor_names(cls, landmark=False)
+            if extension == "nystrom":
+                names += _constructor_names(cls, landmark=True)
+            cases += [(cls, extension, name) for name in names]
+    return cases
+
+
+class TestStructuralTable:
+    """The table behind every plan: each estimator name that shapes a fit
+    is in it, so a plan rejects an estimator differing in that name alone
+    (a name dropped from the table would be fitted silently)."""
+
+    @pytest.mark.parametrize("cls", [PFR, KernelPFR])
+    def test_table_lists_every_constructor_name(self, cls):
+        kind = "linear" if cls is PFR else "kernel"
+        assert sorted(_STRUCTURAL[kind]) == _constructor_names(cls, landmark=False)
+        assert sorted(_LANDMARK) == _constructor_names(cls, landmark=True)
+
+    @pytest.mark.parametrize(
+        "cls, extension, name", _mismatch_cases(),
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_plan_rejects_one_name_off(self, rng, cls, extension, name):
+        X, WF = _workload(rng)
+        template = cls(n_neighbors=4, exclude_columns=[5], extension=extension,
+                       landmarks=20 if extension == "nystrom" else None)
+        plan = plan_for_estimator(template, X, WF)
+        plan.fit(clone(template))
+        other = clone(template).set_params(**{name: _OTHER_VALUE[name]})
+        with pytest.raises(ValidationError, match=f"incompatible.*{name}="):
+            plan.fit(other)
+
+
+_BAD_VALUES = [
+    (PFR, {"n_neighbors": 2.5}, "n_neighbors must be an integer"),
+    (KernelPFR, {"n_neighbors": 2.5}, "n_neighbors must be an integer"),
+    (PFR, {"extension": "nystrom", "landmarks": "a"},
+     "landmarks must be an integer"),
+    (PFR, {"extension": "nystrom", "landmarks": 2.5},
+     "landmarks must be an integer"),
+    (KernelPFR, {"extension": "nystrom", "landmarks": None},
+     "landmarks must be an integer"),
+    (PFR, {"ridge": float("nan")}, "ridge must be non-negative"),
+    (KernelPFR, {"ridge": float("nan")}, "ridge must be non-negative"),
+    (PFR, {"normalized_laplacian": "no"}, "normalized_laplacian must be a bool"),
+    (PFR, {"n_components": 2.5}, "n_components must be an integer"),
+    (KernelPFR, {"n_components": 2.5}, "n_components must be an integer"),
+    (PFR, {"extension": "nystrom", "landmarks": 20, "n_components": 2.5},
+     "n_components must be an integer"),
+    (PFR, {"gamma": "a"}, "gamma must be in"),
+    (KernelPFR, {"gamma": None}, "gamma must be in"),
+]
+
+
+class TestHyperParameterChecks:
+    """A bad value raises a ValidationError naming its parameter, from the
+    one site that checks it."""
+
+    @pytest.mark.parametrize("cls, params, message", _BAD_VALUES, ids=[
+        cls.__name__ + "-" + ",".join(f"{k}={v!r}" for k, v in params.items())
+        for cls, params, _ in _BAD_VALUES
+    ])
+    def test_bad_value_names_the_parameter(self, rng, cls, params, message):
+        X, WF = _workload(rng)
+        with pytest.raises(ValidationError, match=message):
+            cls(**params).fit(X, WF)
+
+    def test_integral_numpy_scalars_accepted(self, baseline):
+        X, WF = baseline
+        model = _pfr(
+            n_components=np.int64(3), n_neighbors=np.int32(5),
+            extension="nystrom", landmarks=np.int64(40), landmark_seed=3,
+        ).fit(X, WF)
+        assert model.plan_digests_ == SEED_NYSTROM_DIGESTS
+        assert _sha(model.components_) == SEED_NYSTROM_COMPONENTS_SHA
+        kernel = KernelPFR(
+            n_components=np.int64(3), gamma=0.25, n_neighbors=np.int64(5)
+        ).fit(X, WF)
+        assert _sha(kernel.alphas_) == SEED_KPFR_ALPHAS_SHA

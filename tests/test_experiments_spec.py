@@ -188,6 +188,42 @@ class TestRunSpecValidation:
         with pytest.raises(ValidationError, match=f"{key!r} is a retired"):
             RunSpec.from_dict(spec)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"pfr": {"knn_backnd": "exact"}},
+             "harness.method_overrides['pfr'] sets unknown keys ['knn_backnd']"),
+            # C goes to the classifier from method_params only; an override
+            # would hand it to the estimator's constructor.
+            ({"pfr": {"C": 1.0}},
+             "harness.method_overrides['pfr'] sets unknown keys ['C']"),
+            ({"kpfr": {"gamma": 0.3}},
+             "harness.method_overrides['kpfr'] sets unknown keys ['gamma']"),
+            ({"pfr": {"dtype": "float32"}},
+             "harness.method_overrides['pfr']: 'dtype' is a retired"),
+            ({"pfr+": {"rescale": "none"}},
+             "harness.method_overrides names unknown method 'pfr+'"),
+            ({"nope": {}}, "harness.method_overrides names unknown method 'nope'"),
+            ({"lfr": 3}, "harness.method_overrides['lfr']\" must be a mapping"),
+            ([1], "'harness.method_overrides' must be a mapping"),
+        ],
+        ids=["unknown-key", "C", "gamma", "retired", "augmented-name",
+             "unknown-method", "params-not-mapping", "not-mapping"],
+    )
+    def test_method_overrides_checked(self, overrides, message):
+        # Such an override used to load and then kill run_spec with a bare
+        # TypeError from the estimator's constructor.
+        spec = {**_SPEC, "harness": {"method_overrides": overrides}}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            RunSpec.from_dict(spec)
+
+    def test_method_overrides_estimator_arguments_accepted(self):
+        overrides = {"pfr": {"rescale": "degree"}, "lfr": {"a_z": 1.0}}
+        spec = RunSpec.from_dict(
+            {**_SPEC, "harness": {"method_overrides": overrides}}
+        )
+        assert spec.harness["method_overrides"] == overrides
+
     def test_estimator_arguments_and_C_accepted(self):
         spec = RunSpec.from_dict({
             **_SPEC, "methods": ["pfr", "kpfr", "lfr", "hardt"],

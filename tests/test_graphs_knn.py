@@ -271,6 +271,42 @@ class TestKnnGraph:
         with pytest.raises(GraphConstructionError, match="every feature"):
             knn_graph(rng.normal(size=(10, 2)), n_neighbors=2, exclude=[0, 1])
 
+    @pytest.mark.parametrize("exclude", [[-1], [9], [1, 4]], ids=str)
+    @pytest.mark.parametrize("caller", [
+        "knn_graph", "knn_cross", "resolve_bandwidth", "select_landmarks",
+        "nystrom_extend", "PFR", "KernelPFR",
+    ])
+    def test_out_of_range_exclude_rejected(self, rng, caller, exclude):
+        # An index outside X's 4 columns would leave the protected column
+        # inside the k-NN distances (paper §3.1), so every caller refuses it.
+        from repro.core import KernelPFR, PFR, nystrom_extend, select_landmarks
+        from repro.graphs import knn_cross, resolve_bandwidth
+
+        X = rng.normal(size=(20, 4))
+        calls = {
+            "knn_graph": lambda: knn_graph(X, n_neighbors=3, exclude=exclude),
+            "knn_cross": lambda: knn_cross(
+                X[:5], X, n_neighbors=3, bandwidth=1.0, exclude=exclude
+            ),
+            "resolve_bandwidth": lambda: resolve_bandwidth(X, exclude=exclude),
+            "select_landmarks": lambda: select_landmarks(X, 5, exclude=exclude),
+            "nystrom_extend": lambda: nystrom_extend(
+                X[:5], X, np.ones((20, 2)), exclude=exclude
+            ),
+            "PFR": lambda: PFR(n_neighbors=3, exclude_columns=exclude).fit(
+                X, sp.csr_matrix((20, 20))
+            ),
+            "KernelPFR": lambda: KernelPFR(
+                n_neighbors=3, exclude_columns=exclude
+            ).fit(X, sp.csr_matrix((20, 20))),
+        }
+        outside = [c for c in exclude if not 0 <= c < 4]
+        with pytest.raises(
+            GraphConstructionError,
+            match=rf"exclude columns \{outside}.* 4 feature columns",
+        ):
+            calls[caller]()
+
 
 def _graph_bytes(W) -> tuple:
     W = W.tocsr()
