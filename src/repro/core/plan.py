@@ -29,9 +29,8 @@ bundles, so everything upstream of the γ-mix is shared across a sweep:
    stay numerically equal to independent fits).
 
 For a sweep, stages 1–3 run once; each γ costs only one dense mix plus one
-small eigensolve, which is what lets :func:`fit_path` beat a naive refit
-loop by well over the 3× acceptance floor (see
-``benchmarks/bench_fit_path.py``).
+small eigensolve (``tests/test_core_plan.py::TestFitPathStaging`` counts
+the stage builds; perfbench's ``sweep`` workload times the result).
 
 Every stage also carries a SHA-256 digest chained from its inputs, giving
 each fitted estimator an auditable provenance trail (``plan_digests_``)
@@ -51,6 +50,7 @@ Each value is validated once: ``extension`` and the landmark knobs by
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -104,6 +104,8 @@ _STRUCTURAL = {
     "kernel": (*_KNN, "rescale", "constraint", "ridge",
                "kernel", "kernel_bandwidth", "degree", "coef0"),
 }
+
+_KERNELS = ("linear", "rbf", "poly")
 
 # A nystrom estimator's landmark knobs -> the LandmarkPlan arguments.
 _LANDMARK = {
@@ -163,6 +165,18 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{name} must be an integer {bounds}; got {value!r}")
     return int(value)
+
+
+def _check_finite(name: str, value, *, positive: bool = False) -> None:
+    """A ValidationError naming ``name`` unless ``value`` is a finite number
+    (and ``> 0`` when ``positive``)."""
+    try:
+        valid = math.isfinite(value) and (value > 0 or not positive)
+    except TypeError:
+        valid = False
+    if not valid:
+        what = "a positive finite number" if positive else "finite"
+        raise ValidationError(f"{name} must be {what}; got {value!r}")
 
 
 def _check_inputs(X, w_fair, w_x=None):
@@ -297,6 +311,14 @@ class SpectralFitPlan:
             )
         if not ridge >= 0:
             raise ValidationError(f"ridge must be non-negative; got {ridge}")
+        for name, value in (("bandwidth", bandwidth),
+                            ("kernel_bandwidth", kernel_bandwidth)):
+            if value is not None:
+                _check_finite(name, value, positive=True)
+        if kernel not in _KERNELS:
+            raise ValidationError(f"kernel must be one of {_KERNELS}; got {kernel!r}")
+        _check_integer("degree", degree, 1)
+        _check_finite("coef0", coef0)
         X, w_fair, w_x = _check_inputs(X, w_fair, w_x)
 
         self.X = X
@@ -801,7 +823,7 @@ def fit_path(
     requested dimensionality, and slices eigenpairs for the smaller dims —
     every estimator returned is numerically interchangeable with an
     independent ``fit()`` at the same operating point, at a fraction of
-    the cost (see ``benchmarks/bench_fit_path.py``).
+    the cost: the graph, Laplacian and projection stages are built once.
 
     Parameters
     ----------

@@ -102,10 +102,6 @@ def workload_harness(
                              seed=seed, **merged)
 
 
-# Internal alias kept for the figure drivers below.
-_harness = workload_harness
-
-
 _DATASET_GAMMA = {"synthetic": 0.9, "crime": 1.0, "compas": 1.0}
 
 
@@ -187,7 +183,7 @@ def figure1(*, seed: int = 0, scale: float = 1.0) -> FigureResult:
     """
     from ..ml import LogisticRegression, StandardScaler
 
-    harness = _harness(
+    harness = workload_harness(
         "synthetic", seed=seed, scale=scale, n_components=2
     ).prepare()
 
@@ -260,7 +256,7 @@ def _tradeoff_figure(
     decode time, not refits.
     """
     gamma = _DATASET_GAMMA[dataset] if gamma is None else gamma
-    harness = _harness(dataset, seed=seed, scale=scale, store=store)
+    harness = workload_harness(dataset, seed=seed, scale=scale, store=store)
     results = harness.run_methods(methods, gamma=gamma)
 
     rows = [
@@ -300,7 +296,7 @@ def _group_fairness_figure(
 ) -> FigureResult:
     """Per-group positive rates and error rates (Figures 3, 6, 9)."""
     gamma = _DATASET_GAMMA[dataset] if gamma is None else gamma
-    harness = _harness(dataset, seed=seed, scale=scale, store=store)
+    harness = workload_harness(dataset, seed=seed, scale=scale, store=store)
     results = harness.run_methods(methods, gamma=gamma)
 
     rows = []
@@ -355,7 +351,7 @@ def _gamma_sweep_figure(
     instead of recomputed — extending the sweep's grid re-pays only the
     new points.
     """
-    harness = _harness(dataset, seed=seed, scale=scale, store=store)
+    harness = workload_harness(dataset, seed=seed, scale=scale, store=store)
     sweep = harness.gamma_sweep(gammas, method="pfr")
 
     series = {

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from ..exceptions import ValidationError
 from ..graphs import graph_summary
-from .figures import REAL_METHODS, SYNTHETIC_METHODS, _harness
+from .figures import (
+    _DATASET_GAMMA,
+    REAL_METHODS,
+    SYNTHETIC_METHODS,
+    workload_harness,
+)
 from .pareto import tradeoff_frontier
 from .report import render_table
 
@@ -22,9 +27,6 @@ _METHODS = {
     "crime": REAL_METHODS + ("hardt+",),
     "compas": REAL_METHODS + ("hardt+",),
 }
-
-_GAMMAS = {"synthetic": 0.9, "crime": 1.0, "compas": 1.0}
-
 
 def workload_report(
     dataset_name: str,
@@ -45,7 +47,7 @@ def workload_report(
         raise ValidationError(
             f"unknown dataset {dataset_name!r}; use synthetic, crime or compas"
         )
-    harness = _harness(dataset_name, seed=seed, scale=scale, store=store)
+    harness = workload_harness(dataset_name, seed=seed, scale=scale, store=store)
     harness.prepare()
     data = harness.dataset
 
@@ -79,7 +81,7 @@ def workload_report(
 
     # --- method comparison -------------------------------------------------
     results = harness.run_methods(
-        _METHODS[dataset_name], gamma=_GAMMAS[dataset_name]
+        _METHODS[dataset_name], gamma=_DATASET_GAMMA[dataset_name]
     )
     rows = [
         [

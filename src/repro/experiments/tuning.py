@@ -9,7 +9,7 @@ hyper-parameters for each model via grid search."
 workload and returns the winning operating points, which can be fed
 straight back into :meth:`ExperimentHarness.run_method`. The figure
 drivers ship with the results of this procedure baked in (see
-``figures._harness``); this module lets you re-derive or extend them.
+``figures.workload_harness``); this module lets you re-derive or extend them.
 
 The PFR grid's dominant axis is γ, and the harness routes every PFR fold
 fit through a cached :class:`~repro.core.SpectralFitPlan` keyed on (fold,

@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import PFR, KernelPFR
 from repro.core import (
@@ -35,7 +36,7 @@ from repro.core import (
 )
 from repro.datasets import simulate_blobs
 from repro.exceptions import ValidationError
-from repro.graphs import between_group_quantile_graph
+from repro.graphs import between_group_quantile_graph, knn_graph
 from repro.io import load_model, save_model
 from repro.lifecycle import holdout_agreement
 from repro.obs.trace import RingBufferSink, add_sink, remove_sink
@@ -390,6 +391,11 @@ class TestSelectLandmarksExact:
         ]
         assert len(inner) == 1
         assert inner[0]["attrs"]["n"] == drifted.shape[0]
+        # The root fit's selection and the landmark solve are traced too.
+        root = [r for r in spans if r["name"] == "plan.landmarks"
+                and r["attrs"]["n"] == data.X.shape[0]]
+        assert len(root) == 1
+        assert any(r["name"] == "plan.solve" for r in spans)
 
 
 class TestParityAtFullBudget:
@@ -771,6 +777,57 @@ class TestStreamingExtend:
         plan, _, in_dist, _ = fitted_plan_setup
         with pytest.raises(ValidationError, match="refresh"):
             plan.extend(in_dist, refresh="sometimes")
+
+
+class TestRefreshMatchesColdRefit:
+    """A refreshed child plan stands in for a cold refit on the grown
+    corpus, and the drift scores that trigger the refresh see the drift."""
+
+    def test_refresh_agrees_with_cold_refit(self):
+        n_base, n_pending, n_landmarks = 5000, 500, 200
+        data = simulate_blobs(n_base, n_features=12, seed=11)
+        w_fair = knn_graph(
+            data.side_information[:, None], n_neighbors=8, bandwidth=1.0
+        )
+        rng = np.random.default_rng(12)
+        X_pending = (
+            data.X[rng.integers(0, n_base, size=n_pending)]
+            + 2.0
+            + rng.normal(scale=0.25, size=(n_pending, data.X.shape[1]))
+        )
+
+        def estimator(m):
+            return PFR(n_components=8, gamma=0.5, extension="nystrom",
+                       landmarks=m, landmark_strategy="kmeans++",
+                       landmark_seed=0)
+
+        def stale_fraction(plan, rows):
+            return np.mean(plan.score_rows(rows) < plan.fidelity_baseline()["p05"])
+
+        plan = LandmarkPlan.for_estimator(estimator(n_landmarks), data.X, w_fair)
+        plan.fit(estimator(n_landmarks))
+        in_dist = data.X[np.random.default_rng(99).integers(0, n_base, size=512)]
+        assert stale_fraction(plan, X_pending) > stale_fraction(plan, in_dist)
+
+        for batch in np.array_split(X_pending, 4):
+            plan.extend(batch, refresh="never")
+        child = plan.refresh()
+        refreshed = child.fit(estimator(child.n_landmarks))
+        assert stale_fraction(child, X_pending) < 0.5
+
+        X_full = np.vstack([data.X, X_pending])
+        w_fair_full = sp.block_diag(
+            [w_fair, sp.csr_matrix((n_pending, n_pending))], format="csr"
+        )
+        cold = plan_for_estimator(
+            estimator(child.n_landmarks), X_full, w_fair_full
+        ).fit(estimator(child.n_landmarks))
+        X_holdout = X_full[
+            np.random.default_rng(7).integers(0, X_full.shape[0], size=200)
+        ]
+        assert embedding_fidelity(
+            cold.transform(X_holdout), refreshed.transform(X_holdout)
+        ) >= 0.9
 
 
 class TestLandmarkBandwidthReuse:

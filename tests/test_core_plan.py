@@ -22,6 +22,7 @@ from repro.core.plan import _LANDMARK, _STRUCTURAL, Precomputed
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph, knn_graph
 from repro.ml.base import clone
+from repro.obs import RingBufferSink, add_sink, get_registry, remove_sink
 
 
 def _workload(rng, n=36, m=6):
@@ -99,6 +100,45 @@ class TestFitPathMatchesFit:
         X, WF = _workload(rng)
         with pytest.raises(ValidationError, match="dims"):
             fit_path(X, WF, gammas=[0.5], dims=[0])
+
+
+class TestFitPathStaging:
+    """A sweep builds the γ-independent stages once, where a refit loop
+    builds them per γ: the staged fit's saving, held as counts."""
+
+    @pytest.mark.parametrize("template", [
+        PFR(n_components=4), KernelPFR(n_components=4, kernel="rbf"),
+    ], ids=["PFR", "KernelPFR"])
+    def test_sweep_builds_each_stage_once(self, rng, template):
+        n = 200
+        X = rng.normal(size=(n, 16))
+        scores = X[:, 0] + rng.normal(scale=0.5, size=n)
+        WF = between_group_quantile_graph(
+            scores, rng.integers(0, 2, n), n_quantiles=8
+        )
+        gammas = np.linspace(0.0, 1.0, 10)
+        registry = get_registry()
+
+        def knn_builds(sweep) -> float:
+            before = registry.total("knn.build")
+            sweep()
+            return registry.total("knn.build") - before
+
+        assert knn_builds(lambda: [
+            clone(template).set_params(gamma=g).fit(X, WF) for g in gammas
+        ]) == len(gammas)
+        sink = RingBufferSink()
+        add_sink(sink)
+        try:
+            builds = knn_builds(
+                lambda: fit_path(X, WF, gammas=gammas, estimator=template)
+            )
+        finally:
+            remove_sink(sink)
+        assert builds == 1
+        projections = [r for r in sink.records()
+                       if r["type"] == "span" and r["name"] == "plan.projection"]
+        assert len(projections) == 1
 
 
 class TestStages:
@@ -567,6 +607,17 @@ _BAD_VALUES = [
      "n_components must be an integer"),
     (PFR, {"gamma": "a"}, "gamma must be in"),
     (KernelPFR, {"gamma": None}, "gamma must be in"),
+    (PFR, {"bandwidth": "x"}, "^bandwidth must be a positive finite"),
+    (PFR, {"bandwidth": float("nan")}, "^bandwidth must be a positive finite"),
+    (KernelPFR, {"bandwidth": -1.0}, "^bandwidth must be a positive finite"),
+    (KernelPFR, {"kernel_bandwidth": -1.0}, "kernel_bandwidth must be a positive"),
+    (KernelPFR, {"kernel_bandwidth": "x"}, "kernel_bandwidth must be a positive"),
+    (KernelPFR, {"kernel": "foo"}, "kernel must be one of"),
+    (KernelPFR, {"kernel": "poly", "degree": 2.5}, "degree must be an integer"),
+    (KernelPFR, {"kernel": "poly", "degree": "x"}, "degree must be an integer"),
+    (KernelPFR, {"kernel": "poly", "degree": 0}, "degree must be an integer"),
+    (KernelPFR, {"kernel": "poly", "coef0": float("nan")},
+     "coef0 must be finite"),
 ]
 
 
@@ -580,8 +631,12 @@ class TestHyperParameterChecks:
     ])
     def test_bad_value_names_the_parameter(self, rng, cls, params, message):
         X, WF = _workload(rng)
+        registry = get_registry()
+        before = registry.total("knn.build")
         with pytest.raises(ValidationError, match=message):
             cls(**params).fit(X, WF)
+        # Rejected before any stage ran: the k-NN graph was never built.
+        assert registry.total("knn.build") == before
 
     def test_integral_numpy_scalars_accepted(self, baseline):
         X, WF = baseline

@@ -31,16 +31,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_markdown_references_resolve():
-    # Every *.md file named in the library, the tests or the README
-    # exists, at the repository root or relative to the naming file.
-    sources = [ROOT / "README.md", *(ROOT / "src").rglob("*.py"),
-               *(ROOT / "tests").rglob("*.py")]
+    # Every *.md file named in the library, the tests, the README or the CI
+    # workflow exists, at the repository root or relative to the naming
+    # file; so does every script or data file named under benchmarks/,
+    # examples/ or perfbench/.
+    sources = [ROOT / "README.md", ROOT / ".github" / "workflows" / "ci.yml",
+               *(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    pattern = re.compile(
+        r"[\w./-]*\w\.md\b"
+        r"|(?<![\w/])(?:benchmarks|examples|perfbench)/[\w./-]*\.(?:py|json|yaml)\b"
+    )
     missing = []
     for source in sources:
         text = source.read_text(encoding="utf-8")
-        if ".md" not in text:
-            continue
-        for name in set(re.findall(r"[\w./-]*\w\.md\b", text)):
+        for name in set(pattern.findall(text)):
             if not ((ROOT / name).exists() or (source.parent / name).exists()):
                 missing.append(f"{source.relative_to(ROOT)}: {name}")
     assert not missing, missing

@@ -295,7 +295,7 @@ class TestRunSpecExecution:
 
     def test_incremental_gamma_extension(self, tmp_path):
         spec = RunSpec.from_dict(_SPEC)
-        run_spec(spec, store=tmp_path)
+        first = run_spec(spec, store=tmp_path)
         widened = RunSpec.from_dict({**_SPEC, "gammas": [0.0, 0.5, 0.9]})
         report = run_spec(widened, store=tmp_path)
         # Only the new γ's cells (2 methods × 2 seeds) are computed.
@@ -304,6 +304,11 @@ class TestRunSpecExecution:
         assert report.n_computed == 4
         computed = [c for c in report.cells if not c["cached"]]
         assert {c["gamma"] for c in computed} == {0.9}
+        # Widening the grid leaves the shared grid's numbers bitwise alone.
+        assert first.aggregates
+        for key, aggregate in first.aggregates.items():
+            assert report.aggregates[key].mean == aggregate.mean
+            assert report.aggregates[key].std == aggregate.std
 
     def test_incremental_seed_extension(self, tmp_path):
         spec = RunSpec.from_dict(_SPEC)

@@ -23,7 +23,7 @@ import pytest
 from repro import PFR
 from repro.core import fit_path
 from repro.experiments import RunSpec, run_spec
-from repro.graphs import pairwise_judgment_graph
+from repro.graphs import between_group_quantile_graph, pairwise_judgment_graph
 from repro.obs import (
     MetricsRegistry,
     get_registry,
@@ -336,3 +336,37 @@ class TestOverheadGuard:
         # Tracing *on* within 5% (+5ms floor for tiny absolute times) of
         # off bounds the off-mode hooks too, since off does strictly less.
         assert t_on <= t_off * 1.05 + 0.005, (t_on, t_off)
+
+    def test_transform_overhead_under_three_times(self, rng, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip(
+                "single-CPU runner: wall-clock comparison is scheduling "
+                "noise, not instrumentation overhead (disabled-span cost "
+                "is covered by test_disabled_span_is_cheap)"
+            )
+        X = rng.normal(size=(500, 12))
+        scores = X[:, 0] + rng.normal(scale=0.5, size=500)
+        WF = between_group_quantile_graph(
+            scores, rng.integers(0, 2, 500), n_quantiles=8
+        )
+        model = PFR(n_components=4, gamma=0.5, extension="nystrom",
+                    landmarks=60, landmark_seed=0).fit(X, WF)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register("pfr", model)
+        rows = rng.normal(size=(2000, 12))
+        batches = [rows[i:i + 256] for i in range(0, len(rows), 256)]
+
+        def once() -> float:
+            service = TransformService(registry, cache_size=0)
+            start = time.perf_counter()
+            for batch in batches:
+                service.transform("pfr", batch)
+            return time.perf_counter() - start
+
+        once()  # warm caches/allocators out of the measurement
+        t_off = min(once() for _ in range(5))
+        with tracing(tmp_path / "transform.jsonl", metrics=False):
+            t_on = min(once() for _ in range(5))
+        # Each traced span writes a JSONL line, a visible share of a
+        # sub-millisecond batch; tracing must still not triple the time.
+        assert t_on <= t_off * 3.0, (t_on, t_off)
