@@ -20,7 +20,7 @@ import numpy as np
 
 from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
-from ..graphs.knn import median_heuristic, pairwise_sq_distances
+from ..graphs.knn import _sq_distances_to, _sq_norms, median_heuristic
 from ..ml.base import BaseEstimator, TransformerMixin
 from .approx import plan_for_estimator
 
@@ -46,6 +46,18 @@ def kernel_matrix(
     Y = X if Y is None else check_array(Y, name="Y", dtype=None)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    return _kernel_block(
+        X, Y, None, kernel=kernel, bandwidth=bandwidth, degree=degree,
+        coef0=coef0,
+    )
+
+
+def _kernel_block(X, Y, y_sq, *, kernel, bandwidth, degree, coef0) -> np.ndarray:
+    """:func:`kernel_matrix` of checked float64 ``X`` and ``Y``.
+
+    ``y_sq`` is ``Y``'s squared row norms for the rbf kernel, or ``None``
+    to compute them here.
+    """
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(
             f"X and Y have different feature counts: {X.shape[1]} vs {Y.shape[1]}"
@@ -58,7 +70,7 @@ def kernel_matrix(
         if bandwidth <= 0:
             raise ValidationError(f"bandwidth must be positive; got {bandwidth}")
         # exp(-d / t) in place in the distance matrix.
-        K = pairwise_sq_distances(X, Y)
+        K = _sq_distances_to(X, Y, _sq_norms(Y) if y_sq is None else y_sq)
         np.negative(K, out=K)
         np.divide(K, bandwidth, out=K)
         return np.exp(K, out=K)
@@ -176,14 +188,32 @@ class KernelPFR(BaseEstimator, TransformerMixin):
                 f"X has {X.shape[1]} features; KernelPFR was fitted with "
                 f"{self.n_features_in_}"
             )
-        return kernel_matrix(
+        X_fit, fit_sq = self._fit_reference()
+        return _kernel_block(
             X,
-            self.X_fit_,
+            X_fit,
+            fit_sq,
             kernel=self.kernel,
             bandwidth=self._fitted_bandwidth,
             degree=self.degree,
             coef0=self.coef0,
         )
+
+    def _fit_reference(self) -> tuple[np.ndarray, np.ndarray]:
+        """``X_fit_`` checked as float64, and its squared row norms.
+
+        Both are derived once per ``X_fit_`` array, so a served model stops
+        re-validating and re-squaring its fixed reference rows on every
+        request. They are re-derived whenever ``X_fit_`` is replaced, are
+        never persisted, and a non-finite ``X_fit_`` caches nothing, so it
+        is rejected on every call.
+        """
+        X_fit = self.X_fit_
+        cached = getattr(self, "_fit_norms", None)
+        if cached is None or cached[0] is not X_fit:
+            Y = np.asarray(check_array(X_fit, name="Y", dtype=None), dtype=np.float64)
+            cached = self._fit_norms = (X_fit, Y, _sq_norms(Y))
+        return cached[1], cached[2]
 
     def fit_transform(self, X, w_fair=None, **fit_params):
         """Fit on ``(X, w_fair)`` and return the transformed training data."""

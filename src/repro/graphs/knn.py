@@ -52,11 +52,25 @@ def pairwise_sq_distances(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndar
     Y = X if Y is None else np.asarray(Y)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    x_sq = np.sum(X * X, axis=1)[:, None]
-    y_sq = np.sum(Y * Y, axis=1)[None, :]
+    return _sq_distances_to(X, Y, _sq_norms(Y))
+
+
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared euclidean norm of each row of a float64 matrix."""
+    return np.sum(X * X, axis=1)
+
+
+def _sq_distances_to(X: np.ndarray, Y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_sq_distances` of float64 ``X`` and ``Y``, given
+    ``y_sq = _sq_norms(Y)``.
+
+    A caller measuring many batches against one fixed ``Y`` (a served
+    model's ``X_fit_``) computes ``y_sq`` once; the values are the same
+    bits either way.
+    """
     gram = X @ Y.T
     gram *= 2.0
-    d = x_sq + y_sq
+    d = _sq_norms(X)[:, None] + y_sq[None, :]
     d -= gram
     np.maximum(d, 0.0, out=d)
     return d

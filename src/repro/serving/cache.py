@@ -7,7 +7,11 @@ of its input row, the projected representation can be cached by a digest of
 the raw feature vector and served without touching the matmul at all.
 
 The cache is a plain ordered-dict LRU guarded by a lock — safe to share
-between concurrent request threads.
+between concurrent request threads. Values are opaque to it, except that
+ndarray values are stored as read-only copies and returned as read-only
+views. :class:`~repro.serving.TransformService` stores ``bytes`` rows,
+which are immutable already, so its entries skip the copy and cost only
+their row's bytes plus the key and the LRU bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import numpy as np
 from ..exceptions import ValidationError
 
 __all__ = ["LRUCache", "row_digest", "matrix_digests"]
+
+
+#: Never updated; every :func:`matrix_digests` row hashes into a copy.
+_EMPTY_HASHER = hashlib.blake2b(digest_size=16)
 
 
 def row_digest(row) -> bytes:
@@ -46,9 +54,14 @@ def matrix_digests(X: np.ndarray) -> list[bytes]:
             f"matrix_digests expects a 2-D matrix; got ndim={canonical.ndim}"
         )
     # Each row of a C-contiguous matrix is itself contiguous, so it is
-    # hashed through the buffer protocol without a bytes copy.
-    hasher = hashlib.blake2b
-    return [hasher(row, digest_size=16).digest() for row in canonical]
+    # hashed through the buffer protocol without a bytes copy. Copying an
+    # empty hasher is cheaper than constructing one per row.
+    digests = []
+    for row in canonical:
+        hasher = _EMPTY_HASHER.copy()
+        hasher.update(row)
+        digests.append(hasher.digest())
+    return digests
 
 
 def _frozen_copy(value):
@@ -139,17 +152,16 @@ class LRUCache:
 
         Hits come back read-only, exactly like :meth:`get`.
         """
+        keys = list(keys)
         with self._lock:
-            out = []
-            for key in keys:
-                value = self._entries.get(key)
-                if value is None:
-                    self._misses += 1
-                else:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    value = _readonly_view(value)
-                out.append(value)
+            entries = self._entries
+            out = list(map(entries.get, keys))
+            hits = [index for index, value in enumerate(out) if value is not None]
+            for index in hits:
+                entries.move_to_end(keys[index])
+                out[index] = _readonly_view(out[index])
+            self._hits += len(hits)
+            self._misses += len(out) - len(hits)
             return out
 
     def put_many(self, pairs) -> None:
@@ -163,11 +175,12 @@ class LRUCache:
         # the generator's cost should not extend the critical section.
         frozen = [(key, _frozen_copy(value)) for key, value in pairs]
         with self._lock:
+            entries = self._entries
             for key, value in frozen:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
+                entries[key] = value
+                entries.move_to_end(key)
+            for _ in range(len(entries) - self.max_size):
+                entries.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

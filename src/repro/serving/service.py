@@ -8,6 +8,12 @@ everything so operators can see hit rates and throughput. Every public
 transform method validates its input once and reaches the model through
 one private request path.
 
+Cache entries are the immutable ``bytes`` of each computed row, in the
+model's own output dtype: one ``tobytes()`` per computed block, sliced per
+row. Hits are decoded with ``np.frombuffer``, so a hit and a miss return
+the same bits and dtype, and nothing done to a returned array reaches the
+cache. This row format lives here alone.
+
 The service is thread-safe: model loading is double-checked under a lock,
 caches lock internally, and the counters are guarded separately, so many
 request threads can call :meth:`transform` concurrently — the intended
@@ -65,6 +71,25 @@ class _ServedModel:
     # loaded model and the windowed monitor its samples feed.
     scorer: object = None
     monitor: object = None
+    # dtype of every cached row, fixed by the first block the cache stores.
+    row_dtype: np.dtype | None = None
+
+    def row_entries(self, block: np.ndarray) -> list[bytes] | None:
+        """Each row of a computed block as an immutable ``bytes`` entry.
+
+        One ``tobytes()`` per block, sliced per row. ``None`` when the
+        block cannot be cached that way: it is not a non-empty 2-D numeric
+        array, or its dtype differs from the rows already cached.
+        """
+        if block.ndim != 2 or not block.size or block.dtype.hasobject:
+            return None
+        if self.row_dtype is None:
+            self.row_dtype = block.dtype
+        elif block.dtype != self.row_dtype:
+            return None
+        width = block.shape[1] * block.itemsize
+        blob = block.tobytes()
+        return [blob[start:start + width] for start in range(0, len(blob), width)]
 
 
 class TransformService:
@@ -164,8 +189,9 @@ class TransformService:
 
         The row is served as a one-row batch, so it shares the cache with
         :meth:`transform`. The returned row is **read-only** (hit or miss
-        alike — mutability must not depend on cache state); mutating it
-        raises ``ValueError``. Copy it if you need a scratch buffer.
+        alike — mutability must not depend on cache state): it is decoded
+        from immutable bytes, so mutating it raises ``ValueError`` and it
+        cannot be made writeable. Copy it if you need a scratch buffer.
         """
         return self.transform_one_versioned(spec, row)[1]
 
@@ -177,7 +203,8 @@ class TransformService:
         """
         served, X = self._checked(spec, row, "row")
         z = self._serve(served, X)[0]
-        z.setflags(write=False)
+        # Decoded from immutable bytes: no caller can make it writeable.
+        z = np.frombuffer(z.tobytes(), dtype=z.dtype).reshape(z.shape)
         return served.record.spec, z
 
     # ------------------------------------------------------ observability
@@ -374,16 +401,24 @@ class TransformService:
                         rows.append(index)
                 if len(rows) < X.shape[0]:
                     missed = rows
+                entries = []  # each computed row's bytes, in computed order
                 if rows:
                     computed = _model_transform(served.model, X[missed])
-                    # The cache copies on put, so the rows returned to the
-                    # caller never alias a cached entry.
-                    served.cache.put_many(zip(slot, computed))
+                    entries = served.row_entries(computed)
+                    if entries is not None:
+                        served.cache.put_many(zip(slot, entries))
                 if len(rows) == X.shape[0]:
                     result = computed
+                elif entries is not None:
+                    # Every row is bytes: one join, one writeable decode.
+                    result = np.frombuffer(bytearray().join([
+                        entries[slot[digest]] if hit is None else hit
+                        for digest, hit in zip(digests, cached)
+                    ]), dtype=served.row_dtype).reshape(X.shape[0], -1)
                 else:
                     result = np.array([
-                        computed[slot[digest]] if hit is None else hit
+                        computed[slot[digest]] if hit is None
+                        else np.frombuffer(hit, dtype=served.row_dtype)
                         for digest, hit in zip(digests, cached)
                     ])
         self._account(served, X.shape[0], time.perf_counter() - start)

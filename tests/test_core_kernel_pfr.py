@@ -155,3 +155,77 @@ class TestKernelPFR:
         kernel_accuracy = LogisticRegression().fit(Z, y).score(Z, y)
         assert raw_accuracy < 0.8
         assert kernel_accuracy > raw_accuracy
+
+
+class TestFitReference:
+    """``_kernel_rows`` derives ``X_fit_``'s checked rows and norms once."""
+
+    @pytest.fixture(params=["rbf", "poly", "linear", "nystrom"])
+    def model(self, request, ring_data):
+        X, _ = ring_data
+        WF = pairwise_judgment_graph([(0, 1), (5, 30)], n=len(X))
+        if request.param == "nystrom":
+            params = {"extension": "nystrom", "landmarks": 25}
+        else:
+            params = {"kernel": request.param}
+        return KernelPFR(n_components=2, gamma=0.5, n_neighbors=5, **params).fit(
+            X, WF
+        )
+
+    @staticmethod
+    def _reference(model, X):
+        return kernel_matrix(
+            X, model.X_fit_, kernel=model.kernel,
+            bandwidth=model._fitted_bandwidth, degree=model.degree,
+            coef0=model.coef0,
+        )
+
+    def test_bitwise_equal_to_kernel_matrix(self, model, rng):
+        X_fit = model.X_fit_
+        for X in (X_fit, X_fit.copy(), rng.normal(size=(7, 2))):
+            expected = self._reference(model, X)
+            # The second call reads the cached norms.
+            for _ in range(2):
+                assert model._kernel_rows(X).tobytes() == expected.tobytes()
+
+    def test_norms_computed_once(self, model, rng, monkeypatch):
+        from repro.core import kernel_pfr
+
+        calls = []
+        real = kernel_pfr._sq_norms
+
+        def counting(X):
+            calls.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(kernel_pfr, "_sq_norms", counting)
+        model.__dict__.pop("_fit_norms", None)
+        for _ in range(3):
+            model.transform(rng.normal(size=(4, 2)))
+        assert calls == [model.X_fit_.shape]
+
+    def test_replacing_x_fit_refreshes_norms(self, model, rng):
+        X = rng.normal(size=(5, 2))
+        model.transform(X)
+        model.X_fit_ = model.X_fit_ * 1.5
+        assert model._kernel_rows(X).tobytes() == (
+            self._reference(model, X).tobytes()
+        )
+
+    def test_non_finite_x_fit_rejected_every_call(self, model, rng):
+        X = rng.normal(size=(5, 2))
+        bad = model.X_fit_.copy()
+        bad[0, 0] = np.nan
+        model.X_fit_ = bad
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="NaN or infinity"):
+                model.transform(X)
+
+    def test_save_model_bytes_unchanged(self, model, rng, tmp_path):
+        from repro.io import save_model
+
+        before = save_model(model, tmp_path / "before.npz").read_bytes()
+        model.transform(rng.normal(size=(5, 2)))
+        assert hasattr(model, "_fit_norms")
+        after = save_model(model, tmp_path / "after.npz").read_bytes()
+        assert after == before

@@ -396,6 +396,132 @@ class TestProtocolEdges:
         assert response.headers["Connection"] == "close"
 
 
+def _exchange(server, data: bytes, *, half_close=False, wait=10.0):
+    """Send raw bytes, read until the server closes; ``(reply, seconds)``.
+
+    ``half_close`` shuts the client's write side after sending. A server
+    that keeps the connection open past ``wait`` seconds fails the test.
+    """
+    start = time.perf_counter()
+    with socket.create_connection((server.host, server.port), timeout=wait) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks), time.perf_counter() - start
+
+
+class TestTruncatedRequests:
+    """A client that half-closes mid-request gets 400, and serving goes on."""
+
+    @pytest.mark.parametrize("data", [
+        b"GET /healthz HTTP/1.1",
+        b"GET /healthz HTTP/1.1\r\nHost: x",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+        b"POST /transform HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        b'{"model": ',
+    ], ids=["request-line", "header-line", "header-block", "body"])
+    def test_half_close_answers_400(self, server, data):
+        reply, _ = _exchange(server, data, half_close=True)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"truncated" in reply
+        assert b"Connection: close" in reply
+        assert _call(server, "GET", "/healthz")[0] == 200
+
+    def test_complete_request_then_half_close_answers(self, server):
+        reply, _ = _exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            half_close=True,
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+class TestReadDeadline:
+    """A started request must complete within ``request_timeout`` (408);
+    an idle keep-alive connection closes silently after ``_IDLE_TIMEOUT``."""
+
+    @pytest.fixture
+    def quick(self, registry):
+        with ServingServer(
+            TransformService(registry), n_workers=2, request_timeout=0.3
+        ) as srv:
+            yield srv
+
+    @pytest.mark.parametrize("data", [
+        b"POS",
+        b"POST /transform HTTP/1.1\r\n",
+        b"POST /transform HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        b"0123456789",
+    ], ids=["request-line", "headers", "body"])
+    def test_stalled_request_answers_408(self, quick, data):
+        reply, seconds = _exchange(quick, data)
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert b"not complete within 0.3s" in reply
+        assert b"Connection: close" in reply
+        assert 0.25 <= seconds < 5.0
+        assert _call(quick, "GET", "/healthz")[0] == 200
+
+    def test_idle_connection_closes_silently(self, quick, monkeypatch):
+        from repro.serving import http as http_module
+
+        monkeypatch.setattr(http_module, "_IDLE_TIMEOUT", 0.3)
+        reply, seconds = _exchange(quick, b"")
+        assert reply == b""
+        assert 0.25 <= seconds < 5.0
+
+    def test_slow_request_within_timeout_served(self, registry, monkeypatch):
+        # Sent in pieces over more than the idle timeout, but within
+        # request_timeout: the connection's one timer fires early and
+        # re-arms itself for the request's deadline.
+        from repro.serving import http as http_module
+
+        monkeypatch.setattr(http_module, "_IDLE_TIMEOUT", 0.3)
+        with ServingServer(TransformService(registry), request_timeout=2.0) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+                for piece in (b"GET /heal", b"thz HTTP/1.1\r\n", b"\r\n"):
+                    sock.sendall(piece)
+                    time.sleep(0.2)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_connection_in_use_stays_open(self, fitted, registry, monkeypatch):
+        # Requests spaced under the idle timeout, each slower to serve
+        # than both timeouts' read windows, keep one connection alive
+        # well past either: the deadline covers reads only.
+        from repro.serving import http as http_module
+
+        monkeypatch.setattr(http_module, "_IDLE_TIMEOUT", 0.3)
+        X, model, _ = fitted
+
+        class _Slow(TransformService):
+            def transform_one_versioned(self, spec, row):
+                time.sleep(0.4)
+                return super().transform_one_versioned(spec, row)
+
+        with ServingServer(_Slow(registry), request_timeout=1.0) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+            try:
+                start = time.perf_counter()
+                for x in X[:4]:
+                    conn.request("POST", "/transform", body=json.dumps(
+                        {"model": "pfr", "row": x.tolist()}
+                    ))
+                    response = conn.getresponse()
+                    body = json.loads(response.read())
+                    assert response.status == 200
+                    np.testing.assert_allclose(
+                        body["row"], model.transform(x[None])[0]
+                    )
+                    time.sleep(0.2)
+                assert time.perf_counter() - start > 2 * 0.3 + 1.0
+            finally:
+                conn.close()
+
+
 class _GatedService(TransformService):
     """TransformService whose single-row path blocks until released."""
 

@@ -213,6 +213,100 @@ class TestCaching:
         np.testing.assert_allclose(result, model.transform(row[None])[0])
 
 
+class TestByteRowEntries:
+    """Cached rows are immutable ``bytes`` in the model's output dtype."""
+
+    @pytest.fixture
+    def float32_service(self, setup):
+        # A stub model whose transform returns float32 and keeps every
+        # array it hands out, so a test can scribble over them later.
+        registry, model, _ = setup
+        service = TransformService(registry)
+        returned = []
+
+        def transform(X):
+            out = model.transform(X).astype(np.float32)
+            returned.append(out)
+            return out
+
+        service._served("pfr").model = SimpleNamespace(transform=transform)
+        return service, model, returned
+
+    def test_entries_are_bytes(self, setup, rng):
+        registry, *_ = setup
+        service = TransformService(registry)
+        Xq = rng.normal(size=(3, 5))
+        Z = service.transform("pfr", Xq)
+        from repro.serving.cache import matrix_digests
+
+        entries = service._models[("pfr", 1)].cache.get_many(matrix_digests(Xq))
+        assert [type(entry) for entry in entries] == [bytes] * 3
+        assert b"".join(entries) == Z.tobytes()
+
+    def test_hit_equals_miss_bitwise_in_model_dtype(self, float32_service, rng):
+        service, model, _ = float32_service
+        Xa, Xb = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        miss = service.transform("pfr", Xa)
+        hit = service.transform("pfr", Xa)
+        mixed = service.transform("pfr", np.vstack([Xb[:1], Xa[2:], Xb[1:]]))
+        one = service.transform_one("pfr", Xa[1])
+        expected = model.transform(Xa).astype(np.float32)
+        for Z in (miss, hit, one[None]):
+            assert Z.dtype == np.float32
+        assert miss.tobytes() == hit.tobytes() == expected.tobytes()
+        assert one.tobytes() == expected[1].tobytes()
+        assert mixed.dtype == np.float32
+        assert mixed[1:3].tobytes() == expected[2:].tobytes()
+        cache = service.stats()["models"]["pfr@1"]["cache"]
+        assert cache["hits"] == 4 + 2 + 1
+
+    def test_hit_rows_cannot_be_made_writeable(self, setup, rng):
+        registry, *_ = setup
+        service = TransformService(registry)
+        row = rng.normal(size=5)
+        for _ in ("miss", "hit"):
+            z = service.transform_one("pfr", row)
+            with pytest.raises(ValueError):
+                z.setflags(write=True)
+
+    def test_batch_results_stay_writeable(self, setup, rng):
+        registry, *_ = setup
+        service = TransformService(registry)
+        Xq = rng.normal(size=(3, 5))
+        for _ in ("miss", "hit"):
+            Z = service.transform("pfr", Xq)
+            Z[:] = -999.0  # a caller's own copy, hit or miss
+        assert service.transform("pfr", Xq)[0, 0] != -999.0
+
+    def test_mutating_the_models_array_cannot_alter_cache(
+        self, float32_service, rng
+    ):
+        service, model, returned = float32_service
+        Xq = rng.normal(size=(4, 5))
+        expected = model.transform(Xq).astype(np.float32)
+        service.transform("pfr", Xq)
+        for array in returned:
+            array[:] = -999.0
+        assert service.transform("pfr", Xq).tobytes() == expected.tobytes()
+
+    def test_uncacheable_block_served_uncached(self, setup, rng):
+        # A block of another dtype than the rows already cached is served
+        # as computed and stored nowhere; hits around it still decode.
+        registry, model, _ = setup
+        service = TransformService(registry)
+        Xa, Xb = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        service.transform("pfr", Xa)
+        served = service._models[("pfr", 1)]
+        served.model = SimpleNamespace(
+            transform=lambda X: model.transform(X).astype(np.float32)
+        )
+        mixed = np.vstack([Xa, Xb])
+        Z = service.transform("pfr", mixed)
+        np.testing.assert_allclose(Z, model.transform(mixed), rtol=1e-6)
+        assert Z[:2].tobytes() == model.transform(Xa).tobytes()
+        assert len(served.cache) == 2
+
+
 class TestLifecycle:
     def test_loaded_models_and_evict(self, setup, rng):
         registry, *_ = setup
