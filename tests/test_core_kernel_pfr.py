@@ -161,8 +161,10 @@ class TestFitReference:
     """``_kernel_rows`` derives ``X_fit_``'s checked rows and norms once."""
 
     @pytest.fixture(params=["rbf", "poly", "linear", "nystrom"])
-    def model(self, request, ring_data):
-        X, _ = ring_data
+    def model(self, request, rng):
+        # 60 x 13: wide and tall enough that K(X_fit_, X_fit_) through the
+        # symmetric product differs in the last bits from an equal copy's.
+        X = rng.normal(size=(60, 13))
         WF = pairwise_judgment_graph([(0, 1), (5, 30)], n=len(X))
         if request.param == "nystrom":
             params = {"extension": "nystrom", "landmarks": 25}
@@ -182,7 +184,7 @@ class TestFitReference:
 
     def test_bitwise_equal_to_kernel_matrix(self, model, rng):
         X_fit = model.X_fit_
-        for X in (X_fit, X_fit.copy(), rng.normal(size=(7, 2))):
+        for X in (X_fit, X_fit.copy(), rng.normal(size=(7, 13))):
             expected = self._reference(model, X)
             # The second call reads the cached norms.
             for _ in range(2):
@@ -201,11 +203,11 @@ class TestFitReference:
         monkeypatch.setattr(kernel_pfr, "_sq_norms", counting)
         model.__dict__.pop("_fit_norms", None)
         for _ in range(3):
-            model.transform(rng.normal(size=(4, 2)))
+            model.transform(rng.normal(size=(4, 13)))
         assert calls == [model.X_fit_.shape]
 
     def test_replacing_x_fit_refreshes_norms(self, model, rng):
-        X = rng.normal(size=(5, 2))
+        X = rng.normal(size=(5, 13))
         model.transform(X)
         model.X_fit_ = model.X_fit_ * 1.5
         assert model._kernel_rows(X).tobytes() == (
@@ -213,7 +215,7 @@ class TestFitReference:
         )
 
     def test_non_finite_x_fit_rejected_every_call(self, model, rng):
-        X = rng.normal(size=(5, 2))
+        X = rng.normal(size=(5, 13))
         bad = model.X_fit_.copy()
         bad[0, 0] = np.nan
         model.X_fit_ = bad
@@ -225,7 +227,7 @@ class TestFitReference:
         from repro.io import save_model
 
         before = save_model(model, tmp_path / "before.npz").read_bytes()
-        model.transform(rng.normal(size=(5, 2)))
+        model.transform(rng.normal(size=(5, 13)))
         assert hasattr(model, "_fit_norms")
         after = save_model(model, tmp_path / "after.npz").read_bytes()
         assert after == before
