@@ -14,7 +14,6 @@
 from .approx import (
     LANDMARK_STRATEGIES,
     LandmarkPlan,
-    PlanExtension,
     embedding_fidelity,
     nystrom_extend,
     plan_for_estimator,
@@ -36,7 +35,6 @@ __all__ = [
     "LandmarkPlan",
     "PFR",
     "KernelPFR",
-    "PlanExtension",
     "Precomputed",
     "SpectralFitPlan",
     "embedding_fidelity",

@@ -27,6 +27,12 @@ else.
    the graph-smoothing alternative built on
    :func:`repro.graphs.knn_cross`.
 
+After a fit the plan also carries the lifecycle state of a served model:
+:meth:`LandmarkPlan.extend` scores arriving rows and buffers them, and
+:meth:`LandmarkPlan.refresh` folds the buffered rows into a warm-started
+child plan. When to refresh is not decided here; that is
+:class:`repro.lifecycle.RefreshPolicy`'s job.
+
 Estimator entry point: ``PFR(extension="nystrom", landmarks=m)`` (same for
 :class:`~repro.core.KernelPFR`). Fitted models record a ``landmarks``
 stage digest in ``plan_digests_`` ahead of the usual graph → laplacian →
@@ -36,8 +42,6 @@ fidelity/speed trade-off.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +70,6 @@ from .plan import (
 __all__ = [
     "LANDMARK_STRATEGIES",
     "LandmarkPlan",
-    "PlanExtension",
     "check_extension_params",
     "embedding_fidelity",
     "nystrom_extend",
@@ -442,40 +445,6 @@ def _restrict(W, indices: np.ndarray):
     return np.asarray(W)[np.ix_(indices, indices)]
 
 
-@dataclass(frozen=True)
-class PlanExtension:
-    """Outcome of one lifecycle :meth:`LandmarkPlan.extend` call.
-
-    Attributes
-    ----------
-    plan:
-        The plan to keep using: ``self`` when the landmark set was kept,
-        or the warm-started child plan when a refresh ran.
-    scores:
-        Per-row fidelity of the appended batch (parametric map vs.
-        graph-smoothing extension, no free alignment).
-    baseline:
-        Fit-time fidelity distribution quantiles the scores were judged
-        against (see :meth:`LandmarkPlan.fidelity_baseline`).
-    stale_fraction:
-        Fraction of the batch scoring below the baseline's ``p05``.
-    stale:
-        Whether that fraction crossed the staleness threshold.
-    refreshed:
-        Whether a warm-started refit ran (``plan`` is then the child).
-    n_pending:
-        Rows appended but not yet folded into a refreshed landmark set.
-    """
-
-    plan: "LandmarkPlan"
-    scores: np.ndarray = field(repr=False)
-    baseline: dict = field(repr=False)
-    stale_fraction: float
-    stale: bool
-    refreshed: bool
-    n_pending: int
-
-
 class LandmarkPlan:
     """Landmark-Nyström fit pipeline for PFR-family estimators.
 
@@ -723,16 +692,6 @@ class LandmarkPlan:
                 )
         return self._bandwidth
 
-    def _graph_extend(self, X_new, Z_landmarks) -> np.ndarray:
-        return nystrom_extend(
-            X_new,
-            self.X_landmarks_,
-            Z_landmarks,
-            n_neighbors=min(self.subplan.n_neighbors, len(self.indices_)),
-            bandwidth=self._landmark_bandwidth(),
-            exclude=self.subplan.exclude_columns,
-        )
-
     def score_rows(self, X_rows, *, gamma=None, d=None) -> np.ndarray:
         """Per-row fidelity of new rows against this plan's landmark set.
 
@@ -755,7 +714,14 @@ class LandmarkPlan:
                 f"built on {self.X.shape[1]}"
             )
         Z_param = self._parametric_embedding(X_rows, gamma, d)
-        Z_graph = self._graph_extend(X_rows, self._landmark_embedding(gamma, d))
+        Z_graph = nystrom_extend(
+            X_rows,
+            self.X_landmarks_,
+            self._landmark_embedding(gamma, d),
+            n_neighbors=min(self.subplan.n_neighbors, len(self.indices_)),
+            bandwidth=self._landmark_bandwidth(),
+            exclude=self.subplan.exclude_columns,
+        )
         return row_agreement(Z_graph, Z_param)
 
     def fidelity_baseline(
@@ -765,7 +731,8 @@ class LandmarkPlan:
 
         Scores a seeded sample of the training rows through
         :meth:`score_rows` and summarizes the distribution's quantiles —
-        the yardstick :meth:`extend` measures incoming batches against.
+        the yardstick :class:`repro.lifecycle.DriftMonitor` judges the
+        scores of incoming batches against.
         """
         gamma, d = self._resolve_point(gamma, d)
         key = (gamma, d)
@@ -791,60 +758,23 @@ class LandmarkPlan:
             self._baselines[key] = cached
         return dict(cached)
 
-    def extend(
-        self,
-        X_new,
-        Z_landmarks=None,
-        *,
-        gamma=None,
-        d=None,
-        w_fair_new=None,
-        refresh: str = "auto",
-        stale_fraction: float = 0.5,
-    ):
-        """Extend the plan to new rows — embedding, or lifecycle append.
+    def extend(self, X_new, *, w_fair_new=None) -> np.ndarray:
+        """Score arriving rows and buffer them for the next :meth:`refresh`.
 
-        Two modes share this entry point:
-
-        * **One-off graph-smoothing extension** (the historical API): pass
-          an explicit landmark embedding ``Z_landmarks`` or a ``(gamma,
-          d)`` operating point and get back the extended embedding as an
-          ndarray (see :func:`nystrom_extend` for the weighting rule).
-        * **Lifecycle append** (requires a prior :meth:`fit`): pass only
-          ``X_new``. The batch is scored with :meth:`score_rows` against
-          the fit-time :meth:`fidelity_baseline`, appended to the pending
-          buffer, and — when the scored staleness crosses
-          ``stale_fraction`` and ``refresh="auto"`` (or always, with
-          ``refresh="always"``) — a warm-started :meth:`refresh` runs.
-          Returns a :class:`PlanExtension`; ``refresh="never"`` defers the
-          decision to an external policy (see :mod:`repro.lifecycle`).
+        Requires a prior :meth:`fit`: the batch is scored with
+        :meth:`score_rows` at the last fit's operating point and appended
+        to the pending rows. Returns the per-row scores; whether they
+        warrant a refresh is the caller's decision (see
+        :class:`repro.lifecycle.RefreshPolicy`).
 
         ``w_fair_new`` optionally carries judged fairness edges *within*
         the batch (shape ``(q, q)``); unjudged batches join the fairness
         graph isolated, exactly like unjudged individuals in the paper.
         """
-        if Z_landmarks is not None or gamma is not None or d is not None:
-            if w_fair_new is not None:
-                raise ValidationError(
-                    "w_fair_new only applies to the lifecycle extend(X_new) "
-                    "mode, not the one-off embedding extension"
-                )
-            if Z_landmarks is None:
-                if gamma is None or d is None:
-                    raise ValidationError(
-                        "extend() needs Z_landmarks or both gamma and d"
-                    )
-                Z_landmarks = self._landmark_embedding(float(gamma), int(d))
-            return self._graph_extend(X_new, Z_landmarks)
-        if refresh not in ("auto", "never", "always"):
-            raise ValidationError(
-                f"refresh must be 'auto', 'never' or 'always'; got {refresh!r}"
-            )
         if self._last_fit_point is None:
             raise ValidationError(
-                "extend() needs Z_landmarks or both gamma and d on a plan "
-                "that was never fit(); the lifecycle extend(X_new) mode "
-                "requires a fitted operating point"
+                "extend() needs a fitted operating point: fit() an "
+                "estimator on this plan first"
             )
         X_new = check_array(X_new, name="X_new")
         if X_new.shape[1] != self.X.shape[1]:
@@ -859,31 +789,12 @@ class LandmarkPlan:
                     f"w_fair_new has {w_fair_new.shape[0]} nodes but X_new "
                     f"has {X_new.shape[0]} rows"
                 )
-        point = self._last_fit_point
         with span("plan.extend", n_new=int(X_new.shape[0])):
-            scores = self.score_rows(X_new, gamma=point[0], d=point[1])
-            baseline = self.fidelity_baseline(point[0], point[1])
+            scores = self.score_rows(X_new)
             self._pending.append((X_new, w_fair_new))
-            fraction = float(np.mean(scores < baseline["p05"]))
-            stale = fraction >= float(stale_fraction)
-            plan: LandmarkPlan = self
-            refreshed = False
-            if refresh == "always" or (refresh == "auto" and stale):
-                plan = self.refresh()
-                refreshed = True
-        return PlanExtension(
-            plan=plan,
-            scores=scores,
-            baseline=baseline,
-            stale_fraction=fraction,
-            stale=stale,
-            refreshed=refreshed,
-            n_pending=0 if refreshed else sum(
-                batch.shape[0] for batch, _ in self._pending
-            ),
-        )
+        return scores
 
-    def refresh(self, *, n_new_landmarks: int | None = None) -> "LandmarkPlan":
+    def refresh(self) -> "LandmarkPlan":
         """Warm-started refit folding the pending rows into the landmark set.
 
         Selects new landmarks *from the pending rows only* (worst case
@@ -894,9 +805,11 @@ class LandmarkPlan:
         verbatim, and computes only the new-landmark edges via
         :func:`repro.graphs.knn_cross` — the assembled graph is handed to
         the child's :class:`SpectralFitPlan` as a precomputed ``w_x``, so
-        the child never rebuilds what the parent already paid for. Pending
-        fairness edges ride along; old↔new fairness edges are unknown at
-        refresh time and enter as zeros (unjudged pairs, paper §3.2).
+        the child never rebuilds what the parent already paid for. The
+        pending rows get landmarks in the parent's proportion ``m / n``
+        (at least one). Pending fairness edges ride along; old↔new
+        fairness edges are unknown at refresh time and enter as zeros
+        (unjudged pairs, paper §3.2).
 
         Returns the child plan; its :meth:`stage_digests` chain off this
         plan's digests (``landmarks`` + a new ``extend`` stage) so the
@@ -910,14 +823,7 @@ class LandmarkPlan:
         q = X_pending.shape[0]
         m = len(self.indices_)
         n = self.X.shape[0]
-        if n_new_landmarks is None:
-            n_new_landmarks = max(1, min(q, int(round(m * q / max(n, 1)))))
-        n_new_landmarks = int(n_new_landmarks)
-        if not 1 <= n_new_landmarks <= q:
-            raise ValidationError(
-                f"n_new_landmarks must be in [1, {q} pending rows]; "
-                f"got {n_new_landmarks}"
-            )
+        n_new_landmarks = max(1, min(q, int(round(m * q / max(n, 1)))))
         with span("plan.refresh", n_pending=int(q),
                   n_new_landmarks=int(n_new_landmarks)):
             child = self._refresh_child(X_pending, n_new_landmarks)

@@ -148,16 +148,6 @@ class KernelPFR(BaseEstimator, TransformerMixin):
         self.landmark_strategy = landmark_strategy
         self.landmark_seed = landmark_seed
 
-    def _kernel(self, X, Y) -> np.ndarray:
-        return kernel_matrix(
-            X,
-            Y,
-            kernel=self.kernel,
-            bandwidth=self.kernel_bandwidth,
-            degree=self.degree,
-            coef0=self.coef0,
-        )
-
     def fit(self, X, w_fair, *, w_x=None):
         """Learn dual coefficients ``A`` from data and a fairness graph.
 

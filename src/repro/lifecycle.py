@@ -1,13 +1,14 @@
 """Production lifecycle: drift detection and automatic landmark refresh.
 
 This module closes the loop that :class:`repro.core.LandmarkPlan` opens
-with ``extend()``/``refresh()``: served traffic is scored row-by-row
-against the fit-time fidelity distribution, a windowed
-:class:`DriftMonitor` aggregates the scores into drift statistics (and
-mirrors them into the :mod:`repro.obs` metrics registry), and a
-:class:`RefreshPolicy` decides *when* the accumulated staleness warrants
-a warm-start refit. :class:`LifecycleController` wires the three
-together with the persistence tier:
+with ``extend()``/``refresh()``. ``extend()`` only scores arriving rows
+against the fitted landmark set and buffers them; a windowed
+:class:`DriftMonitor` aggregates the scores into drift statistics
+against the fit-time fidelity distribution (and mirrors them into the
+:mod:`repro.obs` metrics registry), and :class:`RefreshPolicy`, the one
+place that decides, says *when* the accumulated staleness warrants a
+warm-start refit. :class:`LifecycleController` wires the three together
+with the persistence tier:
 
     plan.extend(batch)  →  DriftMonitor.observe(scores)
         →  RefreshPolicy.should_refresh(...)
@@ -310,7 +311,6 @@ class LifecycleController:
         name: str,
         ledger=None,
         policy: RefreshPolicy | None = None,
-        monitor: DriftMonitor | None = None,
         holdout=None,
         holdout_tolerance: float = 0.05,
         metrics: MetricsRegistry | None = None,
@@ -342,14 +342,8 @@ class LifecycleController:
         self.ledger = coerce_ledger(ledger)
         self.policy = policy if policy is not None else RefreshPolicy()
         self.metrics = metrics if metrics is not None else get_registry()
-        self.monitor = (
-            monitor
-            if monitor is not None
-            else DriftMonitor(
-                baseline=plan.fidelity_baseline(),
-                metrics=self.metrics,
-                name=self.name,
-            )
+        self.monitor = DriftMonitor(
+            baseline=plan.fidelity_baseline(), metrics=self.metrics, name=self.name
         )
         if holdout is not None:
             holdout = np.asarray(holdout, dtype=np.float64)
@@ -412,20 +406,17 @@ class LifecycleController:
             except ValidationError:
                 record = None
             if record is None:
-                estimator = self._fit_current()
                 record, self._entry_digest = self._persist(
-                    self.plan, estimator, {"event": "initial"}
+                    self.plan, self._fit(self.plan), {"event": "initial"}
                 )
             return {"name": self.name, "version": record.version}
 
-    def _fit_current(self):
+    def _fit(self, plan: LandmarkPlan):
+        """A clone of the template fitted by ``plan`` at its operating point."""
         estimator = clone(self.estimator)
-        estimator.landmarks = self.plan.n_landmarks
-        gamma, d = self.plan._last_fit_point
-        estimator.gamma = gamma
-        estimator.n_components = d
-        self.plan.fit(estimator)
-        return estimator
+        estimator.landmarks = plan.n_landmarks
+        estimator.gamma, estimator.n_components = plan._last_fit_point
+        return plan.fit(estimator)
 
     # -- the loop ------------------------------------------------------
 
@@ -436,20 +427,15 @@ class LifecycleController:
         refresh ran, the nested refresh event under ``"refresh"``.
         """
         with self._lock:
-            extension = self.plan.extend(
-                X_batch, w_fair_new=w_fair_new, refresh="never"
-            )
-            snapshot = self.monitor.observe(extension.scores)
-            rows = int(len(extension.scores))
+            scores = self.plan.extend(X_batch, w_fair_new=w_fair_new)
+            snapshot = self.monitor.observe(scores)
             self.metrics.inc("lifecycle.batches", model=self.name)
-            self.metrics.inc("lifecycle.rows", float(rows), model=self.name)
+            self.metrics.inc("lifecycle.rows", float(len(scores)), model=self.name)
             event = {
                 "event": "ingest",
-                "rows": rows,
+                "rows": len(scores),
                 "pending": self.plan.n_pending,
-                "batch_mean": float(np.mean(extension.scores))
-                if len(extension.scores)
-                else float("nan"),
+                "batch_mean": float(np.mean(scores)),
                 "drift_fraction": snapshot["drift_fraction"],
                 "refresh": None,
             }
@@ -487,12 +473,7 @@ class LifecycleController:
             parent = self.plan
             parent_holdout = self._holdout_of(parent)
             child = parent.refresh()
-            estimator = clone(self.estimator)
-            estimator.landmarks = child.n_landmarks
-            gamma, d = parent._last_fit_point
-            estimator.gamma = gamma
-            estimator.n_components = d
-            child.fit(estimator)
+            estimator = self._fit(child)
             child_holdout = self._holdout_of(child)
             previous = None
             try:

@@ -19,7 +19,8 @@ transform and slow requests cannot starve accepts.
 Overload degrades, never balloons:
 
 * request bodies above ``max_body_bytes`` are rejected with **413**
-  before being read into memory;
+  before being read into memory, a request line over ``_LINE_LIMIT``
+  bytes with **414** and a header line over it with **431**;
 * at most ``max_queue`` requests are admitted concurrently (running +
   queued); the excess is refused immediately with **429**;
 * a request that exceeds ``request_timeout`` seconds answers **503**
@@ -102,6 +103,7 @@ _REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -365,16 +367,6 @@ class ServingServer:
             except Exception:
                 self.service.metrics.inc("http.refresh_hook_errors")
 
-    def serve_forever(self) -> None:
-        """Blocking serve (the CLI path); Ctrl-C shuts down cleanly."""
-        self.start()
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.close()
-
     def __enter__(self) -> "ServingServer":
         if self._thread is None:
             self.start()
@@ -418,8 +410,8 @@ class ServingServer:
                         _json_bytes({"error": exc.message}), keep_alive=False,
                     )
                     return
-                except (ConnectionError, ValueError):
-                    return  # client hangup or oversized line
+                except ConnectionError:
+                    return  # client hangup
                 if request is None:
                     return  # clean EOF or idle timeout between requests
                 method, path, headers, body = request
@@ -474,7 +466,12 @@ class ServingServer:
 
     async def _read_started(self, reader, first: bytes):
         """Parse the rest of a request whose first byte is ``first``."""
-        request_line = first + await reader.readline()
+        try:
+            request_line = first + await reader.readline()
+        except ValueError:  # the stream's line limit
+            raise _HttpError(
+                414, f"request line longer than {_LINE_LIMIT} bytes"
+            ) from None
         if not request_line.endswith(b"\n"):
             raise _HttpError(400, "request truncated inside its request line")
         parts = request_line.decode("latin-1").strip().split()
@@ -483,7 +480,12 @@ class ServingServer:
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _HttpError(
+                    431, f"header line longer than {_LINE_LIMIT} bytes"
+                ) from None
             if line in (b"\r\n", b"\n"):
                 break
             if not line.endswith(b"\n"):

@@ -25,7 +25,6 @@ from repro import PFR, KernelPFR
 from repro.core import (
     LANDMARK_STRATEGIES,
     LandmarkPlan,
-    PlanExtension,
     SpectralFitPlan,
     embedding_fidelity,
     fit_path,
@@ -36,7 +35,11 @@ from repro.core import (
 )
 from repro.datasets import simulate_blobs
 from repro.exceptions import ValidationError
-from repro.graphs import between_group_quantile_graph, knn_graph
+from repro.graphs import (
+    between_group_quantile_graph,
+    knn_graph,
+    resolve_bandwidth,
+)
 from repro.io import load_model, save_model
 from repro.lifecycle import holdout_agreement
 from repro.obs.trace import RingBufferSink, add_sink, remove_sink
@@ -370,7 +373,7 @@ class TestSelectLandmarksExact:
             )
             plan = LandmarkPlan.for_estimator(estimator, data.X, w_fair)
             plan.fit(estimator)
-            plan.extend(drifted, refresh="never")
+            plan.extend(drifted)
             return plan.refresh().stage_digests()
 
         untraced = refreshed_digests()
@@ -567,17 +570,6 @@ class TestLandmarkPlan:
                 n_components=30, extension="nystrom", landmarks=20
             ).fit(X, w_fair)
 
-    def test_extend_matches_landmark_embedding_shape(self, blob_problem):
-        X, w_fair, X_eval = blob_problem
-        plan = LandmarkPlan.for_estimator(
-            PFR(n_components=3, extension="nystrom", landmarks=80), X, w_fair
-        )
-        Z = plan.extend(X_eval, gamma=0.5, d=3)
-        assert Z.shape == (X_eval.shape[0], 3)
-        assert np.isfinite(Z).all()
-        with pytest.raises(ValidationError, match="gamma and d"):
-            plan.extend(X_eval)
-
 
 class TestNystromExtend:
     def test_weighted_average_stays_in_convex_hull(self, rng):
@@ -653,7 +645,7 @@ class TestRowAgreement:
 
 
 class TestStreamingExtend:
-    """The lifecycle half of extend(): append, score, warm-start refresh."""
+    """extend() scores and buffers; refresh() warm-starts a child plan."""
 
     @pytest.fixture(scope="class")
     def fitted_plan_setup(self):
@@ -688,19 +680,14 @@ class TestStreamingExtend:
     def test_extend_buffers_and_reports(self, fitted_plan_setup):
         plan, _, in_dist, drifted = fitted_plan_setup
         before = plan.n_pending
-        ext = plan.extend(in_dist[:10], refresh="never")
-        assert isinstance(ext, PlanExtension)
-        assert ext.plan is plan and not ext.refreshed
-        assert ext.scores.shape == (10,)
+        scores = plan.extend(in_dist[:10])
+        np.testing.assert_array_equal(scores, plan.score_rows(in_dist[:10]))
         assert plan.n_pending == before + 10
-        assert ext.n_pending == plan.n_pending
-        # Baseline quantiles come from the fit-time distribution.
-        assert 0.0 < ext.baseline["p05"] <= 1.0
 
     def test_refresh_folds_pending_into_child(self, fitted_plan_setup):
         plan, estimator, _, drifted = fitted_plan_setup
         pending_before = plan.n_pending
-        plan.extend(drifted, refresh="never")
+        plan.extend(drifted)
         child = plan.refresh()
         assert plan.n_pending == 0  # buffer consumed
         q = pending_before + drifted.shape[0]
@@ -725,7 +712,7 @@ class TestStreamingExtend:
 
     def test_child_digests_chain_off_parent(self, fitted_plan_setup):
         plan, _, in_dist, _ = fitted_plan_setup
-        plan.extend(in_dist, refresh="never")
+        plan.extend(in_dist)
         child = plan.refresh()
         parent_digests = plan.stage_digests()
         child_digests = child.stage_digests()
@@ -741,7 +728,7 @@ class TestStreamingExtend:
         plan = LandmarkPlan.for_estimator(estimator, X, w_fair)
         plan.fit(estimator)
         before = dict(plan.stage_digests())
-        plan.extend(X_eval, refresh="never")
+        plan.extend(X_eval)
         assert plan.stage_digests() == before
 
     def test_refresh_without_pending_raises(self, blob_problem):
@@ -752,36 +739,63 @@ class TestStreamingExtend:
         with pytest.raises(ValidationError, match="no pending rows"):
             plan.refresh()
 
-    def test_refresh_always_mode_returns_child(self, fitted_plan_setup):
-        plan, _, in_dist, _ = fitted_plan_setup
-        ext = plan.extend(in_dist[:8], refresh="always")
-        assert ext.refreshed and ext.plan is not plan
-        assert ext.n_pending == 0
-
     def test_w_fair_new_rides_along(self, fitted_plan_setup):
         plan, _, _, drifted = fitted_plan_setup
         q = drifted.shape[0]
         w_new = np.zeros((q, q))
         w_new[0, 1] = w_new[1, 0] = 1.0
-        ext = plan.extend(drifted, w_fair_new=w_new, refresh="never")
-        assert ext.plan.n_pending >= q
+        plan.extend(drifted, w_fair_new=w_new)
+        assert plan.n_pending >= q
         child = plan.refresh()
         assert child.subplan.w_fair.shape[0] == child.n_landmarks
 
     def test_w_fair_new_shape_mismatch_raises(self, fitted_plan_setup):
         plan, _, in_dist, _ = fitted_plan_setup
         with pytest.raises(ValidationError, match="w_fair_new"):
-            plan.extend(in_dist, w_fair_new=np.zeros((3, 3)), refresh="never")
+            plan.extend(in_dist, w_fair_new=np.zeros((3, 3)))
 
-    def test_invalid_refresh_mode_raises(self, fitted_plan_setup):
-        plan, _, in_dist, _ = fitted_plan_setup
-        with pytest.raises(ValidationError, match="refresh"):
-            plan.extend(in_dist, refresh="sometimes")
+
+def _assert_parent_blocks_kept(parent, child):
+    """The child's landmark graphs start with the parent's, bit for bit.
+
+    A refresh reuses the parent's m×m data-graph block and keeps its
+    fairness block; the fidelity floors below cannot see either go
+    missing (a random projection already clears them).
+    """
+    def dense(W):
+        return W.toarray() if sp.issparse(W) else np.asarray(W)
+
+    m = parent.n_landmarks
+    for key in ("w_x", "w_fair"):
+        np.testing.assert_array_equal(
+            dense(child.subplan.graph[key])[:m, :m],
+            dense(parent.subplan.graph[key]),
+            err_msg=key,
+        )
 
 
 class TestRefreshMatchesColdRefit:
     """A refreshed child plan stands in for a cold refit on the grown
     corpus, and the drift scores that trigger the refresh see the drift."""
+
+    def test_dense_child_keeps_parent_graph_blocks(self):
+        # The sparse case is checked at scale in the test below.
+        data = simulate_blobs(300, n_features=5, seed=11)
+        w_fair = between_group_quantile_graph(
+            data.side_information, data.s, n_quantiles=6
+        ).toarray()
+        w_x = knn_graph(data.X, n_neighbors=10).toarray()
+        estimator = PFR(
+            n_components=3, gamma=0.5, extension="nystrom", landmarks=80
+        )
+        plan = LandmarkPlan.for_estimator(estimator, data.X, w_fair, w_x=w_x)
+        plan.fit(estimator)
+        plan.extend(data.X[::5] + 6.0)
+        child = plan.refresh()
+        assert child.n_landmarks > plan.n_landmarks
+        for key in ("w_x", "w_fair"):
+            assert not sp.issparse(child.subplan.graph[key]), key
+        _assert_parent_blocks_kept(plan, child)
 
     def test_refresh_agrees_with_cold_refit(self):
         n_base, n_pending, n_landmarks = 5000, 500, 200
@@ -810,8 +824,9 @@ class TestRefreshMatchesColdRefit:
         assert stale_fraction(plan, X_pending) > stale_fraction(plan, in_dist)
 
         for batch in np.array_split(X_pending, 4):
-            plan.extend(batch, refresh="never")
+            plan.extend(batch)
         child = plan.refresh()
+        _assert_parent_blocks_kept(plan, child)
         refreshed = child.fit(estimator(child.n_landmarks))
         assert stale_fraction(child, X_pending) < 0.5
 
@@ -833,10 +848,11 @@ class TestRefreshMatchesColdRefit:
 class TestLandmarkBandwidthReuse:
     """A plan resolves its landmark bandwidth once and reuses it.
 
-    Every score and extension must stay bitwise equal to the path that
-    re-resolves ``bandwidth=None`` inside :func:`nystrom_extend` on each
-    call, on a root plan and on a refreshed child, whose refresh graph
-    takes its own median over a possibly non-contiguous column view.
+    The cached bandwidth, and every score computed with it, must stay
+    bitwise equal to the path that re-resolves ``bandwidth=None`` inside
+    :func:`nystrom_extend` on each call, on a root plan and on a refreshed
+    child, whose refresh graph takes its own median over a possibly
+    non-contiguous column view.
     """
 
     # sha256 of the root's and the child's stage digests below, captured
@@ -848,7 +864,7 @@ class TestLandmarkBandwidthReuse:
 
     @staticmethod
     def _reference(plan, estimator, X):
-        """(extension, scores) through nystrom_extend(bandwidth=None)."""
+        """Scores through nystrom_extend(bandwidth=None)."""
         sub = plan.subplan
         extension = nystrom_extend(
             X,
@@ -858,7 +874,7 @@ class TestLandmarkBandwidthReuse:
             bandwidth=None,
             exclude=sub.exclude_columns,
         )
-        return extension, row_agreement(extension, estimator.transform(X))
+        return row_agreement(extension, estimator.transform(X))
 
     @pytest.mark.parametrize("exclude", list(DIGESTS), ids=["default", "exclude"])
     def test_root_and_child_match_the_uncached_path(self, exclude):
@@ -874,18 +890,19 @@ class TestLandmarkBandwidthReuse:
         root = LandmarkPlan.for_estimator(root_estimator, data.X, w_fair)
         root.fit(root_estimator)
         X = data.X[::4] + 0.5
-        child = root.extend(X + 6.0, refresh="always").plan
+        root.extend(X + 6.0)
+        child = root.refresh()
         child_estimator = PFR(landmarks=child.n_landmarks, **params)
         child.fit(child_estimator)
 
         for plan, estimator in ((root, root_estimator), (child, child_estimator)):
-            extension, scores = self._reference(plan, estimator, X)
-            np.testing.assert_array_equal(plan.score_rows(X), scores)
-            np.testing.assert_array_equal(plan.extend(X, gamma=0.5, d=3), extension)
-            assert holdout_agreement(plan, X) == float(np.mean(scores))
-            np.testing.assert_array_equal(
-                plan.extend(X, refresh="never").scores, scores
+            scores = self._reference(plan, estimator, X)
+            assert plan._landmark_bandwidth() == resolve_bandwidth(
+                plan.X_landmarks_, None, exclude=plan.subplan.exclude_columns
             )
+            np.testing.assert_array_equal(plan.score_rows(X), scores)
+            assert holdout_agreement(plan, X) == float(np.mean(scores))
+            np.testing.assert_array_equal(plan.extend(X), scores)
         chain = json.dumps(
             [root.stage_digests(), child.stage_digests()], sort_keys=True
         )
@@ -936,7 +953,7 @@ class TestStreamingRegressions:
         plan = LandmarkPlan.for_estimator(estimator, X, w_fair)
         plan.fit(estimator)
         with pytest.raises(ValidationError, match="X_new"):
-            plan.extend(np.empty((0, X.shape[1])), refresh="never")
+            plan.extend(np.empty((0, X.shape[1])))
 
     def test_extend_rejects_feature_mismatch(self, blob_problem):
         X, w_fair, _ = blob_problem
@@ -944,4 +961,4 @@ class TestStreamingRegressions:
         plan = LandmarkPlan.for_estimator(estimator, X, w_fair)
         plan.fit(estimator)
         with pytest.raises(ValidationError, match="features"):
-            plan.extend(np.zeros((4, X.shape[1] + 1)), refresh="never")
+            plan.extend(np.zeros((4, X.shape[1] + 1)))

@@ -378,7 +378,7 @@ def refreshed_child(X, WF, params):
     plan = LandmarkPlan.for_estimator(root, X, WF)
     plan.fit(root)
     drifted = np.random.default_rng(11).normal(loc=1.5, size=(40, 6))
-    plan.extend(drifted, refresh="never")
+    plan.extend(drifted)
     child = plan.refresh()
     refit = child.fit(estimator(child.n_landmarks))
     return {

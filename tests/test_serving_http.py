@@ -374,6 +374,28 @@ class TestProtocolEdges:
         )
         assert response.startswith(b"HTTP/1.1 400 ")
 
+    # Lines over the server's 64 KiB line limit get an answer, and the
+    # server goes on serving.
+    def test_overlong_request_line_414(self, server):
+        path = b"/" + b"a" * 70_000
+        response = self._raw(
+            server, b"GET " + path + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert response.startswith(b"HTTP/1.1 414 URI Too Long\r\n")
+        assert b"request line longer than" in response
+        assert _call(server, "GET", "/healthz")[0] == 200
+
+    def test_overlong_header_line_431(self, server):
+        response = self._raw(
+            server,
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+        )
+        assert response.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
+        assert b"header line longer than" in response
+        assert _call(server, "GET", "/healthz")[0] == 200
+
     def test_oversized_body_413(self, registry):
         with ServingServer(
             TransformService(registry), max_body_bytes=64
