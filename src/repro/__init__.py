@@ -63,8 +63,6 @@ from .graphs import (
 from .io import load_model, save_model
 from .metrics import (
     consistency,
-    demographic_parity_gap,
-    equalized_odds_gap,
     group_auc,
     group_rates,
 )
@@ -119,8 +117,6 @@ __all__ = [
     "equivalence_class_graph",
     "knn_graph",
     "consistency",
-    "demographic_parity_gap",
-    "equalized_odds_gap",
     "group_auc",
     "group_rates",
     "load_model",

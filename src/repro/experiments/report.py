@@ -20,7 +20,6 @@ __all__ = [
     "render_bars",
     "render_grouped_bars",
     "render_series",
-    "render_scatter",
     "render_decision_field",
 ]
 
@@ -201,47 +200,4 @@ def render_decision_field(
     )
     lines.append("-" * width)
     lines.append(legend + "   (shading = P(ŷ=1): ' '<0.2 … '█'≥0.8)")
-    return "\n".join(lines)
-
-
-def render_scatter(
-    points,
-    categories,
-    *,
-    width: int = 64,
-    height: int = 24,
-    markers: str = "o+x*",
-) -> str:
-    """ASCII scatter plot of 2-D ``points`` colored by ``categories``.
-
-    Used to render the Figure 1 representations: categories encode
-    (group, label) combinations.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    categories = np.asarray(categories)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValidationError(f"points must have shape (n, 2); got {points.shape}")
-    if len(categories) != len(points):
-        raise ValidationError("categories must align with points")
-
-    x, y = points[:, 0], points[:, 1]
-    x_min, x_max = float(x.min()), float(x.max())
-    y_min, y_max = float(y.min()), float(y.max())
-    x_span = (x_max - x_min) or 1e-9
-    y_span = (y_max - y_min) or 1e-9
-
-    grid = [[" "] * width for _ in range(height)]
-    unique = list(dict.fromkeys(categories.tolist()))
-    for point, category in zip(points, categories):
-        marker = markers[unique.index(category) % len(markers)]
-        col = int(round((point[0] - x_min) / x_span * (width - 1)))
-        row = int(round((y_max - point[1]) / y_span * (height - 1)))
-        grid[row][col] = marker
-
-    lines = ["".join(row) for row in grid]
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} = {category}" for i, category in enumerate(unique)
-    )
-    lines.append("-" * width)
-    lines.append(legend)
     return "\n".join(lines)

@@ -28,7 +28,6 @@ from .knn import (
 )
 from .laplacian import (
     combine_laplacians,
-    degree_vector,
     edge_count,
     graph_density,
     laplacian,
@@ -51,7 +50,6 @@ __all__ = [
     "pairwise_sq_distances",
     "resolve_bandwidth",
     "combine_laplacians",
-    "degree_vector",
     "edge_count",
     "graph_density",
     "laplacian",

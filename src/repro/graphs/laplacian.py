@@ -4,7 +4,7 @@ The PFR objective reduces to traces of ``Vᵀ X L Xᵀ V`` where ``L = D - W``
 is the combinatorial Laplacian of a similarity or fairness graph and ``D``
 is the diagonal matrix of column sums of ``W``. This module centralizes
 Laplacian construction, validation, and the small pieces of spectral-graph
-bookkeeping the experiments use (component counts, degree statistics).
+bookkeeping the experiments use (component counts, edge counts, density).
 """
 
 from __future__ import annotations
@@ -18,20 +18,11 @@ from ..exceptions import GraphConstructionError
 
 __all__ = [
     "laplacian",
-    "degree_vector",
     "n_connected_components",
     "edge_count",
     "graph_density",
     "combine_laplacians",
 ]
-
-
-def degree_vector(W) -> np.ndarray:
-    """Column sums of the adjacency matrix (degrees for binary graphs)."""
-    W = check_symmetric(W, name="W")
-    if sp.issparse(W):
-        return np.asarray(W.sum(axis=0)).ravel()
-    return W.sum(axis=0)
 
 
 def laplacian(W, *, normalized: bool = False) -> sp.csr_matrix:

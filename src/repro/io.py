@@ -45,7 +45,7 @@ from .core.plan import RETIRED_PARAMS, retired_param_message
 from .exceptions import ValidationError
 from .ml import LogisticRegression, StandardScaler
 
-__all__ = ["save_model", "load_model", "read_header", "supported_model_types"]
+__all__ = ["save_model", "load_model", "read_header"]
 
 
 def atomic_write(path, write, *, mode: str = "wb") -> None:
@@ -218,11 +218,6 @@ _ARRAY_PARAMS = {"SideInformationAugmenter": ("side_information",)}
 # attribute just stays unset). Every other registered attribute is
 # required — a missing one means the file is malformed.
 _OPTIONAL_ATTRS = frozenset({"landmark_indices_", "landmark_X_"})
-
-
-def supported_model_types() -> list[str]:
-    """Names of the estimator classes :func:`save_model` can serialize."""
-    return sorted(_REGISTRY)
 
 
 def save_model(model, path) -> Path:

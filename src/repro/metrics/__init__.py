@@ -1,29 +1,15 @@
 """Fairness evaluation measures (paper §4.1).
 
 Individual fairness: :func:`consistency` against ``WX`` or ``WF``.
-Group fairness: per-group positive-prediction and error rates, parity and
-odds gaps, per-group AUC.
+Group fairness: per-group positive-prediction and error rates with their
+max-min gaps (:func:`group_rates`), per-group AUC.
 """
 
-from .group import (
-    GroupRates,
-    accuracy_by_group,
-    calibration_by_group,
-    calibration_gap,
-    demographic_parity_gap,
-    equalized_odds_gap,
-    group_auc,
-    group_rates,
-)
+from .group import GroupRates, group_auc, group_rates
 from .individual import consistency, restrict_graph
 
 __all__ = [
     "GroupRates",
-    "accuracy_by_group",
-    "calibration_by_group",
-    "calibration_gap",
-    "demographic_parity_gap",
-    "equalized_odds_gap",
     "group_auc",
     "group_rates",
     "consistency",

@@ -8,7 +8,7 @@ The paper reports two group-fairness views:
   and FNR (Figures 3b, 6b, 9b).
 
 Everything here is computed per group value (supporting more than two
-groups, as §3.1 allows) plus scalar gap summaries for benchmarks.
+groups, as §3.1 allows); :meth:`GroupRates.gap` gives the max-min spread.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from ..ml.metrics import (
 __all__ = [
     "GroupRates",
     "group_rates",
-    "demographic_parity_gap",
-    "equalized_odds_gap",
     "group_auc",
-    "accuracy_by_group",
-    "calibration_by_group",
-    "calibration_gap",
 ]
 
 
@@ -98,24 +93,6 @@ def group_rates(y_true, y_pred, s) -> GroupRates:
     )
 
 
-def demographic_parity_gap(y_pred, s) -> float:
-    """``max_s P(ŷ=1|s) - min_s P(ŷ=1|s)``; 0 means perfect demographic parity."""
-    y_pred = check_binary_labels(y_pred, name="y_pred")
-    s = column_or_1d(s, name="s")
-    check_consistent_length(y_pred, s)
-    values = np.unique(s)
-    if len(values) < 2:
-        raise ValidationError("demographic parity needs at least two groups")
-    rates = [positive_prediction_rate(y_pred[s == value]) for value in values]
-    return float(max(rates) - min(rates))
-
-
-def equalized_odds_gap(y_true, y_pred, s) -> float:
-    """``max(FPR gap, FNR gap)`` across groups; 0 means equalized odds."""
-    rates = group_rates(y_true, y_pred, s)
-    return max(rates.gap("fpr"), rates.gap("fnr"))
-
-
 def group_auc(y_true, y_score, s) -> dict:
     """AUC per group plus overall, keyed by group value and ``"any"``.
 
@@ -135,78 +112,3 @@ def group_auc(y_true, y_score, s) -> dict:
             out[value] = roc_auc_score(y_true[members], y_score[members])
     out["any"] = roc_auc_score(y_true, y_score)
     return out
-
-
-def accuracy_by_group(y_true, y_pred, s) -> dict:
-    """Accuracy per group, keyed by group value."""
-    y_true, y_pred, s = _check_triple(y_true, y_pred, s)
-    return {
-        value: float(np.mean(y_true[s == value] == y_pred[s == value]))
-        for value in np.unique(s)
-    }
-
-
-def calibration_by_group(y_true, y_score, s, *, n_bins: int = 10) -> dict:
-    """Per-group reliability curves (the COMPAS calibration debate's lens).
-
-    A score is *calibrated within groups* when, at every score level, the
-    observed positive rate matches the score for each group — Northpointe's
-    defense of its decile scores. This returns, per group, the bin centers,
-    observed positive rates, and bin counts over an equal-width binning of
-    ``y_score`` into ``n_bins`` bins on [0, 1].
-
-    Returns
-    -------
-    dict
-        ``{group: {"bin_center": ..., "observed_rate": ..., "count": ...}}``
-        with NaN observed rates for empty bins.
-    """
-    y_true = check_binary_labels(y_true, name="y_true")
-    y_score = column_or_1d(y_score, name="y_score", dtype=np.float64)
-    s = column_or_1d(s, name="s")
-    check_consistent_length(y_true, y_score, s)
-    if n_bins < 2:
-        raise ValidationError(f"n_bins must be >= 2; got {n_bins}")
-    if y_score.min() < 0.0 or y_score.max() > 1.0:
-        raise ValidationError("y_score must be probabilities in [0, 1]")
-
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    bins = np.clip(np.digitize(y_score, edges[1:-1]), 0, n_bins - 1)
-
-    out = {}
-    for value in np.unique(s):
-        members = s == value
-        rates = np.full(n_bins, np.nan)
-        counts = np.zeros(n_bins, dtype=np.int64)
-        for b in range(n_bins):
-            in_bin = members & (bins == b)
-            counts[b] = int(in_bin.sum())
-            if counts[b]:
-                rates[b] = float(y_true[in_bin].mean())
-        out[value] = {
-            "bin_center": centers,
-            "observed_rate": rates,
-            "count": counts,
-        }
-    return out
-
-
-def calibration_gap(y_true, y_score, s, *, n_bins: int = 10) -> float:
-    """Worst between-group difference in observed rates at the same score bin.
-
-    0 means the score is equally calibrated for every group; large values
-    mean the same score carries different meanings across groups (the
-    within-group-normed COMPAS deciles behave this way by construction).
-    Bins where any group is empty are skipped; returns NaN if no bin is
-    shared by two groups.
-    """
-    curves = calibration_by_group(y_true, y_score, s, n_bins=n_bins)
-    rates = np.vstack([curve["observed_rate"] for curve in curves.values()])
-    populated = ~np.isnan(rates)
-    shared = populated.sum(axis=0) >= 2
-    if not shared.any():
-        return float("nan")
-    shared_rates = rates[:, shared]
-    gaps = np.nanmax(shared_rates, axis=0) - np.nanmin(shared_rates, axis=0)
-    return float(np.max(gaps))

@@ -2,78 +2,38 @@
 
 The execution environment provides no scikit-learn, so this subpackage
 implements the estimator protocol, the logistic-regression downstream
-classifier the paper uses, the evaluation metrics, preprocessing, and the
-cross-validation / grid-search machinery of the paper's protocol (§4.1).
+classifier the paper uses, the evaluation metrics, standardization, and the
+splitters and parameter grids of the paper's protocol (§4.1).
 """
 
 from .base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
-from .calibration import CalibratedClassifier, PlattCalibrator
-from .linear import LogisticRegression, RidgeRegression, sigmoid
+from .linear import LogisticRegression, sigmoid
 from .metrics import (
-    accuracy_score,
-    average_precision_score,
-    balanced_accuracy_score,
-    brier_score,
     confusion_matrix,
-    f1_score,
     false_negative_rate,
     false_positive_rate,
-    log_loss,
     positive_prediction_rate,
-    precision_recall_curve,
-    precision_score,
-    recall_score,
     roc_auc_score,
     roc_curve,
-    true_negative_rate,
-    true_positive_rate,
 )
-from .model_selection import (
-    GridSearchCV,
-    KFold,
-    ParameterGrid,
-    StratifiedKFold,
-    cross_val_score,
-    train_test_split,
-)
-from .pipeline import Pipeline
-from .preprocessing import MinMaxScaler, OneHotEncoder, StandardScaler
+from .model_selection import ParameterGrid, StratifiedKFold, train_test_split
+from .preprocessing import StandardScaler
 
 __all__ = [
     "BaseEstimator",
     "ClassifierMixin",
     "TransformerMixin",
     "clone",
-    "CalibratedClassifier",
-    "PlattCalibrator",
-    "average_precision_score",
-    "balanced_accuracy_score",
-    "precision_recall_curve",
     "LogisticRegression",
-    "RidgeRegression",
     "sigmoid",
-    "accuracy_score",
-    "brier_score",
     "confusion_matrix",
-    "f1_score",
     "false_negative_rate",
     "false_positive_rate",
-    "log_loss",
     "positive_prediction_rate",
-    "precision_score",
-    "recall_score",
     "roc_auc_score",
     "roc_curve",
-    "true_negative_rate",
-    "true_positive_rate",
-    "GridSearchCV",
-    "KFold",
     "ParameterGrid",
     "StratifiedKFold",
-    "cross_val_score",
     "train_test_split",
-    "Pipeline",
-    "MinMaxScaler",
-    "OneHotEncoder",
     "StandardScaler",
 ]

@@ -119,8 +119,6 @@ def clone(estimator):
         raise ValidationError(
             f"clone requires a BaseEstimator; got {type(estimator).__name__}"
         )
-    if hasattr(estimator, "_clone"):
-        return estimator._clone()
     params = {
         name: copy.deepcopy(getattr(estimator, name))
         for name in estimator._param_names()

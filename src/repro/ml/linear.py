@@ -3,7 +3,7 @@
 The paper trains an "out-of-the-box logistic regression classifier" on every
 learned representation (§4.1). This module supplies that classifier —
 L2-regularized logistic regression fitted with L-BFGS and an analytic
-gradient — plus a ridge-regularized linear regressor used by some ablations.
+gradient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .._validation import check_array, check_is_fitted, check_X_y
 from ..exceptions import ConvergenceError, ValidationError
 from .base import BaseEstimator, ClassifierMixin
 
-__all__ = ["LogisticRegression", "RidgeRegression", "sigmoid"]
+__all__ = ["LogisticRegression", "sigmoid"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -167,51 +167,3 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     def predict(self, X) -> np.ndarray:
         """Hard labels at the 0.5 probability threshold."""
         return (self.decision_function(X) >= 0.0).astype(np.int64)
-
-
-class RidgeRegression(BaseEstimator):
-    """Linear regression with L2 penalty, solved in closed form.
-
-    Minimizes ``||Xw + b - y||² + alpha ||w||²``; the intercept is not
-    penalized (handled by centering).
-    """
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True):
-        self.alpha = alpha
-        self.fit_intercept = fit_intercept
-
-    def fit(self, X, y):
-        """Fit on features ``X`` and continuous targets ``y``."""
-        X = check_array(X, name="X", min_samples=1)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be non-negative; got {self.alpha}")
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc = X - x_mean
-            yc = y - y_mean
-        else:
-            x_mean = np.zeros(X.shape[1])
-            y_mean = 0.0
-            Xc, yc = X, y
-        gram = Xc.T @ Xc + self.alpha * np.eye(X.shape[1])
-        self.coef_ = np.linalg.solve(gram, Xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Predicted continuous targets."""
-        check_is_fitted(self, "coef_")
-        X = check_array(X, name="X")
-        return X @ self.coef_ + self.intercept_
-
-    def score(self, X, y) -> float:
-        """Coefficient of determination R²."""
-        y = np.asarray(y, dtype=np.float64).ravel()
-        residual = y - self.predict(X)
-        total = y - y.mean()
-        denom = float(total @ total)
-        if denom == 0.0:
-            return 0.0
-        return 1.0 - float(residual @ residual) / denom

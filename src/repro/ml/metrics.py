@@ -2,8 +2,8 @@
 
 Provides the evaluation measures the paper relies on — AUC (utility), error
 rates (disparate mistreatment), positive-prediction rates (disparate impact)
-— plus the standard supporting metrics (accuracy, confusion matrix, log
-loss). All metrics operate on numpy arrays and binary {0, 1} labels.
+— plus the confusion matrix they are read from and the ROC curve. All
+metrics operate on numpy arrays and binary {0, 1} labels.
 """
 
 from __future__ import annotations
@@ -18,23 +18,12 @@ from .._validation import (
 from ..exceptions import ValidationError
 
 __all__ = [
-    "accuracy_score",
-    "balanced_accuracy_score",
     "confusion_matrix",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-    "true_positive_rate",
     "false_positive_rate",
     "false_negative_rate",
-    "true_negative_rate",
     "positive_prediction_rate",
     "roc_curve",
     "roc_auc_score",
-    "precision_recall_curve",
-    "average_precision_score",
-    "log_loss",
-    "brier_score",
 ]
 
 
@@ -45,50 +34,12 @@ def _check_pred_pair(y_true, y_pred):
     return y_true, y_pred
 
 
-def accuracy_score(y_true, y_pred) -> float:
-    """Fraction of exact label matches."""
-    y_true, y_pred = _check_pred_pair(y_true, y_pred)
-    return float(np.mean(y_true == y_pred))
-
-
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """2x2 confusion matrix ``[[TN, FP], [FN, TP]]`` (rows: true, cols: predicted)."""
     y_true, y_pred = _check_pred_pair(y_true, y_pred)
     matrix = np.zeros((2, 2), dtype=np.int64)
     np.add.at(matrix, (y_true, y_pred), 1)
     return matrix
-
-
-def precision_score(y_true, y_pred) -> float:
-    """TP / (TP + FP); defined as 0.0 when nothing is predicted positive."""
-    matrix = confusion_matrix(y_true, y_pred)
-    predicted_positive = matrix[0, 1] + matrix[1, 1]
-    if predicted_positive == 0:
-        return 0.0
-    return float(matrix[1, 1] / predicted_positive)
-
-
-def recall_score(y_true, y_pred) -> float:
-    """TP / (TP + FN); defined as 0.0 when there are no true positives."""
-    return true_positive_rate(y_true, y_pred)
-
-
-def f1_score(y_true, y_pred) -> float:
-    """Harmonic mean of precision and recall (0.0 when both are zero)."""
-    precision = precision_score(y_true, y_pred)
-    recall = recall_score(y_true, y_pred)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def true_positive_rate(y_true, y_pred) -> float:
-    """TP / (TP + FN) over the positive class; 0.0 if the class is absent."""
-    matrix = confusion_matrix(y_true, y_pred)
-    actual_positive = matrix[1, 0] + matrix[1, 1]
-    if actual_positive == 0:
-        return 0.0
-    return float(matrix[1, 1] / actual_positive)
 
 
 def false_negative_rate(y_true, y_pred) -> float:
@@ -107,15 +58,6 @@ def false_positive_rate(y_true, y_pred) -> float:
     if actual_negative == 0:
         return 0.0
     return float(matrix[0, 1] / actual_negative)
-
-
-def true_negative_rate(y_true, y_pred) -> float:
-    """TN / (FP + TN); complement of the false positive rate."""
-    matrix = confusion_matrix(y_true, y_pred)
-    actual_negative = matrix[0, 0] + matrix[0, 1]
-    if actual_negative == 0:
-        return 0.0
-    return float(matrix[0, 0] / actual_negative)
 
 
 def positive_prediction_rate(y_pred) -> float:
@@ -200,76 +142,3 @@ def roc_auc_score(y_true, y_score) -> float:
     rank_sum_positive = float(np.sum(ranks[y_true == 1]))
     u_statistic = rank_sum_positive - n_positive * (n_positive + 1) / 2.0
     return u_statistic / (n_positive * n_negative)
-
-
-def balanced_accuracy_score(y_true, y_pred) -> float:
-    """Mean of the per-class recalls — robust to class imbalance."""
-    return 0.5 * (
-        true_positive_rate(y_true, y_pred) + true_negative_rate(y_true, y_pred)
-    )
-
-
-def precision_recall_curve(y_true, y_score):
-    """Precision-recall pairs over decreasing score thresholds.
-
-    Returns
-    -------
-    precision, recall, thresholds:
-        ``precision``/``recall`` have one trailing point ``(1, 0)`` beyond
-        the last threshold, mirroring the usual convention so the curve
-        closes at zero recall.
-    """
-    y_true = check_binary_labels(y_true, name="y_true")
-    y_score = column_or_1d(y_score, name="y_score", dtype=np.float64)
-    check_consistent_length(y_true, y_score)
-    n_positive = int(np.sum(y_true == 1))
-    if n_positive == 0:
-        raise ValidationError("precision_recall_curve requires positive samples")
-
-    order = np.argsort(-y_score, kind="stable")
-    sorted_true = y_true[order]
-    sorted_score = y_score[order]
-    distinct = np.where(np.diff(sorted_score))[0]
-    threshold_idx = np.concatenate([distinct, [len(sorted_true) - 1]])
-
-    tps = np.cumsum(sorted_true)[threshold_idx].astype(np.float64)
-    predicted = (threshold_idx + 1).astype(np.float64)
-    precision = tps / predicted
-    recall = tps / n_positive
-    thresholds = sorted_score[threshold_idx]
-
-    precision = np.concatenate([precision, [1.0]])
-    recall = np.concatenate([recall, [0.0]])
-    return precision, recall, thresholds
-
-
-def average_precision_score(y_true, y_score) -> float:
-    """Area under the precision-recall curve (step-wise interpolation).
-
-    ``AP = Σ_k (R_k - R_{k-1}) · P_k`` over thresholds from conservative to
-    liberal, with ``R_0 = 0``.
-    """
-    precision, recall, thresholds = precision_recall_curve(y_true, y_score)
-    # Drop the appended (precision=1, recall=0) closing point; integrate the
-    # recall increments against precision at each threshold.
-    precision = precision[: len(thresholds)]
-    recall = recall[: len(thresholds)]
-    increments = np.diff(np.concatenate([[0.0], recall]))
-    return float(np.sum(increments * precision))
-
-
-def log_loss(y_true, y_prob, *, eps: float = 1e-15) -> float:
-    """Binary cross-entropy between labels and predicted probabilities."""
-    y_true = check_binary_labels(y_true, name="y_true")
-    y_prob = column_or_1d(y_prob, name="y_prob", dtype=np.float64)
-    check_consistent_length(y_true, y_prob)
-    clipped = np.clip(y_prob, eps, 1.0 - eps)
-    return float(-np.mean(y_true * np.log(clipped) + (1 - y_true) * np.log(1 - clipped)))
-
-
-def brier_score(y_true, y_prob) -> float:
-    """Mean squared error between labels and predicted probabilities."""
-    y_true = check_binary_labels(y_true, name="y_true")
-    y_prob = column_or_1d(y_prob, name="y_prob", dtype=np.float64)
-    check_consistent_length(y_true, y_prob)
-    return float(np.mean((y_prob - y_true) ** 2))

@@ -1,8 +1,9 @@
-"""Data splitting, cross-validation, and hyper-parameter search.
+"""Data splitting, stratified folds and parameter grids.
 
-Reproduces the paper's protocol (§4.1): a held-out test split, then 5-fold
-cross-validation grid search on the training portion, then a single
-evaluation on the untouched test set.
+The building blocks of the paper's protocol (§4.1): a held-out test split,
+then a 5-fold cross-validation grid search on the training portion (run by
+:meth:`repro.experiments.ExperimentHarness.tune`), then a single evaluation
+on the untouched test set.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from .._validation import (
     column_or_1d,
 )
 from ..exceptions import ValidationError
-from .base import BaseEstimator, clone
-from .metrics import accuracy_score, roc_auc_score
 
 __all__ = [
     "train_test_split",
-    "KFold",
     "StratifiedKFold",
     "ParameterGrid",
-    "cross_val_score",
-    "GridSearchCV",
 ]
 
 
@@ -91,36 +87,6 @@ def train_test_split(*arrays, test_size: float = 0.3, stratify=None, seed=None):
         indexable = np.asarray(array)
         result.extend([indexable[train_idx], indexable[test_idx]])
     return result
-
-
-class KFold:
-    """Deterministic or shuffled k-fold cross-validation splitter."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = False, seed=None):
-        if n_splits < 2:
-            raise ValidationError(f"n_splits must be >= 2; got {n_splits}")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.seed = seed
-
-    def split(self, X, y=None):
-        """Yield ``(train_indices, test_indices)`` pairs covering all samples."""
-        n = X.shape[0] if hasattr(X, "shape") else len(X)
-        if n < self.n_splits:
-            raise ValidationError(
-                f"cannot split {n} samples into {self.n_splits} folds"
-            )
-        indices = np.arange(n)
-        if self.shuffle:
-            indices = check_random_state(self.seed).permutation(n)
-        fold_sizes = np.full(self.n_splits, n // self.n_splits, dtype=int)
-        fold_sizes[: n % self.n_splits] += 1
-        start = 0
-        for size in fold_sizes:
-            test_idx = indices[start : start + size]
-            train_idx = np.concatenate([indices[:start], indices[start + size :]])
-            yield train_idx, test_idx
-            start += size
 
 
 class StratifiedKFold:
@@ -196,121 +162,3 @@ class ParameterGrid:
                 size *= len(values)
             total += size
         return total
-
-
-_SCORERS = {
-    "accuracy": lambda est, X, y: accuracy_score(y, est.predict(X)),
-    "roc_auc": lambda est, X, y: roc_auc_score(y, est.predict_proba(X)[:, 1]),
-}
-
-
-def get_scorer(scoring):
-    """Resolve a scoring spec (name or callable) to ``f(estimator, X, y) -> float``."""
-    if callable(scoring):
-        return scoring
-    if scoring in _SCORERS:
-        return _SCORERS[scoring]
-    raise ValidationError(
-        f"unknown scoring {scoring!r}; available: {sorted(_SCORERS)} or a callable"
-    )
-
-
-def cross_val_score(estimator, X, y, *, cv=None, scoring="accuracy") -> np.ndarray:
-    """Score an estimator over cross-validation folds.
-
-    Each fold clones the estimator, fits on the training part, and applies
-    the scorer to the held-out part.
-    """
-    if cv is None:
-        cv = KFold(n_splits=5)
-    scorer = get_scorer(scoring)
-    X = np.asarray(X)
-    y = np.asarray(y)
-    scores = []
-    for train_idx, test_idx in cv.split(X, y):
-        model = clone(estimator)
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(scorer(model, X[test_idx], y[test_idx]))
-    return np.asarray(scores, dtype=np.float64)
-
-
-class GridSearchCV(BaseEstimator):
-    """Exhaustive hyper-parameter search with cross-validation.
-
-    Mirrors the paper's tuning protocol: every parameter combination is
-    scored by k-fold cross-validation on the training data; the best
-    combination is refitted on the full training data.
-
-    Attributes
-    ----------
-    best_params_ : dict
-        Parameters of the best combination.
-    best_score_ : float
-        Mean cross-validation score of the best combination.
-    best_estimator_ : estimator
-        Estimator refitted on all training data with ``best_params_``.
-    cv_results_ : list of dict
-        One record per combination: ``params``, ``mean_score``, ``std_score``.
-    """
-
-    def __init__(self, estimator=None, param_grid=None, scoring="accuracy", cv=None):
-        self.estimator = estimator
-        self.param_grid = param_grid
-        self.scoring = scoring
-        self.cv = cv
-
-    def fit(self, X, y):
-        """Run the search and refit the winner on all of ``(X, y)``."""
-        if self.estimator is None or self.param_grid is None:
-            raise ValidationError("GridSearchCV requires estimator and param_grid")
-        X = np.asarray(X)
-        y = np.asarray(y)
-        cv = self.cv if self.cv is not None else StratifiedKFold(n_splits=5)
-        scorer = get_scorer(self.scoring)
-
-        self.cv_results_ = []
-        best_score = -np.inf
-        best_params = None
-        for params in ParameterGrid(self.param_grid):
-            fold_scores = []
-            for train_idx, test_idx in cv.split(X, y):
-                model = clone(self.estimator).set_params(**params)
-                model.fit(X[train_idx], y[train_idx])
-                fold_scores.append(scorer(model, X[test_idx], y[test_idx]))
-            mean_score = float(np.mean(fold_scores))
-            self.cv_results_.append(
-                {
-                    "params": dict(params),
-                    "mean_score": mean_score,
-                    # Sample std (ddof=1): the fold scores are a sample of
-                    # the score distribution, and population std would
-                    # understate the spread (n_splits >= 2 always holds,
-                    # but guard the degenerate case anyway).
-                    "std_score": (
-                        float(np.std(fold_scores, ddof=1))
-                        if len(fold_scores) > 1
-                        else 0.0
-                    ),
-                }
-            )
-            if mean_score > best_score:
-                best_score = mean_score
-                best_params = dict(params)
-
-        self.best_score_ = best_score
-        self.best_params_ = best_params
-        self.best_estimator_ = clone(self.estimator).set_params(**best_params)
-        self.best_estimator_.fit(X, y)
-        return self
-
-    def predict(self, X):
-        """Predict with the refitted best estimator."""
-        if getattr(self, "best_estimator_", None) is None:
-            raise ValidationError("GridSearchCV is not fitted yet")
-        return self.best_estimator_.predict(X)
-
-    def predict_proba(self, X):
-        """Probabilities from the refitted best estimator."""
-        if getattr(self, "best_estimator_", None) is None:
-            raise ValidationError("GridSearchCV is not fitted yet")
-        return self.best_estimator_.predict_proba(X)

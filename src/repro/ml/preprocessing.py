@@ -1,9 +1,8 @@
-"""Feature preprocessing: scaling and categorical encoding.
+"""Feature preprocessing: standardization.
 
 The paper standardizes inputs ("Original representation is standardized to
-zero mean and unit variance", Fig. 1) and one-hot encodes the categorical
-attributes of COMPAS. These transformers reproduce the scikit-learn
-behaviour the authors relied on.
+zero mean and unit variance", Fig. 1). :class:`StandardScaler` reproduces
+the scikit-learn behaviour the authors relied on.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from .._validation import check_array, check_is_fitted
 from ..exceptions import ValidationError
 from .base import BaseEstimator, TransformerMixin
 
-__all__ = ["StandardScaler", "MinMaxScaler", "OneHotEncoder"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -61,118 +60,3 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         X = check_array(X, name="X")
         return X * self.scale_ + self.mean_
 
-
-class MinMaxScaler(BaseEstimator, TransformerMixin):
-    """Rescale features to a target range (default [0, 1]).
-
-    Constant columns map to the lower bound of the range.
-    """
-
-    def __init__(self, feature_range: tuple = (0.0, 1.0)):
-        self.feature_range = feature_range
-
-    def fit(self, X, y=None):
-        """Learn per-column minima and ranges."""
-        low, high = self.feature_range
-        if low >= high:
-            raise ValidationError(f"feature_range must be increasing; got {self.feature_range}")
-        X = check_array(X, name="X")
-        self.data_min_ = X.min(axis=0)
-        data_range = X.max(axis=0) - self.data_min_
-        data_range[data_range == 0.0] = 1.0
-        self.data_range_ = data_range
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Map features into ``feature_range`` using the fitted statistics."""
-        check_is_fitted(self, ("data_min_", "data_range_"))
-        X = check_array(X, name="X")
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"X has {X.shape[1]} features; scaler was fitted with {self.n_features_in_}"
-            )
-        low, high = self.feature_range
-        unit = (X - self.data_min_) / self.data_range_
-        return unit * (high - low) + low
-
-    def inverse_transform(self, X) -> np.ndarray:
-        """Map data from ``feature_range`` back to the original units."""
-        check_is_fitted(self, ("data_min_", "data_range_"))
-        X = check_array(X, name="X")
-        low, high = self.feature_range
-        unit = (X - low) / (high - low)
-        return unit * self.data_range_ + self.data_min_
-
-
-class OneHotEncoder(BaseEstimator, TransformerMixin):
-    """One-hot encode integer- or string-coded categorical columns.
-
-    Parameters
-    ----------
-    handle_unknown:
-        ``"error"`` raises on categories unseen during ``fit``;
-        ``"ignore"`` encodes them as all-zero rows for that column.
-    drop_first:
-        Drop the first category of each column (dummy coding), which avoids
-        perfect collinearity in linear models.
-    """
-
-    def __init__(self, handle_unknown: str = "error", drop_first: bool = False):
-        self.handle_unknown = handle_unknown
-        self.drop_first = drop_first
-
-    def fit(self, X, y=None):
-        """Record the sorted category set of every column."""
-        if self.handle_unknown not in ("error", "ignore"):
-            raise ValidationError(
-                f"handle_unknown must be 'error' or 'ignore'; got {self.handle_unknown!r}"
-            )
-        X = np.asarray(X)
-        if X.ndim != 2:
-            raise ValidationError(f"X must be 2-dimensional; got ndim={X.ndim}")
-        self.categories_ = [np.unique(X[:, j]) for j in range(X.shape[1])]
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Return the concatenated one-hot encoding of all columns as floats."""
-        check_is_fitted(self, "categories_")
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"X must have shape (n, {self.n_features_in_}); got {X.shape}"
-            )
-        blocks = []
-        for j, categories in enumerate(self.categories_):
-            column = X[:, j]
-            codes = np.searchsorted(categories, column)
-            codes = np.clip(codes, 0, len(categories) - 1)
-            known = categories[codes] == column
-            if not known.all() and self.handle_unknown == "error":
-                unseen = np.unique(np.asarray(column)[~known])
-                raise ValidationError(
-                    f"column {j} contains categories unseen in fit: {unseen.tolist()}"
-                )
-            block = np.zeros((len(column), len(categories)), dtype=np.float64)
-            rows = np.arange(len(column))[known]
-            block[rows, codes[known]] = 1.0
-            if self.drop_first:
-                block = block[:, 1:]
-            blocks.append(block)
-        return np.hstack(blocks) if blocks else np.empty((X.shape[0], 0))
-
-    def get_feature_names(self, input_names=None) -> list[str]:
-        """Names of the output columns, e.g. ``x0=cat`` (respects ``drop_first``)."""
-        check_is_fitted(self, "categories_")
-        if input_names is None:
-            input_names = [f"x{j}" for j in range(self.n_features_in_)]
-        if len(input_names) != self.n_features_in_:
-            raise ValidationError(
-                f"expected {self.n_features_in_} input names; got {len(input_names)}"
-            )
-        names = []
-        for name, categories in zip(input_names, self.categories_):
-            kept = categories[1:] if self.drop_first else categories
-            names.extend(f"{name}={category}" for category in kept)
-        return names

@@ -8,7 +8,6 @@ from repro.experiments import (
     render_bars,
     render_decision_field,
     render_grouped_bars,
-    render_scatter,
     render_series,
     render_table,
 )
@@ -131,25 +130,6 @@ class TestRenderDecisionField:
             render_decision_field(
                 np.ones((3, 3)), np.array(["a"] * 3), lambda g: np.zeros(len(g))
             )
-
-
-class TestRenderScatter:
-    def test_markers_and_legend(self):
-        points = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        out = render_scatter(points, np.array(["a", "b", "a"]))
-        assert "o = a" in out and "+ = b" in out
-
-    def test_bad_shape(self):
-        with pytest.raises(ValidationError, match="shape"):
-            render_scatter(np.ones((3, 3)), np.array(["a", "b", "c"]))
-
-    def test_category_mismatch(self):
-        with pytest.raises(ValidationError, match="align"):
-            render_scatter(np.ones((3, 2)), np.array(["a"]))
-
-    def test_degenerate_points_safe(self):
-        out = render_scatter(np.zeros((4, 2)), np.array(["a"] * 4))
-        assert "o = a" in out
 
 
 class TestRenderDegenerateInputs:

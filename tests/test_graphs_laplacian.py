@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from repro.exceptions import GraphConstructionError
 from repro.graphs import (
     combine_laplacians,
-    degree_vector,
     edge_count,
     graph_density,
     laplacian,
@@ -110,9 +109,6 @@ class TestCombine:
 
 
 class TestGraphStats:
-    def test_degree_vector(self):
-        np.testing.assert_allclose(degree_vector(PATH_3), [1.0, 2.0, 1.0])
-
     def test_edge_count_path(self):
         assert edge_count(PATH_3) == 2
 

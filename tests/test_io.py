@@ -19,7 +19,7 @@ from repro import (
 from repro.core import KernelPFR
 from repro.exceptions import ValidationError
 from repro.graphs import pairwise_judgment_graph
-from repro.io import read_header, supported_model_types
+from repro.io import _REGISTRY, read_header
 from repro.ml import LogisticRegression, StandardScaler
 from repro.serving import ModelRegistry, TransformService
 
@@ -207,7 +207,7 @@ class TestAllPublicEstimatorsRoundTrip:
             and issubclass(getattr(repro, name), BaseEstimator)
         }
         assert public_estimators == set(_ALL_ESTIMATOR_BUILDERS)
-        assert public_estimators <= set(supported_model_types())
+        assert public_estimators <= set(_REGISTRY)
 
 
 def _rewrite_header(path, mutate):
@@ -375,10 +375,14 @@ class TestErrors:
             save_model(PFR(), tmp_path / "x")
 
     def test_unsupported_type_rejected(self, tmp_path):
-        from repro.ml import MinMaxScaler
+        from repro.ml import BaseEstimator
 
+        class Unregistered(BaseEstimator):
+            pass
+
+        assert "Unregistered" not in _REGISTRY
         with pytest.raises(ValidationError, match="cannot save"):
-            save_model(MinMaxScaler(), tmp_path / "x")
+            save_model(Unregistered(), tmp_path / "x")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.metrics import (
-    accuracy_by_group,
-    demographic_parity_gap,
-    equalized_odds_gap,
-    group_auc,
-    group_rates,
-)
+from repro.metrics import group_auc, group_rates
 
 Y_TRUE = np.array([1, 0, 1, 0, 1, 0, 1, 0])
 Y_PRED = np.array([1, 1, 1, 0, 0, 0, 1, 1])
@@ -57,21 +51,6 @@ class TestGroupRates:
             group_rates(Y_TRUE, Y_PRED, np.zeros(8))
 
 
-class TestGaps:
-    def test_parity_gap(self):
-        assert demographic_parity_gap(Y_PRED, S) == pytest.approx(0.25)
-
-    def test_parity_gap_zero_when_equal(self):
-        assert demographic_parity_gap([1, 0, 1, 0], [0, 0, 1, 1]) == 0.0
-
-    def test_odds_gap_is_max_of_rate_gaps(self):
-        assert equalized_odds_gap(Y_TRUE, Y_PRED, S) == pytest.approx(0.5)
-
-    def test_parity_needs_two_groups(self):
-        with pytest.raises(ValidationError):
-            demographic_parity_gap(Y_PRED, np.ones(8))
-
-
 class TestGroupAuc:
     def test_keys(self, rng):
         y = rng.integers(0, 2, 100)
@@ -95,10 +74,3 @@ class TestGroupAuc:
         out = group_auc(y, scores, s)
         assert np.isnan(out[0])
         assert not np.isnan(out["any"])
-
-
-class TestAccuracyByGroup:
-    def test_values(self):
-        out = accuracy_by_group(Y_TRUE, Y_PRED, S)
-        assert out[0] == pytest.approx(0.75)
-        assert out[1] == pytest.approx(0.5)

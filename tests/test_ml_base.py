@@ -7,7 +7,6 @@ from repro.exceptions import ValidationError
 from repro.ml import (
     BaseEstimator,
     LogisticRegression,
-    Pipeline,
     StandardScaler,
     clone,
 )
@@ -63,14 +62,6 @@ class TestClone:
     def test_clone_rejects_non_estimator(self):
         with pytest.raises(ValidationError):
             clone(object())
-
-    def test_clone_pipeline_clones_steps(self):
-        pipe = Pipeline(
-            steps=[("scale", StandardScaler()), ("clf", LogisticRegression(C=3.0))]
-        )
-        copy = clone(pipe)
-        assert copy.steps[1][1].C == 3.0
-        assert copy.steps[0][1] is not pipe.steps[0][1]
 
 
 class TestMixins:

@@ -1,10 +1,10 @@
-"""Tests for repro.ml.linear — logistic and ridge regression."""
+"""Tests for repro.ml.linear — logistic regression and the sigmoid."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml import LogisticRegression, RidgeRegression, roc_auc_score, sigmoid
+from repro.ml import LogisticRegression, roc_auc_score, sigmoid
 
 
 class TestSigmoid:
@@ -122,38 +122,3 @@ class TestLogisticRegression:
         a = LogisticRegression().fit(X, y)
         b = LogisticRegression().fit(X, y)
         np.testing.assert_allclose(a.coef_, b.coef_)
-
-
-class TestRidgeRegression:
-    def test_exact_fit_without_noise(self, rng):
-        X = rng.normal(size=(50, 3))
-        w = np.array([1.0, -2.0, 0.5])
-        y = X @ w + 3.0
-        model = RidgeRegression(alpha=1e-10).fit(X, y)
-        np.testing.assert_allclose(model.coef_, w, atol=1e-6)
-        assert model.intercept_ == pytest.approx(3.0, abs=1e-6)
-
-    def test_alpha_zero_matches_least_squares(self, rng):
-        X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        model = RidgeRegression(alpha=0.0).fit(X, y)
-        design = np.column_stack([X, np.ones(30)])
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        np.testing.assert_allclose(model.coef_, beta[:2], atol=1e-8)
-
-    def test_shrinkage(self, rng):
-        X = rng.normal(size=(40, 3))
-        y = X @ np.array([5.0, 5.0, 5.0]) + rng.normal(size=40)
-        small = RidgeRegression(alpha=0.01).fit(X, y)
-        large = RidgeRegression(alpha=1000.0).fit(X, y)
-        assert np.linalg.norm(large.coef_) < np.linalg.norm(small.coef_)
-
-    def test_r2_score_perfect(self, rng):
-        X = rng.normal(size=(20, 2))
-        y = X @ np.array([1.0, 1.0])
-        model = RidgeRegression(alpha=1e-12).fit(X, y)
-        assert model.score(X, y) == pytest.approx(1.0, abs=1e-8)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValidationError, match="alpha"):
-            RidgeRegression(alpha=-1.0).fit(np.ones((3, 1)), np.ones(3))

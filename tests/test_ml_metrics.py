@@ -7,20 +7,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.ml import (
-    accuracy_score,
-    brier_score,
     confusion_matrix,
-    f1_score,
     false_negative_rate,
     false_positive_rate,
-    log_loss,
     positive_prediction_rate,
-    precision_score,
-    recall_score,
     roc_auc_score,
     roc_curve,
-    true_negative_rate,
-    true_positive_rate,
 )
 
 Y_TRUE = np.array([0, 0, 1, 1, 1, 0, 1, 0])
@@ -33,42 +25,22 @@ class TestConfusionDerived:
         matrix = confusion_matrix(Y_TRUE, Y_PRED)
         np.testing.assert_array_equal(matrix, [[2, 2], [1, 3]])
 
-    def test_accuracy(self):
-        assert accuracy_score(Y_TRUE, Y_PRED) == pytest.approx(5 / 8)
-
-    def test_precision(self):
-        assert precision_score(Y_TRUE, Y_PRED) == pytest.approx(3 / 5)
-
-    def test_recall_equals_tpr(self):
-        assert recall_score(Y_TRUE, Y_PRED) == pytest.approx(3 / 4)
-        assert true_positive_rate(Y_TRUE, Y_PRED) == pytest.approx(3 / 4)
-
-    def test_f1(self):
-        p, r = 3 / 5, 3 / 4
-        assert f1_score(Y_TRUE, Y_PRED) == pytest.approx(2 * p * r / (p + r))
-
     def test_fpr(self):
         assert false_positive_rate(Y_TRUE, Y_PRED) == pytest.approx(2 / 4)
 
     def test_fnr(self):
         assert false_negative_rate(Y_TRUE, Y_PRED) == pytest.approx(1 / 4)
 
-    def test_tnr_complements_fpr(self):
-        assert true_negative_rate(Y_TRUE, Y_PRED) == pytest.approx(
-            1 - false_positive_rate(Y_TRUE, Y_PRED)
-        )
-
     def test_positive_prediction_rate(self):
         assert positive_prediction_rate(Y_PRED) == pytest.approx(5 / 8)
 
     def test_degenerate_no_positives(self):
-        assert precision_score([0, 0], [0, 0]) == 0.0
-        assert recall_score([0, 0], [0, 0]) == 0.0
-        assert f1_score([0, 0], [0, 0]) == 0.0
+        assert false_negative_rate([0, 0], [0, 0]) == 0.0
+        assert false_positive_rate([1, 1], [1, 1]) == 0.0
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValidationError):
-            accuracy_score([0, 2], [0, 1])
+            confusion_matrix([0, 2], [0, 1])
 
 
 class TestRocCurve:
@@ -128,18 +100,6 @@ class TestAuc:
         a = roc_auc_score(y, scores)
         b = roc_auc_score(y, np.exp(scores))
         assert a == pytest.approx(b)
-
-
-class TestProbMetrics:
-    def test_log_loss_perfect(self):
-        assert log_loss([0, 1], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-10)
-
-    def test_log_loss_uniform(self):
-        assert log_loss([0, 1], [0.5, 0.5]) == pytest.approx(np.log(2))
-
-    def test_brier_bounds(self):
-        assert brier_score([0, 1], [0.0, 1.0]) == 0.0
-        assert brier_score([0, 1], [1.0, 0.0]) == 1.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,18 +1,10 @@
-"""Tests for repro.ml.model_selection — splits, CV, grid search."""
+"""Tests for repro.ml.model_selection — splits, stratified folds, parameter grids."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.ml import (
-    GridSearchCV,
-    KFold,
-    LogisticRegression,
-    ParameterGrid,
-    StratifiedKFold,
-    cross_val_score,
-    train_test_split,
-)
+from repro.ml import ParameterGrid, StratifiedKFold, train_test_split
 
 
 class TestTrainTestSplit:
@@ -56,34 +48,6 @@ class TestTrainTestSplit:
             train_test_split(np.arange(3), test_size=0.01)
 
 
-class TestKFold:
-    def test_folds_partition(self):
-        X = np.arange(23)
-        seen = []
-        for train_idx, test_idx in KFold(n_splits=5).split(X):
-            assert len(np.intersect1d(train_idx, test_idx)) == 0
-            seen.extend(test_idx.tolist())
-        assert sorted(seen) == list(range(23))
-
-    def test_fold_sizes_balanced(self):
-        sizes = [len(t) for _, t in KFold(n_splits=4).split(np.arange(10))]
-        assert sorted(sizes) == [2, 2, 3, 3]
-
-    def test_shuffle_changes_order(self):
-        X = np.arange(20)
-        plain = [t.tolist() for _, t in KFold(n_splits=4).split(X)]
-        shuffled = [t.tolist() for _, t in KFold(n_splits=4, shuffle=True, seed=0).split(X)]
-        assert plain != shuffled
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValidationError):
-            list(KFold(n_splits=5).split(np.arange(3)))
-
-    def test_min_splits(self):
-        with pytest.raises(ValidationError):
-            KFold(n_splits=1)
-
-
 class TestStratifiedKFold:
     def test_class_balance_per_fold(self):
         y = np.array([0] * 40 + [1] * 10)
@@ -124,94 +88,3 @@ class TestParameterGrid:
     def test_scalar_values_rejected(self):
         with pytest.raises(ValidationError, match="sequences"):
             ParameterGrid({"a": 1})
-
-
-class TestCrossValScore:
-    def test_returns_one_score_per_fold(self, binary_problem):
-        X, y = binary_problem
-        scores = cross_val_score(LogisticRegression(), X, y, cv=KFold(n_splits=4))
-        assert scores.shape == (4,)
-        assert np.all((scores >= 0) & (scores <= 1))
-
-    def test_auc_scoring(self, binary_problem):
-        X, y = binary_problem
-        scores = cross_val_score(
-            LogisticRegression(), X, y, cv=StratifiedKFold(3), scoring="roc_auc"
-        )
-        assert scores.mean() > 0.85
-
-    def test_unknown_scoring(self, binary_problem):
-        X, y = binary_problem
-        with pytest.raises(ValidationError, match="unknown scoring"):
-            cross_val_score(LogisticRegression(), X, y, scoring="nope")
-
-    def test_callable_scorer(self, binary_problem):
-        X, y = binary_problem
-
-        def negative_count_scorer(estimator, X_val, y_val):
-            return float(np.mean(estimator.predict(X_val) == 0))
-
-        scores = cross_val_score(
-            LogisticRegression(), X, y, cv=KFold(3), scoring=negative_count_scorer
-        )
-        assert scores.shape == (3,)
-        assert np.all((scores >= 0) & (scores <= 1))
-
-
-class TestGridSearchCV:
-    def test_finds_better_c(self, binary_problem):
-        X, y = binary_problem
-        search = GridSearchCV(
-            estimator=LogisticRegression(),
-            param_grid={"C": [1e-4, 1.0]},
-            scoring="roc_auc",
-            cv=StratifiedKFold(3),
-        ).fit(X, y)
-        assert search.best_params_["C"] == 1.0
-        assert search.best_score_ > 0.8
-
-    def test_refits_best_estimator(self, binary_problem):
-        X, y = binary_problem
-        search = GridSearchCV(
-            estimator=LogisticRegression(),
-            param_grid={"C": [0.5, 2.0]},
-        ).fit(X, y)
-        assert search.best_estimator_.C == search.best_params_["C"]
-        assert search.predict(X).shape == (len(y),)
-
-    def test_cv_results_complete(self, binary_problem):
-        X, y = binary_problem
-        search = GridSearchCV(
-            estimator=LogisticRegression(),
-            param_grid={"C": [0.1, 1.0, 10.0]},
-        ).fit(X, y)
-        assert len(search.cv_results_) == 3
-        assert all("mean_score" in r for r in search.cv_results_)
-
-    def test_std_score_is_sample_std(self, binary_problem):
-        X, y = binary_problem
-        cv = StratifiedKFold(3)
-        search = GridSearchCV(
-            estimator=LogisticRegression(),
-            param_grid={"C": [1.0]},
-            scoring="roc_auc",
-            cv=cv,
-        ).fit(X, y)
-        fold_scores = cross_val_score(
-            LogisticRegression(C=1.0), X, y, cv=cv, scoring="roc_auc"
-        )
-        record = search.cv_results_[0]
-        assert record["mean_score"] == float(np.mean(fold_scores))
-        # Error bars use sample std (ddof=1): fold scores are a sample of
-        # the score distribution, not the whole population.
-        assert record["std_score"] == float(np.std(fold_scores, ddof=1))
-        assert record["std_score"] != float(np.std(fold_scores))
-
-    def test_requires_estimator_and_grid(self, binary_problem):
-        X, y = binary_problem
-        with pytest.raises(ValidationError):
-            GridSearchCV().fit(X, y)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(ValidationError, match="not fitted"):
-            GridSearchCV(LogisticRegression(), {"C": [1.0]}).predict(np.ones((2, 2)))

@@ -1,4 +1,4 @@
-"""Tests for repro.ml.preprocessing — scalers and one-hot encoding."""
+"""Tests for repro.ml.preprocessing — standardization."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml import MinMaxScaler, OneHotEncoder, StandardScaler
+from repro.ml import StandardScaler
 
 
 class TestStandardScaler:
@@ -50,81 +50,6 @@ class TestStandardScaler:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             StandardScaler().transform(np.ones((2, 2)))
-
-
-class TestMinMaxScaler:
-    def test_unit_interval(self, small_X):
-        Z = MinMaxScaler().fit_transform(small_X)
-        np.testing.assert_allclose(Z.min(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(Z.max(axis=0), 1.0, atol=1e-12)
-
-    def test_custom_range(self, small_X):
-        Z = MinMaxScaler(feature_range=(-1.0, 1.0)).fit_transform(small_X)
-        np.testing.assert_allclose(Z.min(axis=0), -1.0, atol=1e-12)
-        np.testing.assert_allclose(Z.max(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_maps_to_lower_bound(self):
-        X = np.column_stack([np.full(5, 3.0), np.arange(5, dtype=float)])
-        Z = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(Z[:, 0], 0.0)
-
-    def test_inverse_roundtrip(self, small_X):
-        scaler = MinMaxScaler(feature_range=(2.0, 5.0)).fit(small_X)
-        np.testing.assert_allclose(
-            scaler.inverse_transform(scaler.transform(small_X)), small_X, atol=1e-10
-        )
-
-    def test_invalid_range(self):
-        with pytest.raises(ValidationError, match="increasing"):
-            MinMaxScaler(feature_range=(1.0, 1.0)).fit(np.ones((3, 1)))
-
-
-class TestOneHotEncoder:
-    def test_basic_encoding(self):
-        X = np.array([["a"], ["b"], ["a"], ["c"]])
-        encoder = OneHotEncoder().fit(X)
-        Z = encoder.transform(X)
-        assert Z.shape == (4, 3)
-        np.testing.assert_allclose(Z.sum(axis=1), 1.0)
-
-    def test_multiple_columns(self):
-        X = np.array([[0, "x"], [1, "y"], [0, "x"]], dtype=object)
-        Z = OneHotEncoder().fit_transform(X)
-        assert Z.shape == (3, 4)
-
-    def test_drop_first(self):
-        X = np.array([["a"], ["b"], ["c"]])
-        Z = OneHotEncoder(drop_first=True).fit_transform(X)
-        assert Z.shape == (3, 2)
-        np.testing.assert_allclose(Z[0], [0.0, 0.0])  # first category dropped
-
-    def test_unknown_raises_by_default(self):
-        encoder = OneHotEncoder().fit(np.array([["a"], ["b"]]))
-        with pytest.raises(ValidationError, match="unseen"):
-            encoder.transform(np.array([["z"]]))
-
-    def test_unknown_ignored_when_asked(self):
-        encoder = OneHotEncoder(handle_unknown="ignore").fit(np.array([["a"], ["b"]]))
-        Z = encoder.transform(np.array([["z"]]))
-        np.testing.assert_allclose(Z, [[0.0, 0.0]])
-
-    def test_invalid_handle_unknown(self):
-        with pytest.raises(ValidationError, match="handle_unknown"):
-            OneHotEncoder(handle_unknown="boom").fit(np.array([["a"]]))
-
-    def test_feature_names(self):
-        encoder = OneHotEncoder().fit(np.array([["a"], ["b"]]))
-        assert encoder.get_feature_names(["color"]) == ["color=a", "color=b"]
-
-    def test_feature_names_drop_first(self):
-        encoder = OneHotEncoder(drop_first=True).fit(np.array([["a"], ["b"]]))
-        assert encoder.get_feature_names(["c"]) == ["c=b"]
-
-    def test_integer_categories(self):
-        X = np.array([[1], [3], [1], [2]])
-        Z = OneHotEncoder().fit_transform(X)
-        assert Z.shape == (4, 3)
-        np.testing.assert_allclose(Z[:, 0], [1.0, 0.0, 1.0, 0.0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -14,7 +14,6 @@ from repro.core import PFR
 from repro.graphs import between_group_quantile_graph, graph_summary
 from repro.metrics import (
     consistency,
-    demographic_parity_gap,
     group_auc,
     group_rates,
     restrict_graph,
@@ -63,7 +62,7 @@ class TestThreeGroupPipeline:
             scaler = StandardScaler().fit(Z_train)
             clf = LogisticRegression().fit(scaler.transform(Z_train), y[train])
             pred = clf.predict(scaler.transform(Z_test))
-            return demographic_parity_gap(pred, s[test]), pred
+            return group_rates(y[test], pred, s[test]).gap("positive_rate"), pred
 
         baseline_gap, _ = evaluate(Xs[train][:, :3], Xs[test][:, :3])
         model = PFR(n_components=2, gamma=1.0, exclude_columns=[3, 4, 5],

@@ -13,10 +13,7 @@ from repro.graphs import (
     graph_summary,
     knn_graph,
 )
-from repro.ml import (
-    OneHotEncoder,
-    train_test_split,
-)
+from repro.ml import train_test_split
 
 
 @settings(max_examples=25, deadline=None)
@@ -90,23 +87,6 @@ def test_train_test_split_stratification_property(seed, n, test_size):
     for value in (0, 1):
         quota = np.sum(y == value) * test_size
         assert abs(np.sum(y_test == value) - quota) <= 1.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(3, 50),
-    n_categories=st.integers(1, 5),
-)
-def test_one_hot_recovers_categories_property(seed, n, n_categories):
-    """argmax of the one-hot block recovers the original category codes."""
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, n_categories, size=(n, 1))
-    encoder = OneHotEncoder().fit(codes)
-    Z = encoder.transform(codes)
-    seen = np.unique(codes)
-    recovered = seen[np.argmax(Z, axis=1)]
-    np.testing.assert_array_equal(recovered, codes.ravel())
 
 
 @settings(max_examples=20, deadline=None)
