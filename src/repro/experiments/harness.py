@@ -20,17 +20,18 @@ keep regeneration fast and deterministic.
 and :meth:`~ExperimentHarness.gamma_sweep` compile onto the one
 experiment-cell executor in :mod:`repro.experiments.spec` (compile →
 skip → dispatch → put → read back), the same path :func:`run_spec` and
-the ``repeat_*`` functions take; that executor is the only reader and
-writer of ``method_result`` ledger entries. :meth:`~ExperimentHarness.tune`
-is the one special case: a grid point is scored over CV folds, so it
-keeps its own ``tuned_point`` task, which reads through and writes
-through the ledger.
+the ``repeat_*`` functions take, and so does :meth:`~ExperimentHarness.tune`,
+whose grid points are ``tuned_point`` cells scored over CV folds. That
+executor is the only reader and writer of both result kinds in the ledger,
+and every fit (a cell's, a tune fold's, an export's) goes through
+:meth:`~ExperimentHarness._fit_base_estimator`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from ..baselines import (
     SideInformationAugmenter,
 )
 from ..core import PFR, KernelPFR, SpectralFitPlan, plan_for_estimator
+from ..core.plan import RETIRED_PARAMS, retired_param_message
 from ..datasets.base import Dataset
 from ..exceptions import ValidationError
 from ..graphs import knn_graph
@@ -55,7 +57,6 @@ from ..ml import (
     train_test_split,
 )
 from ..ml.model_selection import ParameterGrid, StratifiedKFold
-from .parallel import get_executor
 
 __all__ = [
     "MethodResult",
@@ -98,7 +99,7 @@ _METHOD_ESTIMATORS = {
 }
 
 #: Base method names a cell may run, each with an optional "+" suffix (the
-#: side-information augmentation); RunSpec validation reads this list too.
+#: side-information augmentation).
 _BASE_METHODS = tuple(_METHOD_ESTIMATORS)
 
 #: Base methods whose result γ does not shape: _fit_base_estimator hands
@@ -109,14 +110,70 @@ _GAMMA_FREE_METHODS = ("original", "ifair", "lfr", "hardt")
 #: so a "+" method is rejected instead of being scored as its base method.
 _TUNE_METHODS = ("original", "pfr", "ifair", "lfr")
 
+#: tune()'s fold scores: (validation labels, classifier, standardized
+#: validation representation) -> score.
+_SCORERS = {
+    "roc_auc": lambda y, clf, Z: roc_auc_score(y, clf.predict_proba(Z)[:, 1]),
+    "accuracy": lambda y, clf, Z: float(np.mean(clf.predict(Z) == y)),
+}
 
-# -- tune's executor task (module-level so process backends can pickle it)
 
-def _tune_grid_task(state, params):
-    harness, method, n_splits, scoring = state
-    return harness._score_grid_point(
-        method, params, n_splits=n_splits, scoring=scoring
-    )
+def _check_method_params(
+    method: str, params: dict, *, field: str = "method_params",
+    cell: bool = True,
+) -> None:
+    """Reject an unknown method, or a ``field`` key its estimator does not take.
+
+    The one method-param check, run where cells compile, on every
+    override and on every export. A cell (``cell=True``) may name a "+"
+    method and set the classifier's ``C``; overrides and exports go to the
+    base estimator's constructor alone. Every other key must be an
+    argument of the method's estimator that
+    :meth:`ExperimentHarness._fit_base_estimator` does not pass itself.
+    """
+    base = method.removesuffix("+") if cell else method
+    if base not in _METHOD_ESTIMATORS:
+        raise ValidationError(
+            f"{field} names unknown method {method!r}; use one of "
+            f"{'/'.join(_BASE_METHODS)}"
+            + (" with an optional '+'" if cell else "")
+        )
+    estimator, fixed = _METHOD_ESTIMATORS[base]
+    allowed = (set(estimator._param_names()) - fixed) | ({"C"} if cell else set())
+    unknown = sorted(set(params) - allowed)
+    retired = [key for key in unknown if key in RETIRED_PARAMS]
+    if retired:
+        raise ValidationError(
+            f"{field}[{method!r}]: {retired_param_message(retired[0])}"
+        )
+    if unknown:
+        raise ValidationError(
+            f"{field}[{method!r}] sets unknown keys {unknown}; "
+            f"{method} takes {sorted(allowed)}"
+        )
+
+
+def _classify(Z_fit, y_fit, Z_eval, C):
+    """The downstream classifier fitted on ``Z_fit``, and ``Z_eval``
+    standardized to match. Representations come out on arbitrary scales
+    (PFR's embedding columns are unit-norm, i.e. tiny per-sample);
+    standardizing on the fit rows makes the classifier's regularization and
+    0.5 threshold behave the same for every method."""
+    scaler = StandardScaler().fit(Z_fit)
+    classifier = LogisticRegression(C=C).fit(scaler.transform(Z_fit), y_fit)
+    return classifier, scaler.transform(Z_eval)
+
+
+class _TrainRows(NamedTuple):
+    """The rows a representation is fitted on: the training split, or the
+    fit part of one of tune()'s CV folds. ``key`` prefixes the fit plan's
+    cache key: ``()`` for the split, ``("fold", row bytes)`` for a fold."""
+
+    key: tuple
+    X: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+    W_fair: object
 
 
 def within_group_ranking_scores(X, y, s, *, C: float = 1.0) -> np.ndarray:
@@ -203,6 +260,8 @@ class ExperimentHarness:
         Optional per-method hyper-parameter overrides, e.g.
         ``{"lfr": {"a_z": 1.0}}`` — the stand-in for the per-dataset grid
         search the paper runs (``tune()`` reproduces the search itself).
+        A key the method's estimator does not take, or one the harness
+        sets itself, raises a ValidationError here.
     store:
         A run-ledger directory or :class:`~repro.store.RunLedger`. When
         set, the cells of :meth:`run_method`, :meth:`run_methods` and
@@ -265,6 +324,8 @@ class ExperimentHarness:
         self.landmarks = landmarks
         self.landmark_strategy = landmark_strategy
         self.method_overrides = method_overrides or {}
+        for method, params in self.method_overrides.items():
+            _check_method_params(method, params, field="method_overrides", cell=False)
         self.store = store
         self._prepared = False
         # The slice's γ-independent work, each piece computed once: fit
@@ -272,10 +333,11 @@ class ExperimentHarness:
         # so only the γ-mix + eigensolve re-run per point; each kpfr plan's
         # Gram rows under (*plan key, "gram"); the "+"-augmented inputs
         # under ("augmented",); each γ-free method's result under
-        # ("result", method, C, params). The test graphs' scoring edges
-        # sit beside them, with the graphs they were prepared from.
+        # ("result", method, C, params); while tune() runs, its CV folds
+        # under ("fold", n_splits) and their plans under ("fold", rows, ...).
+        # The test graphs' scoring edges sit beside them, with the graphs
+        # they were prepared from.
         self._plan_cache: dict = {}
-        self._tune_plan_cache: dict = {}
         self._scoring_cache: tuple | None = None
 
     def __getstate__(self):
@@ -288,13 +350,9 @@ class ExperimentHarness:
         once per (fold, structural-params) key — and then reuses them for
         every task it handles, preserving the sweep amortization per
         process.
-        The ``store`` attribute itself ships (a ledger is just a root
-        path), so :meth:`tune`'s workers write through to the same
-        on-disk ledger.
         """
         state = self.__dict__.copy()
         state["_plan_cache"] = {}
-        state["_tune_plan_cache"] = {}
         state["_scoring_cache"] = None
         return state
 
@@ -418,27 +476,17 @@ class ExperimentHarness:
         """Train-representation + test-representation for a method name."""
         augment = method.endswith("+")
         base = method.rstrip("+")
-        method_params = {**self.method_overrides.get(base, {}), **method_params}
         X_train, X_test = self.X_train, self.X_test
-
-        if base == "original":
-            masker = self._fit_base_estimator(
-                base, X_train, gamma=gamma, augment=augment,
-                method_params=method_params,
-            )
-            Z_train = masker.transform(X_train)
-            Z_test = masker.transform(X_test)
-            if augment:
-                Z_train, Z_test = self._augmented(Z_train, Z_test)
-            return Z_train, Z_test
-
-        if augment:
+        if augment and base != "original":
+            # original+ augments its masked output instead (below).
             X_train, X_test = self._augmented_inputs()
-
         model = self._fit_base_estimator(
-            base, X_train, gamma=gamma, augment=augment,
+            base, self._split_rows(X_train), gamma=gamma, augment=augment,
             method_params=method_params,
         )
+        if base == "original" and augment:
+            return self._augmented(model.transform(X_train),
+                                   model.transform(X_test))
         if base != "kpfr":
             return model.transform(X_train), model.transform(X_test)
         # transform is K(rows, X_fit_) @ alphas_, and only alphas_ depends
@@ -451,21 +499,32 @@ class ExperimentHarness:
         K_train, K_test = self._plan_cache[key]
         return K_train @ model.alphas_, K_test @ model.alphas_
 
+    def _split_rows(self, X_train) -> _TrainRows:
+        """The training split, seen through ``X_train`` (the plain or the
+        "+"-augmented matrix)."""
+        return _TrainRows((), X_train, self.y_train, self.s_train,
+                          self.W_fair_train)
+
     def _fit_base_estimator(
-        self, base: str, X_train, *, gamma: float, method_params: dict,
-        augment: bool = False,
+        self, base: str, train: _TrainRows, *, gamma: float,
+        method_params: dict, augment: bool = False,
     ):
         """Construct and fit the representation estimator for a base method.
 
-        ``X_train`` is the (possibly augmented) training matrix the
-        estimator should see; ``method_params`` must already include the
-        harness ``method_overrides``. Shared by :meth:`_representation`
-        (which then transforms train/test) and :meth:`export_model` (which
-        persists the fitted estimator into a run ledger).
+        The one fit path: a cell's (:meth:`_representation`), a tune
+        fold's (:meth:`_score_grid_point_direct`) and an export's
+        (:meth:`export_model`). ``train`` holds the rows the estimator
+        sees, the (possibly augmented) training split or one fold's fit
+        part; its row count clamps the landmark count and the k-NN
+        neighbourhood. The harness ``method_overrides`` for ``base`` are
+        merged under the call's ``method_params`` here.
         """
+        params = {**self.method_overrides.get(base, {}), **method_params}
+        n_rows = len(train.X)
+        n_neighbors = min(self.n_neighbors, n_rows - 1)
         if base == "original":
             masker = MaskedRepresentation(protected_columns=self.protected)
-            return masker.fit(X_train)
+            return masker.fit(train.X)
 
         if base == "pfr":
             # PFR sees the full attribute vector (like iFair/LFR it must
@@ -473,24 +532,23 @@ class ExperimentHarness:
             # distances exclude the protected columns, per the paper's
             # definition of WX (§3.1).
             model = PFR(
-                n_components=min(self.n_components_, X_train.shape[1]),
+                n_components=min(self.n_components_, train.X.shape[1]),
                 gamma=gamma,
-                n_neighbors=self.n_neighbors,
+                n_neighbors=n_neighbors,
                 exclude_columns=self.protected,
-                **{**self._landmark_params(len(self.train_idx)), **method_params},
+                **{**self._landmark_params(n_rows), **params},
             )
-            self._plan_fit(model, X_train, base, augment, method_params)
+            self._plan_fit(model, train, base, augment, method_params)
             return model
 
         if base == "kpfr":
             # Kernelized PFR (§3.3.4) — the paper's future-work extension.
-            params = {"kernel": "rbf", "n_neighbors": self.n_neighbors}
-            params.update(self._landmark_params(len(self.train_idx)))
-            params.update(method_params)
+            params = {"kernel": "rbf", "n_neighbors": n_neighbors,
+                      **self._landmark_params(n_rows), **params}
             capacity = (
-                min(int(params["landmarks"]), X_train.shape[0])
+                min(int(params["landmarks"]), n_rows)
                 if params.get("extension") == "nystrom"
-                else X_train.shape[0]
+                else n_rows
             )
             model = KernelPFR(
                 n_components=min(self.n_components_, capacity - 1),
@@ -498,25 +556,20 @@ class ExperimentHarness:
                 exclude_columns=self.protected,
                 **params,
             )
-            self._plan_fit(model, X_train, base, augment, method_params)
+            self._plan_fit(model, train, base, augment, method_params)
             return model
 
         if base == "ifair":
-            params = {"n_prototypes": 10, "max_iter": 100, "seed": self.seed}
-            params.update(method_params)
+            params = {"n_prototypes": 10, "max_iter": 100, "seed": self.seed,
+                      **params}
             model = IFair(protected_columns=self.protected, **params)
-            return model.fit(X_train)
+            return model.fit(train.X)
 
-        if base == "lfr":
-            params = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed}
-            params.update(method_params)
-            model = LFR(**params)
-            return model.fit(X_train, self.y_train, s=self.s_train)
-
-        raise ValidationError(
-            f"unknown method {base!r}; use one of {'/'.join(_BASE_METHODS)} "
-            "with an optional '+'"
-        )
+        # Methods are checked where cells compile; hardt is fitted in _run_hardt.
+        assert base == "lfr", base
+        params = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed,
+                  **params}
+        return LFR(**params).fit(train.X, train.y, s=train.s)
 
     def export_model(self, method: str, *, gamma: float = 0.5, **method_params):
         """Fit a base method's estimator and persist it into the run ledger.
@@ -541,20 +594,22 @@ class ExperimentHarness:
                 "(original/pfr/kpfr/ifair/lfr) map to a single estimator "
                 "artifact"
             )
+        _check_method_params(method, method_params, field="export_model",
+                             cell=False)
         self.prepare()
-        merged = {**self.method_overrides.get(method, {}), **method_params}
         task = {
             "kind": "model",
             "harness": self.task_fingerprint(),
             "method": method,
             "gamma": float(gamma),
-            "params": merged,
+            "params": method_params,
         }
         cached = ledger.get_task(task)
         if cached is not None and cached.has_model:
             return cached
         model = self._fit_base_estimator(
-            method, self.X_train, gamma=gamma, method_params=merged
+            method, self._split_rows(self.X_train), gamma=gamma,
+            method_params=method_params,
         )
         digests = getattr(model, "plan_digests_", None)
         payload = {
@@ -579,22 +634,23 @@ class ExperimentHarness:
             "landmark_seed": self.seed,
         }
 
-    def _plan_fit(self, model, X_train, base, augment, method_params) -> None:
+    def _plan_fit(self, model, train, base, augment, method_params) -> None:
         """Fit a PFR-family model through a cached fit plan.
 
         The plan (graphs, Laplacians, projected objective matrices — and,
         for ``extension="nystrom"`` models, the landmark selection) depends
-        only on the training matrix and the structural hyper-parameters, so
-        γ-sweeps and repeated ``run_method`` calls on one harness reuse it;
-        only the γ-mix and the eigensolve run per call. Exact models get a
-        :class:`~repro.core.SpectralFitPlan`, landmark models a
-        :class:`~repro.core.LandmarkPlan` (chosen by
-        :func:`~repro.core.plan_for_estimator`).
+        only on the training rows and the structural hyper-parameters, so
+        γ-sweeps, repeated ``run_method`` calls and a tune grid's points on
+        one fold reuse it; only the γ-mix and the eigensolve run per call.
+        Exact models get a :class:`~repro.core.SpectralFitPlan`, landmark
+        models a :class:`~repro.core.LandmarkPlan` (chosen by
+        :func:`~repro.core.plan_for_estimator`). The key holds the call's
+        own ``method_params``: the overrides are fixed per harness.
         """
-        key = self._plan_key(model, base, augment, method_params)
+        key = (*train.key, *self._plan_key(model, base, augment, method_params))
         plan = self._plan_cache.get(key)
         if plan is None:
-            plan = plan_for_estimator(model, X_train, self.W_fair_train)
+            plan = plan_for_estimator(model, train.X, train.W_fair)
             if isinstance(plan, SpectralFitPlan):
                 # pfr and kpfr on one X build the same WX: build it once.
                 for other in self._plan_cache.values():
@@ -690,13 +746,7 @@ class ExperimentHarness:
         Z_train, Z_test = self._representation(
             method, gamma=gamma, method_params=method_params
         )
-        # Representations come out on arbitrary scales (PFR's embedding
-        # columns are unit-norm, i.e. tiny per-sample); standardize so the
-        # downstream classifier's regularization and 0.5 threshold behave
-        # the same for every method.
-        scaler = StandardScaler().fit(Z_train)
-        Z_train, Z_test = scaler.transform(Z_train), scaler.transform(Z_test)
-        classifier = LogisticRegression(C=C).fit(Z_train, self.y_train)
+        classifier, Z_test = _classify(Z_train, self.y_train, Z_test, C)
         y_score = classifier.predict_proba(Z_test)[:, 1]
         y_pred = classifier.predict(Z_test)
         return self._evaluate(method, y_score, y_pred)
@@ -784,150 +834,92 @@ class ExperimentHarness:
         keyword arguments) and the downstream classifier's ``C``. Returns
         ``{"best_params", "best_score", "results"}``.
 
-        ``workers`` fans the grid points out across processes; every
-        point's fold scores are a pure function of the harness data, the
-        point and the harness seed, so the search result is bitwise
-        identical to a serial search. Each worker keeps its own fold-plan
-        cache, so the γ axis of the grid stays nearly free per process.
+        Each grid point is one ``tuned_point`` cell on the executor
+        :func:`run_spec` uses, so ``workers`` and a ``store`` behave as for
+        :meth:`run_methods`: bitwise identical serial or parallel, ledgered
+        points skipped. Its folds fit through the cells' own fit path,
+        ``method_overrides`` included; their plans are built once per
+        process and dropped when the search returns.
 
         Tunable methods: ``original``, ``pfr``, ``ifair`` and ``lfr``.
         """
+        from .spec import _cell, _execute
+
         if method not in _TUNE_METHODS:
             raise ValidationError(
                 f"tune() does not support method {method!r}; use one of "
                 f"{'/'.join(_TUNE_METHODS)}"
             )
+        if scoring not in _SCORERS:
+            raise ValidationError(
+                f"unknown scoring {scoring!r}; use one of {'/'.join(_SCORERS)}"
+            )
         self.prepare()
-        # Fresh staged-fit cache per search: fold plans are keyed by (fold
-        # rows, structural params), so the γ axis of the grid — usually its
-        # largest — reuses each fold's graphs/Laplacians/projections.
-        self._tune_plan_cache = {}
-        grid_points = [dict(params) for params in ParameterGrid(param_grid)]
-        # The one special case outside the spec cell executor: a grid point
-        # scores over CV folds and reads/writes through the ledger itself
-        # (_score_grid_point), so a re-run pays only the new points.
-        mean_scores = get_executor(workers).map(
-            _tune_grid_task, grid_points,
-            state=(self, method, n_splits, scoring),
-        )
-        results = []
-        best = {"best_params": None, "best_score": -np.inf}
-        for params, mean_score in zip(grid_points, mean_scores):
-            params = dict(params)
+        ledger = self._ledger()
+        fingerprint = None if ledger is None else self.task_fingerprint()
+        cv = (int(n_splits), str(scoring))
+        points, cells = [], []
+        for point in ParameterGrid(param_grid):
+            params = dict(point)
             C = params.pop("C", 1.0)
             gamma = params.pop("gamma", 0.5)
-            results.append({"params": {**params, "C": C, "gamma": gamma},
-                            "mean_score": mean_score})
-            if mean_score > best["best_score"]:
-                best = {
-                    "best_params": {**params, "C": C, "gamma": gamma},
-                    "best_score": mean_score,
-                }
-        best["results"] = results
+            # A point is keyed as scored: the overrides, then the grid point.
+            task = None if fingerprint is None else dict(
+                kind="tuned_point", harness=fingerprint, method=str(method),
+                params={**self.method_overrides.get(method, {}), **point},
+                n_splits=cv[0], scoring=cv[1],
+            )
+            cells.append(_cell(0, method, gamma, C, params, task, cv))
+            points.append({**params, "C": C, "gamma": gamma})
+        try:
+            scores = _execute([self], cells, ledger=ledger, workers=workers)[0]
+        finally:
+            self._plan_cache = {key: value for key, value
+                                in self._plan_cache.items() if key[0] != "fold"}
+        best = {"best_params": None, "best_score": -np.inf}
+        for params, score in zip(points, scores):
+            if score > best["best_score"]:
+                best = {"best_params": dict(params), "best_score": score}
+        best["results"] = [
+            {"params": params, "mean_score": score}
+            for params, score in zip(points, scores)
+        ]
         return best
 
-    def _grid_point_task(
-        self, method: str, params: dict, n_splits: int, scoring: str
-    ) -> dict:
-        return {
-            "kind": "tuned_point",
-            "harness": self.task_fingerprint(),
-            "method": str(method),
-            "params": dict(params),
-            "n_splits": int(n_splits),
-            "scoring": str(scoring),
-        }
-
-    def _score_grid_point(
-        self, method: str, params: dict, *, n_splits: int, scoring: str
-    ) -> float:
-        """Mean cross-validation score of one grid point (all folds).
-
-        Read-through/write-through the run ledger when a ``store`` is
-        configured, at grid-point granularity (a point's fold scores are
-        one unit of work).
-        """
-        ledger = self._ledger()
-        task = None
-        if ledger is not None:
-            task = self._grid_point_task(method, params, n_splits, scoring)
-            entry = ledger.get_task(task)
-            if entry is not None:
-                return float(entry.payload["mean_score"])
-        score = self._score_grid_point_direct(
-            method, params, n_splits=n_splits, scoring=scoring
-        )
-        if ledger is not None:
-            ledger.put(task, {"mean_score": score})
-        return score
-
     def _score_grid_point_direct(
-        self, method: str, params: dict, *, n_splits: int, scoring: str
+        self, method: str, *, gamma: float, C: float, method_params: dict,
+        cv: tuple,
     ) -> float:
-        params = dict(params)
-        C = params.pop("C", 1.0)
-        gamma = params.pop("gamma", 0.5)
-        fold_scores = []
-        cv = StratifiedKFold(n_splits=n_splits, shuffle=True, seed=self.seed)
-        for fit_rows, val_rows in cv.split(self.X_train, self.y_train):
-            fold_scores.append(
-                self._tune_fold(
-                    method, params, gamma, C, fit_rows, val_rows, scoring
-                )
-            )
-        return float(np.mean(fold_scores))
+        """Mean cross-validation score of one grid point, with no ledger
+        (what the executor runs for a ``tuned_point`` cell).
 
-    def _tune_fold(self, method, params, gamma, C, fit_rows, val_rows, scoring):
-        """Score one CV fold: representation and classifier trained on the
-        fit part, scored on the validation part."""
-        X_fit, X_val = self.X_train[fit_rows], self.X_train[val_rows]
-        y_fit, y_val = self.y_train[fit_rows], self.y_train[val_rows]
-        s_fit = self.s_train[fit_rows]
-
-        if method == "original":
-            masker = MaskedRepresentation(protected_columns=self.protected)
-            Z_fit = masker.fit_transform(X_fit)
-            Z_val = masker.transform(X_val)
-        elif method == "pfr":
-            model = PFR(
-                n_components=min(self.n_components_, X_fit.shape[1]),
-                gamma=gamma,
-                n_neighbors=min(self.n_neighbors, len(fit_rows) - 1),
-                exclude_columns=self.protected,
-                **{**self._landmark_params(len(fit_rows)), **params},
+        On each fold the representation is fitted on the fit part through
+        :meth:`_fit_base_estimator`, the classifier on its output, and
+        ``cv``'s scoring scores the validation part.
+        """
+        n_splits, scoring = cv
+        scores = []
+        for fold, X_val, y_val in self._cv_folds(n_splits):
+            model = self._fit_base_estimator(
+                method, fold, gamma=gamma, method_params=method_params
             )
-            key = (
-                np.asarray(fit_rows).tobytes(),
-                repr(sorted(params.items())),
-                model.extension,
-                model.landmarks,
+            classifier, Z_val = _classify(
+                model.transform(fold.X), fold.y, model.transform(X_val), C
             )
-            plan = self._tune_plan_cache.get(key)
-            if plan is None:
-                W_fit = restrict_graph(self.W_fair_train, fit_rows)
-                plan = plan_for_estimator(model, X_fit, W_fit)
-                self._tune_plan_cache[key] = plan
-            plan.fit(model)
-            Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
-        elif method == "ifair":
-            defaults = {"n_prototypes": 10, "max_iter": 100, "seed": self.seed}
-            defaults.update(params)
-            model = IFair(protected_columns=self.protected, **defaults)
-            Z_fit = model.fit_transform(X_fit)
-            Z_val = model.transform(X_val)
-        else:
-            assert method == "lfr", method  # tune() admits _TUNE_METHODS only
-            defaults = {"n_prototypes": 10, "max_iter": 150, "seed": self.seed}
-            defaults.update(params)
-            model = LFR(**defaults)
-            model.fit(X_fit, y_fit, s=s_fit)
-            Z_fit, Z_val = model.transform(X_fit), model.transform(X_val)
+            scores.append(_SCORERS[scoring](y_val, classifier, Z_val))
+        return float(np.mean(scores))
 
-        scaler = StandardScaler().fit(Z_fit)
-        Z_fit, Z_val = scaler.transform(Z_fit), scaler.transform(Z_val)
-        classifier = LogisticRegression(C=C).fit(Z_fit, y_fit)
-        if scoring == "roc_auc":
-            return roc_auc_score(y_val, classifier.predict_proba(Z_val)[:, 1])
-        if scoring == "accuracy":
-            return float(np.mean(classifier.predict(Z_val) == y_val))
-        raise ValidationError(f"unknown scoring {scoring!r}")
+    def _cv_folds(self, n_splits: int) -> list:
+        """tune()'s stratified folds of the training split, built once:
+        ``(fit rows, X_val, y_val)`` per fold."""
+        key = ("fold", n_splits)
+        if key not in self._plan_cache:
+            cv = StratifiedKFold(n_splits=n_splits, shuffle=True, seed=self.seed)
+            X, y, s = self.X_train, self.y_train, self.s_train
+            self._plan_cache[key] = [
+                (_TrainRows(("fold", fit.tobytes()), X[fit], y[fit], s[fit],
+                            restrict_graph(self.W_fair_train, fit)),
+                 X[val], y[val])
+                for fit, val in cv.split(X, y)
+            ]
+        return self._plan_cache[key]

@@ -30,7 +30,6 @@ from .spec import AggregateResult, _collect, _run_calls
 
 __all__ = [
     "AggregateResult",
-    "repeat_method",
     "repeat_methods",
     "repeat_gamma_sweep",
 ]
@@ -79,51 +78,6 @@ def _repeat(
     )
     calls = len(methods) * len(gammas)
     return [results[i::calls] for i in range(calls)]
-
-
-def repeat_method(
-    dataset_factory,
-    method: str,
-    *,
-    seeds=(0, 1, 2),
-    gamma: float = 0.5,
-    harness_kwargs: dict | None = None,
-    workers=None,
-    store=None,
-    **method_params,
-) -> AggregateResult:
-    """Run one method across seeds and aggregate.
-
-    Parameters
-    ----------
-    dataset_factory:
-        ``f(seed) -> Dataset`` — a fresh data draw per seed (e.g.
-        ``lambda s: simulate_crime(498, 200, seed=s)``). Called in the
-        parent process, so lambdas are fine even with process workers.
-    method:
-        Harness method name.
-    seeds:
-        Seeds; each seeds both the dataset and the harness split. An int
-        ``n`` derives ``n`` seeds via ``np.random.SeedSequence.spawn``.
-    gamma, **method_params:
-        Forwarded to :meth:`ExperimentHarness.run_method`.
-    harness_kwargs:
-        Extra :class:`ExperimentHarness` constructor arguments.
-    workers:
-        Fan seeds out across processes (``None`` = serial); results are
-        bitwise identical either way.
-    store:
-        Run-ledger directory or :class:`~repro.store.RunLedger`; per-seed
-        cells already in the ledger are skipped and the rest persisted as
-        they complete, so a killed repetition resumes at the missing
-        seeds' cells.
-    """
-    (results,) = _repeat(
-        dataset_factory, _normalize_seeds(seeds), [method], [gamma],
-        method_params, harness_kwargs=harness_kwargs, workers=workers,
-        store=store,
-    )
-    return _collect(results)
 
 
 def repeat_gamma_sweep(
@@ -175,7 +129,32 @@ def repeat_methods(
     workers=None,
     store=None,
 ) -> dict:
-    """Aggregate several methods on the same per-seed datasets and splits."""
+    """Aggregate several methods on the same per-seed datasets and splits.
+
+    Parameters
+    ----------
+    dataset_factory:
+        ``f(seed) -> Dataset`` — a fresh data draw per seed (e.g.
+        ``lambda s: simulate_crime(498, 200, seed=s)``). Called in the
+        parent process, so lambdas are fine even with process workers.
+    methods:
+        Harness method names.
+    seeds:
+        Seeds; each seeds both the dataset and the harness split. An int
+        ``n`` derives ``n`` seeds via ``np.random.SeedSequence.spawn``.
+    gamma:
+        Forwarded to :meth:`ExperimentHarness.run_methods`.
+    harness_kwargs:
+        Extra :class:`ExperimentHarness` constructor arguments.
+    workers:
+        Fan seeds out across processes (``None`` = serial); results are
+        bitwise identical either way.
+    store:
+        Run-ledger directory or :class:`~repro.store.RunLedger`; per-seed
+        cells already in the ledger are skipped and the rest persisted as
+        they complete, so a killed repetition resumes at the missing
+        seeds' cells.
+    """
     seeds = _normalize_seeds(seeds)
     methods = tuple(methods)
     per_method = _repeat(

@@ -6,12 +6,12 @@ JSON), and :func:`run_spec` compiles it into a flat cell list. A
 γ-sweep is a one-seed spec and a cross-seed repetition a one-γ spec, so
 ``repro experiments run`` is the CLI's one entry point for both. This
 module also holds the one executor of such cells, which
-:meth:`ExperimentHarness.run_method`/``run_methods``/``gamma_sweep`` and
-the ``repeat_*`` functions compile onto too; it is the only code that
-reads or writes a ``method_result`` ledger entry. Every cell is keyed by
-its content-addressed task digest in a :class:`~repro.store.RunLedger`,
-and completed digests are skipped *before* dispatch, which buys three
-properties for free:
+:meth:`ExperimentHarness.run_method`/``run_methods``/``gamma_sweep``/``tune``
+and the ``repeat_*`` functions compile onto too; it is the only code that
+reads or writes a ``method_result`` or ``tuned_point`` ledger entry. Every
+cell is keyed by its content-addressed task digest in a
+:class:`~repro.store.RunLedger`, and completed digests are skipped
+*before* dispatch, which buys three properties for free:
 
 * **resume** — re-running the spec after an interruption recomputes only
   the cells the crash lost;
@@ -66,8 +66,7 @@ from ..store import (
     task_digest,
 )
 from .builders import WorkloadFactory
-from ..core.plan import RETIRED_PARAMS, retired_param_message
-from .harness import _BASE_METHODS, _METHOD_ESTIMATORS, ExperimentHarness, cell_task
+from .harness import ExperimentHarness, _check_method_params, cell_task
 from .parallel import get_executor, spawn_seeds
 
 __all__ = [
@@ -219,11 +218,7 @@ class RunSpec:
         if len(set(methods)) != len(methods):
             raise ValidationError(f"methods contains duplicates: {list(methods)}")
         for method in methods:
-            if method.removesuffix("+") not in _BASE_METHODS:
-                raise ValidationError(
-                    f"methods names unknown method {method!r}; use one of "
-                    f"{'/'.join(_BASE_METHODS)} with an optional '+'"
-                )
+            _check_method_params(method, {}, field="methods")
 
         gammas = tuple(
             float(_checked(g, "gammas", numbers.Real, "a list of numbers"))
@@ -280,16 +275,11 @@ class RunSpec:
             dict, "a mapping",
         )
         for method, params in overrides.items():
-            if method not in _BASE_METHODS:
-                raise ValidationError(
-                    f"harness.method_overrides names unknown method {method!r}; "
-                    f"use one of {'/'.join(_BASE_METHODS)}"
-                )
             # Overrides reach the estimator's constructor, C included.
-            _check_method_param_keys(method, _checked(
+            _check_method_params(method, _checked(
                 params, f"harness.method_overrides[{method!r}]", dict,
                 "a mapping",
-            ), field="harness.method_overrides", classifier_keys=())
+            ), field="harness.method_overrides", cell=False)
 
         method_params = {
             str(method): dict(_checked(
@@ -316,7 +306,7 @@ class RunSpec:
                     "gamma is the spec's 'gammas' axis and workers/store "
                     "are runtime arguments"
                 )
-            _check_method_param_keys(method, params)
+            _check_method_params(method, params)
 
         return cls(
             name=name,
@@ -344,31 +334,6 @@ class RunSpec:
                 for method, params in self.method_params.items()
             },
         }
-
-
-def _check_method_param_keys(
-    method: str, params: dict, *, field: str = "method_params",
-    classifier_keys=("C",),
-) -> None:
-    """Reject a ``field`` key the method's estimator does not take.
-
-    The keys ``params`` may set are its estimator's constructor arguments,
-    less those the harness passes itself, plus ``classifier_keys``: a
-    cell's ``method_params`` hand ``C`` to the classifier.
-    """
-    estimator, fixed = _METHOD_ESTIMATORS[method.removesuffix("+")]
-    allowed = (set(estimator._param_names()) - fixed) | set(classifier_keys)
-    unknown = sorted(set(params) - allowed)
-    retired = [key for key in unknown if key in RETIRED_PARAMS]
-    if retired:
-        raise ValidationError(
-            f"{field}[{method!r}]: {retired_param_message(retired[0])}"
-        )
-    if unknown:
-        raise ValidationError(
-            f"{field}[{method!r}] sets unknown keys {unknown}; "
-            f"{method} takes {sorted(allowed)}"
-        )
 
 
 def load_run_spec(path) -> RunSpec:
@@ -644,7 +609,9 @@ def _compile(spec: RunSpec) -> tuple[list, list, list]:
             for gamma in spec.gammas:
                 for seed in spec.seeds:
                     i = index[(dataset_name, seed)]
-                    cell = _cell(i, method, gamma, C, params, fingerprints[i])
+                    cell = _cell(i, method, gamma, C, params, cell_task(
+                        fingerprints[i], method, gamma, C, params
+                    ))
                     cells.append(cell)
                     rows.append(dict(
                         dataset=dataset_name, scale=scale, seed=seed,
@@ -673,16 +640,26 @@ def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
 
 # -- the one experiment-cell executor ----------------------------------------
 #
-# run_spec, ExperimentHarness.run_method/run_methods/gamma_sweep and
+# run_spec, ExperimentHarness.run_method/run_methods/gamma_sweep/tune and
 # repeat_* (and so the figure drivers) all compile to cells and run them
-# through `_execute`, the only code that reads or writes a method_result
-# ledger entry.
+# through `_execute`, the only code that reads or writes a method_result or
+# tuned_point ledger entry. There is no other path: a tune grid point is a
+# cell too, scored over CV folds instead of on the test split.
+
+#: Each result kind's ledger payload codec: (encode, decode).
+_CODECS = {
+    "method_result": (encode_method_result, decode_method_result),
+    "tuned_point": (lambda score: {"mean_score": score},
+                    lambda payload: float(payload["mean_score"])),
+}
 
 
 class _Cell(NamedTuple):
     """One cell: a (method, γ, C, params) call on the slice at ``index``,
     with its ledger task and that task's digest (both None without a
-    ledger)."""
+    ledger). A ``tuned_point`` cell carries its ``cv`` = (n_splits,
+    scoring) and scores the call by cross-validation on the training split;
+    any other cell evaluates it on the test split."""
 
     index: int
     method: str
@@ -691,16 +668,16 @@ class _Cell(NamedTuple):
     params: dict
     task: dict | None
     digest: str | None
+    cv: tuple | None
 
 
-def _cell(index, method, gamma, C, params, fingerprint=None) -> _Cell:
-    """Build a cell; its task comes from :func:`cell_task` (None when there
-    is no ledger to key, so a ledger-free run never hashes data)."""
-    task = digest = None
-    if fingerprint is not None:
-        task = cell_task(fingerprint, method, gamma, C, params)
-        digest = task_digest(task)
-    return _Cell(index, method, gamma, C, params, task, digest)
+def _cell(index, method, gamma, C, params, task=None, cv=None) -> _Cell:
+    """Check the method params and build a cell keyed by ``task`` (None
+    when there is no ledger to key, so a ledger-free run never hashes
+    data)."""
+    _check_method_params(method, params)
+    digest = None if task is None else task_digest(task)
+    return _Cell(index, method, gamma, C, params, task, digest, cv)
 
 
 def _task_groups(cells: list, pending: list, executor) -> list:
@@ -758,12 +735,16 @@ def _cells_task(state, task):
             # attributable to the shard that computed each cell.
             attrs["shard"] = state["shard"]
         with span("spec.cell", **attrs):
-            result = harness._run_method_direct(
-                cell.method, gamma=cell.gamma, C=cell.C,
-                method_params=cell.params,
-            )
+            kwargs = dict(gamma=cell.gamma, C=cell.C, method_params=cell.params)
+            if cell.cv is None:
+                result = harness._run_method_direct(cell.method, **kwargs)
+            else:
+                result = harness._score_grid_point_direct(
+                    cell.method, cv=cell.cv, **kwargs
+                )
             if ledger is not None:
-                ledger.put(cell.task, encode_method_result(result))
+                encode = _CODECS[cell.task["kind"]][0]
+                ledger.put(cell.task, encode(result))
                 result = None
         results.append(result)
     return results
@@ -809,7 +790,7 @@ def _execute(
                 f"{ledger.root} after execution; re-run to recompute the "
                 "missing cells"
             )
-        results.append(decode_method_result(entry.payload))
+        results.append(_CODECS[cell.task["kind"]][1](entry.payload))
     return results, cached
 
 
@@ -826,8 +807,11 @@ def _run_calls(slices, methods, gammas, kwargs, *, ledger, workers) -> list:
             if not isinstance(harness, ExperimentHarness):
                 harness = harness()
             fingerprint = harness.task_fingerprint()
-        cells += [_cell(index, method, gamma, C, params, fingerprint)
-                  for method in methods for gamma in gammas]
+        cells += [
+            _cell(index, method, gamma, C, params, None if fingerprint is None
+                  else cell_task(fingerprint, method, gamma, C, params))
+            for method in methods for gamma in gammas
+        ]
     return _execute(slices, cells, ledger=ledger, workers=workers)[0]
 
 

@@ -11,21 +11,21 @@ straight back into :meth:`ExperimentHarness.run_method`. The figure
 drivers ship with the results of this procedure baked in (see
 ``figures.workload_harness``); this module lets you re-derive or extend them.
 
-The PFR grid's dominant axis is γ, and the harness routes every PFR fold
-fit through a cached :class:`~repro.core.SpectralFitPlan` keyed on (fold,
-structural params): the fold's graphs, Laplacians and projected objective
-matrices are built once and every γ point in the grid reuses them, so
-widening the γ grid is nearly free.
+Every grid point is a ``tuned_point`` cell on the one experiment-cell
+executor, with no special case: its folds fit through the same path as
+a cell's, so the harness's ``method_overrides`` apply, and the harness's
+``store`` skips ledgered points. The PFR grid's dominant axis is γ, and
+each fold's fit plan (graphs, Laplacians, projected objective matrices)
+is built once per search and reused by every γ point, so widening the γ
+grid is nearly free.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..exceptions import ValidationError
 from .harness import ExperimentHarness
 
-__all__ = ["default_grid", "tune_methods", "apply_tuned"]
+__all__ = ["default_grid", "tune_methods"]
 
 _GRIDS = {
     "original": {"C": [0.01, 0.1, 1.0, 10.0]},
@@ -64,14 +64,16 @@ def tune_methods(
     n_splits: int = 5,
     scoring: str = "roc_auc",
     workers=None,
-    store=None,
 ) -> dict:
     """Grid-search every method on the harness's training split.
 
     Parameters
     ----------
     harness:
-        A prepared (or preparable) harness for the workload.
+        A prepared (or preparable) harness for the workload. With a
+        ``store``, every grid point is read from or written to its ledger,
+        so a killed search resumes at the missing points and a widened
+        grid pays only its new points.
     methods:
         Methods to tune (``hardt`` has no representation hyper-parameters
         and is rejected).
@@ -80,46 +82,21 @@ def tune_methods(
     n_splits, scoring:
         Cross-validation configuration (the paper: 5 folds).
     workers:
-        Fan each method's γ×C grid points out across processes (``None``
-        = serial; an int, ``"auto"``, or an
+        Fan each method's grid points out across processes (``None`` =
+        serial; an int, ``"auto"``, or an
         :class:`~repro.experiments.parallel.Executor`). Tuned operating
         points are bitwise identical either way.
-    store:
-        Run-ledger directory or :class:`~repro.store.RunLedger` used for
-        this search only (the harness's own ``store`` is restored
-        afterwards): every grid point is read-through/written-through the
-        ledger, so a killed search resumes at the missing points and a
-        widened grid pays only its new points.
 
     Returns
     -------
     dict
         ``{method: {"best_params", "best_score", "results"}}``.
     """
-    harness.prepare()
     grids = grids or {}
-    out = {}
-    previous_store = harness.store
-    if store is not None:
-        harness.store = store
-    try:
-        for method in methods:
-            grid = grids.get(method, default_grid(method))
-            out[method] = harness.tune(
-                method, grid, n_splits=n_splits, scoring=scoring,
-                workers=workers,
-            )
-    finally:
-        harness.store = previous_store
-    return out
-
-
-def apply_tuned(harness: ExperimentHarness, method: str, tuned: dict):
-    """Run a method at its tuned operating point and return the MethodResult.
-
-    ``tuned`` is one entry of :func:`tune_methods`'s output.
-    """
-    params = dict(tuned["best_params"])
-    C = params.pop("C", 1.0)
-    gamma = params.pop("gamma", 0.5)
-    return harness.run_method(method, gamma=gamma, C=C, **params)
+    return {
+        method: harness.tune(
+            method, grids.get(method, default_grid(method)),
+            n_splits=n_splits, scoring=scoring, workers=workers,
+        )
+        for method in methods
+    }

@@ -242,7 +242,8 @@ class TestSliceHoistsAreBitwise:
         ).prepare()
         models = {
             base: harness._fit_base_estimator(
-                base, harness.X_train, gamma=0.5, method_params={}
+                base, harness._split_rows(harness.X_train), gamma=0.5,
+                method_params={},
             )
             for base in ("pfr", "kpfr")
         }

@@ -1,12 +1,23 @@
 """Tests for repro.experiments.harness — the paper's protocol."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
-from repro.experiments import ExperimentHarness, within_group_ranking_scores
+from repro.experiments import (
+    ExperimentHarness,
+    WorkloadFactory,
+    make_workload,
+    repeat_gamma_sweep,
+    repeat_methods,
+    within_group_ranking_scores,
+)
 from repro.metrics import consistency, restrict_graph
+from repro.ml import LogisticRegression
+from repro.store import RunLedger
 
 
 @pytest.fixture
@@ -193,6 +204,87 @@ class TestTune:
             ValidationError, match="use one of original/pfr/ifair/lfr"
         ):
             harness.tune(method, {"gamma": [0.5], "C": [1.0]}, n_splits=3)
+
+
+    def test_unknown_scoring_rejected_before_any_fit(self, harness, monkeypatch):
+        # The scoring used to be checked inside the first fold, after the
+        # representation and the classifier were fitted (in a worker, with
+        # workers set).
+        def fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(LogisticRegression, "fit", fit)
+        with pytest.raises(ValidationError, match="unknown scoring 'bogus'"):
+            harness.tune("original", {"C": [1.0]}, n_splits=3, scoring="bogus")
+
+    def test_folds_score_the_overridden_model(self):
+        # Tune folds used to build lfr without the harness's overrides, so
+        # they scored another model than the cell then ran.
+        data = make_workload("synthetic", seed=0, scale=0.3)
+
+        def best(grid, overrides=None):
+            harness = ExperimentHarness(data, seed=0, method_overrides=overrides)
+            out = harness.tune("lfr", grid, n_splits=3)
+            assert not any(key[0] == "fold" for key in harness._plan_cache)
+            return out["best_score"]
+
+        overridden = best({"C": [1.0]}, {"lfr": {"a_z": 50, "a_x": 0}})
+        assert overridden == best({"a_z": [50], "a_x": [0], "C": [1.0]})
+        assert overridden != best({"C": [1.0]})
+
+    def test_tuned_point_task_holds_the_merged_params(self, tmp_path):
+        harness = ExperimentHarness(
+            make_workload("synthetic", seed=0, scale=0.2), seed=0,
+            n_components=2, method_overrides={"lfr": {"a_z": 50.0}},
+            store=tmp_path,
+        )
+        harness.tune("lfr", {"max_iter": [5], "C": [1.0]}, n_splits=2)
+        (entry,) = RunLedger(tmp_path).ls(kind="tuned_point")
+        assert entry.task["params"] == {"a_z": 50.0, "max_iter": 5, "C": 1.0}
+
+
+@pytest.mark.parametrize("key", ["bogus", "n_neighbors"])
+class TestMethodParamCheck:
+    """An unknown key and a key the harness sets itself (pfr's n_neighbors)
+    raise a ValidationError naming the key from every entry point; they
+    used to raise a bare TypeError from the estimator's constructor."""
+
+    @staticmethod
+    def _raises(key):
+        return pytest.raises(
+            ValidationError, match=re.escape(f"sets unknown keys ['{key}']")
+        )
+
+    def test_method_overrides(self, small_admissions, key):
+        with self._raises(key):
+            ExperimentHarness(small_admissions,
+                              method_overrides={"pfr": {key: 3}})
+
+    def test_run_method_run_methods_gamma_sweep(self, harness, key):
+        with self._raises(key):
+            harness.run_method("pfr", **{key: 3})
+        with self._raises(key):
+            harness.run_methods(["original", "pfr"], **{key: 3})
+        with self._raises(key):
+            harness.gamma_sweep([0.5], method="pfr", **{key: 3})
+
+    def test_repeat(self, key):
+        factory = WorkloadFactory("synthetic", scale=0.2)
+        with self._raises(key):
+            repeat_gamma_sweep(factory, [0.5], seeds=(0, 1), **{key: 3})
+        with self._raises(key):
+            repeat_methods(factory, ("pfr",), seeds=(0, 1), harness_kwargs={
+                "method_overrides": {"pfr": {key: 3}}
+            })
+
+    def test_tune_grid(self, harness, key):
+        with self._raises(key):
+            harness.tune("pfr", {key: [3], "gamma": [0.5]}, n_splits=3)
+
+    def test_export_model(self, small_admissions, tmp_path, key):
+        harness = ExperimentHarness(small_admissions, store=tmp_path)
+        with self._raises(key):
+            harness.export_model("pfr", **{key: 3})
 
 
 class TestRankingScores:

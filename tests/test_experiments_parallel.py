@@ -20,7 +20,6 @@ from repro.experiments import (
     get_executor,
     make_workload,
     repeat_gamma_sweep,
-    repeat_method,
     repeat_methods,
     spawn_seeds,
     tune_methods,
@@ -213,7 +212,6 @@ class TestParity:
         assert parity_harness._plan_cache
         clone = pickle.loads(pickle.dumps(parity_harness))
         assert clone._plan_cache == {}
-        assert clone._tune_plan_cache == {}
         # The clone still reproduces the parent's numbers from scratch.
         assert (
             clone.run_method("pfr", gamma=0.5).summary()
@@ -225,7 +223,7 @@ class TestRepetitionSeeds:
     def test_empty_seeds_rejected_with_clear_message(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
         with pytest.raises(ValidationError, match="two seeds"):
-            repeat_method(factory, "original", seeds=())
+            repeat_methods(factory, ("original",), seeds=())
         with pytest.raises(ValidationError, match="two seeds"):
             repeat_methods(factory, ("original",), seeds=[])
         with pytest.raises(ValidationError, match="two seeds"):
@@ -234,29 +232,29 @@ class TestRepetitionSeeds:
     def test_single_seed_rejected(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
         with pytest.raises(ValidationError, match="two seeds"):
-            repeat_method(factory, "original", seeds=(0,))
+            repeat_methods(factory, ("original",), seeds=(0,))
         with pytest.raises(ValidationError, match="two seeds"):
-            repeat_method(factory, "original", seeds=1)
+            repeat_methods(factory, ("original",), seeds=1)
 
     def test_int_seeds_derive_via_seed_sequence(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
-        aggregate = repeat_method(
-            factory, "original", seeds=2,
+        aggregate = repeat_methods(
+            factory, ("original",), seeds=2,
             harness_kwargs={"n_components": 2},
-        )
+        )["original"]
         assert aggregate.n_runs == 2
-        explicit = repeat_method(
-            factory, "original", seeds=spawn_seeds(0, 2),
+        explicit = repeat_methods(
+            factory, ("original",), seeds=spawn_seeds(0, 2),
             harness_kwargs={"n_components": 2},
-        )
+        )["original"]
         assert aggregate == explicit
 
     def test_generator_seeds_materialized(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
-        aggregate = repeat_method(
-            factory, "original", seeds=(s for s in (0, 1)),
+        aggregate = repeat_methods(
+            factory, ("original",), seeds=(s for s in (0, 1)),
             harness_kwargs={"n_components": 2},
-        )
+        )["original"]
         assert aggregate.n_runs == 2
 
 
@@ -264,10 +262,10 @@ class TestSampleStd:
     def test_repetition_uses_sample_std(self):
         factory = WorkloadFactory("synthetic", scale=0.2)
         seeds = (0, 1, 2)
-        aggregate = repeat_method(
-            factory, "original", seeds=seeds,
+        aggregate = repeat_methods(
+            factory, ("original",), seeds=seeds,
             harness_kwargs={"n_components": 2},
-        )
+        )["original"]
         aucs = [
             ExperimentHarness(factory(seed), seed=seed, n_components=2)
             .run_method("original")

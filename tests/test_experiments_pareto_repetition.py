@@ -9,7 +9,6 @@ from repro.experiments import (
     AggregateResult,
     ExperimentHarness,
     pareto_front,
-    repeat_method,
     repeat_methods,
     tradeoff_frontier,
 )
@@ -78,25 +77,25 @@ class TestTradeoffFrontier:
 
 class TestRepetition:
     def test_aggregates_across_seeds(self):
-        aggregate = repeat_method(
+        (aggregate,) = repeat_methods(
             lambda seed: simulate_admissions(60, seed=seed),
-            "pfr",
+            ("pfr",),
             seeds=(0, 1, 2),
             gamma=0.9,
             harness_kwargs={"n_components": 2},
-        )
+        ).values()
         assert isinstance(aggregate, AggregateResult)
         assert aggregate.n_runs == 3
         assert 0.0 <= aggregate.mean["auc"] <= 1.0
         assert aggregate.std["auc"] >= 0.0
 
     def test_format(self):
-        aggregate = repeat_method(
+        aggregate = repeat_methods(
             lambda seed: simulate_admissions(50, seed=seed),
-            "original",
+            ("original",),
             seeds=(0, 1),
             harness_kwargs={"n_components": 2},
-        )
+        )["original"]
         text = aggregate.format("auc")
         assert "±" in text
         with pytest.raises(ValidationError, match="unknown metric"):
@@ -114,13 +113,13 @@ class TestRepetition:
         assert list(out) == [0.1, 0.9]
         assert all(a.n_runs == 2 for a in out.values())
         # Per-γ aggregates must match sweeping each γ independently.
-        solo = repeat_method(
+        solo = repeat_methods(
             lambda seed: simulate_admissions(60, seed=seed),
-            "pfr",
+            ("pfr",),
             seeds=(0, 1),
             gamma=0.9,
             harness_kwargs={"n_components": 2},
-        )
+        )["pfr"]
         assert out[0.9].mean["auc"] == solo.mean["auc"]
 
     def test_repeat_gamma_sweep_validation(self):
@@ -158,8 +157,8 @@ class TestRepetition:
 
     def test_requires_multiple_seeds(self):
         with pytest.raises(ValidationError, match="two seeds"):
-            repeat_method(
+            repeat_methods(
                 lambda seed: simulate_admissions(40, seed=seed),
-                "original",
+                ("original",),
                 seeds=(0,),
             )

@@ -449,24 +449,6 @@ class TestHarnessStoreIntegration:
         assert warm["best_score"] == first["best_score"]
         assert warm["results"] == first["results"]
 
-    def test_tune_methods_store_is_scoped_to_the_call(self, tmp_path):
-        """tune_methods(store=...) must not leave the harness persisting."""
-        from repro.experiments import make_workload, tune_methods
-
-        harness = ExperimentHarness(
-            make_workload("synthetic", seed=0, scale=0.3),
-            seed=0, n_components=2,
-        )
-        tune_methods(
-            harness, methods=("pfr",),
-            grids={"pfr": {"gamma": [0.5], "C": [1.0]}},
-            n_splits=3, store=tmp_path,
-        )
-        assert len(RunLedger(tmp_path).ls(kind="tuned_point")) == 1
-        assert harness.store is None  # restored
-        harness.run_method("pfr", gamma=0.5)
-        assert RunLedger(tmp_path).ls(kind="method_result") == []
-
     def test_tune_grid_extension_scores_only_new_points(self, tmp_path):
         from repro.experiments import make_workload
 

@@ -1,15 +1,9 @@
 """Tests for repro.experiments.tuning — the §4.1 grid-search protocol."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.experiments import (
-    ExperimentHarness,
-    apply_tuned,
-    default_grid,
-    tune_methods,
-)
+from repro.experiments import ExperimentHarness, default_grid, tune_methods
 
 
 @pytest.fixture
@@ -63,14 +57,3 @@ class TestTuneMethods:
             n_splits=3,
         )
         assert out["pfr"]["best_params"]["gamma"] == 0.9
-
-    def test_apply_tuned_runs_at_operating_point(self, harness):
-        tuned = tune_methods(
-            harness,
-            methods=("pfr",),
-            grids={"pfr": {"gamma": [0.5], "C": [1.0]}},
-            n_splits=3,
-        )["pfr"]
-        result = apply_tuned(harness, "pfr", tuned)
-        assert np.isfinite(result.auc)
-        assert result.method == "pfr"
