@@ -8,6 +8,7 @@ that individual estimators stay focused on their algorithms.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "check_array",
     "check_X_y",
     "check_consistent_length",
+    "check_finite",
     "check_is_fitted",
     "check_random_state",
     "check_square",
@@ -122,6 +124,18 @@ def check_binary_labels(y, *, name: str = "y") -> np.ndarray:
             f"{name} must be binary with labels in {{0, 1}}; got values {values}"
         )
     return y.astype(np.int64)
+
+
+def check_finite(value, *, name: str, positive: bool = False) -> None:
+    """A ValidationError naming ``name`` unless ``value`` is a finite number
+    (and ``> 0`` when ``positive``)."""
+    try:
+        valid = math.isfinite(value) and (value > 0 or not positive)
+    except TypeError:
+        valid = False
+    if not valid:
+        what = "a positive finite number" if positive else "finite"
+        raise ValidationError(f"{name} must be {what}; got {value!r}")
 
 
 def check_is_fitted(estimator, attributes) -> None:

@@ -82,6 +82,9 @@ LANDMARK_STRATEGIES = ("uniform", "kmeans++", "farthest")
 
 _EXTENSIONS = ("exact", "nystrom")
 
+#: Training rows LandmarkPlan.fidelity_baseline scores (seed 0).
+_BASELINE_SAMPLE = 256
+
 
 def check_extension_params(estimator) -> None:
     """Validate an estimator's ``extension``/``landmark*`` hyper-parameters.
@@ -619,17 +622,6 @@ class LandmarkPlan:
         return estimator
 
     # ----------------------------------------------------------- lifecycle
-    def _resolve_point(self, gamma, d) -> tuple[float, int]:
-        """The (γ, d) operating point: explicit, or the last fit's."""
-        if gamma is not None and d is not None:
-            return float(gamma), int(d)
-        if self._last_fit_point is None:
-            raise ValidationError(
-                "this plan has no operating point yet; fit() an estimator "
-                "first or pass both gamma and d"
-            )
-        return self._last_fit_point
-
     def _landmark_embedding(self, gamma: float, d: int) -> np.ndarray:
         """Primal embedding of the landmark rows at one operating point."""
         _, V = self.solve(gamma, d)
@@ -692,10 +684,11 @@ class LandmarkPlan:
                 )
         return self._bandwidth
 
-    def score_rows(self, X_rows, *, gamma=None, d=None) -> np.ndarray:
+    def score_rows(self, X_rows) -> np.ndarray:
         """Per-row fidelity of new rows against this plan's landmark set.
 
-        Compares the fitted model's parametric embedding of each row with
+        Scores at the last :meth:`fit`'s (γ, d) operating point, comparing
+        the fitted model's parametric embedding of each row with
         the model-free graph-smoothing extension
         (:func:`nystrom_extend`) — both live in the same landmark basis,
         so the comparison runs *without* the free linear alignment (which
@@ -706,7 +699,12 @@ class LandmarkPlan:
         a plausible *direction* but an inflated *norm* — the ratio is
         what collapses. This is the lifecycle layer's drift signal.
         """
-        gamma, d = self._resolve_point(gamma, d)
+        if self._last_fit_point is None:
+            raise ValidationError(
+                "scoring rows needs a fitted operating point: fit() an "
+                "estimator on this plan first"
+            )
+        gamma, d = self._last_fit_point
         X_rows = check_array(X_rows, name="X_rows")
         if X_rows.shape[1] != self.X.shape[1]:
             raise ValidationError(
@@ -724,25 +722,22 @@ class LandmarkPlan:
         )
         return row_agreement(Z_graph, Z_param)
 
-    def fidelity_baseline(
-        self, gamma=None, d=None, *, sample: int = 256, seed=0
-    ) -> dict:
+    def fidelity_baseline(self) -> dict:
         """Fit-time per-row fidelity distribution (cached per (γ, d)).
 
-        Scores a seeded sample of the training rows through
-        :meth:`score_rows` and summarizes the distribution's quantiles —
-        the yardstick :class:`repro.lifecycle.DriftMonitor` judges the
-        scores of incoming batches against.
+        Scores a seeded sample of ``_BASELINE_SAMPLE`` training rows
+        through :meth:`score_rows` and summarizes the distribution's
+        quantiles — the yardstick :class:`repro.lifecycle.DriftMonitor`
+        judges the scores of incoming batches against.
         """
-        gamma, d = self._resolve_point(gamma, d)
-        key = (gamma, d)
-        cached = self._baselines.get(key)
+        cached = self._baselines.get(self._last_fit_point)
         if cached is None:
             n = self.X.shape[0]
-            rng = check_random_state(seed)
-            take = min(int(sample), n)
+            rng = check_random_state(0)
+            take = min(_BASELINE_SAMPLE, n)
             index = np.sort(rng.choice(n, size=take, replace=False))
-            scores = self.score_rows(self.X[index], gamma=gamma, d=d)
+            scores = self.score_rows(self.X[index])
+            gamma, d = self._last_fit_point
             quantiles = np.quantile(scores, [0.01, 0.05, 0.10, 0.25, 0.50])
             cached = {
                 "gamma": gamma,
@@ -755,7 +750,7 @@ class LandmarkPlan:
                 "p25": float(quantiles[3]),
                 "p50": float(quantiles[4]),
             }
-            self._baselines[key] = cached
+            self._baselines[(gamma, d)] = cached
         return dict(cached)
 
     def extend(self, X_new, *, w_fair_new=None) -> np.ndarray:

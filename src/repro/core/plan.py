@@ -50,7 +50,6 @@ Each value is validated once: ``extension`` and the landmark knobs by
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -59,7 +58,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .._validation import check_array, check_symmetric
+from .._validation import check_array, check_finite, check_symmetric
 from ..exceptions import ValidationError
 from ..graphs.knn import knn_graph, median_heuristic, resolve_bandwidth
 from ..graphs.laplacian import laplacian
@@ -165,18 +164,6 @@ def _check_integer(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{name} must be an integer {bounds}; got {value!r}")
     return int(value)
-
-
-def _check_finite(name: str, value, *, positive: bool = False) -> None:
-    """A ValidationError naming ``name`` unless ``value`` is a finite number
-    (and ``> 0`` when ``positive``)."""
-    try:
-        valid = math.isfinite(value) and (value > 0 or not positive)
-    except TypeError:
-        valid = False
-    if not valid:
-        what = "a positive finite number" if positive else "finite"
-        raise ValidationError(f"{name} must be {what}; got {value!r}")
 
 
 def _check_inputs(X, w_fair, w_x=None):
@@ -314,11 +301,11 @@ class SpectralFitPlan:
         for name, value in (("bandwidth", bandwidth),
                             ("kernel_bandwidth", kernel_bandwidth)):
             if value is not None:
-                _check_finite(name, value, positive=True)
+                check_finite(value, name=name, positive=True)
         if kernel not in _KERNELS:
             raise ValidationError(f"kernel must be one of {_KERNELS}; got {kernel!r}")
         _check_integer("degree", degree, 1)
-        _check_finite("coef0", coef0)
+        check_finite(coef0, name="coef0")
         X, w_fair, w_x = _check_inputs(X, w_fair, w_x)
 
         self.X = X

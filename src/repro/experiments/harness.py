@@ -30,6 +30,7 @@ and every fit (a cell's, a tune fold's, an export's) goes through
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -122,7 +123,8 @@ def _check_method_params(
     method: str, params: dict, *, field: str = "method_params",
     cell: bool = True,
 ) -> None:
-    """Reject an unknown method, or a ``field`` key its estimator does not take.
+    """Reject an unknown method, params that are not a mapping, or a
+    ``field`` key the method's estimator does not take.
 
     The one method-param check, run where cells compile, on every
     override and on every export. A cell (``cell=True``) may name a "+"
@@ -137,6 +139,11 @@ def _check_method_params(
             f"{field} names unknown method {method!r}; use one of "
             f"{'/'.join(_BASE_METHODS)}"
             + (" with an optional '+'" if cell else "")
+        )
+    if not isinstance(params, Mapping):
+        raise ValidationError(
+            f"{field}[{method!r}] must be a mapping of parameter names to "
+            f"values; got {params!r}"
         )
     estimator, fixed = _METHOD_ESTIMATORS[base]
     allowed = (set(estimator._param_names()) - fixed) | ({"C"} if cell else set())
@@ -324,6 +331,11 @@ class ExperimentHarness:
         self.landmarks = landmarks
         self.landmark_strategy = landmark_strategy
         self.method_overrides = method_overrides or {}
+        if not isinstance(self.method_overrides, Mapping):
+            raise ValidationError(
+                "method_overrides must be a mapping of method names to "
+                f"parameter mappings; got {method_overrides!r}"
+            )
         for method, params in self.method_overrides.items():
             _check_method_params(method, params, field="method_overrides", cell=False)
         self.store = store

@@ -102,7 +102,7 @@ def _init_worker(state, trace_paths=()) -> None:
     # Tracing config travels with the state: workers append to the same
     # JSONL files as the parent (O_APPEND single-line writes cannot
     # interleave), and an empty config keeps tracing off in the worker.
-    # Ring-buffer sinks stay behind — they cannot cross a process
+    # In-memory sinks stay behind — they cannot cross a process
     # boundary. Re-attaching also drops any fork-inherited sinks so a
     # record is never written twice through two copies of one descriptor.
     attach_worker_sinks(trace_paths)

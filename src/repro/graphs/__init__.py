@@ -17,7 +17,6 @@ from .fairness import (
     between_group_quantile_graph,
     equivalence_class_graph,
     pairwise_judgment_graph,
-    subsample_edges,
 )
 from .knn import (
     knn_cross,
@@ -34,7 +33,7 @@ from .laplacian import (
     n_connected_components,
 )
 from .quantiles import quantile_bucket, within_group_quantiles
-from .stats import from_networkx, graph_summary, to_networkx
+from .stats import graph_summary
 
 __all__ = [
     "equivalence_classes_from_pairs",
@@ -43,7 +42,6 @@ __all__ = [
     "between_group_quantile_graph",
     "equivalence_class_graph",
     "pairwise_judgment_graph",
-    "subsample_edges",
     "knn_cross",
     "knn_graph",
     "median_heuristic",
@@ -56,7 +54,5 @@ __all__ = [
     "n_connected_components",
     "quantile_bucket",
     "within_group_quantiles",
-    "from_networkx",
     "graph_summary",
-    "to_networkx",
 ]

@@ -13,8 +13,7 @@ regimes:
 
 Both return sparse symmetric binary adjacency matrices with zero diagonal.
 A :func:`pairwise_judgment_graph` helper turns raw elicited pairs into the
-same representation, and :func:`subsample_edges` supports the paper's claim
-that sparse judgments suffice.
+same representation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_random_state, column_or_1d
+from .._validation import column_or_1d
 from ..exceptions import GraphConstructionError
 from .quantiles import within_group_quantiles
 
@@ -30,7 +29,6 @@ __all__ = [
     "equivalence_class_graph",
     "between_group_quantile_graph",
     "pairwise_judgment_graph",
-    "subsample_edges",
 ]
 
 
@@ -200,26 +198,3 @@ def pairwise_judgment_graph(pairs, n: int) -> sp.csr_matrix:
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
     return _finalize(W, n)
-
-
-def subsample_edges(W: sp.spmatrix, fraction: float, *, seed=None) -> sp.csr_matrix:
-    """Keep a random fraction of a fairness graph's edges.
-
-    Used by the sparsity ablation: the paper stresses that pairwise
-    judgments "may be sparse, if such information is obtained only for
-    sampled representatives".
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise GraphConstructionError(f"fraction must be in [0, 1]; got {fraction}")
-    W = sp.triu(W.tocsr(), k=1).tocoo()
-    n_edges = W.nnz
-    if n_edges == 0 or fraction == 1.0:
-        out = W.tocsr()
-        out = out.maximum(out.T)
-        return out.tocsr()
-    rng = check_random_state(seed)
-    keep = rng.random(n_edges) < fraction
-    out = sp.csr_matrix(
-        (W.data[keep], (W.row[keep], W.col[keep])), shape=W.shape
-    )
-    return _finalize(out, W.shape[0])

@@ -1,16 +1,13 @@
-"""Fairness-graph diagnostics and networkx interoperability.
+"""Fairness-graph diagnostics.
 
 Before trusting a fairness graph, one wants to know: how many judgments
 does it encode, how sparse is it, does it actually couple the groups it is
 supposed to couple, and how fragmented is it? :func:`graph_summary` answers
-those in one call; :func:`to_networkx` / :func:`from_networkx` bridge to
-the networkx ecosystem for anything richer (drawing, centrality, community
-structure).
+those in one call.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
@@ -18,7 +15,7 @@ from .._validation import check_symmetric, column_or_1d
 from ..exceptions import GraphConstructionError
 from .laplacian import edge_count, graph_density, n_connected_components
 
-__all__ = ["graph_summary", "to_networkx", "from_networkx"]
+__all__ = ["graph_summary"]
 
 
 def graph_summary(W, *, groups=None) -> dict:
@@ -67,63 +64,3 @@ def graph_summary(W, *, groups=None) -> dict:
             cross = float("nan")
         summary["cross_group_fraction"] = cross
     return summary
-
-
-def to_networkx(W, *, node_attrs: dict | None = None) -> nx.Graph:
-    """Convert an adjacency matrix to a ``networkx.Graph``.
-
-    Edge weights land in the ``weight`` attribute; optional per-node
-    attribute arrays (e.g. ``{"group": s, "label": y}``) are attached to
-    the nodes.
-    """
-    W = check_symmetric(W, name="W")
-    if not sp.issparse(W):
-        W = sp.csr_matrix(W)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(W.shape[0]))
-    coo = sp.triu(W, k=1).tocoo()
-    graph.add_weighted_edges_from(
-        (int(i), int(j), float(v)) for i, j, v in zip(coo.row, coo.col, coo.data)
-    )
-    for name, values in (node_attrs or {}).items():
-        values = column_or_1d(values, name=name)
-        if len(values) != W.shape[0]:
-            raise GraphConstructionError(
-                f"node attribute {name!r} has {len(values)} entries for "
-                f"{W.shape[0]} nodes"
-            )
-        nx.set_node_attributes(
-            graph, {i: values[i] for i in range(len(values))}, name
-        )
-    return graph
-
-
-def from_networkx(graph: nx.Graph, *, n_nodes: int | None = None) -> sp.csr_matrix:
-    """Convert a ``networkx.Graph`` (integer-labeled nodes) back to CSR.
-
-    Parameters
-    ----------
-    graph:
-        Undirected graph whose nodes are integers in ``[0, n_nodes)``.
-    n_nodes:
-        Matrix size; defaults to ``max(node) + 1``.
-    """
-    nodes = list(graph.nodes)
-    if not all(isinstance(v, (int, np.integer)) for v in nodes):
-        raise GraphConstructionError("graph nodes must be integer indices")
-    if n_nodes is None:
-        n_nodes = max(nodes) + 1 if nodes else 0
-    if nodes and (min(nodes) < 0 or max(nodes) >= n_nodes):
-        raise GraphConstructionError(
-            f"node indices must be in [0, {n_nodes - 1}]"
-        )
-    rows, cols, data = [], [], []
-    for i, j, attrs in graph.edges(data=True):
-        weight = float(attrs.get("weight", 1.0))
-        rows.extend([int(i), int(j)])
-        cols.extend([int(j), int(i)])
-        data.extend([weight, weight])
-    W = sp.csr_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes))
-    W.setdiag(0.0)
-    W.eliminate_zeros()
-    return W

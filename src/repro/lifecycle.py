@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validation import check_finite
 from .core.approx import LandmarkPlan, nystrom_extend, row_agreement
 from .exceptions import ValidationError
 from .graphs.knn import resolve_bandwidth
@@ -153,6 +154,8 @@ class DriftMonitor:
             raise ValidationError(f"window must be >= 1; got {window}")
         if floor is None:
             floor = float(baseline["p05"]) if baseline is not None else 0.5
+        else:
+            check_finite(floor, name="floor")
         self.window = int(window)
         self.floor = float(floor)
         self.name = str(name)
@@ -216,13 +219,12 @@ class DriftMonitor:
             "drift_fraction": float(np.mean(arr < self.floor)),
         }
 
-    def rebase(self, baseline: dict | None = None, *, floor: float | None = None):
+    def rebase(self, baseline: dict | None = None):
         """Reset the window against a new baseline (post-refresh)."""
-        if floor is None:
-            floor = float(baseline["p05"]) if baseline is not None else self.floor
+        floor = float(baseline["p05"]) if baseline is not None else self.floor
         with self._lock:
             self._scores.clear()
-            self.floor = float(floor)
+            self.floor = floor
         return self
 
 
@@ -245,6 +247,7 @@ class RefreshPolicy:
             raise ValidationError(
                 f"stale_fraction must be in (0, 1]; got {self.stale_fraction}"
             )
+        check_finite(self.min_interval, name="min_interval")
         if self.min_interval < 0:
             raise ValidationError(
                 f"min_interval must be >= 0; got {self.min_interval}"
@@ -327,6 +330,7 @@ class LifecycleController:
                 "LifecycleController needs a fitted plan: call plan.fit(estimator) "
                 "before constructing the controller"
             )
+        check_finite(holdout_tolerance, name="holdout_tolerance")
         if holdout_tolerance < 0:
             raise ValidationError(
                 f"holdout_tolerance must be >= 0; got {holdout_tolerance}"

@@ -54,9 +54,3 @@ class StandardScaler(BaseEstimator, TransformerMixin):
             )
         return (X - self.mean_) / self.scale_
 
-    def inverse_transform(self, X) -> np.ndarray:
-        """Undo the scaling: ``X * scale_ + mean_``."""
-        check_is_fitted(self, ("mean_", "scale_"))
-        X = check_array(X, name="X")
-        return X * self.scale_ + self.mean_
-

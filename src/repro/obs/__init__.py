@@ -13,8 +13,8 @@ Three stdlib-only pieces:
   (counters, gauges, deterministic log-bucket histograms) plus a
   process-global default registry;
 * :mod:`~repro.obs.trace` — nested :func:`span` tracing with monotonic
-  timing and pluggable sinks (in-memory ring buffer, crash-safe JSONL
-  appends), **zero-cost when no sink is attached**;
+  timing and pluggable sinks (crash-safe JSONL appends), **zero-cost when
+  no sink is attached**;
 * :mod:`~repro.obs.export` — snapshot/summarize/render for the
   ``repro obs summary`` / ``repro obs tail`` CLI and the ``--metrics``
   flag.
@@ -36,15 +36,12 @@ Quickstart::
 from .metrics import Histogram, MetricsRegistry, get_registry, set_registry
 from .trace import (
     JSONLSink,
-    RingBufferSink,
     add_sink,
     attach_worker_sinks,
-    emit_event,
     emit_metrics,
     jsonl_paths,
     remove_sink,
     set_sinks,
-    sinks,
     span,
     trace_enabled,
     tracing,
@@ -63,15 +60,12 @@ __all__ = [
     "get_registry",
     "set_registry",
     "JSONLSink",
-    "RingBufferSink",
     "add_sink",
     "attach_worker_sinks",
-    "emit_event",
     "emit_metrics",
     "jsonl_paths",
     "remove_sink",
     "set_sinks",
-    "sinks",
     "span",
     "trace_enabled",
     "tracing",

@@ -4,11 +4,11 @@ Two consumers share this module: the ``repro obs summary`` / ``repro obs
 tail`` CLI (read a JSONL trace back into per-stage wall-time tables) and
 the ``--metrics`` flag (render a registry snapshot as flat text).
 
-A trace file interleaves three record types (see :mod:`repro.obs.trace`):
-``span`` (one per timed region, from any process), ``event`` (point in
-time) and ``metrics`` (a registry snapshot; the *last* one per pid wins,
-and pids are summed — workers snapshot after every task precisely so
-that rule yields their final state).
+A trace file interleaves two record types (see :mod:`repro.obs.trace`):
+``span`` (one per timed region, from any process) and ``metrics`` (a
+registry snapshot; the *last* one per pid wins, and pids are summed —
+workers snapshot after every task precisely so that rule yields their
+final state).
 """
 
 from __future__ import annotations

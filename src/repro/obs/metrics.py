@@ -244,14 +244,6 @@ class MetricsRegistry:
                 if metric == name
             )
 
-    # ---------------------------------------------------------- lifecycle
-    def reset(self) -> None:
-        """Drop every series (tests and CLI runs scope metrics with this)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     def snapshot(self) -> dict:
         """JSON-safe snapshot of every series.
 

@@ -10,16 +10,13 @@ A *span* is one timed region of work::
 
 Spans nest: each thread keeps its own stack, so a span opened inside
 another records the outer span's id as ``parent_id`` and a trace viewer
-can rebuild the call tree. Records go to every attached *sink*:
-
-* :class:`RingBufferSink` — the last N records in memory, for tests and
-  live inspection;
-* :class:`JSONLSink` — one JSON object per line, appended with a single
-  ``os.write`` to an ``O_APPEND`` descriptor. POSIX append semantics make
-  each line land whole, so concurrent worker *processes* writing the same
-  file never interleave corrupt lines, and a crash loses at most the
-  record in flight — the append-side analogue of
-  :func:`repro.io.atomic_write`.
+can rebuild the call tree. Records go to every attached *sink* (any
+object with ``emit(record)`` and ``close()``); the library's own is
+:class:`JSONLSink` — one JSON object per line, appended with a single
+``os.write`` to an ``O_APPEND`` descriptor. POSIX append semantics make
+each line land whole, so concurrent worker *processes* writing the same
+file never interleave corrupt lines, and a crash loses at most the record
+in flight — the append-side analogue of :func:`repro.io.atomic_write`.
 
 **Zero cost when off.** :func:`span` checks the sink list first and
 returns one shared no-op context manager when tracing is disabled — the
@@ -37,21 +34,17 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
 __all__ = [
     "JSONLSink",
-    "RingBufferSink",
     "add_sink",
     "attach_worker_sinks",
-    "emit_event",
     "emit_metrics",
     "jsonl_paths",
     "remove_sink",
     "set_sinks",
-    "sinks",
     "span",
     "trace_enabled",
     "tracing",
@@ -59,30 +52,6 @@ __all__ = [
 
 #: Trace record schema version, stamped on every record.
 _TRACE_FORMAT = 1
-
-
-class RingBufferSink:
-    """Keep the last ``capacity`` records in memory."""
-
-    def __init__(self, capacity: int = 4096):
-        self._records: deque = deque(maxlen=int(capacity))
-        self._lock = threading.Lock()
-
-    def emit(self, record: dict) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def records(self) -> list:
-        """Snapshot of the buffered records, oldest first."""
-        with self._lock:
-            return list(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
-    def close(self) -> None:
-        pass
 
 
 class JSONLSink:
@@ -136,11 +105,6 @@ def trace_enabled() -> bool:
     return bool(_SINKS)
 
 
-def sinks() -> tuple:
-    """The attached sinks (immutable snapshot)."""
-    return _SINKS
-
-
 def add_sink(sink) -> None:
     """Attach a sink; tracing turns on with the first one."""
     global _SINKS
@@ -171,7 +135,7 @@ def attach_worker_sinks(paths) -> None:
     """Point this (worker) process's tracing at the parent's JSONL files.
 
     Replaces any inherited sinks with fresh ``O_APPEND`` descriptors —
-    ring buffers cannot cross processes, and a forked descriptor is
+    in-memory sinks cannot cross processes, and a forked descriptor is
     better reopened than shared. No-op config (empty ``paths``) turns
     tracing off in the worker.
     """
@@ -276,24 +240,8 @@ def span(name: str, /, **attrs):
 
 # -- non-span records -------------------------------------------------------
 
-def emit_event(name: str, /, **attrs) -> None:
-    """Emit a point-in-time ``event`` record (no duration)."""
-    if not _SINKS:
-        return
-    _emit(
-        {
-            "format": _TRACE_FORMAT,
-            "type": "event",
-            "name": str(name),
-            "ts": time.time(),
-            "pid": os.getpid(),
-            "attrs": attrs,
-        }
-    )
-
-
-def emit_metrics(registry=None) -> None:
-    """Emit a ``metrics`` record snapshotting a registry.
+def emit_metrics() -> None:
+    """Emit a ``metrics`` record snapshotting the process registry.
 
     Workers emit one after each task and the traced-CLI wrapper emits one
     at exit; consumers (``repro obs summary``) keep the *last* record per
@@ -304,20 +252,19 @@ def emit_metrics(registry=None) -> None:
         return
     from .metrics import get_registry
 
-    registry = registry if registry is not None else get_registry()
     _emit(
         {
             "format": _TRACE_FORMAT,
             "type": "metrics",
             "ts": time.time(),
             "pid": os.getpid(),
-            "metrics": registry.snapshot(),
+            "metrics": get_registry().snapshot(),
         }
     )
 
 
 @contextmanager
-def tracing(path, *, metrics: bool = True, registry=None):
+def tracing(path):
     """Trace a block to a JSONL file (what the CLI ``--trace`` flag uses).
 
     Attaches a :class:`JSONLSink` on entry; on exit emits one final
@@ -330,8 +277,7 @@ def tracing(path, *, metrics: bool = True, registry=None):
         yield sink
     finally:
         try:
-            if metrics:
-                emit_metrics(registry)
+            emit_metrics()
         finally:
             remove_sink(sink)
             sink.close()

@@ -57,12 +57,11 @@ Endpoints (all JSON unless noted)::
 
 Lifecycle: construct the shared service with ``drift=True`` and
 ``GET /drift`` reports each warm model's windowed fidelity statistics
-(see :class:`repro.lifecycle.DriftMonitor`). An optional
-``refresh_hook`` — any zero-argument callable, typically wrapping a
-:class:`repro.lifecycle.LifecycleController` — runs on a background
-thread every ``refresh_interval`` seconds while the server is up; a
-hook that registers + promotes a refreshed version takes effect on the
-next request through the existing hot-swap path, no restart.
+(see :class:`repro.lifecycle.DriftMonitor`). Refreshes run in their own
+process (``python -m repro lifecycle watch``, a
+:class:`repro.lifecycle.LifecycleController` over the same registry);
+a version it registers + promotes takes effect on the next request
+through the existing hot-swap path, no restart.
 
 Run it from the CLI (``python -m repro serve --registry DIR``) or embed::
 
@@ -226,14 +225,6 @@ class ServingServer:
         Request bodies above this answer 413 before the body is read.
     request_timeout:
         Seconds before an admitted request answers 503.
-    refresh_hook:
-        Optional zero-argument callable run every ``refresh_interval``
-        seconds on a dedicated background thread (started with the
-        server, stopped with it). Exceptions are swallowed into the
-        ``http.refresh_hook_errors`` counter — a broken hook must never
-        take serving down.
-    refresh_interval:
-        Seconds between ``refresh_hook`` invocations.
     """
 
     def __init__(
@@ -246,8 +237,6 @@ class ServingServer:
         max_queue: int = 512,
         max_body_bytes: int = 8 * 1024 * 1024,
         request_timeout: float = 30.0,
-        refresh_hook=None,
-        refresh_interval: float = 30.0,
     ):
         if not isinstance(service, TransformService):
             service = TransformService(service)
@@ -263,14 +252,6 @@ class ServingServer:
             raise ValidationError(
                 f"request_timeout must be > 0; got {request_timeout}"
             )
-        if refresh_hook is not None and not callable(refresh_hook):
-            raise ValidationError(
-                f"refresh_hook must be callable; got {type(refresh_hook).__name__}"
-            )
-        if refresh_interval <= 0:
-            raise ValidationError(
-                f"refresh_interval must be > 0; got {refresh_interval}"
-            )
         self.service = service
         self.host = host
         self._requested_port = int(port)
@@ -278,10 +259,6 @@ class ServingServer:
         self.max_queue = int(max_queue)
         self.max_body_bytes = int(max_body_bytes)
         self.request_timeout = float(request_timeout)
-        self.refresh_hook = refresh_hook
-        self.refresh_interval = float(refresh_interval)
-        self._refresh_thread: threading.Thread | None = None
-        self._refresh_stop: threading.Event | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -337,35 +314,17 @@ class ServingServer:
             self._pool.shutdown(wait=False)
             self._thread = self._loop = self._pool = None
             raise startup_error[0]
-        if self.refresh_hook is not None:
-            self._refresh_stop = threading.Event()
-            self._refresh_thread = threading.Thread(
-                target=self._refresh_loop, name="repro-http-refresh", daemon=True
-            )
-            self._refresh_thread.start()
         return self
 
     def close(self) -> None:
         """Stop accepting, tear down connections and workers. Idempotent."""
         if self._thread is None:
             return
-        if self._refresh_thread is not None:
-            self._refresh_stop.set()
-            self._refresh_thread.join()
-            self._refresh_thread = self._refresh_stop = None
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._pool.shutdown(wait=True, cancel_futures=True)
         self._thread = self._loop = self._server = self._pool = None
         self._bound_port = None
-
-    def _refresh_loop(self) -> None:
-        """Run ``refresh_hook`` every ``refresh_interval`` s until close()."""
-        while not self._refresh_stop.wait(self.refresh_interval):
-            try:
-                self.refresh_hook()
-            except Exception:
-                self.service.metrics.inc("http.refresh_hook_errors")
 
     def __enter__(self) -> "ServingServer":
         if self._thread is None:

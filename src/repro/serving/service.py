@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._validation import check_finite
 from ..exceptions import ValidationError
 from ..io import load_model
 from ..obs.metrics import MetricsRegistry
@@ -120,10 +121,9 @@ class TransformService:
     drift_sample:
         Max rows scored per request (stride-sampled — bounds the hot-path
         overhead regardless of batch size).
-    drift_window, drift_floor:
+    drift_floor:
         Handed to each model's :class:`DriftMonitor`: rows scoring below
-        ``drift_floor`` count as drifted, over a window of
-        ``drift_window`` recent scores.
+        it count as drifted, over the monitor's default window.
     """
 
     def __init__(
@@ -134,7 +134,6 @@ class TransformService:
         metrics: MetricsRegistry | None = None,
         drift: bool = False,
         drift_sample: int = 32,
-        drift_window: int = 4096,
         drift_floor: float = 0.5,
     ):
         self.registry = (
@@ -147,9 +146,11 @@ class TransformService:
                 f"drift_sample must be >= 1 when drift is enabled; got "
                 f"{drift_sample}"
             )
+        if drift:
+            # Checked here, not at the first request's lazy DriftMonitor.
+            check_finite(drift_floor, name="drift_floor")
         self.drift = bool(drift)
         self.drift_sample = int(drift_sample)
-        self.drift_window = int(drift_window)
         self.drift_floor = float(drift_floor)
         self._models: dict[tuple[str, int], _ServedModel] = {}
         # Pinned name@version specs are immutable, so their resolution is
@@ -221,8 +222,8 @@ class TransformService:
         histogram's Kahan-compensated sum, so it no longer drifts the way
         the old ``+=`` accumulator did under millions of tiny requests.
         """
-        # Snapshot the model table under the load lock — _served()/evict()
-        # mutate the dict there, so an unguarded iteration would race
+        # Snapshot the model table under the load lock — _served() mutates
+        # the dict there, so an unguarded iteration would race
         # (RuntimeError: dict changed size). The metrics registry locks
         # internally.
         with self._load_lock:
@@ -264,22 +265,6 @@ class TransformService:
             ),
         }
         return {"models": snapshot, "totals": totals}
-
-    def loaded_models(self) -> list[str]:
-        """Specs of the models currently warm in memory."""
-        with self._load_lock:
-            return sorted(
-                f"{name}@{version}" for name, version in self._models
-            )
-
-    def evict(self, spec: str | None = None) -> None:
-        """Drop warm models (all of them when ``spec`` is None)."""
-        with self._load_lock:
-            if spec is None:
-                self._models.clear()
-                return
-            name, version = self.registry.resolve(spec)
-            self._models.pop((name, version), None)
 
     # ------------------------------------------------------------ internal
     def _resolve(self, spec: str) -> tuple[str, int]:
@@ -332,7 +317,6 @@ class TransformService:
                     scorer = scorer_for(model)
                     if scorer is not None:
                         monitor = DriftMonitor(
-                            window=self.drift_window,
                             floor=self.drift_floor,
                             metrics=self.metrics,
                             name=record.spec,

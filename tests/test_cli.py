@@ -366,6 +366,20 @@ class TestServe:
         for pool, n in pool_sizes().items():
             assert f'repro_blas_threads{{pool="{pool}"}} {n}\n' in scraped["body"]
 
+    def test_nan_drift_floor_is_rejected(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        # Were the floor accepted, the server would start: stop it at once.
+        monkeypatch.setattr(cli, "threading_event_wait", interrupt)
+        assert main([
+            "serve", "--registry", str(tmp_path / "registry"),
+            "--port", "0", "--drift", "--drift-floor", "nan",
+        ]) != 0
+        assert "drift_floor must be finite" in capsys.readouterr().err
+
 
 class TestStoreCommands:
     @pytest.fixture
@@ -583,6 +597,17 @@ class TestLifecycleCommands:
         np.savez(bad, **stripped)
         assert main(["lifecycle", "refresh", *self._flags(bad, root)]) != 0
         assert "X_new" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--min-interval", "min_interval"),
+        ("--holdout-tolerance", "holdout_tolerance"),
+    ])
+    def test_nan_option_is_rejected(self, bundle, capsys, flag, name):
+        path, root = bundle
+        assert main(
+            ["lifecycle", "refresh", *self._flags(path, root), flag, "nan"]
+        ) != 0
+        assert f"{name} must be finite" in capsys.readouterr().err
 
     def test_missing_bundle_errors(self, tmp_path, capsys):
         assert main(

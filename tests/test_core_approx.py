@@ -42,7 +42,7 @@ from repro.graphs import (
 )
 from repro.io import load_model, save_model
 from repro.lifecycle import holdout_agreement
-from repro.obs.trace import RingBufferSink, add_sink, remove_sink
+from repro.obs import read_trace, tracing
 
 PARITY_TOL = 1e-8
 
@@ -360,7 +360,7 @@ class TestSelectLandmarksExact:
             with pytest.raises(ValidationError, match="overflow"):
                 select_landmarks(X, 5, strategy=strategy, seed=0)
 
-    def test_refresh_selection_is_traced_inside_plan_refresh(self):
+    def test_refresh_selection_is_traced_inside_plan_refresh(self, tmp_path):
         data = simulate_blobs(300, n_features=5, seed=11)
         w_fair = between_group_quantile_graph(
             data.side_information, data.s, n_quantiles=6
@@ -377,14 +377,11 @@ class TestSelectLandmarksExact:
             return plan.refresh().stage_digests()
 
         untraced = refreshed_digests()
-        sink = RingBufferSink()
-        add_sink(sink)
-        try:
+        with tracing(tmp_path / "refresh.jsonl"):
             traced = refreshed_digests()
-        finally:
-            remove_sink(sink)
         assert traced == untraced
-        spans = [r for r in sink.records() if r["type"] == "span"]
+        spans = [r for r in read_trace(tmp_path / "refresh.jsonl")
+                 if r["type"] == "span"]
         refresh = [r for r in spans if r["name"] == "plan.refresh"]
         assert len(refresh) == 1
         inner = [

@@ -22,7 +22,7 @@ from repro.core.plan import _LANDMARK, _STRUCTURAL, Precomputed
 from repro.exceptions import ValidationError
 from repro.graphs import between_group_quantile_graph, knn_graph
 from repro.ml.base import clone
-from repro.obs import RingBufferSink, add_sink, get_registry, remove_sink
+from repro.obs import get_registry, read_trace, tracing
 
 
 def _workload(rng, n=36, m=6):
@@ -109,7 +109,7 @@ class TestFitPathStaging:
     @pytest.mark.parametrize("template", [
         PFR(n_components=4), KernelPFR(n_components=4, kernel="rbf"),
     ], ids=["PFR", "KernelPFR"])
-    def test_sweep_builds_each_stage_once(self, rng, template):
+    def test_sweep_builds_each_stage_once(self, rng, template, tmp_path):
         n = 200
         X = rng.normal(size=(n, 16))
         scores = X[:, 0] + rng.normal(scale=0.5, size=n)
@@ -127,16 +127,12 @@ class TestFitPathStaging:
         assert knn_builds(lambda: [
             clone(template).set_params(gamma=g).fit(X, WF) for g in gammas
         ]) == len(gammas)
-        sink = RingBufferSink()
-        add_sink(sink)
-        try:
+        with tracing(tmp_path / "sweep.jsonl"):
             builds = knn_builds(
                 lambda: fit_path(X, WF, gammas=gammas, estimator=template)
             )
-        finally:
-            remove_sink(sink)
         assert builds == 1
-        projections = [r for r in sink.records()
+        projections = [r for r in read_trace(tmp_path / "sweep.jsonl")
                        if r["type"] == "span" and r["name"] == "plan.projection"]
         assert len(projections) == 1
 

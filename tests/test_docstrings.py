@@ -1,9 +1,11 @@
 """Execute the doctests embedded in public docstrings, check doc links, and
-keep uncalled names out of the ml/metrics exports."""
+keep names that nothing but the tests calls out of every ``__all__`` of the
+library."""
 
 import ast
 import doctest
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,41 +54,118 @@ def test_markdown_references_resolve():
     assert not missing, missing
 
 
-# Public names kept with no caller outside tests/, each for a stated reason.
+# Exports kept with no caller outside tests/, each for a stated reason,
+# keyed by the deepest module exporting them.
 _TEST_ONLY_EXPORTS = {
-    "roc_curve": "reference curve for roc_auc_score's trapezoid-area test",
+    "repro.ml.metrics.roc_curve":
+        "reference curve for roc_auc_score's trapezoid-area test",
+    "repro.graphs.knn.pairwise_sq_distances":
+        "reference the k-NN distance kernels are tested against",
+    "repro.graphs.laplacian.combine_laplacians":
+        "reference the plan's degree rescaling is tested against",
+    "repro.serving.cache.row_digest":
+        "reference the cache's block row keys are tested against",
+    "repro.obs.metrics.set_registry":
+        "tests isolate the process-global metrics registry with it",
+    "repro._blas.set_threads": "test_blas.py flips numpy's pool with it",
+    "repro.datasets.crime.load_crime":
+        "reads the paper's real UCI file, which does not ship",
+    "repro.datasets.split.train_test_split":
+        "ROADMAP item 12 decides which of the two splits stays",
 }
 
+_CALLER_DIRS = ("src", "examples", "perfbench", "benchmarks")
 
-def _referenced_names():
-    # Identifiers loaded anywhere in the library, examples and bench scripts
-    # (definitions, __all__ strings and re-exporting imports do not count),
-    # plus every word of the README, the paper record and the CI workflow.
-    names = set()
-    for directory in ("src", "examples", "perfbench", "benchmarks"):
+
+def _source_module(path):
+    # Dotted module name of a file under src/, None elsewhere.
+    if ROOT / "src" not in path.parents:
+        return None
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _callers():
+    # What the library, examples and bench scripts use, as
+    # (identifiers loaded anywhere, {file module: identifiers it loads},
+    #  (imported module, name, importing file's module) triples).
+    # Definitions and __all__ strings load nothing.
+    loaded, loaded_in, imports = set(), {}, set()
+    for directory in _CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
+            here = _source_module(path)
+            names = loaded_in.setdefault(here, set())
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    module = node.module
+                    if node.level:
+                        package = here.split(".")
+                        if path.name != "__init__.py":
+                            package.pop()
+                        package = package[:len(package) - node.level + 1]
+                        module = ".".join(package + ([module] if module else []))
+                    imports.update((module, alias.name, here) for alias in node.names)
+            loaded |= names
+    return loaded, loaded_in, imports
+
+
+def _exports():
+    # {exported object's key: (name, modules exporting it)} over every
+    # __all__ under src/repro; the key is the deepest exporting module.
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")
+    ]
+    by_object = {}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            entry = by_object.setdefault((name, id(getattr(module, name))), set())
+            entry.add(module.__name__)
+    return {
+        f"{max(owners, key=lambda m: (m.count('.'), m))}.{name}": (name, owners)
+        for (name, _), owners in by_object.items()
+    }
+
+
+def test_exports_have_callers():
+    # Dead surface stays out: every name an __all__ under src/repro exports
+    # is used somewhere besides tests/, or is listed above with a reason.
+    # A use is a load of the name, a word of the README, the paper record
+    # or the CI workflow, or an import by a module that does not re-export
+    # it. A name two modules export as different objects (the two
+    # train_test_split) counts only where it is imported from one of its
+    # own modules, or loaded inside one of them.
+    loaded, loaded_in, imports = _callers()
+    words = set()
     for doc in ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"):
-        names.update(re.findall(r"\w+", (ROOT / doc).read_text(encoding="utf-8")))
-    return names
+        words.update(re.findall(r"\w+", (ROOT / doc).read_text(encoding="utf-8")))
+    exports = _exports()
+    shared = Counter(name for name, _ in exports.values())
 
+    def called(name, owners):
+        if any(module in owners and imported == name and here not in owners
+               for module, imported, here in imports):
+            return True
+        if any(name in loaded_in.get(module, ()) for module in owners):
+            return True
+        return shared[name] == 1 and (name in loaded or name in words or any(
+            imported == name and here not in owners
+            for _, imported, here in imports
+        ))
 
-def test_ml_and_metrics_exports_have_callers():
-    # Dead surface stays out: every name repro.ml, repro.metrics or
-    # repro.experiments exports is used somewhere besides its tests, or is
-    # listed above with a reason.
-    import repro.experiments
-    import repro.metrics
-    import repro.ml
-
-    referenced = _referenced_names()
-    exported = (set(repro.ml.__all__) | set(repro.metrics.__all__)
-                | set(repro.experiments.__all__))
-    uncalled = sorted(exported - referenced - set(_TEST_ONLY_EXPORTS))
-    assert not uncalled, f"exported but called only from tests: {uncalled}"
-    stale = sorted(set(_TEST_ONLY_EXPORTS) - (exported - referenced))
+    uncalled = sorted(key for key, (name, owners) in exports.items()
+                      if not called(name, owners))
+    flagged = sorted(set(uncalled) - set(_TEST_ONLY_EXPORTS))
+    assert not flagged, f"exported but called only from tests: {flagged}"
+    stale = sorted(set(_TEST_ONLY_EXPORTS) - set(uncalled))
     assert not stale, f"exemptions no longer needed: {stale}"

@@ -287,6 +287,24 @@ class TestMethodParamCheck:
             harness.export_model("pfr", **{key: 3})
 
 
+class TestMethodOverridesShape:
+    """Overrides of the wrong shape raise a ValidationError naming the
+    field; they used to escape as a bare TypeError or AttributeError, or
+    as "sets unknown keys [('a_z', 50)]" for a list of pairs."""
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"lfr": 3}, "method_overrides['lfr']"),
+        ({"lfr": [("a_z", 50)]}, "method_overrides['lfr']"),
+        (3, "method_overrides"),
+        ([("lfr", {"a_z": 50})], "method_overrides"),
+    ], ids=["int-params", "pair-list-params", "int", "pair-list"])
+    def test_non_mapping_rejected(self, small_admissions, overrides, field):
+        with pytest.raises(
+            ValidationError, match=re.escape(f"{field} must be a mapping")
+        ):
+            ExperimentHarness(small_admissions, method_overrides=overrides)
+
+
 class TestRankingScores:
     def test_scores_in_unit_interval(self, binary_problem):
         X, y = binary_problem

@@ -10,7 +10,6 @@ from repro.graphs import (
     edge_count,
     equivalence_class_graph,
     pairwise_judgment_graph,
-    subsample_edges,
 )
 
 
@@ -135,36 +134,3 @@ class TestPairwiseJudgmentGraph:
     def test_bad_shape(self):
         with pytest.raises(GraphConstructionError, match="shape"):
             pairwise_judgment_graph([(0, 1, 2)], n=5)
-
-
-class TestSubsampleEdges:
-    def test_fraction_one_keeps_all(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        assert edge_count(subsample_edges(W, 1.0, seed=0)) == edge_count(W)
-
-    def test_fraction_zero_empties(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        assert edge_count(subsample_edges(W, 0.0, seed=0)) == 0
-
-    def test_fraction_half_roughly_half(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        kept = edge_count(subsample_edges(W, 0.5, seed=0))
-        total = edge_count(W)
-        assert 0.3 * total < kept < 0.7 * total
-
-    def test_result_symmetric(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        sub = subsample_edges(W, 0.4, seed=1)
-        assert (abs(sub - sub.T)).nnz == 0
-
-    def test_subset_of_original(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        sub = subsample_edges(W, 0.4, seed=2)
-        # every kept edge must exist in the original graph
-        diff = sub - W.minimum(sub)
-        assert diff.nnz == 0
-
-    def test_invalid_fraction(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        with pytest.raises(GraphConstructionError):
-            subsample_edges(W, 1.5)

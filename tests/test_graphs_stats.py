@@ -1,16 +1,10 @@
-"""Tests for repro.graphs.stats — diagnostics and networkx interop."""
+"""Tests for repro.graphs.stats — fairness-graph diagnostics."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphConstructionError
-from repro.graphs import (
-    between_group_quantile_graph,
-    from_networkx,
-    graph_summary,
-    to_networkx,
-)
+from repro.graphs import graph_summary
 
 
 @pytest.fixture
@@ -50,48 +44,3 @@ class TestGraphSummary:
     def test_groups_length_checked(self, path_graph):
         with pytest.raises(GraphConstructionError, match="entries"):
             graph_summary(path_graph, groups=[0, 1])
-
-
-class TestNetworkxRoundtrip:
-    def test_to_networkx_structure(self, path_graph):
-        graph = to_networkx(path_graph)
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 2
-        assert graph[1][2]["weight"] == 2.0
-
-    def test_node_attributes(self, path_graph):
-        graph = to_networkx(path_graph, node_attrs={"group": [0, 0, 1, 1]})
-        assert graph.nodes[2]["group"] == 1
-
-    def test_attr_length_checked(self, path_graph):
-        with pytest.raises(GraphConstructionError, match="entries"):
-            to_networkx(path_graph, node_attrs={"g": [0, 1]})
-
-    def test_roundtrip_preserves_adjacency(self, quantile_graph_setup):
-        _, _, W = quantile_graph_setup
-        back = from_networkx(to_networkx(W), n_nodes=W.shape[0])
-        assert (abs(back - W)).nnz == 0
-
-    def test_from_networkx_default_size(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 3)
-        W = from_networkx(graph)
-        assert W.shape == (4, 4)
-        assert W[0, 3] == 1.0
-
-    def test_from_networkx_rejects_string_nodes(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        with pytest.raises(GraphConstructionError, match="integer"):
-            from_networkx(graph)
-
-    def test_networkx_analysis_example(self, rng):
-        # The advertised use: component structure of a fairness graph.
-        scores = rng.random(30)
-        groups = np.repeat([0, 1], 15)
-        W = between_group_quantile_graph(scores, groups, n_quantiles=3)
-        graph = to_networkx(W)
-        components = list(nx.connected_components(graph))
-        # 3 quantile buckets -> at most 3 non-trivial components
-        nontrivial = [c for c in components if len(c) > 1]
-        assert 1 <= len(nontrivial) <= 3

@@ -98,6 +98,13 @@ class TestDriftMonitor:
         with pytest.raises(ValidationError, match="window"):
             DriftMonitor(window=0, metrics=MetricsRegistry())
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf")])
+    def test_non_finite_floor_rejected(self, floor):
+        # A NaN floor used to read every row as in-distribution: scores
+        # 0.0/0.1/-0.5 gave drift 0.0 where floor 0.5 gives 1.0.
+        with pytest.raises(ValidationError, match="floor must be finite"):
+            DriftMonitor(floor=floor, metrics=MetricsRegistry())
+
 
 class TestRefreshPolicy:
     def test_all_three_gates(self):
@@ -120,10 +127,13 @@ class TestRefreshPolicy:
             {"stale_fraction": 1.5},
             {"min_interval": -1.0},
             {"min_rows": 0},
+            # A NaN min_interval used to make the throttle never hold.
+            {"min_interval": float("nan")},
+            {"min_interval": float("inf")},
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             RefreshPolicy(**kwargs)
 
 
@@ -198,6 +208,18 @@ class TestLifecycleController:
             _controller(unfitted, estimator, tmp_path)
         with pytest.raises(ValidationError, match="LandmarkPlan"):
             _controller(object(), estimator, tmp_path)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_holdout_tolerance_rejected(
+        self, fitted_setup, tmp_path, tolerance
+    ):
+        # A NaN tolerance used to make a regressed refresh never roll back.
+        plan, estimator, X = fitted_setup
+        with pytest.raises(
+            ValidationError, match="holdout_tolerance must be finite"
+        ):
+            _controller(plan, estimator, tmp_path, holdout=X[:40],
+                        holdout_tolerance=tolerance)
 
     def test_ensure_registered_is_idempotent(self, fitted_setup, tmp_path):
         plan, estimator, _ = fitted_setup

@@ -30,7 +30,6 @@ from repro.obs import (
     read_trace,
     set_registry,
     set_sinks,
-    sinks,
     span,
     summarize_trace,
     trace_enabled,
@@ -55,8 +54,6 @@ def _clean_tracing():
     set_sinks(())
     previous = set_registry(MetricsRegistry())
     yield
-    for sink in sinks():
-        sink.close()
     set_sinks(())
     set_registry(previous)
 
@@ -331,7 +328,7 @@ class TestOverheadGuard:
 
         once()  # warm caches/allocators out of the measurement
         t_off = min(once() for _ in range(5))
-        with tracing(os.devnull, metrics=False):
+        with tracing(os.devnull):
             t_on = min(once() for _ in range(5))
         # Tracing *on* within 5% (+5ms floor for tiny absolute times) of
         # off bounds the off-mode hooks too, since off does strictly less.
@@ -365,7 +362,7 @@ class TestOverheadGuard:
 
         once()  # warm caches/allocators out of the measurement
         t_off = min(once() for _ in range(5))
-        with tracing(tmp_path / "transform.jsonl", metrics=False):
+        with tracing(tmp_path / "transform.jsonl"):
             t_on = min(once() for _ in range(5))
         # Each traced span writes a JSONL line, a visible share of a
         # sub-millisecond batch; tracing must still not triple the time.

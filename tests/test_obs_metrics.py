@@ -167,16 +167,6 @@ class TestMetricsRegistry:
         assert summary["min"] == 0.0  # NaN and negatives clamp to zero
         assert summary["count"] == len(values)
 
-    def test_reset(self):
-        reg = MetricsRegistry()
-        reg.inc("x")
-        reg.set_gauge("g", 1)
-        reg.observe("h", 0.5)
-        reg.reset()
-        assert reg.counter_value("x") == 0.0
-        assert reg.gauge_value("g") is None
-        assert reg.histogram_summary("h")["count"] == 0
-
     def test_snapshot_is_sorted_json_and_deterministic(self):
         reg = MetricsRegistry()
         reg.inc("b", 1.0, z="2", a="1")

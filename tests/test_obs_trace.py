@@ -11,18 +11,16 @@ import threading
 import pytest
 
 from repro.obs.export import read_trace
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import (
     JSONLSink,
-    RingBufferSink,
     _NULL_SPAN,
     add_sink,
     attach_worker_sinks,
-    emit_event,
     emit_metrics,
     jsonl_paths,
     remove_sink,
     set_sinks,
-    sinks,
     span,
     trace_enabled,
     tracing,
@@ -34,22 +32,33 @@ def _clean_sinks():
     """Every test starts and ends with tracing off."""
     set_sinks(())
     yield
-    for sink in sinks():
-        sink.close()
     set_sinks(())
 
 
 @pytest.fixture
-def ring():
-    sink = RingBufferSink()
-    add_sink(sink)
-    return sink
+def traced(tmp_path):
+    """Trace the test to a JSONL file; call the fixture for its records."""
+    path = tmp_path / "trace.jsonl"
+    with tracing(path):
+        yield lambda: read_trace(path)
+
+
+class _ListSink:
+    """A non-JSONL sink: keeps every record in a list."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record: dict) -> None:
+        self.records.append(record)
+
+    def close(self) -> None:
+        pass
 
 
 class TestZeroCostWhenOff:
     def test_disabled_by_default(self):
         assert not trace_enabled()
-        assert sinks() == ()
 
     def test_span_returns_shared_null_object(self):
         # Not merely "a no-op": the *same* object every time, so the off
@@ -61,20 +70,19 @@ class TestZeroCostWhenOff:
             s.set(ignored=1)  # must not raise
 
     def test_emitters_are_noops(self):
-        emit_event("e", detail=1)
         emit_metrics()
         # nothing to assert beyond "did not raise": there is no sink
 
-    def test_enabled_with_a_sink(self, ring):
+    def test_enabled_with_a_sink(self, traced):
         assert trace_enabled()
         assert not isinstance(span("x"), type(_NULL_SPAN))
 
 
 class TestSpans:
-    def test_record_shape(self, ring):
+    def test_record_shape(self, traced):
         with span("stage.one", gamma=0.5) as s:
             s.set(d=4)
-        (record,) = ring.records()
+        (record,) = traced()
         assert record["type"] == "span"
         assert record["name"] == "stage.one"
         assert record["status"] == "ok"
@@ -83,31 +91,31 @@ class TestSpans:
         assert record["attrs"] == {"gamma": 0.5, "d": 4}
         assert isinstance(record["pid"], int)
 
-    def test_nesting_records_parent_ids(self, ring):
+    def test_nesting_records_parent_ids(self, traced):
         with span("outer"):
             with span("inner"):
                 pass
             with span("sibling"):
                 pass
         # Records are emitted at span *exit*, so children precede the parent.
-        inner, sibling, outer = ring.records()
+        inner, sibling, outer = traced()
         assert outer["name"] == "outer"
         assert inner["parent_id"] == outer["span_id"]
         assert sibling["parent_id"] == outer["span_id"]
         assert inner["span_id"] != sibling["span_id"] != outer["span_id"]
 
-    def test_error_status_and_stack_unwind(self, ring):
+    def test_error_status_and_stack_unwind(self, traced):
         with pytest.raises(RuntimeError):
             with span("boom"):
                 raise RuntimeError("x")
-        (record,) = ring.records()
+        (record,) = traced()
         assert record["status"] == "error"
         # The stack unwound: a fresh span is a root again.
         with span("after"):
             pass
-        assert ring.records()[-1]["parent_id"] is None
+        assert traced()[-1]["parent_id"] is None
 
-    def test_threads_have_independent_stacks(self, ring):
+    def test_threads_have_independent_stacks(self, traced):
         done = threading.Event()
 
         def other():
@@ -120,30 +128,16 @@ class TestSpans:
             t.start()
             t.join()
         assert done.is_set()
-        by_name = {r["name"]: r for r in ring.records()}
+        by_name = {r["name"]: r for r in traced()}
         # The other thread's span must NOT claim main's open span as parent.
         assert by_name["thread.child"]["parent_id"] is None
 
-    def test_name_attribute_key_does_not_collide(self, ring):
+    def test_name_attribute_key_does_not_collide(self, traced):
         with span("spec.run", name="my-spec"):
             pass
-        (record,) = ring.records()
+        (record,) = traced()
         assert record["name"] == "spec.run"
         assert record["attrs"] == {"name": "my-spec"}
-
-
-class TestRingBufferSink:
-    def test_capacity_keeps_latest(self):
-        sink = RingBufferSink(capacity=3)
-        for i in range(5):
-            sink.emit({"i": i})
-        assert [r["i"] for r in sink.records()] == [2, 3, 4]
-
-    def test_clear(self):
-        sink = RingBufferSink()
-        sink.emit({"a": 1})
-        sink.clear()
-        assert sink.records() == []
 
 
 class TestJSONLSink:
@@ -181,7 +175,7 @@ class TestJSONLSink:
 
 class TestSinkManagement:
     def test_add_remove(self):
-        sink = RingBufferSink()
+        sink = _ListSink()
         add_sink(sink)
         assert trace_enabled()
         remove_sink(sink)
@@ -189,44 +183,42 @@ class TestSinkManagement:
         remove_sink(sink)  # second removal is a no-op
 
     def test_every_sink_sees_every_record(self):
-        a, b = RingBufferSink(), RingBufferSink()
+        a, b = _ListSink(), _ListSink()
         add_sink(a)
         add_sink(b)
         with span("x"):
             pass
-        assert len(a.records()) == len(b.records()) == 1
+        assert len(a.records) == len(b.records) == 1
 
     def test_jsonl_paths_lists_only_jsonl_sinks(self, tmp_path):
-        add_sink(RingBufferSink())
+        add_sink(_ListSink())
         assert jsonl_paths() == ()
         sink = JSONLSink(tmp_path / "t.jsonl")
         add_sink(sink)
         assert jsonl_paths() == (str(tmp_path / "t.jsonl"),)
 
     def test_attach_worker_sinks_replaces_everything(self, tmp_path):
-        add_sink(RingBufferSink())
+        inherited = _ListSink()
+        add_sink(inherited)
         attach_worker_sinks([str(tmp_path / "w.jsonl")])
         assert jsonl_paths() == (str(tmp_path / "w.jsonl"),)
-        assert len(sinks()) == 1
+        with span("x"):
+            pass
+        assert inherited.records == []
         attach_worker_sinks(())
         assert not trace_enabled()
 
 
 class TestEmitters:
-    def test_emit_event(self, ring):
-        emit_event("checkpoint", step=3)
-        (record,) = ring.records()
-        assert record["type"] == "event"
-        assert record["name"] == "checkpoint"
-        assert record["attrs"] == {"step": 3}
-
-    def test_emit_metrics_snapshots_registry(self, ring):
-        from repro.obs.metrics import MetricsRegistry
-
+    def test_emit_metrics_snapshots_registry(self, traced):
         reg = MetricsRegistry()
         reg.inc("x", 3.0)
-        emit_metrics(reg)
-        (record,) = ring.records()
+        previous = set_registry(reg)
+        try:
+            emit_metrics()
+        finally:
+            set_registry(previous)
+        (record,) = traced()
         assert record["type"] == "metrics"
         assert record["metrics"]["counters"][0]["value"] == 3.0
 
@@ -241,13 +233,6 @@ class TestTracingContext:
         assert not trace_enabled()
         records = read_trace(path)
         assert [r["type"] for r in records] == ["span", "metrics"]
-
-    def test_metrics_false_skips_final_snapshot(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with tracing(path, metrics=False):
-            with span("inside"):
-                pass
-        assert [r["type"] for r in read_trace(path)] == ["span"]
 
     def test_detaches_on_error(self, tmp_path):
         with pytest.raises(RuntimeError):

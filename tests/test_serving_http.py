@@ -778,59 +778,3 @@ class TestDriftEndpoint:
             assert snap["count"] > 0
             assert snap["floor"] == pytest.approx(0.3)
 
-
-class TestRefreshHook:
-    def test_hook_fires_periodically_and_stops_with_server(self, registry):
-        fired = threading.Event()
-        calls = []
-
-        def hook():
-            calls.append(time.monotonic())
-            if len(calls) >= 2:
-                fired.set()
-
-        service = TransformService(registry)
-        server = ServingServer(
-            service, n_workers=2, refresh_hook=hook, refresh_interval=0.05
-        ).start()
-        try:
-            assert fired.wait(timeout=5.0), "refresh hook never fired twice"
-        finally:
-            server.close()
-        settled = len(calls)
-        time.sleep(0.2)
-        assert len(calls) == settled  # thread joined on close
-
-    def test_hook_errors_are_counted_not_fatal(self, fitted, registry):
-        X, *_ = fitted
-
-        def hook():
-            raise RuntimeError("refresh exploded")
-
-        service = TransformService(registry)
-        with ServingServer(
-            service, n_workers=2, refresh_hook=hook, refresh_interval=0.05
-        ) as server:
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if service.metrics.counter_value("http.refresh_hook_errors"):
-                    break
-                time.sleep(0.05)
-            assert service.metrics.counter_value("http.refresh_hook_errors") >= 1
-            # The server still serves.
-            status, _, _ = _call(
-                server,
-                "POST",
-                "/transform",
-                payload={"model": "pfr@latest", "rows": X[:2].tolist()},
-            )
-            assert status == 200
-
-    def test_invalid_hook_parameters(self, registry):
-        service = TransformService(registry)
-        with pytest.raises(Exception, match="refresh_hook"):
-            ServingServer(service, refresh_hook="not-callable")
-        with pytest.raises(Exception, match="refresh_interval"):
-            ServingServer(
-                service, refresh_hook=lambda: None, refresh_interval=0.0
-            )

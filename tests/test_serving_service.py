@@ -308,18 +308,6 @@ class TestByteRowEntries:
 
 
 class TestLifecycle:
-    def test_loaded_models_and_evict(self, setup, rng):
-        registry, *_ = setup
-        service = TransformService(registry)
-        assert service.loaded_models() == []
-        service.transform("pfr", rng.normal(size=(2, 5)))
-        assert service.loaded_models() == ["pfr@1"]
-        service.evict("pfr@1")
-        assert service.loaded_models() == []
-        service.transform("pfr", rng.normal(size=(2, 5)))
-        service.evict()
-        assert service.loaded_models() == []
-
     def test_latest_follows_promotion(self, setup, rng):
         registry, model, X = setup
         WF = pairwise_judgment_graph([(2, 3)], n=60)
@@ -581,3 +569,5 @@ class TestDriftAccounting:
         registry, _, _ = landmark_setup
         with pytest.raises(ValidationError, match="drift_sample"):
             TransformService(registry, drift=True, drift_sample=0)
+        with pytest.raises(ValidationError, match="drift_floor must be finite"):
+            TransformService(registry, drift=True, drift_floor=float("nan"))
