@@ -23,52 +23,9 @@ registry plus a batched, cached :class:`~repro.serving.TransformService`
 (see ``examples/serving_pipeline.py`` and the README).
 """
 
-from .baselines import (
-    EqualizedOddsPostProcessor,
-    IFair,
-    LFR,
-    MaskedRepresentation,
-    SideInformationAugmenter,
-)
-from .core import (
-    PFR,
-    KernelPFR,
-    LandmarkPlan,
-    SpectralFitPlan,
-    fit_path,
-    select_landmarks,
-)
-from .datasets import (
-    Dataset,
-    load_compas,
-    load_crime,
-    simulate_admissions,
-    simulate_compas,
-    simulate_crime,
-)
-from .exceptions import (
-    ConvergenceError,
-    DatasetError,
-    GraphConstructionError,
-    ModelNotFoundError,
-    NotFittedError,
-    ReproError,
-    ValidationError,
-)
-from .graphs import (
-    between_group_quantile_graph,
-    equivalence_class_graph,
-    knn_graph,
-)
-from .io import load_model, save_model
-from .metrics import (
-    consistency,
-    group_auc,
-    group_rates,
-)
-
 from ._version import __version__
 from ._blas import apply_policy as _apply_blas_policy
+from ._lazy import lazy_exports
 
 # Every entry point (CLI, `repro serve`, the library API, the lifecycle
 # controller, process workers) passes through here: numpy's OpenBLAS pool
@@ -76,54 +33,49 @@ from ._blas import apply_policy as _apply_blas_policy
 # LAPACK pool. OPENBLAS_NUM_THREADS and friends override it (see _blas).
 _apply_blas_policy()
 
-
-def __getattr__(name):
-    # Lazy subpackage: `repro.serving` (threads, registry machinery) loads
-    # only when first touched, keeping `import repro` and the experiment
-    # CLI paths free of the serving stack (PEP 562). Uses importlib
-    # directly: a `from . import serving` here would re-enter __getattr__.
-    if name in ("serving", "store", "obs", "lifecycle"):
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "PFR",
-    "KernelPFR",
-    "LandmarkPlan",
-    "SpectralFitPlan",
-    "fit_path",
-    "select_landmarks",
-    "EqualizedOddsPostProcessor",
-    "IFair",
-    "LFR",
-    "MaskedRepresentation",
-    "SideInformationAugmenter",
-    "Dataset",
-    "load_compas",
-    "load_crime",
-    "simulate_admissions",
-    "simulate_compas",
-    "simulate_crime",
-    "ReproError",
-    "NotFittedError",
-    "ValidationError",
-    "ModelNotFoundError",
-    "ConvergenceError",
-    "DatasetError",
-    "GraphConstructionError",
-    "between_group_quantile_graph",
-    "equivalence_class_graph",
-    "knn_graph",
-    "consistency",
-    "group_auc",
-    "group_rates",
-    "load_model",
-    "save_model",
-    "serving",
-    "store",
-    "obs",
-    "lifecycle",
-    "__version__",
-]
+# Everything else loads on first access (PEP 562): `import repro` itself
+# loads numpy, scipy.linalg (the BLAS policy above) and repro.obs, and
+# `python -m repro serve` adds scipy.sparse and the serving, io and
+# validation modules. A fitted model's first load brings in repro.core
+# and repro.graphs; repro.experiments, repro.baselines, repro.datasets,
+# repro.metrics and scipy.optimize load only when a caller names them.
+_EXPORTS = {
+    "PFR": ".core",
+    "KernelPFR": ".core",
+    "LandmarkPlan": ".core",
+    "SpectralFitPlan": ".core",
+    "fit_path": ".core",
+    "select_landmarks": ".core",
+    "EqualizedOddsPostProcessor": ".baselines",
+    "IFair": ".baselines",
+    "LFR": ".baselines",
+    "MaskedRepresentation": ".baselines",
+    "SideInformationAugmenter": ".baselines",
+    "Dataset": ".datasets",
+    "load_compas": ".datasets",
+    "load_crime": ".datasets",
+    "simulate_admissions": ".datasets",
+    "simulate_compas": ".datasets",
+    "simulate_crime": ".datasets",
+    "ReproError": ".exceptions",
+    "NotFittedError": ".exceptions",
+    "ValidationError": ".exceptions",
+    "ModelNotFoundError": ".exceptions",
+    "ConvergenceError": ".exceptions",
+    "DatasetError": ".exceptions",
+    "GraphConstructionError": ".exceptions",
+    "between_group_quantile_graph": ".graphs",
+    "equivalence_class_graph": ".graphs",
+    "knn_graph": ".graphs",
+    "consistency": ".metrics",
+    "group_auc": ".metrics",
+    "group_rates": ".metrics",
+    "load_model": ".io",
+    "save_model": ".io",
+    "serving": ".serving",
+    "store": ".store",
+    "obs": ".obs",
+    "lifecycle": ".lifecycle",
+}
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -91,7 +91,6 @@ import numpy as np
 
 from ._version import __version__
 from .exceptions import ReproError
-from .experiments import EXPERIMENTS, get_experiment
 
 __all__ = ["main", "build_parser", "default_registry_root", "default_store_root"]
 
@@ -463,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args) -> int:
+    from .experiments import EXPERIMENTS
+
     for spec in EXPERIMENTS.values():
         print(f"{spec.experiment_id:10s} [{spec.dataset:9s}] {spec.title}")
         for claim in spec.claims:
@@ -472,6 +473,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiments import EXPERIMENTS, get_experiment
     from .experiments.config import render_record
 
     targets = (
@@ -669,8 +671,19 @@ def _load_lifecycle_bundle(path: Path) -> dict:
 def _lifecycle_controller(args):
     """Build a LifecycleController from the CLI flags + data bundle."""
     from .core import PFR, LandmarkPlan
-    from .lifecycle import LifecycleController, RefreshPolicy
+    from .lifecycle import (
+        LifecycleController,
+        RefreshPolicy,
+        _check_holdout_tolerance,
+    )
 
+    # Options first: a rejected flag costs no bundle load and no plan fit.
+    policy = RefreshPolicy(
+        stale_fraction=args.stale_fraction,
+        min_interval=args.min_interval,
+        min_rows=args.min_rows,
+    )
+    _check_holdout_tolerance(args.holdout_tolerance)
     data = _load_lifecycle_bundle(Path(args.data))
     estimator = PFR(
         n_components=args.components,
@@ -686,11 +699,7 @@ def _lifecycle_controller(args):
         registry=_registry(args),
         name=args.name,
         ledger=_ledger(args),
-        policy=RefreshPolicy(
-            stale_fraction=args.stale_fraction,
-            min_interval=args.min_interval,
-            min_rows=args.min_rows,
-        ),
+        policy=policy,
         holdout=data.get("X_holdout"),
         holdout_tolerance=args.holdout_tolerance,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .._validation import check_array
 from ..exceptions import GraphConstructionError, ValidationError
@@ -224,6 +223,10 @@ def _neighbors_exact(view: np.ndarray, k: int) -> np.ndarray:
     ``k+1`` set drop the farthest entry instead. The tree is used for
     selection only; weights come from :func:`_selected_sq_distances`.
     """
+    # Imported here: scipy.spatial costs ~0.1 s, and loading or serving a
+    # fitted model (repro serve) builds no tree.
+    from scipy.spatial import cKDTree
+
     n = view.shape[0]
     tree = cKDTree(view)
     _, neighbors = tree.query(view, k=k + 1)
@@ -360,6 +363,8 @@ def knn_cross(
     query_view = np.ascontiguousarray(_distance_view(X_query, exclude))
     ref_view = np.ascontiguousarray(_distance_view(X_ref, exclude))
     bandwidth = resolve_bandwidth(ref_view, bandwidth)
+
+    from scipy.spatial import cKDTree
 
     with span("graphs.knn_cross", q=int(q), r=int(r), k=int(n_neighbors)):
         get_registry().inc("knn.build")

@@ -23,6 +23,7 @@ model registry (:mod:`repro.serving.registry`) builds on this guarantee.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import tempfile
@@ -33,17 +34,7 @@ import numpy as np
 
 from ._validation import check_is_fitted
 from ._version import __version__
-from .baselines import (
-    EqualizedOddsPostProcessor,
-    IFair,
-    LFR,
-    MaskedRepresentation,
-    SideInformationAugmenter,
-)
-from .core import PFR, KernelPFR
-from .core.plan import RETIRED_PARAMS, retired_param_message
 from .exceptions import ValidationError
-from .ml import LogisticRegression, StandardScaler
 
 __all__ = ["save_model", "load_model", "read_header"]
 
@@ -127,10 +118,12 @@ def _unpack_plan_digests(model, arrays: dict) -> None:
         model.plan_digests_ = json.loads(bytes(bytearray(blob)).decode("utf-8"))
 
 
-# model type name -> (class, fitted attributes persisted as arrays)
+# model type name -> (module defining the class, fitted attributes persisted
+# as arrays). load_model imports the module on first use, so reading a
+# KernelPFR loads the core and none of the baselines.
 _REGISTRY = {
     "PFR": (
-        PFR,
+        ".core.pfr",
         (
             "components_",
             "eigenvalues_",
@@ -140,7 +133,7 @@ _REGISTRY = {
         ),
     ),
     "KernelPFR": (
-        KernelPFR,
+        ".core.kernel_pfr",
         (
             "alphas_",
             "eigenvalues_",
@@ -151,27 +144,27 @@ _REGISTRY = {
         ),
     ),
     "LogisticRegression": (
-        LogisticRegression,
+        ".ml.linear",
         ("coef_", "intercept_", "classes_", "n_iter_"),
     ),
     "StandardScaler": (
-        StandardScaler,
+        ".ml.preprocessing",
         ("mean_", "scale_", "n_features_in_"),
     ),
     "IFair": (
-        IFair,
+        ".baselines.ifair",
         ("prototypes_", "feature_weights_", "loss_", "n_iter_", "n_features_in_"),
     ),
     "LFR": (
-        LFR,
+        ".baselines.lfr",
         ("prototypes_", "label_weights_", "loss_", "n_iter_", "n_features_in_"),
     ),
     "MaskedRepresentation": (
-        MaskedRepresentation,
+        ".baselines.original",
         ("keep_columns_", "n_features_in_"),
     ),
     "SideInformationAugmenter": (
-        SideInformationAugmenter,
+        ".baselines.augment",
         (
             "means_",
             "n_features_in_",
@@ -180,7 +173,7 @@ _REGISTRY = {
             "_train_rows",
         ),
     ),
-    "EqualizedOddsPostProcessor": (EqualizedOddsPostProcessor, ()),
+    "EqualizedOddsPostProcessor": (".baselines.hardt", ()),
 }
 
 _CHECK_ATTRIBUTE = {
@@ -302,9 +295,10 @@ def load_model(path):
     with _open_archive(path) as archive:
         header = _validated_header(archive, path)
         type_name = header["model_type"]
-        cls, fitted_attributes = _REGISTRY[type_name]
+        module, fitted_attributes = _REGISTRY[type_name]
+        cls = getattr(importlib.import_module(module, __package__), type_name)
         params = dict(header["params"])
-        if cls in (PFR, KernelPFR):
+        if type_name in ("PFR", "KernelPFR"):
             _drop_retired_params(params, path)
 
         model = cls(**params)
@@ -345,6 +339,8 @@ def _drop_retired_params(params: dict, path: Path) -> None:
     fit now takes loads as before; any other value is refused rather than
     served through a different path.
     """
+    from .core.plan import RETIRED_PARAMS, retired_param_message
+
     for name, surviving in RETIRED_PARAMS.items():
         if name not in params:
             continue

@@ -150,6 +150,7 @@ class DriftMonitor:
         metrics: MetricsRegistry | None = None,
         name: str = "model",
     ):
+        check_finite(window, name="window")
         if window < 1:
             raise ValidationError(f"window must be >= 1; got {window}")
         if floor is None:
@@ -252,6 +253,7 @@ class RefreshPolicy:
             raise ValidationError(
                 f"min_interval must be >= 0; got {self.min_interval}"
             )
+        check_finite(self.min_rows, name="min_rows")
         if self.min_rows < 1:
             raise ValidationError(f"min_rows must be >= 1; got {self.min_rows}")
 
@@ -273,6 +275,15 @@ class RefreshPolicy:
             if now - last_refresh < self.min_interval:
                 return False
         return True
+
+
+def _check_holdout_tolerance(tolerance) -> None:
+    """A ValidationError unless ``tolerance`` is finite and ``>= 0``."""
+    check_finite(tolerance, name="holdout_tolerance")
+    if tolerance < 0:
+        raise ValidationError(
+            f"holdout_tolerance must be >= 0; got {tolerance}"
+        )
 
 
 class LifecycleController:
@@ -330,11 +341,7 @@ class LifecycleController:
                 "LifecycleController needs a fitted plan: call plan.fit(estimator) "
                 "before constructing the controller"
             )
-        check_finite(holdout_tolerance, name="holdout_tolerance")
-        if holdout_tolerance < 0:
-            raise ValidationError(
-                f"holdout_tolerance must be >= 0; got {holdout_tolerance}"
-            )
+        _check_holdout_tolerance(holdout_tolerance)
         self.plan = plan
         self.estimator = estimator
         self.registry = (

@@ -6,34 +6,27 @@ classifier the paper uses, the evaluation metrics, standardization, and the
 splitters and parameter grids of the paper's protocol (§4.1).
 """
 
-from .base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
-from .linear import LogisticRegression, sigmoid
-from .metrics import (
-    confusion_matrix,
-    false_negative_rate,
-    false_positive_rate,
-    positive_prediction_rate,
-    roc_auc_score,
-    roc_curve,
-)
-from .model_selection import ParameterGrid, StratifiedKFold, train_test_split
-from .preprocessing import StandardScaler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaseEstimator",
-    "ClassifierMixin",
-    "TransformerMixin",
-    "clone",
-    "LogisticRegression",
-    "sigmoid",
-    "confusion_matrix",
-    "false_negative_rate",
-    "false_positive_rate",
-    "positive_prediction_rate",
-    "roc_auc_score",
-    "roc_curve",
-    "ParameterGrid",
-    "StratifiedKFold",
-    "train_test_split",
-    "StandardScaler",
-]
+# Loaded on first access, so the estimators' `ml.base` comes without
+# `ml.linear` and its scipy.optimize.
+_EXPORTS = {
+    "BaseEstimator": ".base",
+    "ClassifierMixin": ".base",
+    "TransformerMixin": ".base",
+    "clone": ".base",
+    "LogisticRegression": ".linear",
+    "sigmoid": ".linear",
+    "confusion_matrix": ".metrics",
+    "false_negative_rate": ".metrics",
+    "false_positive_rate": ".metrics",
+    "positive_prediction_rate": ".metrics",
+    "roc_auc_score": ".metrics",
+    "roc_curve": ".metrics",
+    "ParameterGrid": ".model_selection",
+    "StratifiedKFold": ".model_selection",
+    "train_test_split": ".model_selection",
+    "StandardScaler": ".preprocessing",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -171,6 +171,14 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _response(result) -> tuple:
+    """``(status, content_type, payload)`` of a handler result; a dict
+    is a 200 JSON body."""
+    if isinstance(result, tuple):
+        return result
+    return 200, "application/json", _json_bytes(result)
+
+
 def _record_json(record) -> dict:
     """JSON view of a :class:`~repro.serving.registry.ModelRecord`."""
     return {
@@ -505,13 +513,13 @@ class ServingServer:
         try:
             route, handler, needs_worker = self._route(method, path, body)
             if needs_worker:
-                result = await self._run_on_worker(route, handler)
+                # Encoded on the worker too: formatting a batch's floats
+                # on the loop would stall every other connection.
+                status, content_type, payload = await self._run_on_worker(
+                    route, lambda: _response(handler())
+                )
             else:
-                result = handler()
-            if isinstance(result, tuple):
-                status, content_type, payload = result
-            else:
-                status, payload = 200, _json_bytes(result)
+                status, content_type, payload = _response(handler())
         except _HttpError as exc:
             status, payload = exc.status, _json_bytes({"error": exc.message})
         except ValidationError as exc:

@@ -602,12 +602,25 @@ class TestLifecycleCommands:
         ("--min-interval", "min_interval"),
         ("--holdout-tolerance", "holdout_tolerance"),
     ])
-    def test_nan_option_is_rejected(self, bundle, capsys, flag, name):
+    def test_nan_option_is_rejected(self, bundle, capsys, monkeypatch,
+                                    flag, name):
+        # Rejected before the bundle's plan is fitted, not after.
+        from repro.core import LandmarkPlan
+
+        fits = []
+        fit = LandmarkPlan.fit
+
+        def spy(plan, *args, **kwargs):
+            fits.append(plan)
+            return fit(plan, *args, **kwargs)
+
+        monkeypatch.setattr(LandmarkPlan, "fit", spy)
         path, root = bundle
         assert main(
             ["lifecycle", "refresh", *self._flags(path, root), flag, "nan"]
         ) != 0
         assert f"{name} must be finite" in capsys.readouterr().err
+        assert fits == []
 
     def test_missing_bundle_errors(self, tmp_path, capsys):
         assert main(

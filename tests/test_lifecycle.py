@@ -98,6 +98,12 @@ class TestDriftMonitor:
         with pytest.raises(ValidationError, match="window"):
             DriftMonitor(window=0, metrics=MetricsRegistry())
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, window):
+        # A NaN window used to escape as a bare ValueError from int().
+        with pytest.raises(ValidationError, match="window must be finite"):
+            DriftMonitor(window=window, metrics=MetricsRegistry())
+
     @pytest.mark.parametrize("floor", [float("nan"), float("inf")])
     def test_non_finite_floor_rejected(self, floor):
         # A NaN floor used to read every row as in-distribution: scores
@@ -135,6 +141,13 @@ class TestRefreshPolicy:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             RefreshPolicy(**kwargs)
+
+    @pytest.mark.parametrize("min_rows", [float("nan"), float("inf")])
+    def test_non_finite_min_rows_rejected(self, min_rows):
+        # A NaN min_rows used to be accepted, and then the row-count gate
+        # never held: a 1-row window with drift 1.0 refreshed.
+        with pytest.raises(ValidationError, match="min_rows must be finite"):
+            RefreshPolicy(min_rows=min_rows)
 
 
 class TestScorerFor:

@@ -174,6 +174,46 @@ class TestTransform:
             conn.close()
 
 
+    def test_worker_routes_encode_on_the_worker(self, fitted, server,
+                                                monkeypatch):
+        # A worker route's JSON body is encoded by the worker that computed
+        # it: float formatting on the event-loop thread would stall every
+        # other connection. The bytes are the sorted-key JSON line.
+        import repro.serving.http as http_module
+
+        X, model_v1, _ = fitted
+        encoders = []
+        encode = http_module._json_bytes
+
+        def spy(obj):
+            encoders.append(threading.current_thread().name)
+            return encode(obj)
+
+        monkeypatch.setattr(http_module, "_json_bytes", spy)
+        requests = [
+            ("POST", "/transform", {"model": "pfr", "rows": X[:4].tolist()}),
+            ("POST", "/transform", {"model": "pfr@1", "row": X[5].tolist()}),
+            ("GET", "/models", None),
+            ("GET", "/models/pfr", None),
+            ("GET", "/drift", None),
+            ("POST", "/models/pfr/promote", {"version": 1}),
+        ]
+        for method, path, payload in requests:
+            assert _call(server, method, path, payload=payload)[0] == 200
+        assert len(encoders) == len(requests)
+        assert all(name.startswith("repro-http_") for name in encoders), encoders
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request("POST", "/transform", body=json.dumps(
+                {"model": "pfr", "rows": X[:4].tolist()}))
+            raw = conn.getresponse().read()
+        finally:
+            conn.close()
+        expected = {"model": "pfr@1", "rows": model_v1.transform(X[:4]).tolist()}
+        assert raw == (json.dumps(expected, sort_keys=True) + "\n").encode()
+
+
 class TestTransformValidation:
     @pytest.mark.parametrize("payload,fragment", [
         ({"row": [1, 2, 3, 4, 5]}, "model"),
