@@ -5,8 +5,7 @@ Usage::
     python -m repro --version
     python -m repro list
     python -m repro run figure2 [--scale 0.5] [--seed 0] [--output out.txt]
-    python -m repro run all --output EXPERIMENTS.md
-    python -m repro report crime [--scale 0.5]
+    python -m repro run all [--store DIR] --output EXPERIMENTS.md
 
     python -m repro experiments run spec.yaml [--store DIR] [--workers 4]
                                               [--shard I/K]
@@ -41,8 +40,10 @@ Usage::
 paper-vs-measured record: the paper's claims with the tier-1 tests that
 pin them, the known deviations, and the ASCII rendering of the measured
 values; ``--output`` also writes it to a file, and ``run all --output
-EXPERIMENTS.md`` regenerates the committed record. ``list`` shows every
-experiment with its claims. The
+EXPERIMENTS.md`` regenerates the committed record. ``--store`` reads the
+fits already in a run ledger back instead of refitting them (the record's
+bytes are the same either way). ``list`` shows every experiment with its
+claims. The
 ``experiments`` family runs declarative scenario matrices
 (``experiments run spec.yaml``; a γ-sweep is a one-seed spec, a
 cross-seed repetition a one-γ spec) and the grid-search tuning protocol
@@ -90,7 +91,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .exceptions import ReproError
+from .exceptions import ReproError, ValidationError
 
 __all__ = ["main", "build_parser", "default_registry_root", "default_store_root"]
 
@@ -133,14 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="generator seed")
     run.add_argument("--output", default=None,
                      help="also write the rendering to this file")
-
-    report = subparsers.add_parser(
-        "report", help="full §4-style report for one workload"
+    run.add_argument(
+        "--store", default=None,
+        help="run-ledger directory: fits already in it are read back, new "
+             "ones are added (default: none, fit everything in memory)",
     )
-    report.add_argument("dataset", choices=["synthetic", "crime", "compas"])
-    report.add_argument("--scale", type=float, default=1.0)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--output", default=None)
 
     models = subparsers.add_parser(
         "models", help="manage the versioned model registry"
@@ -481,8 +479,10 @@ def _cmd_run(args) -> int:
     )
     experiments = [get_experiment(target) for target in targets]
     results = [
-        spec.driver(scale=args.scale, seed=args.seed) for spec in experiments
+        spec.driver(scale=args.scale, seed=args.seed, store=args.store)
+        for spec in experiments
     ]
+    # No --store: the record's bytes do not depend on where the ledger is.
     command = (
         f"python -m repro run {args.experiment} --scale {args.scale} "
         f"--seed {args.seed}"
@@ -490,16 +490,6 @@ def _cmd_run(args) -> int:
     if args.output:
         command += f" --output {args.output}"
     text = render_record(experiments, results, command=command)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from .experiments.summary import workload_report
-
-    text = workload_report(args.dataset, scale=args.scale, seed=args.seed)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
@@ -841,7 +831,13 @@ def _cmd_lifecycle(args) -> int:
                 continue
             for batch_path in batches:
                 X_batch = np.load(batch_path)
-                event = controller.ingest(X_batch)
+                try:
+                    event = controller.ingest(X_batch)
+                except ValidationError as exc:
+                    # Quarantine: a bad batch must not stop the watch.
+                    print(f"error: {batch_path.name}: {exc}", file=sys.stderr)
+                    batch_path.rename(batch_path.with_suffix(".npy.rejected"))
+                    continue
                 event["batch_file"] = batch_path.name
                 _print_lifecycle_event(event, as_json=args.json)
                 # Consume: the producer sees .done and never re-submits.
@@ -1158,7 +1154,6 @@ def _with_obs(args, command):
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
-    "report": _cmd_report,
     "models": _cmd_models,
     "serve": _cmd_serve,
     "lifecycle": _cmd_lifecycle,

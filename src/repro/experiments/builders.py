@@ -54,8 +54,8 @@ def make_workload(name: str, *, seed: int = 0, scale: float = 1.0) -> Dataset:
 
     ``name`` is ``"synthetic"``, ``"crime"`` or ``"compas"``; ``scale``
     shrinks the Table 1 sizes for quick runs (floor 20 rows per count).
-    The figure drivers, the workload reports, and the CLI's
-    ``experiments`` commands all build their datasets here.
+    The figure drivers and the CLI's ``experiments`` commands all build
+    their datasets here.
     """
     from ..datasets import simulate_admissions, simulate_compas, simulate_crime
 

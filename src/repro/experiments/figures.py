@@ -6,6 +6,15 @@ paper plots and whose ``text`` is an ASCII rendering. Dataset sizes default
 to the paper's (Table 1) and can be scaled down with ``scale`` for quick
 runs; all functions are deterministic in ``seed``.
 
+Every driver takes ``store``, a run-ledger directory or
+:class:`~repro.store.RunLedger` (``None``, the default, keeps everything in
+memory), so ``repro run`` makes the same call to each. A driver that fits
+runs every fit as a cell on the one cell executor
+(:mod:`repro.experiments.spec`): figures 2–10 as ``method_result`` cells,
+figure 1 as ``model`` cells. With a store a cell already in the ledger is
+read back instead of recomputed, and the result is bitwise the same with
+or without one, cold or warm. ``table1`` fits nothing and ignores it.
+
 Figure → experiment map (the registry in :mod:`repro.experiments.config`
 adds each figure's claims; EXPERIMENTS.md records the measured values):
 
@@ -26,7 +35,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from .builders import make_workload
-from .harness import ExperimentHarness
+from .harness import ExperimentHarness, _classify
 from .report import (
     render_bars,
     render_decision_field,
@@ -109,8 +118,9 @@ _DATASET_GAMMA = {"synthetic": 0.9, "crime": 1.0, "compas": 1.0}
 # Table 1 — dataset statistics
 # ---------------------------------------------------------------------------
 
-def table1(*, seed: int = 0, scale: float = 1.0) -> FigureResult:
-    """Regenerate Table 1: per-dataset sizes and base rates."""
+def table1(*, seed: int = 0, scale: float = 1.0, store=None) -> FigureResult:
+    """Regenerate Table 1: per-dataset sizes and base rates (``store`` is
+    unused: the table fits nothing)."""
     rows = []
     for name in ("synthetic", "crime", "compas"):
         row = make_workload(name, seed=seed, scale=scale).table1_row()
@@ -173,33 +183,36 @@ def _representation_geometry(Z, y, s) -> dict:
     }
 
 
-def figure1(*, seed: int = 0, scale: float = 1.0) -> FigureResult:
+def figure1(*, seed: int = 0, scale: float = 1.0, store=None) -> FigureResult:
     """Regenerate Figure 1: 2-D representations of the synthetic data.
 
     Returns per-method 2-D embeddings, the geometry statistics that encode
     the paper's three visual observations, and ASCII plots of the test
     points over each representation's logistic-regression decision field
-    (the contours of the paper's panels b-d).
+    (the contours of the paper's panels b-d). Each method's representation
+    is a ``model`` cell, so with a ``store`` it is fitted once and read
+    back from the ledger afterwards.
     """
-    from ..ml import LogisticRegression, StandardScaler
-
     harness = workload_harness(
-        "synthetic", seed=seed, scale=scale, n_components=2
-    ).prepare()
+        "synthetic", seed=seed, scale=scale, n_components=2, store=store
+    )
+    fitted = harness._fit_models(
+        SYNTHETIC_METHODS, gamma=_DATASET_GAMMA["synthetic"], method_params={}
+    )
+    ledger = harness._ledger()
 
     representations, geometry, plots = {}, {}, {}
     y, s = harness.y_test, harness.s_test
     categories = np.array(
         [f"s{int(g)}{'+' if label == 1 else 'o'}" for g, label in zip(s, y)]
     )
-    for method in SYNTHETIC_METHODS:
-        Z_train, Z_test = harness._representation(
-            method, gamma=_DATASET_GAMMA["synthetic"], method_params={}
+    for method, model in zip(SYNTHETIC_METHODS, fitted):
+        if ledger is not None:
+            model = ledger.load_model(model.digest)
+        classifier, Z2 = _classify(
+            model.transform(harness.X_train)[:, :2], harness.y_train,
+            model.transform(harness.X_test)[:, :2], 1.0,
         )
-        scaler = StandardScaler().fit(Z_train[:, :2])
-        Z2_train = scaler.transform(Z_train[:, :2])
-        Z2 = scaler.transform(Z_test[:, :2])
-        classifier = LogisticRegression().fit(Z2_train, harness.y_train)
         representations[method] = Z2
         geometry[method] = _representation_geometry(Z2, y, s)
         plots[method] = render_decision_field(

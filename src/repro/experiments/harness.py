@@ -20,9 +20,10 @@ keep regeneration fast and deterministic.
 and :meth:`~ExperimentHarness.gamma_sweep` compile onto the one
 experiment-cell executor in :mod:`repro.experiments.spec` (compile →
 skip → dispatch → put → read back), the same path :func:`run_spec` and
-the ``repeat_*`` functions take, and so does :meth:`~ExperimentHarness.tune`,
-whose grid points are ``tuned_point`` cells scored over CV folds. That
-executor is the only reader and writer of both result kinds in the ledger,
+the ``repeat_*`` functions take, and so do :meth:`~ExperimentHarness.tune`,
+whose grid points are ``tuned_point`` cells scored over CV folds, and
+:meth:`~ExperimentHarness.export_model`, whose fit is a ``model`` cell. That
+executor is the only reader and writer of these result kinds in the ledger,
 and every fit (a cell's, a tune fold's, an export's) goes through
 :meth:`~ExperimentHarness._fit_base_estimator`.
 """
@@ -524,8 +525,8 @@ class ExperimentHarness:
         """Construct and fit the representation estimator for a base method.
 
         The one fit path: a cell's (:meth:`_representation`), a tune
-        fold's (:meth:`_score_grid_point_direct`) and an export's
-        (:meth:`export_model`). ``train`` holds the rows the estimator
+        fold's (:meth:`_score_grid_point_direct`) and a ``model`` cell's
+        (:meth:`export_model`, figure 1). ``train`` holds the rows the estimator
         sees, the (possibly augmented) training split or one fold's fit
         part; its row count clamps the landmark count and the k-NN
         neighbourhood. The harness ``method_overrides`` for ``base`` are
@@ -592,10 +593,10 @@ class ExperimentHarness:
         is those two calls. Requires a ``store``; only base methods
         (``original``/``pfr``/``kpfr``/``ifair``/``lfr``) are exportable —
         augmented ("+") variants and ``hardt`` are pipelines, not a single
-        estimator artifact.
+        estimator artifact. The fit is one ``model`` cell on the cell
+        executor, so an entry already in the ledger is returned unfitted.
         """
-        ledger = self._ledger()
-        if ledger is None:
+        if self._ledger() is None:
             raise ValidationError(
                 "export_model needs a run ledger; construct the harness "
                 "with store=..."
@@ -608,32 +609,29 @@ class ExperimentHarness:
             )
         _check_method_params(method, method_params, field="export_model",
                              cell=False)
+        return self._fit_models([method], gamma=gamma,
+                                method_params=method_params)[0]
+
+    def _fit_models(self, methods, *, gamma: float, method_params: dict) -> list:
+        """One ``model`` cell per base method, fitted on the training split.
+
+        With a ``store`` each comes back as its ledger entry (a ledgered
+        one is not refitted), without one as the fitted estimator.
+        """
+        from .spec import _cell, _execute
+
         self.prepare()
-        task = {
-            "kind": "model",
-            "harness": self.task_fingerprint(),
-            "method": method,
-            "gamma": float(gamma),
-            "params": method_params,
-        }
-        cached = ledger.get_task(task)
-        if cached is not None and cached.has_model:
-            return cached
-        model = self._fit_base_estimator(
-            method, self._split_rows(self.X_train), gamma=gamma,
-            method_params=method_params,
-        )
-        digests = getattr(model, "plan_digests_", None)
-        payload = {
-            "model_type": type(model).__name__,
-            "method": method,
-            "gamma": float(gamma),
-            "stage_digests": (
-                {str(k): str(v) for k, v in digests.items()}
-                if isinstance(digests, dict) else {}
-            ),
-        }
-        return ledger.put(task, payload, model=model)
+        ledger = self._ledger()
+        fingerprint = None if ledger is None else self.task_fingerprint()
+        cells = [
+            _cell(0, method, gamma, 1.0, method_params, None if ledger is None
+                  else {"kind": "model", "harness": fingerprint,
+                        "method": method, "gamma": float(gamma),
+                        "params": method_params},
+                  kind="model")
+            for method in methods
+        ]
+        return _execute([self], cells, ledger=ledger)[0]
 
     def _landmark_params(self, n_train: int) -> dict:
         """Landmark-Nyström kwargs for PFR-family models (empty = exact)."""
@@ -881,7 +879,8 @@ class ExperimentHarness:
                 params={**self.method_overrides.get(method, {}), **point},
                 n_splits=cv[0], scoring=cv[1],
             )
-            cells.append(_cell(0, method, gamma, C, params, task, cv))
+            cells.append(_cell(0, method, gamma, C, params, task,
+                               kind="tuned_point", cv=cv))
             points.append({**params, "C": C, "gamma": gamma})
         try:
             scores = _execute([self], cells, ledger=ledger, workers=workers)[0]

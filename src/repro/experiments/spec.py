@@ -7,8 +7,10 @@ JSON), and :func:`run_spec` compiles it into a flat cell list. A
 ``repro experiments run`` is the CLI's one entry point for both. This
 module also holds the one executor of such cells, which
 :meth:`ExperimentHarness.run_method`/``run_methods``/``gamma_sweep``/``tune``
-and the ``repeat_*`` functions compile onto too; it is the only code that
-reads or writes a ``method_result`` or ``tuned_point`` ledger entry. Every
+and the ``repeat_*`` functions compile onto too, and so do the fitted
+models of :meth:`~ExperimentHarness.export_model` and ``figure1``; it is the
+only code that reads or writes a ``method_result``, ``tuned_point`` or
+experiment ``model`` ledger entry. Every
 cell is keyed by its content-addressed task digest in a
 :class:`~repro.store.RunLedger`, and completed digests are skipped
 *before* dispatch, which buys three properties for free:
@@ -640,26 +642,73 @@ def compile_cells(spec: RunSpec, *, ledger: RunLedger | None = None) -> list:
 
 # -- the one experiment-cell executor ----------------------------------------
 #
-# run_spec, ExperimentHarness.run_method/run_methods/gamma_sweep/tune and
-# repeat_* (and so the figure drivers) all compile to cells and run them
-# through `_execute`, the only code that reads or writes a method_result or
-# tuned_point ledger entry. There is no other path: a tune grid point is a
-# cell too, scored over CV folds instead of on the test split.
+# run_spec, ExperimentHarness.run_method/run_methods/gamma_sweep/tune/
+# export_model and repeat_* (and so the figure drivers) all compile to cells
+# and run them through `_execute`, the only code that reads or writes a
+# method_result, tuned_point or experiment model ledger entry. There is no
+# other path: a tune grid point is a cell too, scored over CV folds instead
+# of on the test split, and so is a fitted model, persisted as a blob.
 
-#: Each result kind's ledger payload codec: (encode, decode).
-_CODECS = {
-    "method_result": (encode_method_result, decode_method_result),
-    "tuned_point": (lambda score: {"mean_score": score},
-                    lambda payload: float(payload["mean_score"])),
+
+def _model_entry(cell, model) -> tuple:
+    """A ``model`` cell's ledger payload, and the estimator as its blob."""
+    digests = getattr(model, "plan_digests_", None)
+    return {
+        "model_type": type(model).__name__,
+        "method": cell.method,
+        "gamma": float(cell.gamma),
+        "stage_digests": (
+            {str(k): str(v) for k, v in digests.items()}
+            if isinstance(digests, dict) else {}
+        ),
+    }, model
+
+
+class _Kind(NamedTuple):
+    """One cell kind: ``run(harness, cell)`` computes the result,
+    ``encode(cell, result)`` gives its ledger ``(payload, model blob)``, and
+    ``decode(entry)`` reads the result back from its ledger entry."""
+
+    run: object
+    encode: object
+    decode: object
+
+
+_KINDS = {
+    "method_result": _Kind(
+        lambda harness, cell: harness._run_method_direct(
+            cell.method, gamma=cell.gamma, C=cell.C, method_params=cell.params
+        ),
+        lambda cell, result: (encode_method_result(result), None),
+        lambda entry: decode_method_result(entry.payload),
+    ),
+    # Scored by cross-validation on the training split, over cell.cv.
+    "tuned_point": _Kind(
+        lambda harness, cell: harness._score_grid_point_direct(
+            cell.method, gamma=cell.gamma, C=cell.C, method_params=cell.params,
+            cv=cell.cv,
+        ),
+        lambda cell, score: ({"mean_score": score}, None),
+        lambda entry: float(entry.payload["mean_score"]),
+    ),
+    # The base estimator fitted on the training split; read back as its
+    # LedgerEntry, whose blob RunLedger.load_model deserializes.
+    "model": _Kind(
+        lambda harness, cell: harness._fit_base_estimator(
+            cell.method, harness._split_rows(harness.X_train),
+            gamma=cell.gamma, method_params=cell.params,
+        ),
+        _model_entry,
+        lambda entry: entry,
+    ),
 }
 
 
 class _Cell(NamedTuple):
-    """One cell: a (method, γ, C, params) call on the slice at ``index``,
-    with its ledger task and that task's digest (both None without a
-    ledger). A ``tuned_point`` cell carries its ``cv`` = (n_splits,
-    scoring) and scores the call by cross-validation on the training split;
-    any other cell evaluates it on the test split."""
+    """One cell of result ``kind`` (a :data:`_KINDS` key): a (method, γ, C,
+    params) call on the slice at ``index``, with its ledger task and that
+    task's digest (both None without a ledger). A ``tuned_point`` cell
+    carries its ``cv`` = (n_splits, scoring)."""
 
     index: int
     method: str
@@ -668,16 +717,20 @@ class _Cell(NamedTuple):
     params: dict
     task: dict | None
     digest: str | None
+    kind: str
     cv: tuple | None
 
 
-def _cell(index, method, gamma, C, params, task=None, cv=None) -> _Cell:
+def _cell(
+    index, method, gamma, C, params, task=None, *, kind="method_result",
+    cv=None,
+) -> _Cell:
     """Check the method params and build a cell keyed by ``task`` (None
     when there is no ledger to key, so a ledger-free run never hashes
     data)."""
     _check_method_params(method, params)
     digest = None if task is None else task_digest(task)
-    return _Cell(index, method, gamma, C, params, task, digest, cv)
+    return _Cell(index, method, gamma, C, params, task, digest, kind, cv)
 
 
 def _task_groups(cells: list, pending: list, executor) -> list:
@@ -735,16 +788,11 @@ def _cells_task(state, task):
             # attributable to the shard that computed each cell.
             attrs["shard"] = state["shard"]
         with span("spec.cell", **attrs):
-            kwargs = dict(gamma=cell.gamma, C=cell.C, method_params=cell.params)
-            if cell.cv is None:
-                result = harness._run_method_direct(cell.method, **kwargs)
-            else:
-                result = harness._score_grid_point_direct(
-                    cell.method, cv=cell.cv, **kwargs
-                )
+            kind = _KINDS[cell.kind]
+            result = kind.run(harness, cell)
             if ledger is not None:
-                encode = _CODECS[cell.task["kind"]][0]
-                ledger.put(cell.task, encode(result))
+                payload, model = kind.encode(cell, result)
+                ledger.put(cell.task, payload, model=model)
                 result = None
         results.append(result)
     return results
@@ -790,7 +838,7 @@ def _execute(
                 f"{ledger.root} after execution; re-run to recompute the "
                 "missing cells"
             )
-        results.append(_CODECS[cell.task["kind"]][1](entry.payload))
+        results.append(_KINDS[cell.kind].decode(entry))
     return results, cached
 
 

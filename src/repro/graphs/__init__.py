@@ -30,10 +30,8 @@ from .laplacian import (
     edge_count,
     graph_density,
     laplacian,
-    n_connected_components,
 )
 from .quantiles import quantile_bucket, within_group_quantiles
-from .stats import graph_summary
 
 __all__ = [
     "equivalence_classes_from_pairs",
@@ -51,8 +49,6 @@ __all__ = [
     "edge_count",
     "graph_density",
     "laplacian",
-    "n_connected_components",
     "quantile_bucket",
     "within_group_quantiles",
-    "graph_summary",
 ]

@@ -4,21 +4,19 @@ The PFR objective reduces to traces of ``Vᵀ X L Xᵀ V`` where ``L = D - W``
 is the combinatorial Laplacian of a similarity or fairness graph and ``D``
 is the diagonal matrix of column sums of ``W``. This module centralizes
 Laplacian construction, validation, and the small pieces of spectral-graph
-bookkeeping the experiments use (component counts, edge counts, density).
+bookkeeping the experiments use (edge counts, density).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .._validation import check_symmetric
 from ..exceptions import GraphConstructionError
 
 __all__ = [
     "laplacian",
-    "n_connected_components",
     "edge_count",
     "graph_density",
     "combine_laplacians",
@@ -97,15 +95,6 @@ def combine_laplacians(L_x, L_f, gamma: float, *, rescale: bool = False) -> sp.c
         L_x = normalized(L_x)
         L_f = normalized(L_f)
     return ((1.0 - gamma) * L_x + gamma * L_f).tocsr()
-
-
-def n_connected_components(W) -> int:
-    """Number of connected components of the graph (isolated nodes count)."""
-    W = check_symmetric(W, name="W")
-    if not sp.issparse(W):
-        W = sp.csr_matrix(W)
-    n_components, _ = csgraph.connected_components(W, directed=False)
-    return int(n_components)
 
 
 def edge_count(W) -> int:

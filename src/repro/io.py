@@ -39,14 +39,24 @@ from .exceptions import ValidationError
 __all__ = ["save_model", "load_model", "read_header"]
 
 
+#: The process umask, read once: os.umask can only read it by setting it,
+#: which would race file creation on every other thread at each write.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 def atomic_write(path, write, *, mode: str = "wb") -> None:
     """Crash-safe file write: temp file in the target directory + rename.
 
     ``write(handle)`` receives the open temp-file handle; on success the
     temp file is atomically renamed over ``path`` (same-filesystem rename,
-    atomic on POSIX), so a crash at any point leaves either the previous
-    file or no file — never a truncated one. The single implementation
-    behind every durable artifact in the library: model archives (here),
+    atomic on POSIX), so a process killed at any point leaves either the
+    previous file or no file — never a truncated one. Neither the temp
+    file nor the directory is fsynced, so that promise does not cover an
+    OS crash or power loss, which may still lose or truncate the write (the
+    test suite cannot simulate power loss; it kills processes only). The
+    single implementation behind every durable artifact in the library:
+    model archives (here),
     registry manifests (:mod:`repro.serving.registry`), and run-ledger
     entries (:mod:`repro.store.ledger`).
     """
@@ -58,9 +68,7 @@ def atomic_write(path, write, *, mode: str = "wb") -> None:
         # mkstemp creates 0600 files; the rename preserves that, which
         # would make shared ledgers/registries owner-only. Widen to the
         # umask-honoring default a plain open() would have produced.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
+        os.fchmod(fd, 0o666 & ~_UMASK)
         with os.fdopen(fd, mode) as handle:
             write(handle)
         os.replace(tmp_path, path)

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._validation import check_finite
 from .core.approx import LandmarkPlan, nystrom_extend, row_agreement
-from .exceptions import ValidationError
+from .exceptions import ModelNotFoundError, ValidationError
 from .graphs.knn import resolve_bandwidth
 from .ml.base import clone
 from .obs import span
@@ -414,7 +414,7 @@ class LifecycleController:
         with self._lock:
             try:
                 record = self.registry.record(self.name)
-            except ValidationError:
+            except ModelNotFoundError:
                 record = None
             if record is None:
                 record, self._entry_digest = self._persist(
@@ -489,7 +489,7 @@ class LifecycleController:
             previous = None
             try:
                 previous = self.registry.record(self.name)
-            except ValidationError:
+            except ModelNotFoundError:
                 pass
             record, entry_digest = self._persist(
                 child,
@@ -545,7 +545,7 @@ class LifecycleController:
             try:
                 record = self.registry.record(self.name)
                 serving = {"version": record.version, "path": str(record.path)}
-            except ValidationError:
+            except ModelNotFoundError:
                 serving = None
             return {
                 "name": self.name,

@@ -71,7 +71,6 @@ class TestRun:
         [
             ["run", "figure2", "--scale", "2"],
             ["run", "all", "--scale", "0"],
-            ["report", "crime", "--scale", "0"],
         ],
     )
     def test_bad_scale_is_a_clean_error(self, argv, capsys):
@@ -80,6 +79,37 @@ class TestRun:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "scale" in err
+
+    def test_store_run_is_bitwise_and_warm_run_fits_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # `run all` writes the same record without a store, cold on one
+        # and warm on it; the warm run computes no cell and no eigensolve.
+        from repro.obs import read_trace, summarize_trace, tracing
+        from repro.obs.metrics import get_registry
+
+        store = str(tmp_path / "ledger")
+        records = {}
+        for name, extra in (("none", []), ("cold", ["--store", store]),
+                            ("warm", ["--store", store])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            argv = ["run", "all", "--scale", "0.05", *extra,
+                    "--output", "record.txt"]
+            if name != "warm":
+                assert main(argv) == 0
+            else:
+                solves = get_registry().counter_value("eig.solve")
+                with tracing(tmp_path / "warm.jsonl"):
+                    assert main(argv) == 0
+                assert get_registry().counter_value("eig.solve") == solves
+            records[name] = (tmp_path / name / "record.txt").read_bytes()
+        capsys.readouterr()
+        assert records["none"] == records["cold"] == records["warm"]
+        assert b"--store" not in records["none"]
+        stages = summarize_trace(read_trace(tmp_path / "warm.jsonl"))["stages"]
+        assert "spec.cell" not in stages
+        assert "plan.solve" not in stages
 
     def test_run_writes_output_file(self, tmp_path, capsys):
         target = tmp_path / "render.txt"
@@ -621,6 +651,28 @@ class TestLifecycleCommands:
         ) != 0
         assert f"{name} must be finite" in capsys.readouterr().err
         assert fits == []
+
+    def test_watch_quarantines_a_rejected_batch(self, bundle, capsys):
+        # Regression: one non-finite batch stopped the watch for good (exit
+        # 2, and the batch stayed put, so every restart died on it too).
+        import numpy as np
+
+        path, root = bundle
+        incoming = root / "incoming"
+        incoming.mkdir()
+        rng = np.random.default_rng(5)
+        bad = rng.normal(size=(20, 6))
+        bad[3, 2] = np.nan
+        np.save(incoming / "a_bad.npy", bad)
+        np.save(incoming / "b_good.npy", rng.normal(size=(20, 6)))
+        assert main(
+            ["lifecycle", "watch", *self._flags(path, root),
+             "--incoming", str(incoming), "--interval", "0.01",
+             "--max-batches", "1"]
+        ) == 0
+        assert (incoming / "a_bad.npy.rejected").exists()
+        assert (incoming / "b_good.npy.done").exists()
+        assert capsys.readouterr().err.startswith("error: a_bad.npy: ")
 
     def test_missing_bundle_errors(self, tmp_path, capsys):
         assert main(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import GraphConstructionError
 from repro.graphs import (
@@ -10,7 +11,6 @@ from repro.graphs import (
     edge_count,
     graph_density,
     laplacian,
-    n_connected_components,
 )
 
 PATH_3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -119,6 +119,10 @@ class TestGraphStats:
         assert graph_density(np.zeros((1, 1))) == 0.0
 
     def test_connected_components(self):
+        # L = D - W has one zero eigenvalue per connected component.
         W = np.zeros((5, 5))
         W[0, 1] = W[1, 0] = 1.0
-        assert n_connected_components(W) == 4  # edge + 3 isolated
+        n_components, _ = connected_components(W, directed=False)
+        assert n_components == 4  # edge + 3 isolated
+        eigenvalues = np.linalg.eigvalsh(laplacian(W).toarray())
+        assert int(np.sum(np.abs(eigenvalues) < 1e-10)) == n_components

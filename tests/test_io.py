@@ -513,6 +513,26 @@ class TestCrashSafeWrites:
         expected = 0o666 & ~umask
         assert stat.S_IMODE(target.stat().st_mode) == expected
 
+    def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        """Regression: each write set the umask to 0 and back, a
+        process-wide flip that races file creation on other threads."""
+        import os as _os
+        import stat
+
+        from repro.io import atomic_write
+
+        umask = _os.umask(0)
+        _os.umask(umask)
+
+        def no_umask(mask):
+            raise AssertionError("atomic_write touched the process umask")
+
+        monkeypatch.setattr(_os, "umask", no_umask)
+        target = tmp_path / "entry.json"
+        atomic_write(target, lambda handle: handle.write("{}"), mode="w")
+        assert target.read_text() == "{}"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
     def test_savez_failure_cleans_temp(self, tmp_path, monkeypatch):
         import repro.io as io_mod
 

@@ -241,6 +241,28 @@ class TestLifecycleController:
         assert controller.ensure_registered()["version"] == 1
         assert len(controller.registry.versions("pfr-live")) == 1
 
+    def test_corrupt_manifest_fails_before_any_fit(
+        self, fitted_setup, tmp_path, monkeypatch
+    ):
+        # Regression: "not registered" also swallowed the corrupt-manifest
+        # error, so the plan was fitted and register() then failed on it.
+        plan, estimator, _ = fitted_setup
+        controller = _controller(plan, estimator, tmp_path)
+        manifest = tmp_path / "registry" / "pfr-live" / "manifest.json"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text("{not json", encoding="utf-8")
+        fits = []
+        fit = LandmarkPlan.fit
+
+        def spy(plan, model):
+            fits.append(model)
+            return fit(plan, model)
+
+        monkeypatch.setattr(LandmarkPlan, "fit", spy)
+        with pytest.raises(ValidationError, match="corrupt registry manifest"):
+            controller.ensure_registered()
+        assert fits == []
+
     def test_in_distribution_traffic_never_refreshes(
         self, fitted_setup, tmp_path, rng
     ):

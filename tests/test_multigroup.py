@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import EqualizedOddsPostProcessor
 from repro.core import PFR
-from repro.graphs import between_group_quantile_graph, graph_summary
+from repro.graphs import between_group_quantile_graph
 from repro.metrics import (
     consistency,
     group_auc,
@@ -48,8 +48,8 @@ class TestThreeGroupPipeline:
         X, y, s, merit = three_group_data
         W = between_group_quantile_graph(merit, s, n_quantiles=5)
         rows, cols = W.nonzero()
+        assert len(rows) > 0
         assert np.all(s[rows] != s[cols])
-        assert graph_summary(W, groups=s)["cross_group_fraction"] == 1.0
 
     def test_pfr_improves_three_way_parity(self, three_group_data):
         X, y, s, merit = three_group_data

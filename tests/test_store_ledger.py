@@ -476,6 +476,32 @@ class TestModelBlobs:
         assert first.digest == second.digest
         assert len(RunLedger(tmp_path).ls(kind="model")) == 1
 
+    def test_export_hits_an_entry_keyed_as_before(self, tmp_path, monkeypatch):
+        # A model entry under the export task as ledgers have always keyed
+        # it is returned as it is, with no refit.
+        harness = ExperimentHarness(
+            make_workload("synthetic", seed=0, scale=0.3),
+            seed=0, n_components=2, store=tmp_path,
+        ).prepare()
+        task = {"kind": "model", "harness": harness.task_fingerprint(),
+                "method": "pfr", "gamma": 0.5, "params": {"ridge": 1e-6}}
+        model = harness._fit_base_estimator(
+            "pfr", harness._split_rows(harness.X_train), gamma=0.5,
+            method_params={"ridge": 1e-6},
+        )
+        written = RunLedger(tmp_path).put(
+            task, {"model_type": "PFR", "method": "pfr", "gamma": 0.5,
+                   "stage_digests": {}}, model=model,
+        )
+
+        def refit(*args, **kwargs):
+            raise AssertionError("export_model refitted a ledgered model")
+
+        monkeypatch.setattr(ExperimentHarness, "_fit_base_estimator", refit)
+        entry = harness.export_model("pfr", gamma=0.5, ridge=1e-6)
+        assert entry.digest == written.digest == task_digest(task)
+        assert entry.payload == written.payload
+
     def test_export_requires_store(self):
         harness = ExperimentHarness(
             make_workload("synthetic", seed=0, scale=0.3), seed=0,
