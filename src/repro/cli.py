@@ -658,6 +658,14 @@ def _load_lifecycle_bundle(path: Path) -> dict:
         return {key: bundle[key] for key in bundle.files}
 
 
+def _load_batch(path: Path) -> np.ndarray:
+    """A ``watch`` batch file; a ValidationError when it cannot be read."""
+    try:
+        return np.load(path)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ValidationError(f"unreadable batch file: {exc}") from exc
+
+
 def _lifecycle_controller(args):
     """Build a LifecycleController from the CLI flags + data bundle."""
     from .core import PFR, LandmarkPlan
@@ -830,11 +838,11 @@ def _cmd_lifecycle(args) -> int:
                 _time.sleep(args.interval)
                 continue
             for batch_path in batches:
-                X_batch = np.load(batch_path)
                 try:
-                    event = controller.ingest(X_batch)
+                    event = controller.ingest(_load_batch(batch_path))
                 except ValidationError as exc:
-                    # Quarantine: a bad batch must not stop the watch.
+                    # Quarantine: a bad or unreadable batch must not stop
+                    # the watch.
                     print(f"error: {batch_path.name}: {exc}", file=sys.stderr)
                     batch_path.rename(batch_path.with_suffix(".npy.rejected"))
                     continue

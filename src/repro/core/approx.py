@@ -43,6 +43,8 @@ fidelity/speed trade-off.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -427,8 +429,8 @@ def row_agreement(Z_graph, Z_param) -> np.ndarray:
     extension is a convex combination of landmark embeddings, so a
     drifted row whose parametric image leaves the landmark hull keeps a
     plausible *direction* but an inflated *norm* — the ratio is what
-    collapses. Shared by :meth:`LandmarkPlan.score_rows` and the serving
-    tier's drift scorer (:func:`repro.lifecycle.scorer_for`).
+    collapses. The drift score of :func:`repro.lifecycle.scorer_for`,
+    through which :meth:`LandmarkPlan.score_rows` scores too.
     """
     Z_graph = np.asarray(Z_graph, dtype=np.float64)
     Z_param = np.asarray(Z_param, dtype=np.float64)
@@ -439,6 +441,57 @@ def row_agreement(Z_graph, Z_param) -> np.ndarray:
         np.maximum(norm_graph, norm_param), 1e-15
     )
     return cosine * ratio
+
+
+def _drift_scorer(model, bandwidth=None):
+    """The one per-row drift scorer, built from a fitted landmark model.
+
+    Returns ``score(X_rows, Z_rows=None)``: the :func:`row_agreement`
+    between the model's out-of-sample map (``transform``, or ``Z_rows``
+    when the caller already has it) and the graph-smoothing
+    :func:`nystrom_extend` of the model's own landmark embedding over its
+    stored landmark rows. ``bandwidth=None`` takes the landmarks' median
+    once, here; :meth:`LandmarkPlan.score_rows` passes the plan's cached
+    one instead. ``None`` when the model keeps no landmark rows.
+    """
+    X_landmarks = getattr(model, "landmark_X_", None)
+    if X_landmarks is None and getattr(model, "landmark_indices_", None) is not None:
+        # Kernel Nyström fits keep their landmark rows as the kernel basis.
+        X_landmarks = getattr(model, "X_fit_", None)
+    if X_landmarks is None:
+        return None
+    X_landmarks = np.asarray(X_landmarks, dtype=np.float64)
+    if X_landmarks.ndim != 2 or X_landmarks.shape[0] < 2:
+        return None
+    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=np.float64)
+    exclude = getattr(model, "exclude_columns", None)
+    if bandwidth is None:
+        bandwidth = resolve_bandwidth(
+            X_landmarks, getattr(model, "bandwidth", None), exclude=exclude
+        )
+    n_neighbors = min(int(getattr(model, "n_neighbors", 10)), X_landmarks.shape[0])
+
+    def score(X_rows, Z_rows=None) -> np.ndarray:
+        X_rows = np.asarray(X_rows, dtype=np.float64)
+        if X_rows.ndim == 1:
+            X_rows = X_rows[None, :]
+        if Z_rows is None:
+            Z_param = np.asarray(model.transform(X_rows), dtype=np.float64)
+        else:
+            Z_param = np.asarray(Z_rows, dtype=np.float64)
+            if Z_param.ndim == 1:
+                Z_param = Z_param[None, :]
+        Z_graph = nystrom_extend(
+            X_rows,
+            X_landmarks,
+            Z_landmarks,
+            n_neighbors=n_neighbors,
+            bandwidth=bandwidth,
+            exclude=exclude,
+        )
+        return row_agreement(Z_graph, Z_param)
+
+    return score
 
 
 def _restrict(W, indices: np.ndarray):
@@ -536,6 +589,9 @@ class LandmarkPlan:
         self._baselines: dict[tuple[float, int], dict] = {}
         # Heat-kernel bandwidth of the landmark set (_landmark_bandwidth).
         self._bandwidth: float | None = None
+        # The estimator of the last fit() and its drift scorer (score_rows).
+        self._fitted = None
+        self._scorer = None
 
     @property
     def n_pending(self) -> int:
@@ -619,51 +675,13 @@ class LandmarkPlan:
             float(estimator.gamma),
             int(estimator.n_components),
         )
+        # score_rows scores through a copy, so refitting ``estimator`` on
+        # another plan leaves this plan's scores alone.
+        self._fitted = copy.copy(estimator)
+        self._scorer = None
         return estimator
 
     # ----------------------------------------------------------- lifecycle
-    def _landmark_embedding(self, gamma: float, d: int) -> np.ndarray:
-        """Primal embedding of the landmark rows at one operating point."""
-        _, V = self.solve(gamma, d)
-        if self.subplan.kind == "linear":
-            return self.X_landmarks_ @ V
-        proj = self.subplan.projection
-        if proj["whiten"] is not None:
-            # Constraint 'z': solve() returns coordinates in K's
-            # principal subspace Φ = U√S, so Z = Φ V.
-            return (proj["kernel_basis"] *
-                    np.sqrt(proj["kernel_spectrum"])) @ V
-        # Constraint 'v': solve() returns the duals A; Z = K A.
-        from .kernel_pfr import kernel_matrix
-
-        K = kernel_matrix(
-            self.X_landmarks_,
-            self.X_landmarks_,
-            kernel=self.subplan.kernel,
-            bandwidth=proj["fitted_bandwidth"],
-            degree=self.subplan.degree,
-            coef0=self.subplan.coef0,
-        )
-        return K @ V
-
-    def _parametric_embedding(self, X_rows, gamma: float, d: int) -> np.ndarray:
-        """The fitted model's out-of-sample map: ``X V`` / ``K(X, L) A``."""
-        _, V = self.solve(gamma, d)
-        if self.subplan.kind == "linear":
-            return X_rows @ V
-        from .kernel_pfr import kernel_matrix
-
-        proj = self.subplan.projection
-        K = kernel_matrix(
-            X_rows,
-            self.X_landmarks_,
-            kernel=self.subplan.kernel,
-            bandwidth=proj["fitted_bandwidth"],
-            degree=self.subplan.degree,
-            coef0=self.subplan.coef0,
-        )
-        return K @ self.subplan._duals(V)
-
     def _landmark_bandwidth(self) -> float:
         """The extension's heat-kernel bandwidth, resolved at most once.
 
@@ -687,40 +705,28 @@ class LandmarkPlan:
     def score_rows(self, X_rows) -> np.ndarray:
         """Per-row fidelity of new rows against this plan's landmark set.
 
-        Scores at the last :meth:`fit`'s (γ, d) operating point, comparing
-        the fitted model's parametric embedding of each row with
-        the model-free graph-smoothing extension
-        (:func:`nystrom_extend`) — both live in the same landmark basis,
-        so the comparison runs *without* the free linear alignment (which
-        would trivially score tiny batches 1.0). The per-row cosine is
-        scaled by the norm ratio of the two embeddings: the graph
-        extension is a convex combination of landmark embeddings, so a
-        drifted row whose parametric image leaves the landmark hull keeps
-        a plausible *direction* but an inflated *norm* — the ratio is
-        what collapses. This is the lifecycle layer's drift signal.
+        The lifecycle layer's drift signal: :func:`repro.lifecycle.scorer_for`
+        of the estimator the last :meth:`fit` populated (the scale-aware
+        :func:`row_agreement` between its parametric embedding and the
+        graph-smoothing :func:`nystrom_extend`), with the plan's cached
+        landmark bandwidth. A plan scores only once fitted; a refreshed
+        child too, which :class:`repro.lifecycle.LifecycleController`, the
+        one caller of :meth:`refresh`, fits before it scores.
         """
-        if self._last_fit_point is None:
+        if self._fitted is None:
             raise ValidationError(
                 "scoring rows needs a fitted operating point: fit() an "
                 "estimator on this plan first"
             )
-        gamma, d = self._last_fit_point
         X_rows = check_array(X_rows, name="X_rows")
         if X_rows.shape[1] != self.X.shape[1]:
             raise ValidationError(
                 f"X_rows has {X_rows.shape[1]} features but the plan was "
                 f"built on {self.X.shape[1]}"
             )
-        Z_param = self._parametric_embedding(X_rows, gamma, d)
-        Z_graph = nystrom_extend(
-            X_rows,
-            self.X_landmarks_,
-            self._landmark_embedding(gamma, d),
-            n_neighbors=min(self.subplan.n_neighbors, len(self.indices_)),
-            bandwidth=self._landmark_bandwidth(),
-            exclude=self.subplan.exclude_columns,
-        )
-        return row_agreement(Z_graph, Z_param)
+        if self._scorer is None:
+            self._scorer = _drift_scorer(self._fitted, self._landmark_bandwidth())
+        return self._scorer(X_rows)
 
     def fidelity_baseline(self) -> dict:
         """Fit-time per-row fidelity distribution (cached per (γ, d)).
@@ -766,11 +772,6 @@ class LandmarkPlan:
         the batch (shape ``(q, q)``); unjudged batches join the fairness
         graph isolated, exactly like unjudged individuals in the paper.
         """
-        if self._last_fit_point is None:
-            raise ValidationError(
-                "extend() needs a fitted operating point: fit() an "
-                "estimator on this plan first"
-            )
         X_new = check_array(X_new, name="X_new")
         if X_new.shape[1] != self.X.shape[1]:
             raise ValidationError(
@@ -808,7 +809,10 @@ class LandmarkPlan:
 
         Returns the child plan; its :meth:`stage_digests` chain off this
         plan's digests (``landmarks`` + a new ``extend`` stage) so the
-        refresh lineage is explicit in every downstream manifest.
+        refresh lineage is explicit in every downstream manifest. Like a
+        root plan, the child scores only once an estimator is fitted on
+        it: :class:`repro.lifecycle.LifecycleController`, the one caller,
+        fits it at this plan's operating point first.
         """
         if not self._pending:
             raise ValidationError(
@@ -962,7 +966,6 @@ class LandmarkPlan:
         child._bandwidth = extension_bandwidth
         child.parent = self
         child._extend_digest = extend_digest
-        child._last_fit_point = self._last_fit_point
         return child
 
     # ------------------------------------------------------------ digests

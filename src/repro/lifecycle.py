@@ -23,9 +23,10 @@ new ledger entry (linked to its parent — see
 rollback is just re-promoting the previous version, so concurrent
 ``resolve("@latest")`` readers always observe a complete model.
 
-:func:`scorer_for` rebuilds the per-row drift score from a *loaded*
-artifact (no plan required), which is what the serving tier uses for
-per-request drift accounting.
+:func:`scorer_for` builds the per-row drift score from a fitted or
+*loaded* artifact (no plan required). It is the one drift scorer: the
+serving tier's per-request drift accounting and
+:meth:`repro.core.LandmarkPlan.score_rows` both score through it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_finite
-from .core.approx import LandmarkPlan, nystrom_extend, row_agreement
+from .core.approx import LandmarkPlan, _drift_scorer
 from .exceptions import ModelNotFoundError, ValidationError
-from .graphs.knn import resolve_bandwidth
 from .ml.base import clone
 from .obs import span
 from .obs.metrics import MetricsRegistry, get_registry
@@ -56,57 +56,22 @@ __all__ = [
 
 
 def scorer_for(model):
-    """Per-row drift scorer rebuilt from a fitted/loaded landmark model.
+    """Per-row drift scorer of a fitted or loaded landmark model.
 
-    Returns a callable ``score(X_rows, Z_rows=None) -> np.ndarray`` that
-    mirrors :meth:`repro.core.LandmarkPlan.score_rows` — the scale-aware
-    agreement (:func:`repro.core.row_agreement`) between the model's
-    parametric embedding and the graph-smoothing Nyström extension over
-    its stored landmark rows. Pass ``Z_rows`` when the parametric
-    embedding of the rows is already in hand (the serving hot path) to
-    skip the redundant ``transform``.
+    Returns a callable ``score(X_rows, Z_rows=None) -> np.ndarray``: the
+    scale-aware agreement (:func:`repro.core.row_agreement`) between the
+    model's parametric embedding and the graph-smoothing Nyström extension
+    over its stored landmark rows. It is the one drift scorer:
+    :meth:`repro.core.LandmarkPlan.score_rows` scores through it too, so
+    the plan and the served artifact give the same scores bit for bit.
+    Pass ``Z_rows`` when the parametric embedding of the rows is already
+    in hand (the serving hot path) to skip the redundant ``transform``.
 
     Returns ``None`` when the artifact carries no landmark coordinates
     (exact fits, or artifacts persisted before landmarks were stored) —
     callers treat that as "drift accounting unavailable for this model".
     """
-    X_landmarks = getattr(model, "landmark_X_", None)
-    if X_landmarks is None and getattr(model, "landmark_indices_", None) is not None:
-        # Kernel Nyström fits keep their landmark rows as the kernel basis.
-        X_landmarks = getattr(model, "X_fit_", None)
-    if X_landmarks is None:
-        return None
-    X_landmarks = np.asarray(X_landmarks, dtype=np.float64)
-    if X_landmarks.ndim != 2 or X_landmarks.shape[0] < 2:
-        return None
-    Z_landmarks = np.asarray(model.transform(X_landmarks), dtype=np.float64)
-    exclude = getattr(model, "exclude_columns", None)
-    bandwidth = resolve_bandwidth(
-        X_landmarks, getattr(model, "bandwidth", None), exclude=exclude
-    )
-    n_neighbors = min(int(getattr(model, "n_neighbors", 10)), X_landmarks.shape[0])
-
-    def score(X_rows, Z_rows=None) -> np.ndarray:
-        X_rows = np.asarray(X_rows, dtype=np.float64)
-        if X_rows.ndim == 1:
-            X_rows = X_rows[None, :]
-        if Z_rows is None:
-            Z_param = np.asarray(model.transform(X_rows), dtype=np.float64)
-        else:
-            Z_param = np.asarray(Z_rows, dtype=np.float64)
-            if Z_param.ndim == 1:
-                Z_param = Z_param[None, :]
-        Z_graph = nystrom_extend(
-            X_rows,
-            X_landmarks,
-            Z_landmarks,
-            n_neighbors=n_neighbors,
-            bandwidth=bandwidth,
-            exclude=exclude,
-        )
-        return row_agreement(Z_graph, Z_param)
-
-    return score
+    return _drift_scorer(model)
 
 
 def holdout_agreement(plan: LandmarkPlan, X_holdout) -> float:
@@ -423,10 +388,11 @@ class LifecycleController:
             return {"name": self.name, "version": record.version}
 
     def _fit(self, plan: LandmarkPlan):
-        """A clone of the template fitted by ``plan`` at its operating point."""
+        """A clone of the template fitted by ``plan`` (the live plan or its
+        refreshed child) at the live plan's operating point."""
         estimator = clone(self.estimator)
         estimator.landmarks = plan.n_landmarks
-        estimator.gamma, estimator.n_components = plan._last_fit_point
+        estimator.gamma, estimator.n_components = self.plan._last_fit_point
         return plan.fit(estimator)
 
     # -- the loop ------------------------------------------------------

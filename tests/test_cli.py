@@ -674,6 +674,28 @@ class TestLifecycleCommands:
         assert (incoming / "b_good.npy.done").exists()
         assert capsys.readouterr().err.startswith("error: a_bad.npy: ")
 
+    def test_watch_quarantines_an_unreadable_batch(self, bundle, capsys):
+        # Regression: a batch file np.load cannot read stopped the watch
+        # for good, as a non-finite batch once did.
+        import numpy as np
+
+        path, root = bundle
+        incoming = root / "incoming"
+        incoming.mkdir()
+        (incoming / "a_trunc.npy").write_bytes(b"\x93NUMPY garbage")
+        np.save(incoming / "b_good.npy",
+                np.random.default_rng(5).normal(size=(20, 6)))
+        assert main(
+            ["lifecycle", "watch", *self._flags(path, root),
+             "--incoming", str(incoming), "--interval", "0.01",
+             "--max-batches", "1"]
+        ) == 0
+        assert (incoming / "a_trunc.npy.rejected").exists()
+        assert (incoming / "b_good.npy.done").exists()
+        assert capsys.readouterr().err.startswith(
+            "error: a_trunc.npy: unreadable batch file: "
+        )
+
     def test_missing_bundle_errors(self, tmp_path, capsys):
         assert main(
             ["lifecycle", "refresh", *self._flags(tmp_path / "ghost.npz", tmp_path)]

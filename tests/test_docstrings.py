@@ -70,8 +70,6 @@ _TEST_ONLY_EXPORTS = {
     "repro._blas.set_threads": "test_blas.py flips numpy's pool with it",
     "repro.datasets.crime.load_crime":
         "reads the paper's real UCI file, which does not ship",
-    "repro.datasets.split.train_test_split":
-        "ROADMAP item 12 decides which of the two splits stays",
 }
 
 _CALLER_DIRS = ("src", "examples", "perfbench", "benchmarks")
@@ -143,7 +141,7 @@ def test_exports_have_callers():
     # A use is a load of the name, a word of the README, the paper record
     # or the CI workflow, or an import by a module that does not re-export
     # it. A name two modules export as different objects (the two
-    # train_test_split) counts only where it is imported from one of its
+    # default_store_root) counts only where it is imported from one of its
     # own modules, or loaded inside one of them.
     loaded, loaded_in, imports = _callers()
     words = set()

@@ -8,10 +8,12 @@ version), rolling back to the previous version when the refreshed model
 regresses on an in-distribution holdout.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import PFR
+from repro import PFR, KernelPFR
 from repro.core import LandmarkPlan
 from repro.exceptions import ValidationError
 from repro.graphs import knn_graph, median_heuristic
@@ -168,26 +170,65 @@ class TestScorerFor:
             score(rows), score(rows, estimator.transform(rows)), atol=1e-12
         )
 
-    @pytest.mark.parametrize("exclude", [None, [0]], ids=["default", "exclude"])
-    def test_matches_plan_score_rows_bitwise(self, rng, exclude):
-        # The serving /drift scorer must agree with the plan it mirrors
-        # bit for bit: same column view and bandwidth.
+    ESTIMATORS = {
+        "pfr": PFR,
+        "kpfr-z": partial(KernelPFR, constraint="z"),
+        "kpfr-v": partial(KernelPFR, constraint="v"),
+    }
+
+    @staticmethod
+    def _plan(make, exclude, which, rng):
+        """A fitted root plan, or a refreshed child fitted after its refresh,
+        with the estimator that fit populated and rows to score."""
         X = rng.normal(size=(600, 6))
-        estimator = PFR(
-            n_components=3, gamma=0.5, extension="nystrom", landmarks=128,
-            exclude_columns=exclude,
-        )
+        params = dict(n_components=3, gamma=0.5, extension="nystrom",
+                      exclude_columns=exclude)
+        estimator = make(landmarks=128, **params)
         plan = LandmarkPlan.for_estimator(
             estimator, X, knn_graph(X, n_neighbors=8)
         )
         plan.fit(estimator)
         rows = X[:100] + rng.normal(scale=0.5, size=(100, 6))
+        if which == "child":
+            plan.extend(rows + 1.5)
+            plan = plan.refresh()
+            estimator = plan.fit(make(landmarks=plan.n_landmarks, **params))
+        return plan, estimator, rows
+
+    # ids name the estimator and the plan only where they are not PFR and
+    # the root, so the PFR root cases keep their ids "default"/"exclude".
+    @pytest.mark.parametrize("kind,exclude,which", [
+        pytest.param(kind, exclude, which, id="-".join(filter(None, (
+            None if kind == "pfr" else kind,
+            "default" if exclude is None else "exclude",
+            None if which == "root" else which,
+        ))))
+        for kind in sorted(ESTIMATORS)
+        for exclude in (None, [0])
+        for which in ("root", "child")
+    ])
+    def test_matches_plan_score_rows_bitwise(self, rng, kind, exclude, which):
+        # The serving /drift scorer and the plan's score_rows are one
+        # scorer: bit for bit the same column view, bandwidth and maps.
+        plan, estimator, rows = self._plan(
+            self.ESTIMATORS[kind], exclude, which, rng
+        )
         score = scorer_for(estimator)
         expected = plan.score_rows(rows)
         np.testing.assert_array_equal(score(rows), expected)
         np.testing.assert_array_equal(
             score(rows, estimator.transform(rows)), expected
         )
+
+    def test_refit_on_another_plan_leaves_scores_alone(self, rng):
+        plan, estimator, rows = self._plan(PFR, None, "root", rng)
+        before = plan.score_rows(rows)
+        X_other = rng.normal(loc=2.0, size=(400, 6))
+        LandmarkPlan.for_estimator(
+            estimator, X_other, knn_graph(X_other, n_neighbors=8)
+        ).fit(estimator)
+        assert not np.array_equal(scorer_for(estimator)(rows), before)
+        np.testing.assert_array_equal(plan.score_rows(rows), before)
 
     def test_exact_fit_has_no_scorer(self, rng):
         X = rng.normal(size=(60, 4))

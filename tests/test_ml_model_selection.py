@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import simulate_admissions
 from repro.exceptions import ValidationError
 from repro.ml import ParameterGrid, StratifiedKFold, train_test_split
 
@@ -31,6 +32,21 @@ class TestTrainTestSplit:
         y_train, y_test = train_test_split(y, test_size=0.25, stratify=y, seed=3)
         assert y_test.mean() == pytest.approx(0.2, abs=0.01)
         assert len(y_test) == 25
+
+    def test_joint_label_group_cells_stay_proportional(self):
+        # The paper's protocol stratifies on the joint (y, s): a per-row
+        # cell code as stratify= puts every cell within one row of its
+        # proportional share, at an exact test size.
+        data = simulate_admissions(400, seed=21)
+        cells = 2 * data.y + data.s
+        indices = np.arange(data.n_samples)
+        _, test = train_test_split(
+            indices, test_size=0.25, stratify=cells, seed=3
+        )
+        assert len(test) == round(0.25 * data.n_samples)
+        for cell in np.unique(cells):
+            share = 0.25 * np.sum(cells == cell)
+            assert abs(np.sum(cells[test] == cell) - share) < 1.0, cell
 
     def test_deterministic_given_seed(self):
         X = np.arange(30)
