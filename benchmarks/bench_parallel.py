@@ -102,7 +102,7 @@ def run_benchmark() -> dict:
 
     runs = {}
     for count in WORKER_COUNTS:
-        executor = Executor(backend="process", workers=count)
+        executor = Executor(workers=count)
         start = time.perf_counter()
         fanned = _run_sweep(executor)
         seconds = time.perf_counter() - start

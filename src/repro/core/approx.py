@@ -59,6 +59,7 @@ from ..graphs.knn import (
 )
 from ..obs.trace import span
 from .plan import (
+    _KNN,
     _LANDMARK,
     Precomputed,
     SpectralFitPlan,
@@ -661,12 +662,17 @@ class LandmarkPlan:
                 "LandmarkPlan fits estimators with extension='nystrom'; "
                 f"got extension={getattr(estimator, 'extension', 'exact')!r}"
             )
+        expected = {name: getattr(self, arg) for name, arg in _LANDMARK.items()}
         wanted = {name: getattr(estimator, name) for name in _LANDMARK}
         # Clamped to n, as for_estimator clamps it.
         wanted["landmarks"] = min(int(wanted["landmarks"]), self.X.shape[0])
-        _check_match(
-            {name: getattr(self, arg) for name, arg in _LANDMARK.items()}, wanted
-        )
+        # The drift scorer reads the k-NN settings off the estimator, so
+        # they must match even where a precomputed w_x left them out of
+        # the solve (and out of _populate's match).
+        for name in _KNN:
+            expected[name] = getattr(self.subplan, name)
+            wanted[name] = getattr(estimator, name)
+        _check_match(expected, wanted)
         self.subplan._populate(estimator)
         estimator.landmark_indices_ = self.indices_.copy()
         estimator.landmark_X_ = self.X_landmarks_.copy()

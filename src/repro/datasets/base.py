@@ -9,7 +9,7 @@ scores, within-group ranking scores) from which ``WF`` is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,22 +119,6 @@ class Dataset:
             "base_rate_s0": round(rates.get(0, float("nan")), 2),
             "base_rate_s1": round(rates.get(1, float("nan")), 2),
         }
-
-    def subset(self, indices) -> "Dataset":
-        """Row-indexed sub-dataset (used for train/test splits)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        side = (
-            self.side_information[indices]
-            if self.side_information is not None
-            else None
-        )
-        return replace(
-            self,
-            X=self.X[indices],
-            y=self.y[indices],
-            s=self.s[indices],
-            side_information=side,
-        )
 
     def nonprotected_view(self) -> np.ndarray:
         """Feature matrix with the protected columns removed."""

@@ -3,18 +3,18 @@
 The paper's experiments (§4) are embarrassingly parallel: every γ-sweep
 point, every grid-search fold, every cross-seed repetition is an
 independent fit. This module provides the one execution primitive they all
-share — :class:`Executor` — with two backends:
-
-* ``serial`` — a plain in-process loop (the reference semantics);
-* ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor` fan-out
-  with per-worker state shipped once through the pool initializer.
+share — :class:`Executor` — whose one knob is its worker count: a fan-out
+that resolves to one worker (``workers=1``, or a single task) runs as a
+plain in-process loop, the reference semantics; any wider one goes through
+a :class:`concurrent.futures.ProcessPoolExecutor` with per-worker state
+shipped once through the pool initializer.
 
 **Parallelism changes wall-clock only, never numbers.** Every task is a
 pure function ``fn(state, task)`` of the shipped state and its own task
 descriptor; results are collected in task order regardless of completion
 order, and no task may depend on another task's side effects. The parity
-suite (``tests/test_experiments_parallel.py``) holds the two backends to
-bitwise-identical results.
+suite (``tests/test_experiments_parallel.py``) holds the loop and the
+pool to bitwise-identical results.
 
 Two design points make that guarantee cheap to keep:
 
@@ -32,8 +32,8 @@ Two design points make that guarantee cheap to keep:
   of γ points against it.
 
 The :func:`get_executor` helper is the single entry point call sites use
-to interpret their ``workers`` argument: ``None`` → serial, an int or
-``"auto"`` → process fan-out, an :class:`Executor` → used as-is.
+to interpret their ``workers`` argument: ``None`` → one worker, an int or
+``"auto"`` → that many workers, an :class:`Executor` → used as-is.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from ..obs.trace import (
 )
 
 __all__ = ["Executor", "get_executor", "spawn_seeds", "available_workers"]
-
-_BACKENDS = ("auto", "serial", "process")
 
 
 def available_workers() -> int:
@@ -123,38 +121,28 @@ def _run_task(fn, task):
 
 
 class Executor:
-    """Deterministic task-mapping executor with serial and process backends.
+    """Deterministic task-mapping executor: an in-process loop or a pool.
 
     Parameters
     ----------
-    backend:
-        ``"serial"``, ``"process"``, or ``"auto"`` (the default): process
-        fan-out whenever more than one worker *and* more than one task are
-        in play, serial otherwise — so degenerate fan-outs never pay pool
-        startup.
     workers:
-        Worker-process count, or ``"auto"`` for the CPUs available to this
-        process. The effective count is additionally capped by the number
-        of tasks.
+        Worker-process count, or ``"auto"`` (the default) for the CPUs
+        available to this process. The effective count is additionally
+        capped by the number of tasks; a fan-out that resolves to one
+        worker runs serially in this process, so degenerate fan-outs never
+        pay pool startup.
     start_method:
         Multiprocessing start method; defaults to ``"fork"`` where
         available (workers inherit the imported numpy/scipy for free) and
-        ``"spawn"`` elsewhere. Override via the
-        ``REPRO_PARALLEL_START_METHOD`` environment variable or this
-        parameter.
+        ``"spawn"`` elsewhere.
     """
 
     def __init__(
         self,
         *,
-        backend: str = "auto",
         workers: int | str = "auto",
         start_method: str | None = None,
     ):
-        if backend not in _BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {_BACKENDS}; got {backend!r}"
-            )
         if workers != "auto":
             try:
                 workers = int(workers)
@@ -166,19 +154,11 @@ class Executor:
                 raise ValidationError(
                     f"workers must be a positive int or 'auto'; got {workers}"
                 )
-        self.backend = backend
         self.workers = workers
-        self.start_method = (
-            start_method
-            if start_method is not None
-            else os.environ.get("REPRO_PARALLEL_START_METHOD") or None
-        )
+        self.start_method = start_method
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(backend={self.backend!r}, "
-            f"workers={self.workers!r})"
-        )
+        return f"{type(self).__name__}(workers={self.workers!r})"
 
     # ---------------------------------------------------------- resolution
     def resolve_workers(self, n_tasks: int | None = None) -> int:
@@ -189,12 +169,6 @@ class Executor:
         if n_tasks is not None:
             workers = max(1, min(workers, n_tasks))
         return workers
-
-    def resolve_backend(self, n_tasks: int) -> str:
-        """Concrete backend for a fan-out of ``n_tasks`` tasks."""
-        if self.backend != "auto":
-            return self.backend
-        return "process" if self.resolve_workers(n_tasks) > 1 and n_tasks > 1 else "serial"
 
     def _context(self):
         method = self.start_method
@@ -218,11 +192,11 @@ class Executor:
         tasks = list(tasks)
         if not tasks:
             return []
-        backend = self.resolve_backend(len(tasks))
-        if backend == "serial" or self.resolve_workers(len(tasks)) <= 1:
+        workers = self.resolve_workers(len(tasks))
+        if workers <= 1:
             return [fn(state, task) for task in tasks]
         with ProcessPoolExecutor(
-            max_workers=self.resolve_workers(len(tasks)),
+            max_workers=workers,
             mp_context=self._context(),
             initializer=_init_worker,
             initargs=(state, jsonl_paths()),
@@ -236,13 +210,12 @@ class Executor:
 def get_executor(workers=None) -> Executor:
     """Interpret a call site's ``workers`` argument.
 
-    * ``None`` → the serial reference executor;
+    * ``None`` → a one-worker executor (the serial reference loop);
     * an :class:`Executor` → returned unchanged;
-    * an int or ``"auto"`` → an auto-backend executor with that many
-      workers (``1`` degenerates to serial execution).
+    * an int or ``"auto"`` → an executor with that many workers.
     """
     if workers is None:
-        return Executor(backend="serial")
+        return Executor(workers=1)
     if isinstance(workers, Executor):
         return workers
-    return Executor(backend="auto", workers=workers)
+    return Executor(workers=workers)

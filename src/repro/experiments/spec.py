@@ -320,23 +320,6 @@ class RunSpec:
             method_params=method_params,
         )
 
-    def to_dict(self) -> dict:
-        """Plain-dict view (round-trips through :meth:`from_dict`)."""
-        return {
-            "name": self.name,
-            "datasets": [
-                {"name": name, "scale": scale} for name, scale in self.datasets
-            ],
-            "methods": list(self.methods),
-            "gammas": list(self.gammas),
-            "seeds": list(self.seeds),
-            "harness": dict(self.harness),
-            "method_params": {
-                method: dict(params)
-                for method, params in self.method_params.items()
-            },
-        }
-
 
 def load_run_spec(path) -> RunSpec:
     """Load a :class:`RunSpec` from a YAML or JSON file.
@@ -744,8 +727,7 @@ def _task_groups(cells: list, pending: list, executor) -> list:
     by_slice = {}
     for i in pending:
         by_slice.setdefault(cells[i].index, []).append(i)
-    workers = 1 if executor.backend == "serial" else executor.resolve_workers()
-    parts = -(-workers // len(by_slice)) if by_slice else 1
+    parts = -(-executor.resolve_workers() // len(by_slice)) if by_slice else 1
     groups = []
     for members in by_slice.values():
         n = min(parts, len(members))

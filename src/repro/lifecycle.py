@@ -269,8 +269,8 @@ class LifecycleController:
         Registry model name; each refresh registers + promotes a new
         version of it.
     ledger:
-        Optional :class:`repro.store.RunLedger` (or path). When given,
-        every refreshed model is persisted as a ledger entry whose
+        The :class:`repro.store.RunLedger` (or a path for one); required.
+        Every registered model is persisted as a ledger entry whose
         ``parent`` links to the entry it replaced, and registration goes
         through :meth:`ModelRegistry.register_from_ledger` so the
         registry record carries the run's stage digests.
@@ -288,7 +288,7 @@ class LifecycleController:
         *,
         registry,
         name: str,
-        ledger=None,
+        ledger,
         policy: RefreshPolicy | None = None,
         holdout=None,
         holdout_tolerance: float = 0.05,
@@ -307,6 +307,9 @@ class LifecycleController:
                 "before constructing the controller"
             )
         _check_holdout_tolerance(holdout_tolerance)
+        self.ledger = coerce_ledger(ledger)
+        if self.ledger is None:
+            raise ValidationError("LifecycleController needs a ledger; got None")
         self.plan = plan
         self.estimator = estimator
         self.registry = (
@@ -315,7 +318,6 @@ class LifecycleController:
             else ModelRegistry(registry)
         )
         self.name = str(name)
-        self.ledger = coerce_ledger(ledger)
         self.policy = policy if policy is not None else RefreshPolicy()
         self.metrics = metrics if metrics is not None else get_registry()
         self.monitor = DriftMonitor(
@@ -340,35 +342,24 @@ class LifecycleController:
 
     # -- persistence ---------------------------------------------------
 
-    def _task_for(self, plan: LandmarkPlan, *, refresh_of: str | None) -> dict:
-        digests = plan.stage_digests()
+    def _persist(self, plan: LandmarkPlan, estimator, payload: dict):
+        """Ledger + registry write; returns (record, entry_digest)."""
+        parent = self._entry_digest
         task = {
             "kind": "lifecycle_model",
             "name": self.name,
-            "stage_digests": digests,
+            "stage_digests": plan.stage_digests(),
             "estimator": type(self.estimator).__name__,
         }
-        if refresh_of is not None:
+        if parent is not None:
             # Digest-relevant: two refreshes of different parents must
             # never collide even if their stage digests somehow did.
-            task["refresh_of"] = refresh_of
-        return task
-
-    def _persist(self, plan: LandmarkPlan, estimator, payload: dict):
-        """Ledger + registry write; returns (record, entry_digest)."""
-        if self.ledger is not None:
-            entry = self.ledger.put(
-                self._task_for(plan, refresh_of=self._entry_digest),
-                payload,
-                model=estimator,
-                parent=self._entry_digest,
-            )
-            record = self.registry.register_from_ledger(
-                self.ledger, entry.digest, self.name, promote=True
-            )
-            return record, entry.digest
-        record = self.registry.register(self.name, estimator, promote=True)
-        return record, None
+            task["refresh_of"] = parent
+        entry = self.ledger.put(task, payload, model=estimator, parent=parent)
+        record = self.registry.register_from_ledger(
+            self.ledger, entry.digest, self.name, promote=True
+        )
+        return record, entry.digest
 
     def ensure_registered(self) -> dict:
         """Register + promote the current (parent) model if ``name`` is absent.

@@ -7,11 +7,11 @@ of its input row, the projected representation can be cached by a digest of
 the raw feature vector and served without touching the matmul at all.
 
 The cache is a plain ordered-dict LRU guarded by a lock — safe to share
-between concurrent request threads. Values are opaque to it, except that
-ndarray values are stored as read-only copies and returned as read-only
-views. :class:`~repro.serving.TransformService` stores ``bytes`` rows,
-which are immutable already, so its entries skip the copy and cost only
-their row's bytes plus the key and the LRU bookkeeping.
+between concurrent request threads. Its values are the immutable
+``bytes`` rows :class:`~repro.serving.TransformService` stores, stored
+and returned as they are, so an entry costs only its row's bytes plus the
+key and the LRU bookkeeping, and no caller can alter an entry another
+caller reads.
 """
 
 from __future__ import annotations
@@ -64,41 +64,11 @@ def matrix_digests(X: np.ndarray) -> list[bytes]:
     return digests
 
 
-def _frozen_copy(value):
-    """Defensive, read-only copy of an array value (non-arrays pass through).
-
-    ``put`` must not keep an alias into caller-owned memory: a caller that
-    keeps mutating the array it inserted would silently corrupt the cache
-    for every later request. The stored copy is marked non-writeable so
-    the read-only contract survives round-trips.
-    """
-    if isinstance(value, np.ndarray):
-        value = np.array(value)
-        value.setflags(write=False)
-    return value
-
-
-def _readonly_view(value):
-    """Read-only view of a cached array value (non-arrays pass through).
-
-    ``get`` must not hand out the stored array itself: a caller mutating
-    its result would corrupt the entry for every later hit. A view of the
-    non-writeable stored copy cannot be flipped writeable (numpy refuses
-    when the base is read-only), so caller mutation raises ``ValueError``
-    instead of corrupting shared state — and no per-hit data copy is paid.
-    """
-    if isinstance(value, np.ndarray):
-        return value.view()
-    return value
-
-
 class LRUCache:
-    """Thread-safe least-recently-used cache with hit/miss accounting.
+    """Thread-safe least-recently-used cache of ``bytes`` rows.
 
-    Array values are stored as defensive read-only copies and served as
-    read-only views: neither the inserting caller (by mutating its source
-    array) nor a reading caller (by mutating a returned row) can alter a
-    cached entry — attempted writes to a returned row raise ``ValueError``.
+    Lookups and inserts are batched, one lock acquisition per request
+    block, with hit/miss accounting read through :meth:`info`.
 
     Parameters
     ----------
@@ -112,104 +82,39 @@ class LRUCache:
         if max_size < 0:
             raise ValidationError(f"max_size must be >= 0; got {max_size}")
         self.max_size = max_size
-        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
-    def get(self, key: bytes):
-        """Return the cached value (read-only) or ``None``.
-
-        Updates recency and counters. Array values come back as read-only
-        views — mutating one raises instead of corrupting the cache.
-        """
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return _readonly_view(value)
-
-    def put(self, key: bytes, value) -> None:
-        """Insert/refresh an entry, evicting the oldest beyond ``max_size``.
-
-        Array values are copied defensively; later mutation of the
-        caller's array cannot alter the stored entry.
-        """
-        if self.max_size == 0:
-            return
-        value = _frozen_copy(value)
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
-
     def get_many(self, keys) -> list:
-        """Vector lookup: one lock acquisition for a whole batch of keys.
+        """Vector lookup: the value of each key, or ``None`` on a miss.
 
-        Hits come back read-only, exactly like :meth:`get`.
+        Updates recency and the hit/miss counters.
         """
         keys = list(keys)
         with self._lock:
             entries = self._entries
             out = list(map(entries.get, keys))
-            hits = [index for index, value in enumerate(out) if value is not None]
-            for index in hits:
-                entries.move_to_end(keys[index])
-                out[index] = _readonly_view(out[index])
+            hits = [key for key, value in zip(keys, out) if value is not None]
+            for key in hits:
+                entries.move_to_end(key)
             self._hits += len(hits)
             self._misses += len(out) - len(hits)
             return out
 
     def put_many(self, pairs) -> None:
-        """Vector insert: one lock acquisition for a batch of (key, value).
-
-        Array values are copied defensively, exactly like :meth:`put`.
-        """
+        """Vector insert of (key, value) pairs, evicting the oldest entries
+        beyond ``max_size``."""
         if self.max_size == 0:
             return
-        # Copy outside the lock: the copies are per-pair private work and
-        # the generator's cost should not extend the critical section.
-        frozen = [(key, _frozen_copy(value)) for key, value in pairs]
         with self._lock:
             entries = self._entries
-            for key, value in frozen:
+            for key, value in pairs:
                 entries[key] = value
                 entries.move_to_end(key)
             for _ in range(len(entries) - self.max_size):
                 entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: bytes) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never queried)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
 
     def info(self) -> dict:
         """Counters snapshot: size, capacity, hits, misses, hit_rate."""

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import json
 import threading
 import time
@@ -180,21 +181,15 @@ def _response(result) -> tuple:
 
 
 def _record_json(record) -> dict:
-    """JSON view of a :class:`~repro.serving.registry.ModelRecord`."""
-    return {
-        "name": record.name,
-        "version": record.version,
-        "spec": record.spec,
-        "model_type": record.model_type,
-        "library_version": record.library_version,
-        "n_features_in": record.n_features_in,
-        "excluded_columns": list(record.excluded_columns),
-        "landmarks": record.landmarks,
-        "params": record.params,
-        "stage_digests": dict(record.stage_digests),
-        "created_at": record.created_at,
-        "is_latest": record.is_latest,
+    """JSON view of a :class:`~repro.serving.registry.ModelRecord`: its
+    fields but the on-disk ``path``, plus its ``spec``."""
+    out = {
+        field.name: getattr(record, field.name)
+        for field in dataclasses.fields(record)
+        if field.name != "path"
     }
+    out["spec"] = record.spec
+    return out
 
 
 def _parse_json_body(body: bytes) -> dict:

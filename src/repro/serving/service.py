@@ -136,10 +136,15 @@ class TransformService:
         drift_sample: int = 32,
         drift_floor: float = 0.5,
     ):
+        # Checked here, not when the first request builds a model's cache.
+        if not isinstance(cache_size, (int, np.integer)) or cache_size < 0:
+            raise ValidationError(
+                f"cache_size must be an integer >= 0; got {cache_size!r}"
+            )
         self.registry = (
             registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
         )
-        self.cache_size = cache_size
+        self.cache_size = int(cache_size)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if drift and drift_sample < 1:
             raise ValidationError(

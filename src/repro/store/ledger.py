@@ -117,8 +117,8 @@ class RunLedger:
         this ledger root.
 
         Returns ``hits``/``misses``/``lookups``/``hit_rate`` (only cache
-        decisions count as lookups: :meth:`contains` and
-        :meth:`get_task`; a plain :meth:`get` by digest, such as the cell
+        decisions count as lookups, and :meth:`contains` is the one that
+        makes them; a plain :meth:`get` by digest, such as the cell
         executor's read-back, counts under ``gets`` alone), ``gets``,
         ``puts``, ``gc_runs``, and ``read_seconds``/``write_seconds``
         histogram summaries (count/sum/mean/p50/p90/p99). Counters are
@@ -248,12 +248,6 @@ class RunLedger:
             ) from exc
         return self._entry_from_dict(data, path)
 
-    def get_task(self, task: dict) -> LedgerEntry | None:
-        """``get(task_digest(task))``, counted as a cache lookup."""
-        entry = self.get(task_digest(task))
-        self._account_lookup(entry is not None)
-        return entry
-
     def load_model(self, digest: str):
         """Deserialize the fitted estimator attached to ``digest``."""
         entry = self.get(digest)
@@ -290,10 +284,6 @@ class RunLedger:
             entries.append(entry)
         entries.sort(key=lambda e: (e.created_at, e.digest))
         return entries
-
-    def children(self, digest: str) -> list[LedgerEntry]:
-        """Entries whose ``parent`` link points at ``digest``, oldest first."""
-        return [entry for entry in self.ls() if entry.parent == digest]
 
     def lineage(self, digest: str) -> list[LedgerEntry]:
         """The refresh chain ending at ``digest``, root first.

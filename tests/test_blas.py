@@ -190,7 +190,7 @@ class TestWorkersRunUnderTheOwnersPools:
             store=tmp_path / "parallel",
             # spawn: each worker imports repro afresh instead of inheriting
             # this process's pools through fork.
-            workers=Executor(backend="process", workers=2, start_method="spawn"),
+            workers=Executor(workers=2, start_method="spawn"),
         )
 
         def bits(report):

@@ -410,6 +410,25 @@ class TestServe:
         ]) != 0
         assert "drift_floor must be finite" in capsys.readouterr().err
 
+    def test_negative_cache_size_fails_before_binding(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Regression: the server used to start and answer every transform
+        # with a 400 from the per-model cache.
+        from repro import cli
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "threading_event_wait", interrupt)
+        assert main([
+            "serve", "--registry", str(tmp_path / "registry"),
+            "--cache-size", "-1", "--port", "0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "cache_size must be an integer >= 0" in captured.err
+        assert "serving registry" not in captured.out
+
 
 class TestStoreCommands:
     @pytest.fixture

@@ -41,7 +41,7 @@ from repro.graphs import (
     resolve_bandwidth,
 )
 from repro.io import load_model, save_model
-from repro.lifecycle import holdout_agreement
+from repro.lifecycle import holdout_agreement, scorer_for
 from repro.obs import read_trace, tracing
 
 PARITY_TOL = 1e-8
@@ -548,6 +548,27 @@ class TestLandmarkPlan:
             plan.fit(PFR(extension="nystrom", landmarks=40))
         with pytest.raises(ValidationError, match="nystrom"):
             plan.fit(PFR())
+
+    def test_precomputed_w_x_plan_rejects_other_knn_settings(self, blob_problem):
+        # A precomputed w_x takes the k-NN settings out of the solve, but
+        # the drift scorer reads them off the fitted estimator: a plan
+        # that fit other settings scored rows unlike scorer_for(estimator).
+        X, w_fair, _ = blob_problem
+        plan = LandmarkPlan.for_estimator(
+            PFR(extension="nystrom", landmarks=60), X, w_fair,
+            w_x=knn_graph(X, n_neighbors=10),
+        )
+        for name, value in (
+            ("exclude_columns", [0]), ("n_neighbors", 5), ("bandwidth", 2.0),
+        ):
+            estimator = PFR(extension="nystrom", landmarks=60, **{name: value})
+            with pytest.raises(ValidationError, match=f"{name}=.*differs"):
+                plan.fit(estimator)
+            assert not hasattr(estimator, "components_")
+        model = plan.fit(PFR(extension="nystrom", landmarks=60))
+        np.testing.assert_array_equal(
+            plan.score_rows(X[:40]), scorer_for(model)(X[:40])
+        )
 
     def test_extension_validation(self, blob_problem):
         X, w_fair, _ = blob_problem

@@ -50,30 +50,6 @@ class TestConstruction:
             dataset.name = "other"
 
 
-class TestSubset:
-    def test_subset_rows(self, dataset):
-        sub = dataset.subset([0, 2])
-        assert sub.n_samples == 2
-        np.testing.assert_allclose(sub.X[:, 0], [1.0, 3.0])
-        np.testing.assert_array_equal(sub.y, [0, 0])
-        np.testing.assert_array_equal(sub.s, [0, 1])
-
-    def test_subset_carries_side_information(self, dataset):
-        sub = dataset.subset([0, 3])
-        np.testing.assert_allclose(sub.side_information, [1.0, 4.0])
-
-    def test_subset_without_side_information(self):
-        data = Dataset(
-            name="plain",
-            X=np.ones((3, 1)),
-            y=np.array([0, 1, 0]),
-            s=np.array([0, 1, 0]),
-            feature_names=("a",),
-            protected_columns=(),
-        )
-        assert data.subset([0]).side_information is None
-
-
 class TestValidationErrors:
     def test_wrong_feature_name_count(self):
         with pytest.raises(DatasetError, match="feature names"):

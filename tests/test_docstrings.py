@@ -1,9 +1,10 @@
 """Execute the doctests embedded in public docstrings, check doc links, and
 keep names that nothing but the tests calls out of every ``__all__`` of the
-library."""
+library and out of the classes those export."""
 
 import ast
 import doctest
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -86,9 +87,10 @@ def _source_module(path):
 def _callers():
     # What the library, examples and bench scripts use, as
     # (identifiers loaded anywhere, {file module: identifiers it loads},
-    #  (imported module, name, importing file's module) triples).
+    #  (imported module, name, importing file's module) triples,
+    #  attribute names loaded anywhere as ``.name``).
     # Definitions and __all__ strings load nothing.
-    loaded, loaded_in, imports = set(), {}, set()
+    loaded, loaded_in, imports, attributes = set(), {}, set(), set()
     for directory in _CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
             here = _source_module(path)
@@ -98,6 +100,8 @@ def _callers():
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        attributes.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     module = node.module
                     if node.level:
@@ -108,7 +112,15 @@ def _callers():
                         module = ".".join(package + ([module] if module else []))
                     imports.update((module, alias.name, here) for alias in node.names)
             loaded |= names
-    return loaded, loaded_in, imports
+    return loaded, loaded_in, imports, attributes
+
+
+def _doc_words():
+    # Every word of the README, the paper record and the CI workflow.
+    words = set()
+    for doc in ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"):
+        words.update(re.findall(r"\w+", (ROOT / doc).read_text(encoding="utf-8")))
+    return words
 
 
 def _exports():
@@ -143,10 +155,8 @@ def test_exports_have_callers():
     # it. A name two modules export as different objects (the two
     # default_store_root) counts only where it is imported from one of its
     # own modules, or loaded inside one of them.
-    loaded, loaded_in, imports = _callers()
-    words = set()
-    for doc in ("README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml"):
-        words.update(re.findall(r"\w+", (ROOT / doc).read_text(encoding="utf-8")))
+    loaded, loaded_in, imports, _ = _callers()
+    words = _doc_words()
     exports = _exports()
     shared = Counter(name for name, _ in exports.values())
 
@@ -166,4 +176,43 @@ def test_exports_have_callers():
     flagged = sorted(set(uncalled) - set(_TEST_ONLY_EXPORTS))
     assert not flagged, f"exported but called only from tests: {flagged}"
     stale = sorted(set(_TEST_ONLY_EXPORTS) - set(uncalled))
+    assert not stale, f"exemptions no longer needed: {stale}"
+
+
+# Public methods and properties kept with no caller outside tests/, each
+# for a stated reason, keyed as the exported class's key plus the name.
+_TEST_ONLY_METHODS = {
+    "repro.core.pfr.PFR.objective_value":
+        "the Eq. 3-4 objective the optimality tests evaluate",
+    "repro.obs.metrics.MetricsRegistry.gauge_value":
+        "the tests read a gauge back through it",
+}
+
+
+def test_methods_have_callers():
+    # The same guard one level down: every public method or property that
+    # a class in an __all__ under src/repro defines itself is loaded as an
+    # attribute (``.name``) somewhere besides tests/, or is a word of the
+    # README, the paper record or the CI workflow, or is listed above with
+    # a reason.
+    import importlib
+
+    _, _, _, attributes = _callers()
+    words = _doc_words()
+    uncalled = set()
+    for key, (name, owners) in _exports().items():
+        exported = getattr(importlib.import_module(min(owners)), name)
+        if not inspect.isclass(exported):
+            continue
+        for member, value in vars(exported).items():
+            if member.startswith("_") or not (
+                inspect.isfunction(value)
+                or isinstance(value, (property, classmethod, staticmethod))
+            ):
+                continue
+            if member not in attributes and member not in words:
+                uncalled.add(f"{key}.{member}")
+    flagged = sorted(uncalled - set(_TEST_ONLY_METHODS))
+    assert not flagged, f"public but called only from tests: {flagged}"
+    stale = sorted(set(_TEST_ONLY_METHODS) - uncalled)
     assert not stale, f"exemptions no longer needed: {stale}"

@@ -51,7 +51,7 @@ _SPEC = {
 
 
 def _fork_executor(workers: int) -> Executor:
-    return Executor(backend="process", workers=workers, start_method="fork")
+    return Executor(workers=workers, start_method="fork")
 
 
 @pytest.fixture
@@ -120,7 +120,7 @@ class TestDispatchGrain:
         )
         gammas = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
         fanned = harness.gamma_sweep(
-            gammas, workers=Executor(backend="process", workers=4)
+            gammas, workers=Executor(workers=4)
         )
         assert dispatched == [4]
         serial = harness.gamma_sweep(gammas)
@@ -130,7 +130,7 @@ class TestDispatchGrain:
         repeat_gamma_sweep(
             WorkloadFactory("synthetic", scale=0.2), [0.5],
             seeds=8, harness_kwargs={"n_components": 2},
-            workers=Executor(backend="process", workers=4),
+            workers=Executor(workers=4),
         )
         assert dispatched == [8]
 

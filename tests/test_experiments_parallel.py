@@ -19,6 +19,7 @@ from repro.experiments import (
     available_workers,
     get_executor,
     make_workload,
+    parallel,
     repeat_gamma_sweep,
     repeat_methods,
     spawn_seeds,
@@ -26,7 +27,7 @@ from repro.experiments import (
 )
 
 
-# Module-level task functions: the process backend pickles them by
+# Module-level task functions: the process pool pickles them by
 # reference, so they cannot be lambdas or closures.
 
 def _square_plus_state(state, task):
@@ -41,7 +42,7 @@ def _boom(state, task):
     raise RuntimeError(f"task {task} exploded")
 
 
-PROCESS_4 = Executor(backend="process", workers=4)
+PROCESS_4 = Executor(workers=4)
 
 
 class TestSpawnSeeds:
@@ -69,15 +70,13 @@ class TestExecutor:
         assert available_workers() >= 1
 
     def test_get_executor_interpretation(self):
-        assert get_executor(None).backend == "serial"
-        executor = Executor(backend="process", workers=2)
+        assert get_executor(None).workers == 1
+        executor = Executor(workers=2)
         assert get_executor(executor) is executor
         assert get_executor(4).workers == 4
         assert get_executor("auto").workers == "auto"
 
-    def test_invalid_backend_and_workers(self):
-        with pytest.raises(ValidationError, match="backend"):
-            Executor(backend="threads")
+    def test_invalid_workers(self):
         with pytest.raises(ValidationError, match="workers"):
             Executor(workers=0)
         with pytest.raises(ValidationError, match="workers"):
@@ -86,15 +85,15 @@ class TestExecutor:
             get_executor("many")
 
     def test_resolution(self):
-        executor = Executor(backend="auto", workers=4)
+        executor = Executor(workers=4)
         assert executor.resolve_workers(2) == 2  # capped by task count
         assert executor.resolve_workers(100) == 4
-        assert executor.resolve_backend(1) == "serial"  # degenerate fan-out
-        assert Executor(backend="serial", workers=4).resolve_backend(10) == "serial"
-        assert Executor(backend="process", workers=4).resolve_backend(10) == "process"
+        assert executor.resolve_workers(1) == 1  # degenerate fan-out
+        assert Executor(workers=1).resolve_workers(10) == 1
+        assert Executor().resolve_workers() == available_workers()
 
     def test_serial_map_order_and_state(self):
-        out = Executor(backend="serial").map(
+        out = Executor(workers=1).map(
             _square_plus_state, [1, 2, 3], state=10
         )
         assert out == [11, 14, 19]
@@ -107,10 +106,15 @@ class TestExecutor:
     def test_empty_tasks(self):
         assert PROCESS_4.map(_echo, []) == []
 
-    def test_single_task_stays_serial(self):
-        # resolve_backend("auto") must not spin up a pool for one task.
-        assert Executor(backend="auto", workers=4).resolve_backend(1) == "serial"
-        assert Executor(backend="auto", workers=4).map(_echo, [5]) == [5]
+    def test_single_task_stays_serial(self, monkeypatch):
+        # A fan-out that resolves to one worker never spins up a pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker fan-out started a pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        assert Executor(workers=4).map(_echo, [5]) == [5]
+        assert Executor(workers=1).map(_echo, [1, 2, 3]) == [1, 2, 3]
+        assert get_executor(None).map(_echo, [1, 2]) == [1, 2]
 
     def test_process_map_propagates_errors(self):
         with pytest.raises(RuntimeError, match="exploded"):

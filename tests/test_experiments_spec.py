@@ -236,10 +236,6 @@ class TestRunSpecValidation:
         })
         assert spec.method_params["kpfr"] == {"kernel": "poly", "n_neighbors": 5}
 
-    def test_to_dict_roundtrip(self):
-        spec = RunSpec.from_dict(_SPEC)
-        assert RunSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestLoadRunSpec:
     def test_json_file(self, tmp_path):

@@ -44,12 +44,12 @@ def fitted_setup(rng):
 def _controller(plan, estimator, tmp_path, **kwargs):
     kwargs.setdefault("metrics", MetricsRegistry())
     kwargs.setdefault("policy", RefreshPolicy(stale_fraction=0.5, min_rows=32))
+    kwargs.setdefault("ledger", RunLedger(tmp_path / "ledger"))
     return LifecycleController(
         plan,
         estimator,
         registry=ModelRegistry(tmp_path / "registry"),
         name="pfr-live",
-        ledger=RunLedger(tmp_path / "ledger"),
         **kwargs,
     )
 
@@ -262,6 +262,13 @@ class TestLifecycleController:
             _controller(unfitted, estimator, tmp_path)
         with pytest.raises(ValidationError, match="LandmarkPlan"):
             _controller(object(), estimator, tmp_path)
+
+    def test_requires_a_ledger(self, fitted_setup, tmp_path):
+        # Every registered version is a ledger entry first: no ledger-less
+        # path registers a model the ledger cannot trace.
+        plan, estimator, _ = fitted_setup
+        with pytest.raises(ValidationError, match="needs a ledger"):
+            _controller(plan, estimator, tmp_path, ledger=None)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
     def test_non_finite_holdout_tolerance_rejected(

@@ -36,7 +36,7 @@ from repro.obs import (
     tracing,
 )
 from repro.serving import ModelRegistry, TransformService
-from repro.store import RunLedger
+from repro.store import RunLedger, task_digest
 
 _SPEC = {
     "name": "obs-accept",
@@ -191,7 +191,8 @@ class TestLedgerStats:
         assert ledger.contains(digest)          # hit
         assert not ledger.contains("0" * 64)    # miss
         assert ledger.get(digest) is not None   # a read, not a lookup
-        assert ledger.get_task(task) is not None  # hit
+        assert ledger.contains(task_digest(task))  # hit
+        assert ledger.get(task_digest(task)) is not None
         stats = ledger.stats()
         assert stats["puts"] == 1
         assert stats["hits"] == 2

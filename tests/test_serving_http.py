@@ -5,6 +5,7 @@ Everything talks to a real socket on 127.0.0.1 (ephemeral ports), through
 needs to send protocol garbage.
 """
 
+import dataclasses
 import http.client
 import json
 import socket
@@ -16,7 +17,12 @@ import pytest
 
 from repro import PFR
 from repro.graphs import pairwise_judgment_graph
-from repro.serving import ModelRegistry, ServingServer, TransformService
+from repro.serving import (
+    ModelRecord,
+    ModelRegistry,
+    ServingServer,
+    TransformService,
+)
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +338,9 @@ class TestModelsEndpoints:
         assert body["spec"] == "pfr@1"
         assert body["all_versions"] == [1, 2]
         assert body["is_latest"] is False
+        # Every manifest field but the on-disk path, so none is forgotten.
+        fields = {field.name for field in dataclasses.fields(ModelRecord)}
+        assert set(body) == fields - {"path"} | {"spec", "all_versions"}
 
     def test_model_show_unknown_404(self, server):
         status, body, _ = _call(server, "GET", "/models/ghost")

@@ -200,6 +200,14 @@ class TestCaching:
         totals = service.stats()["totals"]
         assert totals["cache_hits"] == 0
 
+    @pytest.mark.parametrize("size", [-1, 2.5, "10"])
+    def test_bad_cache_size_rejected_at_construction(self, setup, size):
+        # Regression: a negative size used to construct, and then every
+        # transform failed building the model's cache.
+        registry, *_ = setup
+        with pytest.raises(ValidationError, match="cache_size"):
+            TransformService(registry, cache_size=size)
+
     def test_transform_one_readonly_with_cache_disabled(self, setup, rng):
         # Regression: with cache_size=0 transform_one used to return a
         # *writable* row, so mutability depended on cache state — the exact
@@ -304,7 +312,7 @@ class TestByteRowEntries:
         Z = service.transform("pfr", mixed)
         np.testing.assert_allclose(Z, model.transform(mixed), rtol=1e-6)
         assert Z[:2].tobytes() == model.transform(Xa).tobytes()
-        assert len(served.cache) == 2
+        assert served.cache.info()["size"] == 2
 
 
 class TestLifecycle:

@@ -170,7 +170,6 @@ class TestRunLedger:
         assert fetched.payload == {"x": 1.5}
         assert fetched.kind == "method_result"
         assert fetched.task == task
-        assert ledger.get_task(task).digest == entry.digest
 
     def test_get_missing_returns_none(self, tmp_path):
         assert RunLedger(tmp_path).get("0" * 64) is None
@@ -216,7 +215,6 @@ class TestRunLedger:
         path.write_text(json.dumps(data))
         old = ledger.get(entry.digest)
         assert old.blas is None and old.payload == {"x": 1}
-        assert ledger.get_task(_task()).digest == entry.digest
         assert ledger.verify()["problems"] == []
 
     def test_pickles_to_root_only(self, tmp_path):
@@ -597,7 +595,8 @@ class TestLineage:
     def test_children_and_lineage_walk(self, tmp_path):
         ledger, entries = self._chain(tmp_path, depth=3)
         root, mid, leaf = entries
-        assert [e.digest for e in ledger.children(root.digest)] == [mid.digest]
+        children = [e.digest for e in ledger.ls() if e.parent == root.digest]
+        assert children == [mid.digest]
         chain = ledger.lineage(leaf.digest)  # root first
         assert [e.digest for e in chain] == [
             root.digest, mid.digest, leaf.digest
