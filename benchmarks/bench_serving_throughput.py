@@ -8,6 +8,10 @@ three paths, for both the linear PFR and the KernelPFR:
 * **batched** — one vectorized bulk call over the same rows;
 * **warm**  — the same one-row loop again, every row now a cache hit.
 
+The service stores a computed row on its second sighting, so the warm
+rows get two unmeasured passes: the first records them, the second
+computes and admits them, and every measured warm pass hits.
+
 Writes machine-readable results to ``benchmarks/output/BENCH_serving.json``
 (override with ``REPRO_BENCH_SERVING_JSON``) so later PRs have a perf
 trajectory to beat, and asserts the PR's acceptance floors: batched ≥ 5×
@@ -104,8 +108,10 @@ def _bench_model(service: TransformService, spec: str, rng) -> dict:
         _throughput(lambda X=fresh_rows(): service.transform(spec, X), N_QUERY)
         for _ in range(N_REPEATS)
     )
-    # Warm: rows already cached by a prior pass; repeat the per-row loop.
+    # Warm: the first pass records the rows, the second admits them; the
+    # measured passes repeat the per-row loop over cached rows.
     warm_rows = fresh_rows()
+    one_row_loop(warm_rows)
     one_row_loop(warm_rows)
     warm = _best(
         _throughput(lambda: one_row_loop(warm_rows), N_QUERY)
@@ -170,8 +176,8 @@ def test_serving_throughput(tmp_path):
     assert pfr["speedup_batched_vs_cold"] >= 5.0
     assert kpfr["speedup_warm_vs_cold"] >= 10.0
     # Sanity: the warm loops were actually served from cache. Only the N
-    # warm passes hit, so the expected rate is 1500 hits / 5100 lookups
-    # ≈ 0.29.
+    # measured warm passes hit, so the expected rate is 1500 hits / 5400
+    # lookups ≈ 0.28.
     assert kpfr["cache_hit_rate"] > 0.15
     assert pfr["cache_hit_rate"] > 0.15
 

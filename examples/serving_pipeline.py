@@ -55,7 +55,8 @@ def main():
         print(f"bulk transform    : {Z_test.shape[0]} rows -> "
               f"{Z_test.shape[1]}-d fair representation")
 
-        # Repeated traffic is served from the LRU cache (no matmul):
+        # A row is cached on its second sighting; from then on it is
+        # served from the LRU cache (no matmul):
         service.transform("pfr-admissions@latest", X[test])
 
         # --- 4. online path: concurrent single-row clients ---------------

@@ -12,6 +12,11 @@ between concurrent request threads. Its values are the immutable
 and returned as they are, so an entry costs only its row's bytes plus the
 key and the LRU bookkeeping, and no caller can alter an entry another
 caller reads.
+
+A computed row is stored on its *second* sighting, not its first: the
+service asks a :class:`_Doorkeeper` which of its computed rows were seen
+before and stores only those. Rows that arrive once never enter the LRU,
+so they neither cost memory nor evict the rows that repeat.
 """
 
 from __future__ import annotations
@@ -62,6 +67,51 @@ def matrix_digests(X: np.ndarray) -> list[bytes]:
         hasher.update(row)
         digests.append(hasher.digest())
     return digests
+
+
+#: The bit of a filter byte each probe position ``p`` sets: ``_BIT[p & 7]``.
+_BIT = np.array([1 << bit for bit in range(8)], dtype=np.uint8)
+
+
+class _Doorkeeper:
+    """Admission rule of the serving cache: store a row on its second sighting.
+
+    The "doorkeeper" of TinyLFU (Einziger, Friedman & Manes, ACM TOS
+    2017): a Bloom filter over row digests records each row's first miss,
+    and only a row recorded before is admitted to the LRU. The filter has
+    one byte (8 bits) per cache row and 4 probes, about 2% false positives
+    when full, and is cleared after ``max_size`` recordings, so it forgets
+    rows about as fast as the LRU could hold them. :func:`matrix_digests`
+    digests are uniform blake2b output, so the four probe positions are the
+    digest's four 32-bit words and need no second hash.
+    """
+
+    def __init__(self, max_size: int):
+        self._filter = np.zeros(max_size, dtype=np.uint8)
+        # int64, not a Python int: uint32 words modulo a filter of 2**32
+        # bits or more would overflow.
+        self._bits = np.int64(8 * max_size)
+        self._recorded = 0
+        self._lock = threading.Lock()
+        self.declined = 0  # first sightings kept out of the LRU, ever
+
+    def admit(self, keys) -> np.ndarray:
+        """Whether each key was recorded before; records every key."""
+        probes = np.frombuffer(b"".join(keys), dtype="<u4") % self._bits
+        byte, mask = probes >> 3, _BIT[probes & 7]
+        with self._lock:
+            seen = (self._filter[byte] & mask).reshape(-1, 4).all(axis=1)
+            declined = len(seen) - int(np.count_nonzero(seen))
+            if declined:
+                if self._recorded >= self._filter.size:
+                    self._filter[:] = 0
+                    self._recorded = 0
+                # A seen key's bits are set already (unless just cleared),
+                # so OR-ing every probe costs nothing for it.
+                np.bitwise_or.at(self._filter, byte, mask)
+                self._recorded += declined
+                self.declined += declined
+        return seen
 
 
 class LRUCache:

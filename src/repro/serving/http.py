@@ -55,6 +55,9 @@ Endpoints (all JSON unless noted)::
     GET  /healthz                    {"status": "ok", ...}   (never queued)
     GET  /metrics                    Prometheus text format  (never queued)
 
+A ``500`` body is ``{"error": "internal error"}``; the exception itself is
+printed to stderr.
+
 Lifecycle: construct the shared service with ``drift=True`` and
 ``GET /drift`` reports each warm model's windowed fidelity statistics
 (see :class:`repro.lifecycle.DriftMonitor`). Refreshes run in their own
@@ -78,8 +81,10 @@ import asyncio
 import contextlib
 import dataclasses
 import json
+import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import unquote
 
@@ -520,11 +525,13 @@ class ServingServer:
         except ValidationError as exc:
             status = 404 if isinstance(exc, ModelNotFoundError) else 400
             payload = _json_bytes({"error": str(exc)})
-        except Exception as exc:  # worker bug: report, keep serving
+        except Exception as exc:  # worker bug: log it, keep serving
+            # The message can name paths or internals: it goes to stderr,
+            # never into the response.
             status = 500
-            payload = _json_bytes(
-                {"error": f"internal error: {type(exc).__name__}: {exc}"}
-            )
+            payload = _json_bytes({"error": "internal error"})
+            print(f"internal error on {method} {path}:", file=sys.stderr)
+            traceback.print_exception(exc, file=sys.stderr)
         self._account(route, status, time.perf_counter() - start)
         return status, content_type, payload
 
@@ -623,6 +630,7 @@ class ServingServer:
         metrics = self.service.metrics
         metrics.set_gauge("http.inflight", float(self._inflight))
         metrics.set_gauge("http.max_queue", float(self.max_queue))
+        self.service.publish_cache_gauges()
         payload = format_prometheus(metrics.snapshot()).encode("utf-8")
         return 200, "text/plain; version=0.0.4; charset=utf-8", payload
 

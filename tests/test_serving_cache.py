@@ -1,5 +1,6 @@
 """Tests for repro.serving.cache — digests and the LRU result cache."""
 
+import sys
 import threading
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.serving import LRUCache, matrix_digests, row_digest
+from repro.serving.cache import _Doorkeeper
 
 
 class TestRowDigest:
@@ -120,3 +122,74 @@ class TestLRUCache:
         info = cache.info()
         assert info["size"] <= 64
         assert info["hits"] + info["misses"] == 6 * 500 * 3
+
+
+class TestDoorkeeper:
+    """The admission rule: a key is admitted on its second sighting."""
+
+    def test_admits_on_second_sighting(self, rng):
+        doorkeeper = _Doorkeeper(100)
+        keys = matrix_digests(rng.normal(size=(8, 3)))
+        assert not doorkeeper.admit(keys).any()
+        assert doorkeeper.admit(keys).all()
+        assert doorkeeper.declined == 8  # only first sightings decline
+
+    def test_filter_is_one_byte_per_cache_row(self):
+        assert _Doorkeeper(1000)._filter.nbytes == 1000
+
+    def test_matches_a_loop_reference(self, rng):
+        # The vectorized probes against a per-key loop over a Python set of
+        # bit positions: the four 32-bit words of each digest, modulo the
+        # filter's bits. Each batch repeats two keys of the one before.
+        max_size = 64
+        doorkeeper = _Doorkeeper(max_size)
+        recorded, keys, declined = set(), [], 0
+        for _ in range(6):
+            keys = keys[:2] + matrix_digests(rng.normal(size=(8, 3)))
+            probes = [
+                [int.from_bytes(key[i:i + 4], "little") % (8 * max_size)
+                 for i in range(0, 16, 4)]
+                for key in keys
+            ]
+            expected = [all(p in recorded for p in ps) for ps in probes]
+            assert doorkeeper.admit(keys).tolist() == expected
+            for ps, seen in zip(probes, expected):
+                if not seen:
+                    recorded.update(ps)
+                    declined += 1
+        bits = np.unpackbits(doorkeeper._filter, bitorder="little")
+        assert set(np.flatnonzero(bits).tolist()) == recorded
+        assert doorkeeper.declined == declined
+
+    def test_cleared_after_max_size_recordings(self, rng):
+        doorkeeper = _Doorkeeper(16)
+        first = matrix_digests(rng.normal(size=(16, 3)))
+        doorkeeper.admit(first)
+        # The filter is full: recording the next fresh rows clears it, so
+        # the first rows are forgotten and decline again.
+        doorkeeper.admit(matrix_digests(rng.normal(size=(1, 3))))
+        assert not doorkeeper.admit(first).any()
+
+    def test_thread_safety_smoke(self, rng):
+        doorkeeper = _Doorkeeper(100_000)
+        batches = [matrix_digests(rng.normal(size=(32, 3))) for _ in range(8)]
+
+        def worker():
+            for _ in range(20):
+                for keys in batches:
+                    doorkeeper.admit(keys)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # Check and record are one step: no row declines twice.
+        assert doorkeeper.declined == 8 * 32
+        assert all(doorkeeper.admit(keys).all() for keys in batches)

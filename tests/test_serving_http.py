@@ -125,6 +125,28 @@ class TestHealthAndMetrics:
         assert "repro_http_inflight" in text
         assert "repro_serving_rows_total" in text
 
+    def test_metrics_export_cache_gauges(self, fitted, server):
+        # One fresh batch posted three times: recorded, stored, hit.
+        X, _, _ = fitted
+        n = 7
+        for _ in range(3):
+            status, _, _ = _call(server, "POST", "/transform",
+                                 payload={"model": "pfr@1", "rows": X[:n].tolist()})
+            assert status == 200
+        _, text, _ = _call(server, "GET", "/metrics")
+        gauges = {
+            line.split("{")[0]: float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("repro_serving_cache_") and 'model="pfr@1"' in line
+        }
+        assert gauges == {
+            "repro_serving_cache_size": n,
+            "repro_serving_cache_hits": n,
+            "repro_serving_cache_misses": 2 * n,
+            "repro_serving_cache_declined": n,
+        }
+        assert "# TYPE repro_serving_cache_size gauge" in text
+
 
 class TestTransform:
     def test_single_row(self, fitted, server):
@@ -218,6 +240,32 @@ class TestTransform:
             conn.close()
         expected = {"model": "pfr@1", "rows": model_v1.transform(X[:4]).tolist()}
         assert raw == (json.dumps(expected, sort_keys=True) + "\n").encode()
+
+
+class TestInternalErrors:
+    def test_500_body_hides_the_exception(self, fitted, server, monkeypatch,
+                                          capsys):
+        # Regression: a 500 body echoed "type: message", so a worker bug
+        # whose message named a path leaked it to the client.
+        X, _, _ = fitted
+        serve = server.service.transform_versioned
+        calls = []
+
+        def buggy(spec, rows):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise RuntimeError("cannot read /srv/secret/weights.npz")
+            return serve(spec, rows)
+
+        monkeypatch.setattr(server.service, "transform_versioned", buggy)
+        payload = {"model": "pfr", "rows": X[:2].tolist()}
+        status, body, _ = _call(server, "POST", "/transform", payload=payload)
+        assert status == 500
+        assert body == {"error": "internal error"}
+        assert "/srv/secret" in capsys.readouterr().err
+        status, body, _ = _call(server, "POST", "/transform", payload=payload)
+        assert status == 200
+        assert len(body["rows"]) == 2
 
 
 class TestTransformValidation:

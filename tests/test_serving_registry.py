@@ -254,6 +254,7 @@ class TestPromoteRollbackUnderReaders:
 
     def test_latest_is_always_a_complete_version(self, registry, fitted_pfr):
         import threading
+        import time
 
         model, X = fitted_pfr
         registry.register("pfr", model)  # v1
@@ -279,9 +280,14 @@ class TestPromoteRollbackUnderReaders:
         for thread in readers:
             thread.start()
         try:
-            # Promote/rollback churn: v2 -> v1 (rollback) -> v2 -> ...
-            for flip in range(30):
+            # Promote/rollback churn: v2 -> v1 (rollback) -> v2 -> ...,
+            # 30 flips and on until the readers have seen both versions
+            # (a loaded host can starve them), bounded by a deadline.
+            deadline = time.monotonic() + 60
+            flip = 0
+            while flip < 30 or (len(seen) < 2 and time.monotonic() < deadline):
                 registry.promote("pfr", 1 + flip % 2)
+                flip += 1
         finally:
             stop.set()
             for thread in readers:

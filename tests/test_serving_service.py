@@ -10,6 +10,7 @@ from repro import PFR
 from repro.exceptions import ValidationError
 from repro.graphs import pairwise_judgment_graph
 from repro.serving import ModelRegistry, TransformService
+from repro.serving import cache as cache_module
 from repro.serving import service as service_module
 
 
@@ -118,29 +119,32 @@ class TestCaching:
         registry, *_ = setup
         service = TransformService(registry)
         row = rng.normal(size=5)
+        service.transform_one("pfr", row)  # first sighting: not stored
         service.transform_one("pfr", row)
         service.transform_one("pfr", row)
         cache = service.stats()["models"]["pfr@1"]["cache"]
         assert cache["hits"] == 1
-        assert cache["misses"] == 1
-        assert cache["hit_rate"] == 0.5
+        assert cache["misses"] == 2
+        assert cache["hit_rate"] == 1 / 3
 
     def test_repeat_hits_cache(self, setup, rng):
         registry, *_ = setup
         service = TransformService(registry)
         Xq = rng.normal(size=(10, 5))
+        service.transform("pfr", Xq)  # first sighting: not stored
         Z1 = service.transform("pfr", Xq)
         Z2 = service.transform("pfr", Xq)
         np.testing.assert_allclose(Z1, Z2)
         totals = service.stats()["totals"]
         assert totals["cache_hits"] == 10
-        assert totals["cache_misses"] == 10
+        assert totals["cache_misses"] == 20
 
     def test_duplicates_within_request_computed_once(self, setup, rng):
         registry, model, _ = setup
         service = TransformService(registry)
         row = rng.normal(size=5)
         Xq = np.tile(row, (6, 1))
+        service.transform("pfr", Xq)  # first sighting: not stored
         Z = service.transform("pfr", Xq)
         np.testing.assert_allclose(Z, model.transform(Xq))
         cache_info = service.stats()["models"]["pfr@1"]["cache"]
@@ -184,11 +188,12 @@ class TestCaching:
         registry, *_ = setup
         service = TransformService(registry)
         Xq = rng.normal(size=(4, 5))
+        service.transform("pfr", Xq)  # first sighting: not stored
         Z = service.transform("pfr", Xq)
         z = service.transform_one("pfr", Xq[2])
         assert np.array_equal(z, Z[2])
         cache = service.stats()["models"]["pfr@1"]["cache"]
-        assert cache["misses"] == 4
+        assert cache["misses"] == 8
         assert cache["hits"] == 1
 
     def test_cache_disabled(self, setup, rng):
@@ -244,6 +249,7 @@ class TestByteRowEntries:
         registry, *_ = setup
         service = TransformService(registry)
         Xq = rng.normal(size=(3, 5))
+        service.transform("pfr", Xq)  # first sighting: not stored
         Z = service.transform("pfr", Xq)
         from repro.serving.cache import matrix_digests
 
@@ -254,6 +260,7 @@ class TestByteRowEntries:
     def test_hit_equals_miss_bitwise_in_model_dtype(self, float32_service, rng):
         service, model, _ = float32_service
         Xa, Xb = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        service.transform("pfr", Xa)  # first sighting: not stored
         miss = service.transform("pfr", Xa)
         hit = service.transform("pfr", Xa)
         mixed = service.transform("pfr", np.vstack([Xb[:1], Xa[2:], Xb[1:]]))
@@ -303,6 +310,7 @@ class TestByteRowEntries:
         registry, model, _ = setup
         service = TransformService(registry)
         Xa, Xb = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        service.transform("pfr", Xa)  # first sighting: not stored
         service.transform("pfr", Xa)
         served = service._models[("pfr", 1)]
         served.model = SimpleNamespace(
@@ -313,6 +321,93 @@ class TestByteRowEntries:
         np.testing.assert_allclose(Z, model.transform(mixed), rtol=1e-6)
         assert Z[:2].tobytes() == model.transform(Xa).tobytes()
         assert served.cache.info()["size"] == 2
+
+
+    def test_every_sighting_serves_the_same_bytes(self, float32_service, rng):
+        # First sighting (recorded), second (computed and stored), hit.
+        service, model, _ = float32_service
+        Xq = rng.normal(size=(3, 5))
+        expected = model.transform(Xq).astype(np.float32)
+        served = [service.transform("pfr", Xq) for _ in ("first", "second", "hit")]
+        for Z in served:
+            assert Z.dtype == np.float32
+            assert Z.tobytes() == expected.tobytes()
+        cache = service.stats()["models"]["pfr@1"]["cache"]
+        assert (cache["hits"], cache["misses"]) == (3, 6)
+
+
+class TestAdmission:
+    """A computed row is stored on its second sighting, not its first."""
+
+    @pytest.fixture
+    def counting_service(self, setup):
+        # Records how many rows each call hands the model.
+        registry, model, _ = setup
+        service = TransformService(registry)
+        computed = []
+
+        def transform(X):
+            computed.append(X.shape[0])
+            return model.transform(X)
+
+        service._served("pfr").model = SimpleNamespace(transform=transform)
+        return service, model, computed
+
+    def test_fresh_batches_are_never_stored(self, setup, rng):
+        registry, model, _ = setup
+        service = TransformService(registry)
+        for _ in range(10):
+            Xq = rng.normal(size=(16, 5))
+            np.testing.assert_array_equal(
+                service.transform("pfr", Xq), model.transform(Xq)
+            )
+        cache = service.stats()["models"]["pfr@1"]["cache"]
+        assert cache["size"] == 0
+        assert cache["misses"] == cache["declined"] == 160
+
+    def test_hot_row_survives_a_flood_of_one_off_rows(self, setup, rng):
+        # A plain LRU of 16 rows evicts the hot row after 16 one-off rows;
+        # the doorkeeper keeps the one-off rows out of the LRU.
+        registry, model, _ = setup
+        service = TransformService(registry, cache_size=16)
+        hot = rng.normal(size=5)
+        service.transform_one("pfr", hot)
+        service.transform_one("pfr", hot)
+        for _ in range(5):
+            service.transform("pfr", rng.normal(size=(8, 5)))
+        hits = service.stats()["models"]["pfr@1"]["cache"]["hits"]
+        z = service.transform_one("pfr", hot)
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == hits + 1
+        np.testing.assert_array_equal(z, model.transform(hot[None])[0])
+
+    def test_repeat_inside_one_request_computed_once(self, counting_service, rng):
+        service, model, computed = counting_service
+        a, b = rng.normal(size=(2, 5))
+        Xq = np.vstack([a, b, a, a, b, a])
+        for _ in ("first", "second", "hit"):
+            np.testing.assert_array_equal(
+                service.transform("pfr", Xq), model.transform(Xq)
+            )
+        # Two distinct rows, computed on each of two sightings; then hits.
+        assert computed == [2, 2]
+        assert service.stats()["models"]["pfr@1"]["cache"]["size"] == 2
+
+    def test_cache_disabled_never_touches_the_doorkeeper(
+        self, setup, rng, monkeypatch
+    ):
+        def admit(self, keys):
+            raise AssertionError("cache_size=0 reached the doorkeeper")
+
+        monkeypatch.setattr(cache_module._Doorkeeper, "admit", admit)
+        registry, model, _ = setup
+        service = TransformService(registry, cache_size=0)
+        Xq = rng.normal(size=(4, 5))
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                service.transform("pfr", Xq), model.transform(Xq)
+            )
+        cache = service.stats()["models"]["pfr@1"]["cache"]
+        assert cache["size"] == cache["declined"] == 0
 
 
 class TestLifecycle:
@@ -527,9 +622,10 @@ class TestDriftAccounting:
         registry, _, _ = landmark_setup
         service = TransformService(registry, drift=True)
         row = rng.normal(size=5)
+        service.transform_one("pfr", row)  # first sighting: not stored
         service.transform_one("pfr", row)
         count = service.drift_status()["models"]["pfr@1"]["count"]
-        assert count == 1
+        assert count == 2
         # A cache hit re-serves the embedding without re-scoring it.
         service.transform_one("pfr", row)
         assert service.drift_status()["models"]["pfr@1"]["count"] == count
@@ -537,10 +633,11 @@ class TestDriftAccounting:
     def test_partly_cached_batch_scores_only_misses(self, landmark_setup):
         registry, _, X = landmark_setup
         service = TransformService(registry, drift=True, drift_sample=64)
+        service.transform("pfr", X[:10])  # first sighting: not stored
         service.transform("pfr", X[:10])
-        assert service.drift_status()["models"]["pfr@1"]["count"] == 10
+        assert service.drift_status()["models"]["pfr@1"]["count"] == 20
         service.transform("pfr", X[:25])  # 10 hits, 15 computed rows
-        assert service.drift_status()["models"]["pfr@1"]["count"] == 25
+        assert service.drift_status()["models"]["pfr@1"]["count"] == 35
 
     def test_batch_sampling_is_bounded(self, landmark_setup, rng):
         registry, _, X = landmark_setup
