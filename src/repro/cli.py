@@ -83,7 +83,6 @@ Both are off by default and cost nothing when off.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -608,37 +607,10 @@ def _cmd_models(args) -> int:
     return 0
 
 
-#: Freed heap top the serving process keeps mapped (glibc ``M_TOP_PAD``).
-_SERVE_TOP_PAD = 16 << 20
-_M_TOP_PAD = -2  # glibc <malloc.h>
-
-
-def _keep_freed_heap() -> None:
-    """Keep up to ``_SERVE_TOP_PAD`` bytes of freed heap top mapped.
-
-    A request frees its model temporaries (a Nystrom KernelPFR's
-    rows x landmarks kernel block) at the top of glibc's heap, and glibc
-    hands a top past its trim threshold back to the kernel at once, so the
-    next request faults the same pages in again: about 220 page faults
-    and 0.3 ms of CPU per 64-row request on a 1000-landmark model. Nothing
-    is done when ``MALLOC_TOP_PAD_`` is set (glibc's own setting) or the C
-    library has no ``mallopt``.
-    """
-    if "MALLOC_TOP_PAD_" in os.environ:
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_TOP_PAD, _SERVE_TOP_PAD)
-
-
 def _cmd_serve(args) -> int:
     from .obs import get_registry
     from .serving import ServingServer, TransformService
 
-    _keep_freed_heap()
     # The process registry, so /metrics exports every series this process
     # counts (ledger, eig, knn, merge, lifecycle), not only serving's.
     service = TransformService(

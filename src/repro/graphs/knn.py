@@ -59,17 +59,22 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.sum(X * X, axis=1)
 
 
-def _sq_distances_to(X: np.ndarray, Y: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
+def _sq_distances_to(
+    X: np.ndarray, Y: np.ndarray, y_sq: np.ndarray, out=None
+) -> np.ndarray:
     """:func:`pairwise_sq_distances` of float64 ``X`` and ``Y``, given
     ``y_sq = _sq_norms(Y)``.
 
     A caller measuring many batches against one fixed ``Y`` (a served
     model's ``X_fit_``) computes ``y_sq`` once; the values are the same
-    bits either way.
+    bits either way. ``out`` is ``None`` or two C-contiguous float64
+    ``(n, m)`` buffers that take the Gram matrix and the distances, which
+    are returned in the second; the bits are those of fresh arrays.
     """
-    gram = X @ Y.T
+    gram, d = (None, None) if out is None else out
+    gram = np.matmul(X, Y.T, out=gram)
     gram *= 2.0
-    d = _sq_norms(X)[:, None] + y_sq[None, :]
+    d = np.add(_sq_norms(X)[:, None], y_sq[None, :], out=d)
     d -= gram
     np.maximum(d, 0.0, out=d)
     return d

@@ -5,7 +5,7 @@ This is the object an online decision-making system would hold: it resolves
 keeps the deserialized estimators warm in memory, serves repeated rows
 straight from a per-model :class:`~repro.serving.cache.LRUCache`, and counts
 everything so operators can see hit rates and throughput. A computed row
-is stored on its second sighting: the cache's doorkeeper records each
+is stored on its second sighting: the cache's admission rule records each
 row's first miss, so rows that arrive once never fill the LRU. Every public
 transform method validates its input once and reaches the model through
 one private request path.
@@ -36,7 +36,7 @@ from ..exceptions import ValidationError
 from ..io import load_model
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span
-from .cache import LRUCache, _Doorkeeper, matrix_digests
+from .cache import LRUCache, matrix_digests
 from .registry import ModelRegistry, ModelRecord
 
 __all__ = ["TransformService"]
@@ -70,7 +70,6 @@ class _ServedModel:
     record: ModelRecord
     model: object
     cache: LRUCache
-    doorkeeper: _Doorkeeper
     # Drift accounting (None unless the service opted in AND the artifact
     # carries landmark coordinates): a per-row scorer rebuilt from the
     # loaded model and the windowed monitor its samples feed.
@@ -78,10 +77,6 @@ class _ServedModel:
     monitor: object = None
     # dtype of every cached row, fixed by the first block encoded as rows.
     row_dtype: np.dtype | None = None
-
-    def cache_info(self) -> dict:
-        """The cache's :meth:`LRUCache.info` plus its ``declined`` rows."""
-        return {**self.cache.info(), "declined": self.doorkeeper.declined}
 
     def row_entries(self, block: np.ndarray) -> list[bytes] | None:
         """Each row of a computed block as an immutable ``bytes`` entry.
@@ -229,8 +224,8 @@ class TransformService:
 
         Returns ``{"models": {spec: {...}}, "totals": {...}}``. Every
         model entry carries the original counters (``requests``, ``rows``,
-        ``seconds``, and ``cache``: the LRU's ``info()`` plus the
-        ``declined`` rows its doorkeeper kept out) plus the derived rates
+        ``seconds``, and ``cache``: the LRU's ``info()``, whose ``declined``
+        counts the first sightings it kept out) plus the derived rates
         computed *here, once* from the latency histogram — ``rows_per_sec``,
         ``mean_latency_s`` and a ``latency`` summary with deterministic
         p50/p90/p99 — so callers stop re-deriving them (each subtly
@@ -262,7 +257,7 @@ class TransformService:
                 "rows_per_sec": rows_per_sec,
                 "mean_latency_s": latency["mean"],
                 "latency": latency,
-                "cache": served.cache_info(),
+                "cache": served.cache.info(),
             }
         total_rows = sum(entry["rows"] for entry in snapshot.values())
         total_seconds = sum(entry["seconds"] for entry in snapshot.values())
@@ -290,7 +285,7 @@ class TransformService:
         the load lock, so a scrape never waits on a cold model load.
         """
         for served in self._models.copy().values():
-            info = served.cache_info()
+            info = served.cache.info()
             for key in ("size", "hits", "misses", "declined"):
                 self.metrics.set_gauge(
                     f"serving.cache.{key}", info[key], model=served.record.spec
@@ -355,7 +350,6 @@ class TransformService:
                     record=record,
                     model=model,
                     cache=LRUCache(max_size=self.cache_size),
-                    doorkeeper=_Doorkeeper(self.cache_size),
                     scorer=scorer,
                     monitor=monitor,
                 )
@@ -396,10 +390,10 @@ class TransformService:
         """Serve a validated ``(n, m)`` batch: the one path to the model.
 
         Cached rows skip the model; unique misses (a row repeated inside
-        one request included) are computed once, and those the doorkeeper
-        saw in an earlier request are cached. Only computed rows are scored
-        for drift — a hit re-serves a row that was already scored, or
-        sampled out, when it was computed.
+        one request included) are computed once, and those
+        :meth:`LRUCache.admit` saw in an earlier request are cached. Only
+        computed rows are scored for drift — a hit re-serves a row that
+        was already scored, or sampled out, when it was computed.
         """
         start = time.perf_counter()
         with span("serving.transform", model=served.record.spec,
@@ -420,10 +414,11 @@ class TransformService:
                 entries = []  # each computed row's bytes, in computed order
                 if rows:
                     computed = _model_transform(served.model, X[missed])
-                    seen = served.doorkeeper.admit(slot)
-                    if len(rows) < X.shape[0] or seen.any():
+                    seen = served.cache.admit(slot)
+                    store = True in seen
+                    if store or len(rows) < X.shape[0]:
                         entries = served.row_entries(computed)
-                    if entries is not None and seen.any():
+                    if store and entries is not None:
                         served.cache.put_many(compress(zip(slot, entries), seen))
                 if len(rows) == X.shape[0]:
                     result = computed

@@ -396,32 +396,6 @@ class TestServe:
         for pool, n in pool_sizes().items():
             assert f'repro_blas_threads{{pool="{pool}"}} {n}\n' in scraped["body"]
 
-    def test_keeps_freed_heap_mapped(self, monkeypatch):
-        # `repro serve` sets glibc's M_TOP_PAD, unless MALLOC_TOP_PAD_
-        # already does or the C library has no mallopt.
-        from types import SimpleNamespace
-
-        from repro import cli
-
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        libc = SimpleNamespace(mallopt=mallopt)
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-        monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
-        cli._keep_freed_heap()
-        assert calls == [(-2, 16 << 20)]
-        monkeypatch.setenv("MALLOC_TOP_PAD_", "0")
-        cli._keep_freed_heap()
-        assert len(calls) == 1
-        monkeypatch.delenv("MALLOC_TOP_PAD_")
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
-        cli._keep_freed_heap()
-        assert len(calls) == 1
-
     def test_nan_drift_floor_is_rejected(self, tmp_path, monkeypatch, capsys):
         from repro import cli
 

@@ -231,3 +231,82 @@ class TestFitReference:
         assert hasattr(model, "_fit_norms")
         after = save_model(model, tmp_path / "after.npz").read_bytes()
         assert after == before
+
+
+class TestTransformScratch:
+    """``transform`` computes an rbf kernel block in per-thread buffers."""
+
+    @pytest.fixture(params=["rbf", "nystrom"])
+    def model(self, request, rng):
+        X = rng.normal(size=(60, 13))
+        WF = pairwise_judgment_graph([(0, 1), (5, 30)], n=len(X))
+        nystrom = request.param == "nystrom"
+        params = {"extension": "nystrom", "landmarks": 25} if nystrom else {}
+        return KernelPFR(n_components=2, gamma=0.5, n_neighbors=5, **params).fit(
+            X, WF
+        )
+
+    @staticmethod
+    def _buffers():
+        from repro.core import kernel_pfr
+
+        return kernel_pfr._SCRATCH.buffers
+
+    def test_bitwise_equal_to_fresh_arrays(self, model, rng, monkeypatch):
+        # Blocks that fit the buffers, grow them, and pass their cap.
+        from repro.core import kernel_pfr
+
+        monkeypatch.setattr(kernel_pfr, "_SCRATCH_VALUES", 40 * len(model.X_fit_))
+        inputs = [rng.normal(size=(n, 13)) for n in (1, 7, 3, 40, 41, 7)]
+        # X_fit_ itself takes the symmetric product.
+        for X in inputs + [model.X_fit_]:
+            expected = model._kernel_rows(X) @ model.alphas_
+            assert model.transform(X).tobytes() == expected.tobytes()
+
+    def test_results_outlive_the_next_call(self, model, rng):
+        X1, X2 = rng.normal(size=(5, 13)), rng.normal(size=(5, 13))
+        Z1 = model.transform(X1)
+        K1 = model._kernel_rows(X1)
+        before = Z1.tobytes(), K1.tobytes()
+        model.transform(X2)
+        assert (Z1.tobytes(), K1.tobytes()) == before
+        for buffer in self._buffers():
+            assert not np.shares_memory(Z1, buffer)
+            assert not np.shares_memory(K1, buffer)
+
+    def test_buffers_are_reused(self, model, rng):
+        model.transform(rng.normal(size=(8, 13)))
+        buffers = self._buffers()
+        for n in (8, 3, 1):
+            model.transform(rng.normal(size=(n, 13)))
+            assert self._buffers() is buffers
+
+    def test_each_thread_has_its_own_buffers(self, model, rng):
+        import sys
+        import threading
+
+        batches = [rng.normal(size=(6, 13)) for _ in range(4)]
+        expected = [(model._kernel_rows(X) @ model.alphas_).tobytes()
+                    for X in batches]
+        wrong, seen = [], []  # holding each thread's buffer keeps its id
+
+        def worker(X, want):
+            for _ in range(50):
+                if model.transform(X).tobytes() != want:
+                    wrong.append(1)
+            seen.append(self._buffers()[0])
+
+        threads = [threading.Thread(target=worker, args=pair)
+                   for pair in zip(batches, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len({id(buffer) for buffer in seen}) == 4

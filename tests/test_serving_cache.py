@@ -8,7 +8,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.serving import LRUCache, matrix_digests, row_digest
-from repro.serving.cache import _Doorkeeper
 
 
 class TestRowDigest:
@@ -86,6 +85,7 @@ class TestLRUCache:
         info = cache.info()
         assert info == {
             "size": 1, "max_size": 8, "hits": 1, "misses": 0, "hit_rate": 1.0,
+            "declined": 0,
         }
 
     def test_non_array_values_pass_through(self):
@@ -124,60 +124,73 @@ class TestLRUCache:
         assert info["hits"] + info["misses"] == 6 * 500 * 3
 
 
-class TestDoorkeeper:
+class TestAdmit:
     """The admission rule: a key is admitted on its second sighting."""
 
-    def test_admits_on_second_sighting(self, rng):
-        doorkeeper = _Doorkeeper(100)
-        keys = matrix_digests(rng.normal(size=(8, 3)))
-        assert not doorkeeper.admit(keys).any()
-        assert doorkeeper.admit(keys).all()
-        assert doorkeeper.declined == 8  # only first sightings decline
+    @pytest.mark.parametrize("n", [1, 8])  # the loop and the vectorized probe
+    def test_admits_on_second_sighting(self, rng, n):
+        cache = LRUCache(max_size=100)
+        keys = matrix_digests(rng.normal(size=(n, 3)))
+        assert cache.admit(keys) == [False] * n
+        assert cache.admit(keys) == [True] * n
+        assert cache.info()["declined"] == n  # only first sightings decline
 
     def test_filter_is_one_byte_per_cache_row(self):
-        assert _Doorkeeper(1000)._filter.nbytes == 1000
+        assert LRUCache(max_size=1000)._doorkeeper._filter.nbytes == 1000
 
-    def test_matches_a_loop_reference(self, rng):
-        # The vectorized probes against a per-key loop over a Python set of
-        # bit positions: the four 32-bit words of each digest, modulo the
-        # filter's bits. Each batch repeats two keys of the one before.
-        max_size = 64
-        doorkeeper = _Doorkeeper(max_size)
+    def test_disabled_cache_admits_nothing(self, rng):
+        cache = LRUCache(max_size=0)
+        keys = matrix_digests(rng.normal(size=(3, 3)))
+        for _ in range(2):
+            assert cache.admit(keys) == [False] * 3
+        assert cache.info()["declined"] == 0
+
+    @pytest.mark.parametrize("fresh", [1, 2, 8])  # loop, loop, vectorized
+    def test_matches_a_loop_reference(self, rng, fresh):
+        # Both probes against a per-key loop over a Python set of bit
+        # positions: the four 32-bit words of each digest, modulo the
+        # filter's bits. Each batch repeats up to two keys of the one
+        # before, and the filter fills and clears on the way.
+        max_size = 16
+        cache = LRUCache(max_size=max_size)
         recorded, keys, declined = set(), [], 0
-        for _ in range(6):
-            keys = keys[:2] + matrix_digests(rng.normal(size=(8, 3)))
+        for _ in range(12):
+            keys = keys[:2][:fresh] + matrix_digests(rng.normal(size=(fresh, 3)))
             probes = [
                 [int.from_bytes(key[i:i + 4], "little") % (8 * max_size)
                  for i in range(0, 16, 4)]
                 for key in keys
             ]
             expected = [all(p in recorded for p in ps) for ps in probes]
-            assert doorkeeper.admit(keys).tolist() == expected
-            for ps, seen in zip(probes, expected):
-                if not seen:
+            assert cache.admit(keys) == expected
+            if not all(expected):
+                if declined >= max_size:
+                    recorded.clear()
+                    declined = 0
+                for ps in probes:
                     recorded.update(ps)
-                    declined += 1
-        bits = np.unpackbits(doorkeeper._filter, bitorder="little")
-        assert set(np.flatnonzero(bits).tolist()) == recorded
-        assert doorkeeper.declined == declined
+                declined += expected.count(False)
+            bits = np.unpackbits(cache._doorkeeper._filter, bitorder="little")
+            assert set(np.flatnonzero(bits).tolist()) == recorded
 
     def test_cleared_after_max_size_recordings(self, rng):
-        doorkeeper = _Doorkeeper(16)
+        cache = LRUCache(max_size=16)
         first = matrix_digests(rng.normal(size=(16, 3)))
-        doorkeeper.admit(first)
+        cache.admit(first)
         # The filter is full: recording the next fresh rows clears it, so
         # the first rows are forgotten and decline again.
-        doorkeeper.admit(matrix_digests(rng.normal(size=(1, 3))))
-        assert not doorkeeper.admit(first).any()
+        cache.admit(matrix_digests(rng.normal(size=(1, 3))))
+        assert not any(cache.admit(first))
 
-    def test_thread_safety_smoke(self, rng):
-        doorkeeper = _Doorkeeper(100_000)
-        batches = [matrix_digests(rng.normal(size=(32, 3))) for _ in range(8)]
+    @pytest.mark.parametrize("n", [2, 32])  # the loop and the vectorized probe
+    def test_thread_safety_smoke(self, rng, n):
+        cache = LRUCache(max_size=100_000)
+        batches = [matrix_digests(rng.normal(size=(n, 3))) for _ in range(8)]
 
         def worker():
             for _ in range(20):
                 for keys in batches:
-                    doorkeeper.admit(keys)
+                    cache.admit(keys)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -191,5 +204,5 @@ class TestDoorkeeper:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         # Check and record are one step: no row declines twice.
-        assert doorkeeper.declined == 8 * 32
-        assert all(doorkeeper.admit(keys).all() for keys in batches)
+        assert cache.info()["declined"] == 8 * n
+        assert all(all(cache.admit(keys)) for keys in batches)

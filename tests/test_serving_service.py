@@ -155,28 +155,34 @@ class TestCaching:
         service = TransformService(registry)
         Xa = rng.normal(size=(5, 5))
         Xb = rng.normal(size=(5, 5))
+        service.transform("pfr", Xa)  # first sighting: not stored
         service.transform("pfr", Xa)
         mixed = np.vstack([Xb[:2], Xa[1:3], Xb[2:]])
         np.testing.assert_allclose(
             service.transform("pfr", mixed), model.transform(mixed)
         )
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 2
 
     def test_caller_mutation_cannot_corrupt_cache(self, setup, rng):
         registry, model, _ = setup
         service = TransformService(registry)
         Xq = rng.normal(size=(5, 5))
         expected = model.transform(Xq)
+        service.transform("pfr", Xq)  # first sighting: not stored
         Z = service.transform("pfr", Xq)
         Z[:] = -999.0  # hostile caller scribbles over its result
         np.testing.assert_allclose(service.transform("pfr", Xq), expected)
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 5
 
     def test_transform_one_rows_are_readonly_hit_or_miss(self, setup, rng):
         registry, model, _ = setup
         service = TransformService(registry)
         row = rng.normal(size=5)
         expected = model.transform(row[None])[0]
+        service.transform_one("pfr", row)  # first sighting: not stored
         miss = service.transform_one("pfr", row)  # miss populates the cache
         hit = service.transform_one("pfr", row)
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 1
         # Mutability must not depend on cache state: both paths raise
         # instead of corrupting (or appearing to tolerate) mutation.
         for result in (miss, hit):
@@ -279,19 +285,23 @@ class TestByteRowEntries:
         registry, *_ = setup
         service = TransformService(registry)
         row = rng.normal(size=5)
+        service.transform_one("pfr", row)  # first sighting: not stored
         for _ in ("miss", "hit"):
             z = service.transform_one("pfr", row)
             with pytest.raises(ValueError):
                 z.setflags(write=True)
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 1
 
     def test_batch_results_stay_writeable(self, setup, rng):
         registry, *_ = setup
         service = TransformService(registry)
         Xq = rng.normal(size=(3, 5))
+        service.transform("pfr", Xq)  # first sighting: not stored
         for _ in ("miss", "hit"):
             Z = service.transform("pfr", Xq)
             Z[:] = -999.0  # a caller's own copy, hit or miss
         assert service.transform("pfr", Xq)[0, 0] != -999.0
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 6
 
     def test_mutating_the_models_array_cannot_alter_cache(
         self, float32_service, rng
@@ -299,10 +309,12 @@ class TestByteRowEntries:
         service, model, returned = float32_service
         Xq = rng.normal(size=(4, 5))
         expected = model.transform(Xq).astype(np.float32)
+        service.transform("pfr", Xq)  # first sighting: not stored
         service.transform("pfr", Xq)
         for array in returned:
             array[:] = -999.0
         assert service.transform("pfr", Xq).tobytes() == expected.tobytes()
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 4
 
     def test_uncacheable_block_served_uncached(self, setup, rng):
         # A block of another dtype than the rows already cached is served
@@ -321,7 +333,6 @@ class TestByteRowEntries:
         np.testing.assert_allclose(Z, model.transform(mixed), rtol=1e-6)
         assert Z[:2].tobytes() == model.transform(Xa).tobytes()
         assert served.cache.info()["size"] == 2
-
 
     def test_every_sighting_serves_the_same_bytes(self, float32_service, rng):
         # First sighting (recorded), second (computed and stored), hit.
@@ -399,6 +410,7 @@ class TestAdmission:
             raise AssertionError("cache_size=0 reached the doorkeeper")
 
         monkeypatch.setattr(cache_module._Doorkeeper, "admit", admit)
+        monkeypatch.setattr(cache_module.LRUCache, "admit", admit)
         registry, model, _ = setup
         service = TransformService(registry, cache_size=0)
         Xq = rng.normal(size=(4, 5))
