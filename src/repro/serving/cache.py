@@ -17,12 +17,13 @@ A computed row is stored on its *second* sighting, not its first: the
 service asks :meth:`LRUCache.admit` which of its computed rows were seen
 in an earlier request and stores only those. Rows that arrive once never
 enter the LRU, so they neither cost memory nor evict the rows that repeat.
+The check is one vectorized probe of a Bloom filter for any number of
+rows; its fixed cost (~7 µs) is what a single-row miss pays for it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 import threading
 from collections import OrderedDict
 
@@ -70,14 +71,6 @@ def matrix_digests(X: np.ndarray) -> list[bytes]:
     return digests
 
 
-#: A digest's four little-endian 32-bit words: the doorkeeper's probes.
-_WORDS = struct.Struct("<4I")
-
-#: Up to this many keys, :meth:`_Doorkeeper.admit` probes in a Python loop;
-#: more take one vectorized pass. The loop costs ~1.2 µs a key, the
-#: vectorized pass ~6 µs of fixed numpy calls (a single key: 2 µs vs 6 µs).
-_LOOP_KEYS = 4
-
 #: The bit of a filter byte each probe position ``p`` sets: ``_BIT[p & 7]``.
 _BIT = np.array([1 << bit for bit in range(8)], dtype=np.uint8)
 
@@ -92,12 +85,15 @@ class _Doorkeeper:
     when full, and is cleared after ``max_size`` recordings, so it forgets
     rows about as fast as the LRU could hold them. :func:`matrix_digests`
     digests are uniform blake2b output, so the four probe positions are the
-    digest's four 32-bit words and need no second hash.
+    digest's four little-endian 32-bit words and need no second hash.
+
+    Every call takes one vectorized probe: a fixed ~7 µs of numpy calls,
+    plus well under 1 µs a key (one key ~7.5 µs, 64 keys ~14 µs on a
+    2-CPU x86 host, Python 3.11, numpy 2.4).
     """
 
     def __init__(self, max_size: int):
-        self._cells = bytearray(max_size)
-        self._filter = np.frombuffer(self._cells, dtype=np.uint8)  # a view
+        self._filter = np.zeros(max_size, dtype=np.uint8)
         self._bits = 8 * max_size
         self._recorded = 0
         self._lock = threading.Lock()
@@ -109,21 +105,6 @@ class _Doorkeeper:
         Every key is checked before any is recorded, so keys of one call
         never admit each other.
         """
-        if len(keys) > _LOOP_KEYS:
-            return self._admit_block(keys)
-        bits, cells = self._bits, self._cells
-        probes = [[word % bits for word in _WORDS.unpack(key)] for key in keys]
-        with self._lock:
-            seen = [all(cells[p >> 3] >> (p & 7) & 1 for p in positions)
-                    for positions in probes]
-            if self._note_declined(seen.count(False)):
-                for positions in probes:
-                    for p in positions:
-                        cells[p >> 3] |= 1 << (p & 7)
-        return seen
-
-    def _admit_block(self, keys) -> list[bool]:
-        """:meth:`admit` of many keys in one vectorized pass."""
         words = np.frombuffer(b"".join(keys), dtype="<u4")
         probes = words.astype(np.int64) % self._bits
         byte, mask = probes >> 3, _BIT[probes & 7]
@@ -137,12 +118,12 @@ class _Doorkeeper:
         """Count ``count`` first sightings about to be recorded, clearing a
         full filter first; whether there are any. Called under the lock.
 
-        A seen key's bits are set already (unless just cleared), so the
-        callers OR every key's probes in, at no cost for a seen one.
+        A seen key's bits are set already (unless just cleared), so
+        :meth:`admit` ORs every key's probes in, at no cost for a seen one.
         """
         if not count:
             return False
-        if self._recorded >= len(self._cells):
+        if self._recorded >= len(self._filter):
             self._filter[:] = 0
             self._recorded = 0
         self._recorded += count
@@ -211,7 +192,8 @@ class LRUCache:
         Records every key, so a computed row is stored on its second
         sighting: a caller ``put_many``s only the keys admitted. Each
         first sighting counts as ``declined`` in :meth:`info`. With
-        ``max_size=0`` nothing is admitted or recorded.
+        ``max_size=0`` nothing is admitted or recorded. One vectorized
+        probe serves every call, ~7.5 µs for a single key.
         """
         if self.max_size == 0:
             return [False] * len(keys)

@@ -10,11 +10,14 @@ row's first miss, so rows that arrive once never fill the LRU. Every public
 transform method validates its input once and reaches the model through
 one private request path.
 
-Cache entries are the immutable ``bytes`` of each computed row, in the
-model's own output dtype: one ``tobytes()`` per computed block, sliced per
-row. Hits are decoded with ``np.frombuffer``, so a hit and a miss return
-the same bits and dtype, and nothing done to a returned array reaches the
-cache. This row format lives here alone.
+Served rows are float64: every servable model returns float64 for the
+float64 rows the service hands it, so fixing the format costs those models
+no copy. Cache entries are the immutable float64 ``bytes`` of each computed
+row: one ``tobytes()`` per computed block, sliced per row. A request with
+a hit or an in-request repeat is assembled from those bytes in one join
+and decoded with ``np.frombuffer``, so a hit and a miss return the same
+bits, and nothing done to a returned array reaches the cache. This row
+format lives here alone.
 
 The service is thread-safe: model loading is double-checked under a lock,
 caches lock internally, and the counters are guarded separately, so many
@@ -54,18 +57,32 @@ _SHAPES = {
 
 
 def _model_transform(model, X: np.ndarray) -> np.ndarray:
-    """``model.transform(X)`` in blocks of at most ``_CHUNK_ROWS`` rows."""
+    """``model.transform(X)`` as float64, in blocks of at most
+    ``_CHUNK_ROWS`` rows: the served row format.
+
+    A model that already returns float64 (every type ``load_model`` can
+    serve does) gets its own array back, uncopied.
+    """
     if X.shape[0] <= _CHUNK_ROWS:
-        return np.asarray(model.transform(X))
+        return np.asarray(model.transform(X), dtype=np.float64)
     return np.concatenate([
-        np.asarray(model.transform(X[start:start + _CHUNK_ROWS]))
+        model.transform(X[start:start + _CHUNK_ROWS])
         for start in range(0, X.shape[0], _CHUNK_ROWS)
-    ])
+    ], dtype=np.float64)
+
+
+def _row_entries(block: np.ndarray) -> list[bytes]:
+    """Each row of a computed float64 block as an immutable ``bytes`` entry:
+    one ``tobytes()`` per block, sliced per row."""
+    width = block.shape[1] * block.itemsize
+    blob = block.tobytes()
+    return [blob[start:start + width] for start in range(0, len(blob), width)]
 
 
 @dataclass
 class _ServedModel:
-    """A loaded model plus its serving machinery."""
+    """A loaded model plus its serving machinery: its cache of float64
+    row bytes and, opted in, its drift scorer and monitor."""
 
     record: ModelRecord
     model: object
@@ -75,25 +92,6 @@ class _ServedModel:
     # loaded model and the windowed monitor its samples feed.
     scorer: object = None
     monitor: object = None
-    # dtype of every cached row, fixed by the first block encoded as rows.
-    row_dtype: np.dtype | None = None
-
-    def row_entries(self, block: np.ndarray) -> list[bytes] | None:
-        """Each row of a computed block as an immutable ``bytes`` entry.
-
-        One ``tobytes()`` per block, sliced per row. ``None`` when the
-        block cannot be cached that way: it is not a non-empty 2-D numeric
-        array, or its dtype differs from the rows already cached.
-        """
-        if block.ndim != 2 or not block.size or block.dtype.hasobject:
-            return None
-        if self.row_dtype is None:
-            self.row_dtype = block.dtype
-        elif block.dtype != self.row_dtype:
-            return None
-        width = block.shape[1] * block.itemsize
-        blob = block.tobytes()
-        return [blob[start:start + width] for start in range(0, len(blob), width)]
 
 
 class TransformService:
@@ -391,7 +389,10 @@ class TransformService:
 
         Cached rows skip the model; unique misses (a row repeated inside
         one request included) are computed once, and those
-        :meth:`LRUCache.admit` saw in an earlier request are cached. Only
+        :meth:`LRUCache.admit` saw in an earlier request are cached. A
+        request whose rows are all computed, each once, returns the
+        model's float64 block as it is; any other is joined from row
+        bytes, hits and computed rows alike, and decoded once. Only
         computed rows are scored for drift — a hit re-serves a row that
         was already scored, or sampled out, when it was computed.
         """
@@ -417,23 +418,17 @@ class TransformService:
                     seen = served.cache.admit(slot)
                     store = True in seen
                     if store or len(rows) < X.shape[0]:
-                        entries = served.row_entries(computed)
-                    if store and entries is not None:
+                        entries = _row_entries(computed)
+                    if store:
                         served.cache.put_many(compress(zip(slot, entries), seen))
                 if len(rows) == X.shape[0]:
                     result = computed
-                elif entries is not None:
+                else:
                     # Every row is bytes: one join, one writeable decode.
                     result = np.frombuffer(bytearray().join([
                         entries[slot[digest]] if hit is None else hit
                         for digest, hit in zip(digests, cached)
-                    ]), dtype=served.row_dtype).reshape(X.shape[0], -1)
-                else:
-                    result = np.array([
-                        computed[slot[digest]] if hit is None
-                        else np.frombuffer(hit, dtype=served.row_dtype)
-                        for digest, hit in zip(digests, cached)
-                    ])
+                    ]), dtype=np.float64).reshape(X.shape[0], -1)
         self._account(served, X.shape[0], time.perf_counter() - start)
         if served.monitor is not None:
             self._observe_drift(served, X[missed], result[missed])

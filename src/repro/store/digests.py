@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .._version import __version__
+from .._version import NUMERICS_VERSION
 from ..exceptions import ValidationError
 
 __all__ = [
@@ -86,12 +86,13 @@ def task_digest(task: dict) -> str:
     if not isinstance(task, dict) or "kind" not in task:
         raise ValidationError("a ledger task must be a dict with a 'kind' key")
     digest = hashlib.sha256()
-    # The library version is part of the address: a result is a function of
-    # the *code* as much as of the task, so entries written by one release
-    # can never be served as hits by another — a version bump invalidates
-    # the whole ledger by construction. (Numerics changes shipped without a
-    # version bump are outside this contract; bump the version.)
-    digest.update(f"repro-store-v{STORE_FORMAT}@{__version__}\n".encode())
+    # The numerics version is part of the address: a result is a function
+    # of the *code* as much as of the task, so entries written under one
+    # numerics version can never be served as hits under another — a
+    # NUMERICS_VERSION bump invalidates the whole ledger by construction,
+    # while a release that moves no bits keeps it. (A change that moves bits
+    # without that bump is outside this contract; bump it.)
+    digest.update(f"repro-store-v{STORE_FORMAT}@{NUMERICS_VERSION}\n".encode())
     digest.update(canonical_json(task).encode("utf-8"))
     return digest.hexdigest()
 

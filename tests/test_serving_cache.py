@@ -127,7 +127,7 @@ class TestLRUCache:
 class TestAdmit:
     """The admission rule: a key is admitted on its second sighting."""
 
-    @pytest.mark.parametrize("n", [1, 8])  # the loop and the vectorized probe
+    @pytest.mark.parametrize("n", [1, 8])  # one key and a block: one probe
     def test_admits_on_second_sighting(self, rng, n):
         cache = LRUCache(max_size=100)
         keys = matrix_digests(rng.normal(size=(n, 3)))
@@ -145,9 +145,9 @@ class TestAdmit:
             assert cache.admit(keys) == [False] * 3
         assert cache.info()["declined"] == 0
 
-    @pytest.mark.parametrize("fresh", [1, 2, 8])  # loop, loop, vectorized
+    @pytest.mark.parametrize("fresh", [1, 2, 8, 64])
     def test_matches_a_loop_reference(self, rng, fresh):
-        # Both probes against a per-key loop over a Python set of bit
+        # The probe against a per-key loop over a Python set of bit
         # positions: the four 32-bit words of each digest, modulo the
         # filter's bits. Each batch repeats up to two keys of the one
         # before, and the filter fills and clears on the way.
@@ -182,7 +182,7 @@ class TestAdmit:
         cache.admit(matrix_digests(rng.normal(size=(1, 3))))
         assert not any(cache.admit(first))
 
-    @pytest.mark.parametrize("n", [2, 32])  # the loop and the vectorized probe
+    @pytest.mark.parametrize("n", [2, 32])
     def test_thread_safety_smoke(self, rng, n):
         cache = LRUCache(max_size=100_000)
         batches = [matrix_digests(rng.normal(size=(n, 3))) for _ in range(8)]

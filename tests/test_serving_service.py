@@ -6,9 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import PFR
+from repro import (
+    LFR,
+    PFR,
+    IFair,
+    KernelPFR,
+    MaskedRepresentation,
+    SideInformationAugmenter,
+)
 from repro.exceptions import ValidationError
 from repro.graphs import pairwise_judgment_graph
+from repro.ml import StandardScaler
 from repro.serving import ModelRegistry, TransformService
 from repro.serving import cache as cache_module
 from repro.serving import service as service_module
@@ -233,18 +241,18 @@ class TestCaching:
 
 
 class TestByteRowEntries:
-    """Cached rows are immutable ``bytes`` in the model's output dtype."""
+    """Served rows are float64; cached rows are their immutable ``bytes``."""
 
     @pytest.fixture
-    def float32_service(self, setup):
-        # A stub model whose transform returns float32 and keeps every
-        # array it hands out, so a test can scribble over them later.
+    def stub_service(self, setup):
+        # A stub model that keeps every float64 array it hands out, so a
+        # test can scribble over them later.
         registry, model, _ = setup
         service = TransformService(registry)
         returned = []
 
         def transform(X):
-            out = model.transform(X).astype(np.float32)
+            out = model.transform(X)
             returned.append(out)
             return out
 
@@ -263,20 +271,20 @@ class TestByteRowEntries:
         assert [type(entry) for entry in entries] == [bytes] * 3
         assert b"".join(entries) == Z.tobytes()
 
-    def test_hit_equals_miss_bitwise_in_model_dtype(self, float32_service, rng):
-        service, model, _ = float32_service
+    def test_hit_equals_miss_bitwise_in_model_dtype(self, stub_service, rng):
+        service, model, _ = stub_service
         Xa, Xb = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
         service.transform("pfr", Xa)  # first sighting: not stored
         miss = service.transform("pfr", Xa)
         hit = service.transform("pfr", Xa)
         mixed = service.transform("pfr", np.vstack([Xb[:1], Xa[2:], Xb[1:]]))
         one = service.transform_one("pfr", Xa[1])
-        expected = model.transform(Xa).astype(np.float32)
+        expected = model.transform(Xa)
         for Z in (miss, hit, one[None]):
-            assert Z.dtype == np.float32
+            assert Z.dtype == np.float64
         assert miss.tobytes() == hit.tobytes() == expected.tobytes()
         assert one.tobytes() == expected[1].tobytes()
-        assert mixed.dtype == np.float32
+        assert mixed.dtype == np.float64
         assert mixed[1:3].tobytes() == expected[2:].tobytes()
         cache = service.stats()["models"]["pfr@1"]["cache"]
         assert cache["hits"] == 4 + 2 + 1
@@ -304,11 +312,11 @@ class TestByteRowEntries:
         assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 6
 
     def test_mutating_the_models_array_cannot_alter_cache(
-        self, float32_service, rng
+        self, stub_service, rng
     ):
-        service, model, returned = float32_service
+        service, model, returned = stub_service
         Xq = rng.normal(size=(4, 5))
-        expected = model.transform(Xq).astype(np.float32)
+        expected = model.transform(Xq)
         service.transform("pfr", Xq)  # first sighting: not stored
         service.transform("pfr", Xq)
         for array in returned:
@@ -316,35 +324,70 @@ class TestByteRowEntries:
         assert service.transform("pfr", Xq).tobytes() == expected.tobytes()
         assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 4
 
-    def test_uncacheable_block_served_uncached(self, setup, rng):
-        # A block of another dtype than the rows already cached is served
-        # as computed and stored nowhere; hits around it still decode.
-        registry, model, _ = setup
-        service = TransformService(registry)
-        Xa, Xb = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
-        service.transform("pfr", Xa)  # first sighting: not stored
-        service.transform("pfr", Xa)
-        served = service._models[("pfr", 1)]
-        served.model = SimpleNamespace(
-            transform=lambda X: model.transform(X).astype(np.float32)
-        )
-        mixed = np.vstack([Xa, Xb])
-        Z = service.transform("pfr", mixed)
-        np.testing.assert_allclose(Z, model.transform(mixed), rtol=1e-6)
-        assert Z[:2].tobytes() == model.transform(Xa).tobytes()
-        assert served.cache.info()["size"] == 2
-
-    def test_every_sighting_serves_the_same_bytes(self, float32_service, rng):
+    def test_every_sighting_serves_the_same_bytes(self, stub_service, rng):
         # First sighting (recorded), second (computed and stored), hit.
-        service, model, _ = float32_service
+        service, model, _ = stub_service
         Xq = rng.normal(size=(3, 5))
-        expected = model.transform(Xq).astype(np.float32)
+        expected = model.transform(Xq)
         served = [service.transform("pfr", Xq) for _ in ("first", "second", "hit")]
         for Z in served:
-            assert Z.dtype == np.float32
+            assert Z.dtype == np.float64
             assert Z.tobytes() == expected.tobytes()
         cache = service.stats()["models"]["pfr@1"]["cache"]
         assert (cache["hits"], cache["misses"]) == (3, 6)
+
+    def test_float32_model_served_as_float64(self, setup, rng):
+        # One row format: a model returning float32 is served as float64
+        # on every sighting, and a hit replays the computed bytes.
+        registry, model, _ = setup
+        service = TransformService(registry)
+        service._served("pfr").model = SimpleNamespace(
+            transform=lambda X: model.transform(X).astype(np.float32)
+        )
+        Xq = rng.normal(size=(3, 5))
+        expected = model.transform(Xq).astype(np.float32).astype(np.float64)
+        for _ in ("first", "second", "hit"):
+            Z = service.transform("pfr", Xq)
+            assert Z.dtype == np.float64
+            assert Z.tobytes() == expected.tobytes()
+        assert service.stats()["models"]["pfr@1"]["cache"]["hits"] == 3
+
+    # One builder per servable type: (X, WF, rng) -> a fitted model.
+    SERVABLE = {
+        "PFR": lambda X, WF, rng: PFR(
+            n_components=2, gamma=0.5, n_neighbors=4).fit(X, WF),
+        "KernelPFR": lambda X, WF, rng: KernelPFR(
+            n_components=2, n_neighbors=4).fit(X, WF),
+        "IFair": lambda X, WF, rng: IFair(
+            n_prototypes=3, max_iter=15, protected_columns=[3]).fit(X),
+        "LFR": lambda X, WF, rng: LFR(n_prototypes=3, max_iter=15).fit(
+            X, (X[:, 0] > 0).astype(int), s=(X[:, 1] > 0).astype(int)),
+        "MaskedRepresentation": lambda X, WF, rng: MaskedRepresentation(
+            protected_columns=[0, 3]).fit(X),
+        "StandardScaler": lambda X, WF, rng: StandardScaler().fit(X),
+        "SideInformationAugmenter": lambda X, WF, rng: SideInformationAugmenter(
+            side_information=rng.random(len(X))).fit(X),
+    }
+
+    @pytest.mark.parametrize("model_type", sorted(SERVABLE))
+    def test_every_servable_type_serves_float64_rows(
+        self, model_type, rng, tmp_path
+    ):
+        X = rng.normal(size=(60, 5))
+        WF = pairwise_judgment_graph([(0, 1), (4, 9)], n=60)
+        model = self.SERVABLE[model_type](X, WF, rng)
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.register("m", model)
+        service = TransformService(registry)
+        Xq = rng.normal(size=(4, 5))
+        served = [service.transform("m", Xq) for _ in ("first", "second", "hit")]
+        one = service.transform_one("m", Xq[2])
+        for Z in (*served, one):
+            assert Z.dtype == np.float64
+        assert served[0].tobytes() == model.transform(Xq).tobytes()
+        assert served[1].tobytes() == served[2].tobytes() == served[0].tobytes()
+        assert one.tobytes() == served[0][2].tobytes()
+        assert service.stats()["models"]["m@1"]["cache"]["hits"] == 4 + 1
 
 
 class TestAdmission:

@@ -68,13 +68,22 @@ class TestTaskDigest:
     def test_canonical_json_sorted(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
-    def test_digest_depends_on_library_version(self, monkeypatch):
-        """Entries written by one release must never be hits for another:
-        a result is a function of the code as much as of the task."""
+    def test_digest_depends_on_numerics_version(self, monkeypatch):
+        """Entries written under one numerics version must never be hits
+        for another, while a release that moves no bits keeps every key."""
+        import repro._version as version_mod
         import repro.store.digests as digests_mod
 
         base = task_digest(_task())
-        monkeypatch.setattr(digests_mod, "__version__", "999.0.0")
+        # Captured when the digest still carried the package version 1.1.0.
+        assert base == (
+            "1ccf501551fb0f138773a3c05f21a2f55d71049409956005f444184226e83707"
+        )
+        # Wherever a digest could read the package version from.
+        monkeypatch.setattr(version_mod, "__version__", "999.0.0")
+        monkeypatch.setattr(digests_mod, "__version__", "999.0.0", raising=False)
+        assert task_digest(_task()) == base
+        monkeypatch.setattr(digests_mod, "NUMERICS_VERSION", "999.0.0")
         assert task_digest(_task()) != base
 
 
